@@ -51,7 +51,6 @@ import (
 
 	"condensation/internal/audit"
 	"condensation/internal/core"
-	"condensation/internal/mat"
 	"condensation/internal/rng"
 	"condensation/internal/telemetry"
 )
@@ -449,11 +448,6 @@ func (w *statusWriter) WriteHeader(status int) {
 // ServeHTTP implements http.Handler.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
 
-// recordsRequest is the POST /v1/records body.
-type recordsRequest struct {
-	Records [][]float64 `json:"records"`
-}
-
 // recordsResponse confirms ingestion: the records accepted by this
 // request plus the engine's cumulative group and split counts after it.
 type recordsResponse struct {
@@ -517,37 +511,23 @@ func (s *Server) handleRecords(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusMethodNotAllowed, errors.New("POST required"))
 		return
 	}
-	var req recordsRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decoding body: %w", err))
-		return
-	}
-	if len(req.Records) == 0 {
-		writeError(w, http.StatusBadRequest, errors.New("no records in request"))
-		return
-	}
-	if len(req.Records) > s.maxBatch {
-		writeError(w, http.StatusRequestEntityTooLarge,
-			fmt.Errorf("batch of %d exceeds limit %d", len(req.Records), s.maxBatch))
+	body, err := readBody(w, r, recordsBodyLimit(s.maxBatch, s.dim))
+	if err != nil {
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			writeError(w, http.StatusRequestEntityTooLarge,
+				fmt.Errorf("body exceeds %d bytes", tooLarge.Limit))
+			return
+		}
+		writeError(w, http.StatusBadRequest, fmt.Errorf("reading body: %w", err))
 		return
 	}
 	// Validate the whole batch before admitting any of it, so a bad row
 	// cannot leave a half-ingested batch.
-	records := make([]mat.Vector, len(req.Records))
-	for i, row := range req.Records {
-		if len(row) != s.dim {
-			writeError(w, http.StatusBadRequest,
-				fmt.Errorf("record %d has dimension %d, want %d", i, len(row), s.dim))
-			return
-		}
-		v := mat.Vector(row)
-		if !v.IsFinite() {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("record %d has non-finite values", i))
-			return
-		}
-		records[i] = v
+	records, status, err := decodeRecords(body, s.dim, s.maxBatch)
+	if err != nil {
+		writeError(w, status, err)
+		return
 	}
 
 	// Ingest through the batch engine: records are speculatively routed in
@@ -558,11 +538,12 @@ func (s *Server) handleRecords(w http.ResponseWriter, r *http.Request) {
 	// record boundary instead of holding the lock for the full batch.
 	t0 := time.Now()
 	s.lock()
-	err := s.eng.AddBatchContext(r.Context(), records)
+	err = s.eng.AddBatchContext(r.Context(), records)
 	groups := s.eng.NumGroups()
 	splits := s.eng.Splits()
 	s.unlock()
-	s.log.Debug("ingested batch",
+	// LogAttrs, unlike Debug's ...any, boxes nothing while debug is off.
+	s.log.LogAttrs(r.Context(), slog.LevelDebug, "ingested batch",
 		slog.String("request_id", requestID(w)),
 		slog.Int("records", len(records)),
 		slog.Int("groups", groups),

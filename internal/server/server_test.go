@@ -141,20 +141,41 @@ func TestSnapshotEmptyConflict(t *testing.T) {
 	}
 }
 
+// badRecordsBodies are POST /v1/records bodies a dimension-2 server must
+// refuse. They also seed FuzzDecodeRecords.
+var badRecordsBodies = []struct {
+	name string
+	body string
+	want int
+}{
+	{"empty body", ``, http.StatusBadRequest},
+	{"no records", `{"records": []}`, http.StatusBadRequest},
+	{"wrong dim", `{"records": [[1]]}`, http.StatusBadRequest},
+	{"non finite", `{"records": [[1, 1e999]]}`, http.StatusBadRequest},
+	{"unknown field", `{"record": [[1,2]]}`, http.StatusBadRequest},
+	{"null value", `{"records": [[null, 1]]}`, http.StatusBadRequest},
+	{"null row", `{"records": [null]}`, http.StatusBadRequest},
+	{"null records", `{"records": null}`, http.StatusBadRequest},
+	{"trailing object", `{"records": [[1,2]]}{"records": [[3,4]]}`, http.StatusBadRequest},
+	{"trailing garbage", `{"records": [[1,2]]} x`, http.StatusBadRequest},
+	{"case-folded key", `{"RECORDS": [[1,2]]}`, http.StatusBadRequest},
+	{"escaped key", `{"rec\u006frds": [[1,2]]}`, http.StatusBadRequest},
+	{"duplicate key", `{"records": [[1,2]], "records": [[3,4]]}`, http.StatusBadRequest},
+	{"leading zero", `{"records": [[01, 2]]}`, http.StatusBadRequest},
+	{"leading plus", `{"records": [[+1, 2]]}`, http.StatusBadRequest},
+	{"bare fraction", `{"records": [[.5, 2]]}`, http.StatusBadRequest},
+	{"empty fraction", `{"records": [[1., 2]]}`, http.StatusBadRequest},
+	{"empty exponent", `{"records": [[1e, 2]]}`, http.StatusBadRequest},
+	{"hex", `{"records": [[0x1p-2, 2]]}`, http.StatusBadRequest},
+	{"infinity literal", `{"records": [[Infinity, 2]]}`, http.StatusBadRequest},
+	{"string value", `{"records": [["1", 2]]}`, http.StatusBadRequest},
+	{"trailing comma", `{"records": [[1, 2],]}`, http.StatusBadRequest},
+	{"truncated", `{"records": [[1, 2]`, http.StatusBadRequest},
+}
+
 func TestBadRequests(t *testing.T) {
 	ts := newTestServer(t, 3)
-	cases := []struct {
-		name string
-		body string
-		want int
-	}{
-		{"empty body", ``, http.StatusBadRequest},
-		{"no records", `{"records": []}`, http.StatusBadRequest},
-		{"wrong dim", `{"records": [[1]]}`, http.StatusBadRequest},
-		{"non finite", `{"records": [[1, 1e999]]}`, http.StatusBadRequest},
-		{"unknown field", `{"record": [[1,2]]}`, http.StatusBadRequest},
-	}
-	for _, tc := range cases {
+	for _, tc := range badRecordsBodies {
 		resp, err := http.Post(ts.URL+"/v1/records", "application/json", bytes.NewReader([]byte(tc.body)))
 		if err != nil {
 			t.Fatal(err)
