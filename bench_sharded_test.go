@@ -29,7 +29,7 @@ func BenchmarkShardedIngest(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			fresh := func() *core.Sharded {
+			fresh := func() *core.Dynamic {
 				s, err := c.ShardedFrom(base, shards)
 				if err != nil {
 					b.Fatal(err)

@@ -351,7 +351,7 @@ func TestPipelineShardedStream(t *testing.T) {
 	ds := datagen.TwoGaussians(115, 400, 4, 8)
 	const k, shards = 8, 4
 
-	run := func(t *testing.T) (*core.Sharded, *core.Condensation) {
+	run := func(t *testing.T) (*core.Dynamic, *core.Condensation) {
 		t.Helper()
 		condenser, err := core.NewCondenser(k, core.WithSeed(116))
 		if err != nil {

@@ -5,7 +5,7 @@
 // marginal distance) — as a live, observe-only monitor.
 //
 // The auditor only ever reads deep-copied group statistics (for the
-// dynamic engine, a snapshot taken under the server's read lock) and never
+// dynamic engine, a snapshot taken under the shards' read locks) and never
 // touches the engine's random source, so auditing cannot change
 // condensation or synthesis output.
 package audit

@@ -258,8 +258,10 @@ func condenseRecords(recs []mat.Vector, cfg AnonymizeConfig, r *rng.Source) (*Co
 		}
 		dyn.SetTelemetry(cfg.Telemetry)
 		dyn.SetTracer(cfg.Tracer)
-		if err := dyn.AddAll(recs[initial:]); err != nil {
-			return nil, err
+		for i, x := range recs[initial:] {
+			if err := dyn.Add(x); err != nil {
+				return nil, fmt.Errorf("core: stream record %d: %w", i, err)
+			}
 		}
 		cond := dyn.Condensation()
 		cond.SetParallelism(cfg.Parallelism)

@@ -195,57 +195,91 @@ func (c *Condenser) StaticWithMembers(records []mat.Vector) (*Condensation, [][]
 	return staticCondense(context.Background(), records, c.k, c.rng(), c.opts, c.search, c.tel, c.trace)
 }
 
-// Dynamic returns an empty dynamic condenser (Figure 2) over records of
-// the given dimensionality, for pure-stream deployments with no initial
-// database. The Condenser's neighbour-search backend and parallelism
-// configure the stream's centroid routing and AddBatch speculation.
-func (c *Condenser) Dynamic(dim int) (*Dynamic, error) {
-	d, err := NewDynamicEmpty(dim, c.k, c.opts, c.rng())
+// Dynamic returns an empty one-shard dynamic condenser (Figure 2) over
+// records of the given dimensionality, for pure-stream deployments with no
+// initial database: Sharded(dim, 1). The Condenser's neighbour-search
+// backend and parallelism configure the stream's centroid routing and
+// AddBatch speculation.
+func (c *Condenser) Dynamic(dim int) (*Dynamic, error) { return c.Sharded(dim, 1) }
+
+// DynamicFrom returns a one-shard dynamic condenser seeded from an
+// existing condensation — the paper's H = CreateCondensedGroups(k, D)
+// initialization: ShardedFrom(initial, 1).
+func (c *Condenser) DynamicFrom(initial *Condensation) (*Dynamic, error) {
+	return c.ShardedFrom(initial, 1)
+}
+
+// Sharded returns an empty dynamic condenser with the given number of
+// independent shards over records of the given dimensionality. Shard 0
+// draws from the Condenser's master rng stream itself — so a 1-shard
+// engine is exactly Condenser.Dynamic — and every further shard draws
+// from an independent child stream derived from it at construction.
+func (c *Condenser) Sharded(dim, shards int) (*Dynamic, error) {
+	srcs, err := shardSources(c, shards)
 	if err != nil {
 		return nil, err
 	}
-	d.setSearch(c.search)
-	d.SetTelemetry(c.tel)
-	d.SetTracer(c.trace)
-	d.SetJournal(c.journal)
-	return d, nil
+	return c.wire(newDynamic(dim, c.k, c.opts, c.search, nil, srcs))
 }
 
-// DynamicFrom returns a dynamic condenser seeded from an existing
-// condensation — the paper's H = CreateCondensedGroups(k, D)
-// initialization. The initial condensation's dimensionality is used; its k
-// and options are superseded by the Condenser's.
-func (c *Condenser) DynamicFrom(initial *Condensation) (*Dynamic, error) {
+// ShardedFrom returns a dynamic condenser with the given number of shards
+// seeded from an existing condensation: the initial groups are copied
+// once and dealt round-robin across the shards (group j to shard j mod N —
+// stable, so resuming at a fixed shard count is reproducible). The
+// initial condensation's dimensionality is used and its options are
+// superseded by the Condenser's; its k must equal the Condenser's, since
+// its groups were formed to that level.
+func (c *Condenser) ShardedFrom(initial *Condensation, shards int) (*Dynamic, error) {
 	if initial == nil {
 		return nil, errors.New("core: nil initial condensation")
 	}
-	d, err := NewDynamic(initial, c.rng())
+	if initial.k != c.k {
+		return nil, fmt.Errorf("core: initial condensation has k = %d, condenser has k = %d", initial.k, c.k)
+	}
+	srcs, err := shardSources(c, shards)
 	if err != nil {
 		return nil, err
 	}
-	d.k = c.k
-	d.opts = c.opts
-	d.setSearch(c.search)
-	d.SetTelemetry(c.tel)
-	d.SetTracer(c.trace)
-	d.SetJournal(c.journal)
-	return d, nil
+	return c.wire(newDynamic(initial.dim, c.k, c.opts, c.search, initial.Groups(), srcs))
 }
 
 // Bootstrap condenses an initial database statically and returns a
-// dynamic condenser maintaining it — the paper's full dynamic setting in
-// one call.
+// one-shard dynamic condenser maintaining it — the paper's full dynamic
+// setting in one call.
 func (c *Condenser) Bootstrap(initial []mat.Vector) (*Dynamic, error) {
 	r := c.rng()
 	cond, _, err := staticCondense(context.Background(), initial, c.k, r, c.opts, c.search, c.tel, c.trace)
 	if err != nil {
 		return nil, err
 	}
-	d, err := NewDynamic(cond, r)
+	// cond never leaves this call, so the engine takes its groups as-is.
+	return c.wire(newDynamic(cond.dim, c.k, c.opts, c.search, cond.groups, []*rng.Source{r}))
+}
+
+// shardSources derives one rng stream per shard: shard 0 takes the master
+// stream, shards 1..N−1 take children split from it before any record is
+// ingested. Derivation happens entirely at construction, so each shard's
+// stream depends only on the master seed and the shard count.
+func shardSources(c *Condenser, shards int) ([]*rng.Source, error) {
+	if shards < 1 {
+		return nil, fmt.Errorf("core: shard count %d, must be ≥ 1", shards)
+	}
+	srcs := make([]*rng.Source, shards)
+	srcs[0] = c.rng()
+	for i := 1; i < shards; i++ {
+		srcs[i] = srcs[0].Split()
+	}
+	return srcs, nil
+}
+
+// wire finishes an engine the Condenser built: it divides the speculation
+// parallelism across the shards and attaches the Condenser's telemetry,
+// tracer, and journal.
+func (c *Condenser) wire(d *Dynamic, err error) (*Dynamic, error) {
 	if err != nil {
 		return nil, err
 	}
-	d.setSearch(c.search)
+	d.SetParallelism(c.search.Parallelism)
 	d.SetTelemetry(c.tel)
 	d.SetTracer(c.trace)
 	d.SetJournal(c.journal)

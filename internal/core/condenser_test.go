@@ -196,7 +196,7 @@ func TestCondenserDynamic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := dyn.AddAll(gaussianRecords(8, 50, 2)); err != nil {
+	if err := addEach(dyn, gaussianRecords(8, 50, 2)); err != nil {
 		t.Fatal(err)
 	}
 	cond := dyn.Condensation()
@@ -209,7 +209,7 @@ func TestCondenserDynamic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := dyn2.AddAll(gaussianRecords(10, 30, 2)); err != nil {
+	if err := addEach(dyn2, gaussianRecords(10, 30, 2)); err != nil {
 		t.Fatal(err)
 	}
 	if got := dyn2.Condensation().TotalCount(); got != 70 {

@@ -4,23 +4,17 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
+	"strconv"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"condensation/internal/mat"
+	"condensation/internal/par"
 	"condensation/internal/rng"
 	"condensation/internal/stats"
 	"condensation/internal/telemetry"
 )
-
-// searchSampleEvery is the sampling stride of the dynamic routing stage
-// timer: one in every searchSampleEvery routed records is timed. Two
-// time.Now() calls per record are measurable at high ingest rates, so the
-// histogram trades completeness for throughput — the sampled latencies
-// are representative (routing cost varies only with the group count,
-// which moves slowly) and the counters remain exact.
-const searchSampleEvery = 64
 
 // Dynamic maintains condensed groups over an incremental stream of records
 // (DynamicGroupMaintenance, Figure 2 of the paper). Each arriving record is
@@ -30,177 +24,53 @@ const searchSampleEvery = 64
 // in steady state. Only aggregate statistics are retained — never the raw
 // stream records.
 //
-// Records are routed through a pluggable nearest-centroid router
-// (SetNeighborSearch): the paper's linear scan, or a maintained kd-index
-// that stays exact under centroid drift and splits. Batches ingest
-// fastest through AddBatch, which speculatively routes records in
+// The engine holds N ≥ 1 independent shards, each owning its groups, lock,
+// centroid router, rng stream, and telemetry labels. Records are routed to
+// shards deterministically — by a stable hash of the record bytes, or by
+// one designated attribute (SetRoutingAttribute) — so the same stream
+// always lands on the same shards in the same order and the condensed
+// state is reproducible bit for bit at any fixed shard count. Sharding
+// preserves the paper's privacy contract: each shard maintains the
+// k ≤ n(G) ≤ 2k−1 group-size invariant independently, and the merged
+// state is simply the union of per-shard group sets — exactly the
+// composition argument behind Merge (and behind microaggregation
+// partitioning generally), so every merged group still condenses at least
+// k records. A 1-shard engine is the paper's algorithm unpartitioned.
+//
+// Dynamic is safe for concurrent use: reads take per-shard read locks and
+// writes take only the locks of the shards their records hash to, so
+// concurrent batches contend per shard instead of per engine. Batches
+// ingest fastest through AddBatch, which speculatively routes records in
 // parallel and applies them sequentially — bit-identical to an Add loop.
 type Dynamic struct {
 	k    int
 	dim  int
 	opts Options
-	r    *rng.Source
 
-	groups    []*stats.Group
-	centroids []mat.Vector // cached, updated in place, kept in sync with groups
-	total     int          // cached running record count (Σ g.N()), updated on ingest
-	splits    int          // group splits performed so far
-	met       engineMetrics
-	tel       *telemetry.Registry
-	telLabels []string // label pairs applied to every engine series (sharding)
-	tr        *telemetry.Tracer
+	shards []*shard
 
-	search  searchConfig     // routing backend + batch speculation parallelism
-	router  centroidRouter   // maintained nearest-centroid structure
-	routed  int              // records routed, for sampled stage timing
-	scratch batchScratch     // reusable AddBatch buffers
-	eig     mat.EigenScratch // reusable split eigensolve workspaces
+	// routeAttr < 0 hashes the whole record; otherwise only attribute
+	// routeAttr is hashed, so records sharing that value share a shard.
+	routeAttr int
 
-	// Stable group identity and lineage, maintained in parallel with
-	// groups/centroids: ids[i] is slot i's stable group id and births[i]
-	// its birth annotation. Ids are allocated monotonically under idBase —
-	// the per-shard partition of the id space a Sharded installs (see
-	// groupIDShardShift) — so ids are unique engine-wide and never reused
-	// after a split retires them. All of it is observe-only: ids never
-	// influence routing, splits, or the rng stream, and they are not
-	// serialized into checkpoints (a resumed engine renumbers from scratch).
-	ids    []uint64
-	births []groupBirth
-	idBase uint64
-	idSeq  uint64
+	// met carries the unlabeled engine metrics attached to snapshots
+	// (synthesis stage timings); tr is the span tracer.
+	met engineMetrics
+	tr  *telemetry.Tracer
 
-	// shardIndex is this engine's position in a Sharded (0 standalone);
-	// it stamps journal events and group diagnostics. jr is the lifecycle
-	// journal; nil (the default) disables it at one nil check per site.
-	shardIndex int
-	jr         *telemetry.Journal
-
-	// gen is the engine's mutation generation: a monotone counter advanced
-	// before every state-changing apply and untouched by reads. The shards
-	// of one Sharded share a single counter, so a generation value names a
-	// unique prefix of the engine-wide mutation sequence — the property
-	// that lets every read-side cache in the stack (the snapshot cache
-	// below, the server's artifact memos, checkpoint ETags) use it as a
-	// complete version key. lastMut is the counter value at this engine's
-	// own most recent mutation, so a shard's snapshot cache invalidates
-	// only when that shard changed, not when any sibling did.
-	gen     *atomic.Uint64
-	lastMut uint64
-
-	// The generation-keyed snapshot cache: the group clones handed out by
-	// the last Condensation call, valid while lastMut still equals snapGen.
-	// Writers never touch it (they only advance the generation — copy on
-	// write-invalidate, not copy on read); concurrent readers racing to
-	// rebuild it under the caller's read lock serialize on snapMu. snapIDs
-	// is the ids slice frozen with the clones, annotated onto snapshots.
-	snapMu     sync.Mutex
-	snapGen    uint64
-	snapGroups []*stats.Group
-	snapIDs    []uint64
+	// gen is the mutation generation shared by every shard: each shard
+	// bumps this one counter (not a private one), so a generation value
+	// names a unique engine-wide state. Summing per-shard counters would
+	// alias distinct states (shard A +2 vs A +1 and B +1 sum the same),
+	// which would let a generation-keyed ETag serve stale bytes.
+	gen atomic.Uint64
 }
 
-// groupBirth is one group slot's observe-only birth annotation: the
-// mutation generation it was created at, the id of the split parent it was
-// born from (0 for founded or initial groups), and its centroid at birth —
-// the reference point per-group drift diagnostics measure against.
-type groupBirth struct {
-	gen      uint64
-	parent   uint64
-	centroid mat.Vector
-}
-
-// groupIDShardShift partitions the 64-bit group-id space per shard: shard
-// i allocates ids under base i<<48, so ids from different shards can never
-// collide and the owning shard is recoverable as id>>48. 2^48 ids per
-// shard outlasts any realistic stream; 2^16 shards outlasts any machine.
-const groupIDShardShift = 48
-
-// allocID hands out the next stable group id under this engine's base.
-// Ids are 1-based within the shard so 0 stays the "no parent" sentinel.
-func (d *Dynamic) allocID() uint64 {
-	d.idSeq++
-	return d.idBase | d.idSeq
-}
-
-// annotate registers identity and birth for a group slot just appended to
-// d.groups: a fresh id, the current mutation generation, the given split
-// parent (0 when founded), and a clone of the group's centroid.
-func (d *Dynamic) annotate(parent uint64, centroid mat.Vector) uint64 {
-	id := d.allocID()
-	d.ids = append(d.ids, id)
-	d.births = append(d.births, groupBirth{gen: d.lastMut, parent: parent, centroid: centroid.Clone()})
-	return id
-}
-
-// rebaseIDs moves the engine's id space under base, renumbering any groups
-// annotated before the base was known (the initial deal of ShardedFrom
-// constructs each shard's Dynamic first). Called once at construction,
-// before any record is ingested.
-func (d *Dynamic) rebaseIDs(base uint64) {
-	d.idBase = base
-	d.idSeq = 0
-	for i := range d.ids {
-		d.idSeq++
-		d.ids[i] = base | d.idSeq
-	}
-}
-
-// SetJournal attaches a group-lifecycle journal: group foundings, splits
-// (with parent→child lineage), router rebuilds, and speculation fallbacks
-// are then recorded as structured events stamped with this engine's shard
-// index and the triggering mutation generation. A nil journal (the
-// default) disables recording at one nil check per event site. The journal
-// is observe-only — it never touches the rng stream or the group moments,
-// so condensed output is bit-identical with it on or off.
-func (d *Dynamic) SetJournal(j *telemetry.Journal) { d.jr = j }
-
-// bump advances the mutation generation at the start of a state change,
-// so a generation-keyed cache can never mistake a pre-mutation snapshot
-// for current state.
-func (d *Dynamic) bump() { d.lastMut = d.gen.Add(1) }
-
-// Generation returns the engine's mutation generation. It advances on
-// every state-changing apply (Add, each applied record of AddBatch —
-// group splits ride along) and is stable across pure reads, so an equal
-// generation implies bit-identical condensed state. Reading it needs no
-// lock: the counter is atomic.
-func (d *Dynamic) Generation() uint64 { return d.gen.Load() }
-
-// SetTelemetry attaches a metrics registry: Add and AddBatch then count
-// stream records and split events, time the nearest-centroid routing (the
-// dynamic engine's neighbour search — sampled one record in
-// searchSampleEvery for Add, once per batch for AddBatch, so steady-state
-// ingest pays no per-record clock reads) and the statistics splits, and
-// keep a live group-count gauge. A nil registry disables recording.
-// Telemetry is observe-only and never touches the split-axis rng.
-func (d *Dynamic) SetTelemetry(reg *telemetry.Registry) {
-	d.setTelemetryLabeled(reg)
-}
-
-// setTelemetryLabeled is SetTelemetry with extra label pairs stamped onto
-// every engine series — the sharded engine passes shard="i" so per-shard
-// rates stay separable. The labels are retained so a later routing-backend
-// change re-registers the search series with them intact.
-func (d *Dynamic) setTelemetryLabeled(reg *telemetry.Registry, labels ...string) {
-	d.tel = reg
-	d.telLabels = labels
-	d.met = newEngineMetrics(reg, labels...)
-	d.met.withSearchBackend(reg, d.router.label(), labels...)
-	d.met.groups.Set(float64(len(d.groups)))
-}
-
-// SetTracer attaches a span tracer: Add records a sampled per-record
-// ingest span (with a split child when the record triggers one), and
-// AddBatch records a batch span with speculation/apply phase children —
-// nested under the span in the caller's context, if any. A nil tracer
-// (the default) disables tracing; a disabled or unsampled record costs one
-// nil check and one atomic load, preserving the 0 allocs/record hot path.
-// Tracing is observe-only and never touches the split-axis rng.
-func (d *Dynamic) SetTracer(tr *telemetry.Tracer) { d.tr = tr }
-
-// NewDynamic creates a dynamic condenser seeded from a static condensation
-// of an initial database, per the paper's H = CreateCondensedGroups(k, D)
-// initialization. The Condensation's groups are copied.
+// NewDynamic creates a one-shard dynamic condenser seeded from a static
+// condensation of an initial database, per the paper's
+// H = CreateCondensedGroups(k, D) initialization, with the condensation's
+// k and options and the default routing backend. The Condensation's
+// groups are copied.
 func NewDynamic(initial *Condensation, r *rng.Source) (*Dynamic, error) {
 	if initial == nil {
 		return nil, errors.New("core: nil initial condensation")
@@ -208,39 +78,18 @@ func NewDynamic(initial *Condensation, r *rng.Source) (*Dynamic, error) {
 	if r == nil {
 		return nil, errors.New("core: nil random source")
 	}
-	d := &Dynamic{
-		k:      initial.k,
-		dim:    initial.dim,
-		opts:   initial.opts,
-		r:      r,
-		groups: initial.Groups(),
-		gen:    new(atomic.Uint64),
-	}
-	d.centroids = make([]mat.Vector, len(d.groups))
-	for i, g := range d.groups {
-		m, err := g.Mean()
-		if err != nil {
-			return nil, fmt.Errorf("core: initial group %d: %w", i, err)
-		}
-		d.centroids[i] = m
-		d.total += g.N()
-		d.annotate(0, m)
-	}
-	d.initRouter()
-	return d, nil
+	return newDynamic(initial.dim, initial.k, initial.opts, searchConfig{}, initial.Groups(), []*rng.Source{r})
 }
 
-// NewDynamicEmpty creates a dynamic condenser with no initial database.
-// The first arriving record founds the first group. Until the first group
-// reaches k records the structure cannot guarantee k-indistinguishability;
-// the paper's setting always provides an initial database, so this
-// constructor exists for pure-stream deployments and tests.
+// NewDynamicEmpty creates a one-shard dynamic condenser with no initial
+// database. The first arriving record founds the first group. Until the
+// first group reaches k records the structure cannot guarantee
+// k-indistinguishability; the paper's setting always provides an initial
+// database, so this constructor exists for pure-stream deployments and
+// tests.
 func NewDynamicEmpty(dim, k int, opts Options, r *rng.Source) (*Dynamic, error) {
 	if err := opts.validate(); err != nil {
 		return nil, err
-	}
-	if dim < 1 {
-		return nil, fmt.Errorf("core: dimension %d, must be ≥ 1", dim)
 	}
 	if k < 1 {
 		return nil, fmt.Errorf("core: indistinguishability level k = %d, must be ≥ 1", k)
@@ -248,9 +97,124 @@ func NewDynamicEmpty(dim, k int, opts Options, r *rng.Source) (*Dynamic, error) 
 	if r == nil {
 		return nil, errors.New("core: nil random source")
 	}
-	d := &Dynamic{k: k, dim: dim, opts: opts, r: r, gen: new(atomic.Uint64)}
-	d.initRouter()
+	return newDynamic(dim, k, opts, searchConfig{}, nil, []*rng.Source{r})
+}
+
+// newDynamic builds an engine with one shard per rng stream. The groups —
+// owned by the engine from here on — are dealt round-robin, group j to
+// shard j mod N: stable, so resuming at a fixed shard count is
+// reproducible. A shard dealt no group starts empty.
+func newDynamic(dim, k int, opts Options, search searchConfig, groups []*stats.Group, srcs []*rng.Source) (*Dynamic, error) {
+	if dim < 1 {
+		return nil, fmt.Errorf("core: dimension %d, must be ≥ 1", dim)
+	}
+	n := len(srcs)
+	d := &Dynamic{k: k, dim: dim, opts: opts, routeAttr: -1, shards: make([]*shard, n)}
+	for i, r := range srcs {
+		dealt := (len(groups) - i + n - 1) / n
+		d.shards[i] = &shard{
+			k: k, dim: dim, opts: opts, r: r, search: search,
+			groups:    make([]*stats.Group, 0, dealt),
+			centroids: make([]mat.Vector, 0, dealt),
+			ids:       make([]uint64, 0, dealt),
+			births:    make([]groupBirth, 0, dealt),
+			// Shard i allocates stable group ids under base i<<48, so ids
+			// from different shards never collide and GroupByID recovers
+			// the owning shard from the id alone.
+			idBase: uint64(i) << groupIDShardShift,
+			index:  i,
+			gen:    &d.gen,
+		}
+	}
+	for j, g := range groups {
+		sh := d.shards[j%n]
+		m, err := g.Mean()
+		if err != nil {
+			return nil, fmt.Errorf("core: initial group %d: %w", j, err)
+		}
+		sh.groups = append(sh.groups, g)
+		sh.centroids = append(sh.centroids, m)
+		sh.total += g.N()
+		sh.annotate(0, m)
+	}
+	for _, sh := range d.shards {
+		sh.initRouter()
+	}
 	return d, nil
+}
+
+// eachShard runs f on every shard in shard order under that shard's write
+// lock.
+func (d *Dynamic) eachShard(f func(sh *shard)) {
+	for _, sh := range d.shards {
+		sh.mu.Lock()
+		f(sh)
+		sh.mu.Unlock()
+	}
+}
+
+// sum adds f over the shards, each read under its read lock.
+func (d *Dynamic) sum(f func(sh *shard) int) int {
+	var n int
+	for _, sh := range d.shards {
+		sh.mu.RLock()
+		n += f(sh)
+		sh.mu.RUnlock()
+	}
+	return n
+}
+
+// SetRoutingAttribute switches record→shard routing from whole-record
+// hashing to hashing one attribute alone, so records agreeing on that
+// attribute (a class label, a tenant id) always share a shard — the
+// class-partitioned serving shape. It must be called before any record is
+// ingested: re-routing a live engine would break reproducibility.
+func (d *Dynamic) SetRoutingAttribute(attr int) error {
+	if attr < 0 || attr >= d.dim {
+		return fmt.Errorf("core: routing attribute %d out of range [0,%d)", attr, d.dim)
+	}
+	if d.TotalCount() > 0 {
+		return errors.New("core: routing cannot change after records were ingested")
+	}
+	d.routeAttr = attr
+	return nil
+}
+
+// FNV-1a parameters for the stable record→shard hash.
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
+// hashFloat folds the 8 bytes of one float64 into an FNV-1a state.
+func hashFloat(h uint64, v float64) uint64 {
+	b := math.Float64bits(v)
+	for i := 0; i < 8; i++ {
+		h ^= b & 0xff
+		h *= fnvPrime64
+		b >>= 8
+	}
+	return h
+}
+
+// shardOf routes a record: FNV-1a over the record's float64 bytes (or the
+// routing attribute's bytes alone), reduced modulo the shard count. The
+// hash depends only on the record values, so routing is stable across
+// runs, processes, and architectures.
+func (d *Dynamic) shardOf(x mat.Vector) int {
+	n := len(d.shards)
+	if n == 1 {
+		return 0
+	}
+	h := uint64(fnvOffset64)
+	if d.routeAttr >= 0 {
+		h = hashFloat(h, x[d.routeAttr])
+	} else {
+		for _, v := range x {
+			h = hashFloat(h, v)
+		}
+	}
+	return int(h % uint64(n))
 }
 
 // K returns the indistinguishability level.
@@ -259,41 +223,22 @@ func (d *Dynamic) K() int { return d.k }
 // Dim returns the attribute dimensionality.
 func (d *Dynamic) Dim() int { return d.dim }
 
-// NumGroups returns the current number of groups.
-func (d *Dynamic) NumGroups() int { return len(d.groups) }
+// NumShards returns the number of independent shards.
+func (d *Dynamic) NumShards() int { return len(d.shards) }
 
-// TotalCount returns the number of records condensed so far. The count is
-// maintained incrementally on ingest (splits conserve it), so frequent
-// health and stats reads never scan the group list under the serving lock.
-func (d *Dynamic) TotalCount() int { return d.total }
+// NumGroups returns the group count summed over shards.
+func (d *Dynamic) NumGroups() int { return d.sum(func(sh *shard) int { return len(sh.groups) }) }
 
-// Splits returns the number of group splits performed so far.
-func (d *Dynamic) Splits() int { return d.splits }
+// TotalCount returns the number of records condensed so far, summed over
+// the shards' running counts (maintained on ingest, so frequent health
+// and stats reads never scan the group lists).
+func (d *Dynamic) TotalCount() int { return d.sum(func(sh *shard) int { return sh.total }) }
 
-// NumShards returns 1: a Dynamic is a single shard.
-func (d *Dynamic) NumShards() int { return 1 }
+// Splits returns the number of group splits performed, summed over shards.
+func (d *Dynamic) Splits() int { return d.sum(func(sh *shard) int { return sh.splits }) }
 
-// Shard snapshots shard i; only Shard(0) exists and equals Condensation().
-func (d *Dynamic) Shard(i int) *Condensation {
-	if i != 0 {
-		panic(fmt.Sprintf("core: shard %d out of range on a single-shard engine", i))
-	}
-	return d.Condensation()
-}
-
-// ShardCounts returns the live counts of shard i; only shard 0 exists.
-func (d *Dynamic) ShardCounts(i int) (records, groups, splits int) {
-	if i != 0 {
-		panic(fmt.Sprintf("core: shard %d out of range on a single-shard engine", i))
-	}
-	return d.total, len(d.groups), d.splits
-}
-
-// Synchronized reports false: Dynamic performs no locking of its own, so
-// callers sharing it across goroutines must serialize access themselves.
-func (d *Dynamic) Synchronized() bool { return false }
-
-// validateRecord rejects records the engine cannot condense.
+// validateRecord rejects records the engine cannot condense, before any
+// shard is touched.
 func (d *Dynamic) validateRecord(x mat.Vector) error {
 	if len(x) != d.dim {
 		return fmt.Errorf("core: stream record dimension %d, want %d", len(x), d.dim)
@@ -304,224 +249,233 @@ func (d *Dynamic) validateRecord(x mat.Vector) error {
 	return nil
 }
 
-// Add routes one stream record to the group with the nearest centroid and
-// splits that group if it reaches 2k records.
+// Add routes one stream record to its shard and, under that shard's lock,
+// to the group with the nearest centroid, splitting that group if it
+// reaches 2k records.
 func (d *Dynamic) Add(x mat.Vector) error {
-	sp := d.tr.StartChild(nil, "dynamic.add")
-	if sp == nil {
-		return d.add(x, nil)
-	}
-	err := d.add(x, sp)
-	if err != nil {
-		sp.SetAttr("error", err.Error())
-	}
-	sp.End()
-	return err
-}
-
-// add is Add's body, with sp the sampled per-record span (usually nil).
-func (d *Dynamic) add(x mat.Vector, sp *telemetry.Span) error {
 	if err := d.validateRecord(x); err != nil {
 		return err
 	}
-	if len(d.groups) == 0 {
-		return d.found(x)
-	}
-	best := d.route(x)
-	sp.SetAttrInt("group", best)
-	if err := d.ingest(best, x, sp); err != nil {
-		return err
-	}
-	d.met.streamRecords.Inc()
-	return nil
+	sh := d.shards[d.shardOf(x)]
+	sh.mu.Lock()
+	err := sh.add(x)
+	sh.mu.Unlock()
+	return err
 }
 
-// found admits the very first stream record of an empty condenser: it
-// founds group 0.
-func (d *Dynamic) found(x mat.Vector) error {
-	d.bump()
-	g := stats.NewGroup(d.dim)
-	if err := g.Add(x); err != nil {
-		return err
-	}
-	d.groups = append(d.groups, g)
-	m, err := g.Mean()
-	if err != nil {
-		return err
-	}
-	d.centroids = append(d.centroids, m)
-	id := d.annotate(0, m)
-	d.router.add(len(d.groups) - 1)
-	d.total++
-	d.met.streamRecords.Inc()
-	d.met.groupsFormed.Inc()
-	d.met.groups.Set(float64(len(d.groups)))
-	if d.jr != nil {
-		d.jr.Record(telemetry.JournalEvent{
-			Type:       telemetry.EventGroupCreated,
-			Shard:      d.shardIndex,
-			Generation: d.lastMut,
-			Group:      id,
-			Detail:     "first stream record founded a group",
-		})
-	}
-	return nil
+// AddBatch ingests a batch of records, producing the exact condensation
+// an Add loop over the same records produces. See AddBatchContext.
+func (d *Dynamic) AddBatch(records []mat.Vector) error {
+	return d.AddBatchContext(context.Background(), records)
 }
 
-// route finds the nearest centroid in H to x through the configured
-// router, timing one record in searchSampleEvery.
-func (d *Dynamic) route(x mat.Vector) int {
-	d.routed++
-	if d.met.enabled && d.routed%searchSampleEvery == 1 {
-		t0 := time.Now()
-		best, _ := d.router.nearest(x)
-		d.met.search.ObserveSince(t0)
-		return best
-	}
-	best, _ := d.router.nearest(x)
-	return best
-}
-
-// ingest folds x into group best, refreshes the group's cached centroid in
-// place (no allocation), keeps the router in sync, and performs the
-// paper's split once the group reaches 2k records: delete M from H, add
-// M1 and M2 to H. sp, when non-nil, is the enclosing trace span (the
-// sampled per-record span for Add, the apply-phase span for AddBatch); a
-// split then records a child span under it.
-func (d *Dynamic) ingest(best int, x mat.Vector, sp *telemetry.Span) error {
-	d.bump()
-	g := d.groups[best]
-	if err := g.Add(x); err != nil {
-		return err
-	}
-	d.total++
-	if err := g.MeanInto(d.centroids[best]); err != nil {
-		return err
-	}
-	d.router.update(best)
-
-	if g.N() == 2*d.k {
-		var t0 time.Time
-		if d.met.enabled {
-			t0 = time.Now()
-		}
-		splitSpan := childSpan(d.tr, sp, "dynamic.split")
-		splitSpan.SetAttrInt("group", best)
-		m1, m2, err := splitGroupWith(g, d.k, d.opts.SplitAxis, d.r, &d.eig)
-		if err != nil {
-			return fmt.Errorf("core: splitting group %d: %w", best, err)
-		}
-		parentID := d.ids[best]
-		d.groups[best] = m1
-		if err := m1.MeanInto(d.centroids[best]); err != nil {
-			return err
-		}
-		d.router.update(best)
-		c2, err := m2.Mean()
-		if err != nil {
-			return err
-		}
-		d.groups = append(d.groups, m2)
-		d.centroids = append(d.centroids, c2)
-		// The parent id retires with the split; both halves are new groups
-		// with fresh ids and lineage back to the parent.
-		id1 := d.allocID()
-		d.ids[best] = id1
-		d.births[best] = groupBirth{gen: d.lastMut, parent: parentID, centroid: d.centroids[best].Clone()}
-		id2 := d.annotate(parentID, c2)
-		d.router.add(len(d.groups) - 1)
-		d.maybePromote()
-		if d.jr != nil {
-			d.jr.Record(telemetry.JournalEvent{
-				Type:       telemetry.EventSplit,
-				Shard:      d.shardIndex,
-				Generation: d.lastMut,
-				Group:      parentID,
-				Parent:     parentID,
-				Children:   []uint64{id1, id2},
-				Detail:     fmt.Sprintf("group reached %d records (2k) and split into %d + %d", 2*d.k, m1.N(), m2.N()),
-			})
-		}
-		splitSpan.End()
-		if d.met.enabled {
-			d.met.split.ObserveSince(t0)
-		}
-		d.splits++
-		d.met.splitEvents.Inc()
-		d.met.groupsFormed.Inc()
-		d.met.groups.Set(float64(len(d.groups)))
-	}
-	return nil
-}
-
-// AddAll streams a batch of records through Add. For large batches,
-// AddBatch produces the identical condensation faster.
-func (d *Dynamic) AddAll(records []mat.Vector) error {
-	return d.AddAllContext(context.Background(), records)
-}
-
-// AddAllContext is AddAll with cancellation: between records it checks the
-// context and stops with the context's error once it is done. Records
-// admitted before cancellation stay condensed — the structure remains
-// valid, the remainder of the batch is simply not ingested.
-func (d *Dynamic) AddAllContext(ctx context.Context, records []mat.Vector) error {
+// AddBatchContext is the engine's high-throughput ingest path: the batch
+// is validated up front — a malformed record rejects the batch before any
+// record is admitted — then partitioned by the routing hash into
+// per-shard sub-batches that preserve stream order, and the sub-batches
+// are applied concurrently, each through its shard's speculative batch
+// path under that shard's lock alone. Because routing depends only on
+// record values and each shard sees its records in stream order, the
+// result is bit-identical to a sequential Add loop over the same batch,
+// at any concurrency.
+//
+// Cancellation is checked per shard at record boundaries; records applied
+// before cancellation stay condensed. The error returned is the
+// lowest-shard-index failure, so error reporting is deterministic too.
+func (d *Dynamic) AddBatchContext(ctx context.Context, records []mat.Vector) error {
 	for i, x := range records {
-		if err := ctx.Err(); err != nil {
-			return fmt.Errorf("core: stream cancelled at record %d: %w", i, err)
+		if err := d.validateRecord(x); err != nil {
+			return fmt.Errorf("core: batch record %d: %w", i, err)
 		}
-		if err := d.Add(x); err != nil {
-			return fmt.Errorf("core: stream record %d: %w", i, err)
+	}
+	if len(records) == 0 {
+		return nil
+	}
+	if len(d.shards) == 1 {
+		sh := d.shards[0]
+		sh.mu.Lock()
+		err := sh.addBatch(ctx, records)
+		sh.mu.Unlock()
+		return err
+	}
+
+	ctx, sp := d.tr.Start(ctx, "sharded.add_batch")
+	sp.SetAttrInt("records", len(records))
+	sp.SetAttrInt("shards", len(d.shards))
+	defer sp.End()
+
+	// Partition into order-preserving per-shard sub-batches backed by one
+	// allocation: count, carve, fill.
+	ids := make([]int, len(records))
+	counts := make([]int, len(d.shards))
+	for i, x := range records {
+		ids[i] = d.shardOf(x)
+		counts[ids[i]]++
+	}
+	backing := make([]mat.Vector, 0, len(records))
+	parts := make([][]mat.Vector, len(d.shards))
+	off := 0
+	for i, c := range counts {
+		parts[i] = backing[off : off : off+c]
+		off += c
+	}
+	for i, x := range records {
+		parts[ids[i]] = append(parts[ids[i]], x)
+	}
+
+	errs := make([]error, len(d.shards))
+	var wg sync.WaitGroup
+	for i, part := range parts {
+		if len(part) == 0 {
+			continue
+		}
+		wg.Add(1)
+		go func(i int, part []mat.Vector) {
+			defer wg.Done()
+			shCtx := ctx
+			if sp != nil {
+				var shSpan *telemetry.Span
+				shCtx, shSpan = d.tr.Start(ctx, "sharded.shard")
+				shSpan.SetAttrInt("shard", i)
+				shSpan.SetAttrInt("records", len(part))
+				defer shSpan.End()
+			}
+			sh := d.shards[i]
+			sh.mu.Lock()
+			errs[i] = sh.addBatch(shCtx, part)
+			sh.mu.Unlock()
+		}(i, part)
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
 		}
 	}
 	return nil
 }
 
 // Condensation snapshots the current groups as an immutable Condensation
-// that can be synthesized from. The group copies are cached per mutation
-// generation: a snapshot taken with no intervening writes reuses the
-// previous call's clones instead of re-copying O(G·d²) state, so repeated
-// reads of unchanged state cost one slice header. The cached groups are
-// never mutated afterwards — stats.Group read methods are pure and
-// Condensation.Groups() clones on access — so sharing them across
-// snapshots is safe; each call still gets a fresh Condensation header, so
-// per-caller settings (parallelism, telemetry, tracer) never leak between
-// snapshots.
+// that can be synthesized from: every shard's groups concatenated in shard
+// order — a stable ordering, so repeated snapshots of the same state
+// serialize byte-identically. A single shard's snapshot is served straight
+// from its generation-keyed cache, so repeated reads of unchanged state
+// cost one slice header. Each shard's snapshot is internally consistent;
+// under concurrent ingestion the merge is the union of per-shard
+// snapshots, not a global point-in-time cut.
 func (d *Dynamic) Condensation() *Condensation {
-	d.snapMu.Lock()
-	if d.snapGroups == nil || d.snapGen != d.lastMut {
-		groups := make([]*stats.Group, len(d.groups))
-		for i, g := range d.groups {
-			groups[i] = g.Clone()
-		}
-		d.snapGroups = groups
-		d.snapIDs = append([]uint64(nil), d.ids...)
-		d.snapGen = d.lastMut
-		d.met.snapMisses.Inc()
-	} else {
-		d.met.snapHits.Inc()
+	if len(d.shards) == 1 {
+		return d.Shard(0)
 	}
-	groups := d.snapGroups
-	ids := d.snapIDs
-	d.snapMu.Unlock()
-	cond := newCondensation(d.dim, d.k, d.opts, groups)
-	cond.groupIDs = ids
+	var groups []*stats.Group
+	var ids []uint64
+	for i := range d.shards {
+		cond := d.Shard(i)
+		groups = append(groups, cond.groups...)
+		ids = append(ids, cond.groupIDs...)
+	}
+	merged := newCondensation(d.dim, d.k, d.opts, groups)
+	merged.groupIDs = ids
+	merged.met = d.met
+	merged.tr = d.tr
+	return merged
+}
+
+// Shard snapshots one shard's groups. It panics when i is out of range.
+func (d *Dynamic) Shard(i int) *Condensation {
+	sh := d.shards[i]
+	sh.mu.RLock()
+	cond := sh.condensation()
+	sh.mu.RUnlock()
 	cond.met = d.met
 	cond.tr = d.tr
 	return cond
 }
 
-// ShardGroupSizes appends the live per-group record counts of shard i to
-// buf (resliced to zero length first) and returns it; only shard 0 exists.
-// Unlike Shard, this reads the retained counts directly — no group
-// cloning — so size-only consumers (per-shard stats, k-invariant checks)
-// stay O(G) ints under the serving lock.
+// ShardCounts returns shard i's live record/group/split counts under its
+// read lock, without materializing groups — the accessor periodic load
+// scrapes use.
+func (d *Dynamic) ShardCounts(i int) (records, groups, splits int) {
+	sh := d.shards[i]
+	sh.mu.RLock()
+	records, groups, splits = sh.total, len(sh.groups), sh.splits
+	sh.mu.RUnlock()
+	return records, groups, splits
+}
+
+// ShardGroupSizes appends shard i's live per-group record counts to buf
+// (resliced to zero length first) under that shard's read lock — no group
+// cloning, so size-only consumers (per-shard stats, k-invariant checks)
+// stay O(G) ints per shard.
 func (d *Dynamic) ShardGroupSizes(i int, buf []int) []int {
-	if i != 0 {
-		panic(fmt.Sprintf("core: shard %d out of range on a single-shard engine", i))
-	}
+	sh := d.shards[i]
+	sh.mu.RLock()
 	buf = buf[:0]
-	for _, g := range d.groups {
+	for _, g := range sh.groups {
 		buf = append(buf, g.N())
 	}
+	sh.mu.RUnlock()
 	return buf
+}
+
+// Generation returns the engine-wide mutation generation: the shared
+// counter every shard advances on each applied record. It advances on
+// every state-changing apply (Add, each applied record of AddBatch —
+// group splits ride along) and is stable across pure reads, so equal
+// generations imply bit-identical condensed state. The read is one atomic
+// load, no shard locks.
+func (d *Dynamic) Generation() uint64 { return d.gen.Load() }
+
+// SetTelemetry attaches a metrics registry: Add and AddBatch then count
+// stream records and split events, time the nearest-centroid routing
+// (sampled one record in searchSampleEvery for Add, once per batch for
+// AddBatch, so steady-state ingest pays no per-record clock reads) and
+// the statistics splits, and keep a live group-count gauge. With more
+// than one shard, every engine series carries a shard="i" label so
+// per-shard ingest rates, group counts, and split events are separable; a
+// single-shard engine registers the series unlabeled. A nil registry
+// disables recording. Telemetry is observe-only and never touches the
+// split-axis rng.
+func (d *Dynamic) SetTelemetry(reg *telemetry.Registry) {
+	d.met = newEngineMetrics(reg)
+	d.eachShard(func(sh *shard) {
+		if len(d.shards) == 1 {
+			sh.setTelemetry(reg)
+		} else {
+			sh.setTelemetry(reg, "shard", strconv.Itoa(sh.index))
+		}
+	})
+}
+
+// SetTracer attaches a span tracer: Add records a sampled per-record
+// ingest span (with a split child when the record triggers one), and
+// AddBatch records a batch span with speculation/apply phase children —
+// nested under the span in the caller's context, if any. A nil tracer
+// (the default) disables tracing; a disabled or unsampled record costs one
+// nil check and one atomic load, preserving the 0 allocs/record hot path.
+// Tracing is observe-only and never touches the split-axis rng.
+func (d *Dynamic) SetTracer(tr *telemetry.Tracer) {
+	d.tr = tr
+	d.eachShard(func(sh *shard) { sh.tr = tr })
+}
+
+// SetJournal attaches a group-lifecycle journal: group foundings, splits
+// (with parent→child lineage), router rebuilds, and speculation fallbacks
+// are then recorded as structured events stamped with the emitting
+// shard's index and the triggering mutation generation. A nil journal
+// (the default) disables recording at one nil check per event site. The
+// journal is observe-only — it never touches the rng stream or the group
+// moments, so condensed output is bit-identical with it on or off.
+func (d *Dynamic) SetJournal(j *telemetry.Journal) {
+	d.eachShard(func(sh *shard) { sh.jr = j })
+}
+
+// SetParallelism bounds the total speculation workers across the engine:
+// the budget (values < 1 mean runtime.NumCPU()) is divided evenly among
+// the shards, each shard receiving at least one worker, since the shards
+// themselves already run concurrently during AddBatch. Parallelism never
+// changes output.
+func (d *Dynamic) SetParallelism(p int) {
+	per := max(par.Workers(p)/len(d.shards), 1)
+	d.eachShard(func(sh *shard) { sh.search.Parallelism = per })
 }

@@ -48,24 +48,19 @@ func (s *batchScratch) posMap(n int) []int32 {
 	return p
 }
 
-// AddBatch ingests a batch of records, producing the exact condensation a
-// sequential Add loop over the same records produces — bit-identical
-// groups, centroids, and rng stream — but routing the batch in parallel.
-// See AddBatchContext.
-func (d *Dynamic) AddBatch(records []mat.Vector) error {
-	return d.AddBatchContext(context.Background(), records)
-}
-
-// AddBatchContext is the dynamic engine's high-throughput ingest path. It
+// addBatch is the shard's high-throughput ingest path, producing the
+// exact condensation a sequential add loop over the same (already
+// validated, non-empty) records produces — bit-identical groups,
+// centroids, and rng stream — but routing the batch in parallel. It
 // alternates two phases over speculation windows of the batch:
 //
 //  1. Speculation (parallel, read-only): the window's records are routed
-//     to their nearest centroids against the engine state frozen at the
+//     to their nearest centroids against the shard state frozen at the
 //     window's start, chunked across SetParallelism workers. Each worker
 //     writes disjoint slots, so the candidates are identical at every
 //     worker count.
 //  2. Apply (sequential, input order): each record is folded into its
-//     group exactly as Add would. A record's speculated candidate is kept
+//     group exactly as add would. A record's speculated candidate is kept
 //     only while the candidate group is untouched since speculation; the
 //     true nearest is then the lexicographic minimum of the candidate and
 //     the groups that changed during the window (moved centroids and
@@ -74,32 +69,20 @@ func (d *Dynamic) AddBatch(records []mat.Vector) error {
 //     is re-routed against the live router.
 //
 // The apply phases perform the same group updates, in the same order,
-// drawing from the same rng stream as a sequential Add loop, so the
+// drawing from the same rng stream as a sequential add loop, so the
 // result is bit-identical by construction at any parallelism, window
 // size, and routing backend (TestAddBatchEquivalence proves it byte for
-// byte).
-//
-// Unlike AddAllContext, the whole batch is validated up front: a
-// malformed record rejects the batch before any record is admitted.
-// Cancellation is still checked between applies; records applied before
+// byte). Cancellation is checked between applies; records applied before
 // cancellation stay condensed.
-func (d *Dynamic) AddBatchContext(ctx context.Context, records []mat.Vector) error {
-	for i, x := range records {
-		if err := d.validateRecord(x); err != nil {
-			return fmt.Errorf("core: batch record %d: %w", i, err)
-		}
-	}
-	if len(records) == 0 {
-		return nil
-	}
+func (sh *shard) addBatch(ctx context.Context, records []mat.Vector) error {
 	head := 0
-	if len(d.groups) == 0 {
+	if len(sh.groups) == 0 {
 		// Found the first group sequentially; the remainder speculates
 		// against it.
 		if err := ctx.Err(); err != nil {
 			return fmt.Errorf("core: batch cancelled at record 0: %w", err)
 		}
-		if err := d.found(records[0]); err != nil {
+		if err := sh.found(records[0]); err != nil {
 			return fmt.Errorf("core: batch record 0: %w", err)
 		}
 		head = 1
@@ -109,7 +92,7 @@ func (d *Dynamic) AddBatchContext(ctx context.Context, records []mat.Vector) err
 		return nil
 	}
 
-	_, sp := d.tr.Start(ctx, "dynamic.add_batch")
+	_, sp := sh.tr.Start(ctx, "dynamic.add_batch")
 	sp.SetAttrInt("records", len(records))
 	defer sp.End()
 
@@ -126,42 +109,42 @@ func (d *Dynamic) AddBatchContext(ctx context.Context, records []mat.Vector) err
 	// it, at any window size — the window only bounds how large the
 	// changed set can grow, keeping the fold O(window) instead of
 	// O(batch).
-	cand, candD := d.scratch.routes(len(batch))
-	workers := par.Workers(d.search.Parallelism)
-	br, hasBatchRouter := d.router.(batchRouter)
-	specSpan := childSpan(d.tr, sp, "dynamic.speculate")
+	cand, candD := sh.scratch.routes(len(batch))
+	workers := par.Workers(sh.search.Parallelism)
+	br, hasBatchRouter := sh.router.(batchRouter)
+	specSpan := childSpan(sh.tr, sp, "dynamic.speculate")
 	specSpan.SetAttrInt("workers", workers)
-	applySpan := childSpan(d.tr, sp, "dynamic.apply")
-	pos := d.scratch.posMap(len(d.groups))
-	changed := d.scratch.changed[:0]
-	changedFlat := d.scratch.changedFlat[:0]
+	applySpan := childSpan(sh.tr, sp, "dynamic.apply")
+	pos := sh.scratch.posMap(len(sh.groups))
+	changed := sh.scratch.changed[:0]
+	changedFlat := sh.scratch.changedFlat[:0]
 	applied := 0
 	fallbacks := 0
 	var searchDur time.Duration
 	defer func() {
 		// Splits may have grown the slices past their scratch capacity;
 		// keep the grown backing arrays for the next batch.
-		d.scratch.pos = pos
-		d.scratch.changed = changed
-		d.scratch.changedFlat = changedFlat
-		if d.met.enabled {
-			d.met.search.Observe(searchDur.Seconds())
+		sh.scratch.pos = pos
+		sh.scratch.changed = changed
+		sh.scratch.changedFlat = changedFlat
+		if sh.met.enabled {
+			sh.met.search.Observe(searchDur.Seconds())
 		}
-		d.met.streamRecords.Add(applied)
+		sh.met.streamRecords.Add(applied)
 		applySpan.SetAttrInt("applied", applied)
 		applySpan.End()
 		specSpan.End()
-		if d.jr != nil && fallbacks > 0 {
+		if sh.jr != nil && fallbacks > 0 {
 			// One event per batch, not per record: the count is the story.
-			d.jr.Record(telemetry.JournalEvent{
+			sh.jr.Record(telemetry.JournalEvent{
 				Type:       telemetry.EventSpecFallback,
-				Shard:      d.shardIndex,
-				Generation: d.lastMut,
+				Shard:      sh.index,
+				Generation: sh.lastMut,
 				Detail:     fmt.Sprintf("%d of %d applied records re-routed live after their speculated group changed mid-window", fallbacks, applied),
 			})
 		}
 	}()
-	dim := d.dim
+	dim := sh.dim
 	for wlo := 0; wlo < len(batch); wlo += speculationWindow {
 		whi := wlo + speculationWindow
 		if whi > len(batch) {
@@ -173,7 +156,7 @@ func (d *Dynamic) AddBatchContext(ctx context.Context, records []mat.Vector) err
 		// Speculative routing against the state frozen at window start.
 		// Workers only read centroids and write disjoint candidate slots.
 		var t0 time.Time
-		if d.met.enabled {
+		if sh.met.enabled {
 			t0 = time.Now()
 		}
 		_ = par.RunChunks(len(window), workers, func(lo, hi int) error {
@@ -184,14 +167,14 @@ func (d *Dynamic) AddBatchContext(ctx context.Context, records []mat.Vector) err
 				return nil
 			}
 			for i := lo; i < hi; i++ {
-				wcand[i], wcandD[i] = d.router.nearest(window[i])
+				wcand[i], wcandD[i] = sh.router.nearest(window[i])
 			}
 			return nil
 		})
-		if d.met.enabled {
+		if sh.met.enabled {
 			searchDur += time.Since(t0)
 		}
-		d.routed += len(window)
+		sh.routed += len(window)
 
 		// Sequential apply in input order; the changed set restarts empty
 		// because this window speculated against the current state.
@@ -208,7 +191,7 @@ func (d *Dynamic) AddBatchContext(ctx context.Context, records []mat.Vector) err
 			if pos[best] >= 0 {
 				// The candidate group moved or split since speculation;
 				// its stored distance is stale, so re-route live.
-				best, _ = d.router.nearest(x)
+				best, _ = sh.router.nearest(x)
 				fallbacks++
 			} else {
 				// The candidate still holds the lexicographic minimum
@@ -218,27 +201,27 @@ func (d *Dynamic) AddBatchContext(ctx context.Context, records []mat.Vector) err
 				// reference gather scan.
 				best, bestD = kernel.ArgminFlatIDs(x, changedFlat, changed, best, bestD)
 			}
-			before := len(d.groups)
-			if err := d.ingest(best, x, applySpan); err != nil {
+			before := len(sh.groups)
+			if err := sh.ingest(best, x, applySpan); err != nil {
 				return fmt.Errorf("core: batch record %d: %w", head+wlo+i, err)
 			}
 			applied++
 			// Refresh (or admit) the ingested group's arena row with its
 			// post-ingest centroid; on a split, centroids[best] is M1.
 			if p := pos[best]; p >= 0 {
-				copy(changedFlat[int(p)*dim:(int(p)+1)*dim], d.centroids[best])
+				copy(changedFlat[int(p)*dim:(int(p)+1)*dim], sh.centroids[best])
 			} else {
 				pos[best] = int32(len(changed))
 				changed = append(changed, best)
-				changedFlat = append(changedFlat, d.centroids[best]...)
+				changedFlat = append(changedFlat, sh.centroids[best]...)
 			}
-			if len(d.groups) > before {
+			if len(sh.groups) > before {
 				// The split appended exactly one group, changed by
 				// definition.
-				g := len(d.groups) - 1
+				g := len(sh.groups) - 1
 				pos = append(pos, int32(len(changed)))
 				changed = append(changed, g)
-				changedFlat = append(changedFlat, d.centroids[g]...)
+				changedFlat = append(changedFlat, sh.centroids[g]...)
 			}
 		}
 	}

@@ -17,21 +17,23 @@ import (
 func dynamicFingerprint(t *testing.T, d *Dynamic) []byte {
 	t.Helper()
 	var buf bytes.Buffer
-	for _, g := range d.groups {
-		enc, err := g.MarshalBinary()
-		if err != nil {
-			t.Fatal(err)
-		}
-		buf.Write(enc)
-	}
-	for _, c := range d.centroids {
-		for _, v := range c {
-			var b [8]byte
-			u := math.Float64bits(v)
-			for i := range b {
-				b[i] = byte(u >> (8 * i))
+	for _, sh := range d.shards {
+		for _, g := range sh.groups {
+			enc, err := g.MarshalBinary()
+			if err != nil {
+				t.Fatal(err)
 			}
-			buf.Write(b[:])
+			buf.Write(enc)
+		}
+		for _, c := range sh.centroids {
+			for _, v := range c {
+				var b [8]byte
+				u := math.Float64bits(v)
+				for i := range b {
+					b[i] = byte(u >> (8 * i))
+				}
+				buf.Write(b[:])
+			}
 		}
 	}
 	synth, err := d.Condensation().Synthesize(rng.New(99))
@@ -123,7 +125,7 @@ func TestAddBatchEquivalence(t *testing.T) {
 			if err := d.SetNeighborSearch(search); err != nil {
 				t.Fatal(err)
 			}
-			if err := d.AddAll(stream); err != nil {
+			if err := addEach(d, stream); err != nil {
 				t.Fatal(err)
 			}
 			if got := dynamicFingerprint(t, d); !bytes.Equal(got, want) {
@@ -228,7 +230,7 @@ func TestDynamicAutoPromotion(t *testing.T) {
 		t.Fatal(err)
 	}
 	d.SetTelemetry(reg)
-	if _, isScan := d.router.(*scanRouter); !isScan {
+	if _, isScan := d.shards[0].router.(*scanRouter); !isScan {
 		t.Fatal("auto backend did not start on the scan router")
 	}
 	// Enough records to push the group count past the cutoff: groups hold
@@ -239,7 +241,7 @@ func TestDynamicAutoPromotion(t *testing.T) {
 	if d.NumGroups() < dynamicIndexCutoff {
 		t.Fatalf("only %d groups formed, wanted ≥ %d", d.NumGroups(), dynamicIndexCutoff)
 	}
-	if _, isKD := d.router.(*kdRouter); !isKD {
+	if _, isKD := d.shards[0].router.(*kdRouter); !isKD {
 		t.Error("auto backend did not promote to the kd router")
 	}
 	var buf bytes.Buffer

@@ -33,7 +33,7 @@ type centroidRouter interface {
 	// nearest returns the nearest centroid's group id and squared
 	// distance. The engine never calls it with zero groups.
 	nearest(x mat.Vector) (int, float64)
-	// update tells the router centroid id moved (d.centroids[id] holds
+	// update tells the router centroid id moved (sh.centroids[id] holds
 	// the new position).
 	update(id int)
 	// add tells the router centroid id was appended.
@@ -57,13 +57,13 @@ type batchRouter interface {
 // only called between queries (engine mutations are sequential), so
 // concurrent speculation reads never race them.
 type scanRouter struct {
-	d     *Dynamic
-	arena []float64 // row i = d.centroids[i], kept current
+	sh    *shard
+	arena []float64 // row i = sh.centroids[i], kept current
 }
 
-func newScanRouter(d *Dynamic) *scanRouter {
-	s := &scanRouter{d: d, arena: make([]float64, 0, len(d.centroids)*d.dim)}
-	for _, c := range d.centroids {
+func newScanRouter(sh *shard) *scanRouter {
+	s := &scanRouter{sh: sh, arena: make([]float64, 0, len(sh.centroids)*sh.dim)}
+	for _, c := range sh.centroids {
 		s.arena = append(s.arena, c...)
 	}
 	return s
@@ -74,15 +74,15 @@ func (s *scanRouter) nearest(x mat.Vector) (int, float64) {
 }
 
 func (s *scanRouter) nearestBatch(qs []mat.Vector, ids []int, ds []float64) {
-	kernel.ArgminBatch(ids, ds, qs, s.arena, s.d.dim)
+	kernel.ArgminBatch(ids, ds, qs, s.arena, s.sh.dim)
 }
 
 func (s *scanRouter) update(id int) {
-	copy(s.arena[id*s.d.dim:(id+1)*s.d.dim], s.d.centroids[id])
+	copy(s.arena[id*s.sh.dim:(id+1)*s.sh.dim], s.sh.centroids[id])
 }
 
 func (s *scanRouter) add(id int) {
-	s.arena = append(s.arena, s.d.centroids[id]...)
+	s.arena = append(s.arena, s.sh.centroids[id]...)
 }
 
 func (*scanRouter) label() string { return "centroid-scan" }
@@ -93,30 +93,30 @@ func (*scanRouter) label() string { return "centroid-scan" }
 // tie-break are the index's contract, proven against the scan by
 // TestCentroidIndexMatchesScan and TestAddBatchEquivalence.
 type kdRouter struct {
-	d   *Dynamic
+	sh  *shard
 	idx *knn.CentroidIndex
 }
 
-func newKDRouter(d *Dynamic) *kdRouter {
-	idx, err := knn.NewCentroidIndex(d.dim, d.centroids)
+func newKDRouter(sh *shard) *kdRouter {
+	idx, err := knn.NewCentroidIndex(sh.dim, sh.centroids)
 	if err != nil {
 		// Unreachable: the engine validated every centroid's dimension.
 		panic(fmt.Sprintf("core: building centroid index: %v", err))
 	}
-	return &kdRouter{d: d, idx: idx}
+	return &kdRouter{sh: sh, idx: idx}
 }
 
 func (k *kdRouter) nearest(x mat.Vector) (int, float64) { return k.idx.Nearest(x) }
 
 func (k *kdRouter) update(id int) {
-	if err := k.idx.Update(id, k.d.centroids[id]); err != nil {
+	if err := k.idx.Update(id, k.sh.centroids[id]); err != nil {
 		// Unreachable: ids are dense and dimensions fixed.
 		panic(fmt.Sprintf("core: centroid index update: %v", err))
 	}
 }
 
 func (k *kdRouter) add(id int) {
-	if _, err := k.idx.Add(k.d.centroids[id]); err != nil {
+	if _, err := k.idx.Add(k.sh.centroids[id]); err != nil {
 		panic(fmt.Sprintf("core: centroid index add: %v", err))
 	}
 }
@@ -128,26 +128,26 @@ func (*kdRouter) label() string { return "centroid-kdtree" }
 // the scan — centroid routing has nothing to sort or select — and
 // SearchAuto starts scanning, promoting to the kd-index once the group
 // count reaches dynamicIndexCutoff (maybePromote).
-func (d *Dynamic) initRouter() {
+func (sh *shard) initRouter() {
 	switch {
-	case d.search.Precision == Float32:
+	case sh.search.Precision == Float32:
 		// The float32 index keeps the arena-sweep shape at half the
 		// memory traffic; the kd promotion is skipped so the pruning
 		// sweep stays a single contiguous pass.
-		d.router = newF32Router(d)
-	case d.search.Search == SearchKDTree,
-		d.search.Search == SearchAuto && len(d.groups) >= dynamicIndexCutoff:
-		d.router = newKDRouter(d)
+		sh.router = newF32Router(sh)
+	case sh.search.Search == SearchKDTree,
+		sh.search.Search == SearchAuto && len(sh.groups) >= dynamicIndexCutoff:
+		sh.router = newKDRouter(sh)
 	default:
-		d.router = newScanRouter(d)
+		sh.router = newScanRouter(sh)
 	}
-	d.met.withSearchBackend(d.tel, d.router.label(), d.telLabels...)
-	if d.jr != nil {
-		d.jr.Record(telemetry.JournalEvent{
+	sh.met.withSearchBackend(sh.tel, sh.router.label(), sh.telLabels...)
+	if sh.jr != nil {
+		sh.jr.Record(telemetry.JournalEvent{
 			Type:       telemetry.EventIndexRebuild,
-			Shard:      d.shardIndex,
-			Generation: d.lastMut,
-			Detail:     fmt.Sprintf("router rebuilt as %s over %d centroids", d.router.label(), len(d.centroids)),
+			Shard:      sh.index,
+			Generation: sh.lastMut,
+			Detail:     fmt.Sprintf("router rebuilt as %s over %d centroids", sh.router.label(), len(sh.centroids)),
 		})
 	}
 }
@@ -156,61 +156,54 @@ func (d *Dynamic) initRouter() {
 // once the group count crosses the cutoff. Called after every group
 // append; both routers are exact, so promotion never changes routing.
 // The float32 router is pinned: it never promotes.
-func (d *Dynamic) maybePromote() {
-	if d.search.Search != SearchAuto || len(d.groups) < dynamicIndexCutoff {
+func (sh *shard) maybePromote() {
+	if sh.search.Search != SearchAuto || len(sh.groups) < dynamicIndexCutoff {
 		return
 	}
-	if _, isScan := d.router.(*scanRouter); isScan {
-		d.router = newKDRouter(d)
-		d.met.withSearchBackend(d.tel, d.router.label(), d.telLabels...)
-		if d.jr != nil {
-			d.jr.Record(telemetry.JournalEvent{
+	if _, isScan := sh.router.(*scanRouter); isScan {
+		sh.router = newKDRouter(sh)
+		sh.met.withSearchBackend(sh.tel, sh.router.label(), sh.telLabels...)
+		if sh.jr != nil {
+			sh.jr.Record(telemetry.JournalEvent{
 				Type:       telemetry.EventIndexRebuild,
-				Shard:      d.shardIndex,
-				Generation: d.lastMut,
-				Detail:     fmt.Sprintf("auto-promoted scan to %s at %d groups", d.router.label(), len(d.groups)),
+				Shard:      sh.index,
+				Generation: sh.lastMut,
+				Detail:     fmt.Sprintf("auto-promoted scan to %s at %d groups", sh.router.label(), len(sh.groups)),
 			})
 		}
 	}
 }
 
-// SetNeighborSearch selects the nearest-centroid routing backend. The
-// scan and quickselect names map to the reference linear scan (routing
-// has no sort to skip); SearchKDTree forces the maintained centroid
-// index; SearchAuto (the default) scans while the group count is small
-// and promotes to the index at dynamicIndexCutoff groups. All backends
-// route identically — TestAddBatchEquivalence proves bit-identical
-// condensations — so this is purely a throughput knob.
+// SetNeighborSearch selects the nearest-centroid routing backend for
+// every shard. The scan and quickselect names map to the reference linear
+// scan (routing has no sort to skip); SearchKDTree forces the maintained
+// centroid index; SearchAuto (the default) scans while a shard's group
+// count is small and promotes to the index at dynamicIndexCutoff groups.
+// All backends route identically — TestAddBatchEquivalence proves
+// bit-identical condensations — so this is purely a throughput knob.
 func (d *Dynamic) SetNeighborSearch(s NeighborSearch) error {
 	if err := s.validate(); err != nil {
 		return err
 	}
-	d.search.Search = s
-	d.initRouter()
+	d.eachShard(func(sh *shard) {
+		sh.search.Search = s
+		sh.initRouter()
+	})
 	return nil
 }
 
-// SetParallelism bounds the worker goroutines of AddBatch's speculative
-// routing phase; values < 1 (the default) mean runtime.NumCPU(). The
-// result is identical at every setting.
-func (d *Dynamic) SetParallelism(p int) { d.search.Parallelism = p }
-
-// SetIndexPrecision selects the routing index arithmetic (default
-// Float64). Float32 halves the pruning sweep's memory traffic while the
-// final routing decision is still taken in float64, so the condensed
-// statistics are bit-identical under either setting
+// SetIndexPrecision selects the routing index arithmetic for every shard
+// (default Float64). Float32 halves the pruning sweep's memory traffic
+// while the final routing decision is still taken in float64, so the
+// condensed statistics are bit-identical under either setting
 // (TestFloat32RoutingEquivalence).
 func (d *Dynamic) SetIndexPrecision(p IndexPrecision) error {
 	if err := p.validate(); err != nil {
 		return err
 	}
-	d.search.Precision = p
-	d.initRouter()
+	d.eachShard(func(sh *shard) {
+		sh.search.Precision = p
+		sh.initRouter()
+	})
 	return nil
-}
-
-// setSearch installs the facade's search configuration.
-func (d *Dynamic) setSearch(cfg searchConfig) {
-	d.search = cfg
-	d.initRouter()
 }

@@ -1,12 +1,24 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
 	"condensation/internal/mat"
 	"condensation/internal/rng"
 )
+
+// addEach feeds records through Add one at a time — the sequential
+// reference every batch path is measured against.
+func addEach(eng Engine, records []mat.Vector) error {
+	for i, x := range records {
+		if err := eng.Add(x); err != nil {
+			return fmt.Errorf("stream record %d: %w", i, err)
+		}
+	}
+	return nil
+}
 
 func TestDynamicSteadyStateGroupSizes(t *testing.T) {
 	base := clusteredRecords(31, 20, 20)
@@ -21,7 +33,7 @@ func TestDynamicSteadyStateGroupSizes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := dyn.AddAll(stream); err != nil {
+	if err := addEach(dyn, stream); err != nil {
 		t.Fatal(err)
 	}
 	snap := dyn.Condensation()
@@ -47,7 +59,7 @@ func TestDynamicSplitsHappen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := dyn.AddAll(clusteredRecords(38, 100, 0)); err != nil {
+	if err := addEach(dyn, clusteredRecords(38, 100, 0)); err != nil {
 		t.Fatal(err)
 	}
 	if dyn.NumGroups() <= before {
@@ -69,7 +81,7 @@ func TestDynamicRoutesToNearestCluster(t *testing.T) {
 		t.Fatal(err)
 	}
 	streamB := clusteredRecords(42, 0, 60)
-	if err := dyn.AddAll(streamB); err != nil {
+	if err := addEach(dyn, streamB); err != nil {
 		t.Fatal(err)
 	}
 	snap := dyn.Condensation()
@@ -93,7 +105,7 @@ func TestDynamicEmptyStart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := dyn.AddAll(clusteredRecords(44, 30, 0)); err != nil {
+	if err := addEach(dyn, clusteredRecords(44, 30, 0)); err != nil {
 		t.Fatal(err)
 	}
 	if dyn.NumGroups() == 0 {
@@ -157,12 +169,12 @@ func TestDynamicCondensationSnapshotIsolated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := dyn.AddAll(clusteredRecords(49, 10, 0)); err != nil {
+	if err := addEach(dyn, clusteredRecords(49, 10, 0)); err != nil {
 		t.Fatal(err)
 	}
 	snap := dyn.Condensation()
 	before := snap.TotalCount()
-	if err := dyn.AddAll(clusteredRecords(50, 10, 0)); err != nil {
+	if err := addEach(dyn, clusteredRecords(50, 10, 0)); err != nil {
 		t.Fatal(err)
 	}
 	if snap.TotalCount() != before {
@@ -178,7 +190,7 @@ func TestDynamicK1(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := dyn.AddAll(clusteredRecords(52, 20, 0)); err != nil {
+	if err := addEach(dyn, clusteredRecords(52, 20, 0)); err != nil {
 		t.Fatal(err)
 	}
 	snap := dyn.Condensation()

@@ -8,31 +8,21 @@ import (
 )
 
 // Engine is the serving contract of a dynamic condenser: the full method
-// set the HTTP server, the stream driver, and the daemon depend on. Two
-// implementations exist:
+// set the HTTP server, the stream driver, and the daemon depend on. Its
+// implementation is *Dynamic — N ≥ 1 shards behind deterministic
+// record→shard routing, each guarded by its own lock, so every method is
+// safe for concurrent use — and the interface lets callers substitute a
+// decorator (a timing or tracing wrapper) around it.
 //
-//   - *Dynamic: one condenser (one lock domain, managed by the caller). It
-//     is NOT safe for concurrent use — callers that share it across
-//     goroutines must serialize access themselves (Synchronized reports
-//     false so generic callers know to).
-//   - *Sharded: N independent Dynamic shards behind deterministic
-//     record→shard routing, each guarded by its own lock. It is safe for
-//     concurrent use (Synchronized reports true), and ingestion scales
-//     across cores because concurrent batches only contend per shard.
-//
-// Every implementation preserves the paper's invariants: groups hold
-// between k and 2k−1 records in steady state, only aggregate statistics
-// are retained, and the same seed (and, for Sharded, the same shard
-// count) reproduces the same condensed state bit for bit.
+// The engine preserves the paper's invariants: groups hold between k and
+// 2k−1 records in steady state, only aggregate statistics are retained,
+// and the same seed and shard count reproduce the same condensed state
+// bit for bit.
 type Engine interface {
 	// Add routes one stream record to the group with the nearest centroid
 	// (within the record's shard) and splits that group if it reaches 2k
 	// records.
 	Add(x mat.Vector) error
-	// AddAll streams a batch of records through Add, in order.
-	AddAll(records []mat.Vector) error
-	// AddAllContext is AddAll with cancellation between records.
-	AddAllContext(ctx context.Context, records []mat.Vector) error
 	// AddBatch ingests a batch through the high-throughput path,
 	// bit-identical to an Add loop over the same records.
 	AddBatch(records []mat.Vector) error
@@ -40,8 +30,8 @@ type Engine interface {
 	AddBatchContext(ctx context.Context, records []mat.Vector) error
 
 	// Condensation snapshots the current groups as an immutable
-	// Condensation (for Sharded, the per-shard group sets merged in shard
-	// order — a stable, reproducible ordering).
+	// Condensation (the per-shard group sets merged in shard order — a
+	// stable, reproducible ordering).
 	Condensation() *Condensation
 	// K returns the indistinguishability level.
 	K() int
@@ -54,7 +44,7 @@ type Engine interface {
 	// Splits returns the number of group splits performed so far.
 	Splits() int
 
-	// NumShards returns the number of independent shards (1 for Dynamic).
+	// NumShards returns the number of independent shards.
 	NumShards() int
 	// Shard snapshots the groups of one shard as an immutable
 	// Condensation. Shard(0) on a single-shard engine equals
@@ -80,16 +70,10 @@ type Engine interface {
 	// The read is one atomic load and never blocks on engine locks.
 	Generation() uint64
 
-	// Synchronized reports whether the engine performs its own locking.
-	// Callers serving a non-synchronized engine to concurrent clients
-	// must wrap calls in their own mutex (the server does).
-	Synchronized() bool
-
 	// GroupInfos appends every live group's lifecycle summary (stable id,
 	// shard, size, birth generation, split parent, centroid drift) to buf
 	// (resliced to zero length first) and returns it, in stable
-	// shard-then-slot order. Pure read: on a non-synchronized engine it
-	// needs the caller's read lock, like Condensation.
+	// shard-then-slot order. Pure read.
 	GroupInfos(buf []GroupInfo) []GroupInfo
 	// GroupByID returns the diagnostics detail of the live group with the
 	// given stable id, or ok=false when no such group exists (retired by a
@@ -123,8 +107,4 @@ type Engine interface {
 	SetIndexPrecision(p IndexPrecision) error
 }
 
-// Both engines implement the full serving contract.
-var (
-	_ Engine = (*Dynamic)(nil)
-	_ Engine = (*Sharded)(nil)
-)
+var _ Engine = (*Dynamic)(nil)

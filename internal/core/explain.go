@@ -35,7 +35,7 @@ const explainDefaultTop = 5
 // GroupInfo is one group's lifecycle summary, computed from the retained
 // moments and the observe-only birth annotations alone.
 type GroupInfo struct {
-	// ID is the group's stable engine-wide id (see Dynamic's id scheme).
+	// ID is the group's stable engine-wide id (see groupIDShardShift).
 	ID uint64 `json:"id"`
 	// Shard is the engine shard holding the group.
 	Shard int `json:"shard"`
@@ -85,7 +85,7 @@ type ExplainCandidate struct {
 // Explanation is the result of a routing dry-run: where a record would go
 // and what would happen to it, computed without ingesting it.
 type Explanation struct {
-	// Shard is the shard the record routes to (0 on a single Dynamic).
+	// Shard is the shard the record routes to (0 on a 1-shard engine).
 	Shard int `json:"shard"`
 	// Generation is the mutation generation the dry-run observed; the
 	// explanation is exact for this state.
@@ -113,54 +113,46 @@ type Explanation struct {
 }
 
 // groupInfoAt summarizes group slot i. Read-only; caller holds the lock.
-func (d *Dynamic) groupInfoAt(i int, g *stats.Group) GroupInfo {
-	b := d.births[i]
+func (sh *shard) groupInfoAt(i int, g *stats.Group) GroupInfo {
+	b := sh.births[i]
 	return GroupInfo{
-		ID:              d.ids[i],
-		Shard:           d.shardIndex,
+		ID:              sh.ids[i],
+		Shard:           sh.index,
 		Size:            g.N(),
 		BirthGeneration: b.gen,
 		Parent:          b.parent,
-		CentroidDrift:   d.centroids[i].Dist(b.centroid),
+		CentroidDrift:   sh.centroids[i].Dist(b.centroid),
 	}
 }
 
 // appendGroupInfos appends every group's summary to buf in slot order.
-func (d *Dynamic) appendGroupInfos(buf []GroupInfo) []GroupInfo {
-	for i, g := range d.groups {
-		buf = append(buf, d.groupInfoAt(i, g))
+func (sh *shard) appendGroupInfos(buf []GroupInfo) []GroupInfo {
+	for i, g := range sh.groups {
+		buf = append(buf, sh.groupInfoAt(i, g))
 	}
 	return buf
 }
 
-// GroupInfos appends every live group's lifecycle summary to buf (resliced
-// to zero length first) and returns it, in stable slot order. Like
-// Condensation, it is a pure read: callers sharing the engine across
-// goroutines need only a read lock.
-func (d *Dynamic) GroupInfos(buf []GroupInfo) []GroupInfo {
-	return d.appendGroupInfos(buf[:0])
-}
-
-// GroupByID returns the diagnostics detail of the live group with the
-// given stable id. The lookup is a linear scan over the group slots —
-// diagnostics cadence, not serving cadence. Pure read, like GroupInfos;
-// the eigensolve uses fresh workspaces, never the engine's split scratch.
-func (d *Dynamic) GroupByID(id uint64) (GroupDetail, bool) {
-	for i := range d.ids {
-		if d.ids[i] == id {
-			return d.groupDetailAt(i), true
+// groupByID returns the diagnostics detail of the shard's live group with
+// the given stable id. The lookup is a linear scan over the group slots —
+// diagnostics cadence, not serving cadence. Pure read; the eigensolve uses
+// fresh workspaces, never the shard's split scratch.
+func (sh *shard) groupByID(id uint64) (GroupDetail, bool) {
+	for i := range sh.ids {
+		if sh.ids[i] == id {
+			return sh.groupDetailAt(i), true
 		}
 	}
 	return GroupDetail{}, false
 }
 
 // groupDetailAt builds the detail view of group slot i.
-func (d *Dynamic) groupDetailAt(i int) GroupDetail {
-	g := d.groups[i]
+func (sh *shard) groupDetailAt(i int) GroupDetail {
+	g := sh.groups[i]
 	det := GroupDetail{
-		GroupInfo:     d.groupInfoAt(i, g),
-		Centroid:      d.centroids[i].Clone(),
-		BirthCentroid: d.births[i].centroid.Clone(),
+		GroupInfo:     sh.groupInfoAt(i, g),
+		Centroid:      sh.centroids[i].Clone(),
+		BirthCentroid: sh.births[i].centroid.Clone(),
 	}
 	eig, err := g.Eigen()
 	if err != nil {
@@ -179,27 +171,23 @@ func (d *Dynamic) groupDetailAt(i int) GroupDetail {
 	return det
 }
 
-// Explain dry-runs routing one record: it reports the top candidate groups
-// in the exact (squared distance, id) order every router backend produces,
-// and the outcome ingesting the record would have — absorb, split (the
-// nearest group sits at 2k−1), or found (no groups yet). top ≤ 0 asks for
-// the default candidate count.
+// explain dry-runs routing one validated record within the shard: it
+// reports the top candidate groups in the exact (squared distance, id)
+// order every router backend produces, and the outcome ingesting the
+// record would have — absorb, split (the nearest group sits at 2k−1), or
+// found (no groups yet). top ≤ 0 asks for the default candidate count.
 //
-// The dry-run is strictly side-effect-free: it scans the engine's centroid
+// The dry-run is strictly side-effect-free: it scans the shard's centroid
 // cache directly instead of going through the router (whose sampled stage
 // timing advances a counter), mutates nothing, and draws nothing from the
 // rng stream — so checkpoint bytes and condensed output are bit-identical
-// whether Explain was called or not. Callers sharing the engine across
-// goroutines need only a read lock.
-func (d *Dynamic) Explain(x mat.Vector, top int) (*Explanation, error) {
-	if err := d.validateRecord(x); err != nil {
-		return nil, err
-	}
+// whether Explain was called or not. A read lock suffices.
+func (sh *shard) explain(x mat.Vector, top int) *Explanation {
 	if top <= 0 {
 		top = explainDefaultTop
 	}
-	ex := &Explanation{Shard: d.shardIndex, Generation: d.lastMut, Groups: len(d.groups)}
-	if r, ok := d.router.(*f32Router); ok {
+	ex := &Explanation{Shard: sh.index, Generation: sh.lastMut, Groups: len(sh.groups)}
+	if r, ok := sh.router.(*f32Router); ok {
 		// Report the margin the shadow index would bound this query with —
 		// computed against a local copy of the running maximum so the
 		// dry-run never widens the router's own bound.
@@ -210,19 +198,19 @@ func (d *Dynamic) Explain(x mat.Vector, top int) (*Explanation, error) {
 				maxAbs = a
 			}
 		}
-		ex.F32Margin = kernel.MarginF32(d.dim, maxAbs)
+		ex.F32Margin = kernel.MarginF32(sh.dim, maxAbs)
 	}
-	if len(d.groups) == 0 {
+	if len(sh.groups) == 0 {
 		ex.Outcome = ExplainFound
-		return ex, nil
+		return ex
 	}
 
 	type slotDist struct {
 		slot int
 		d2   float64
 	}
-	order := make([]slotDist, len(d.centroids))
-	for i, c := range d.centroids {
+	order := make([]slotDist, len(sh.centroids))
+	for i, c := range sh.centroids {
 		order[i] = slotDist{slot: i, d2: x.DistSq(c)}
 	}
 	// The routers' lexicographic (squared distance, slot) minimum, extended
@@ -240,60 +228,60 @@ func (d *Dynamic) Explain(x mat.Vector, top int) (*Explanation, error) {
 	for i := 0; i < top; i++ {
 		s := order[i]
 		ex.Candidates[i] = ExplainCandidate{
-			ID:         d.ids[s.slot],
+			ID:         sh.ids[s.slot],
 			DistanceSq: s.d2,
-			Size:       d.groups[s.slot].N(),
+			Size:       sh.groups[s.slot].N(),
 		}
 	}
 	routed := ex.Candidates[0]
 	ex.Routed = &routed
-	if d.groups[order[0].slot].N()+1 == 2*d.k {
+	if sh.groups[order[0].slot].N()+1 == 2*sh.k {
 		ex.Outcome = ExplainSplit
 	} else {
 		ex.Outcome = ExplainAbsorb
 	}
-	return ex, nil
+	return ex
 }
 
-// GroupInfos appends every shard's group summaries to buf (resliced to
-// zero length first) in shard-then-slot order, each shard read under its
-// own read lock.
-func (s *Sharded) GroupInfos(buf []GroupInfo) []GroupInfo {
+// GroupInfos appends every live group's lifecycle summary to buf
+// (resliced to zero length first) in stable shard-then-slot order, each
+// shard read under its own read lock.
+func (d *Dynamic) GroupInfos(buf []GroupInfo) []GroupInfo {
 	buf = buf[:0]
-	for _, sh := range s.shards {
+	for _, sh := range d.shards {
 		sh.mu.RLock()
-		buf = sh.dyn.appendGroupInfos(buf)
+		buf = sh.appendGroupInfos(buf)
 		sh.mu.RUnlock()
 	}
 	return buf
 }
 
-// GroupByID returns the detail of the live group with the given id. The
-// owning shard is recovered from the id's base bits, so only that shard's
-// read lock is taken.
-func (s *Sharded) GroupByID(id uint64) (GroupDetail, bool) {
+// GroupByID returns the diagnostics detail of the live group with the
+// given stable id. The owning shard is recovered from the id's base bits,
+// so only that shard's read lock is taken.
+func (d *Dynamic) GroupByID(id uint64) (GroupDetail, bool) {
 	i := int(id >> groupIDShardShift)
-	if i < 0 || i >= len(s.shards) {
+	if i < 0 || i >= len(d.shards) {
 		return GroupDetail{}, false
 	}
-	sh := s.shards[i]
+	sh := d.shards[i]
 	sh.mu.RLock()
-	det, ok := sh.dyn.GroupByID(id)
+	det, ok := sh.groupByID(id)
 	sh.mu.RUnlock()
 	return det, ok
 }
 
-// Explain dry-runs routing one record: the record's shard is resolved by
-// the same stable hash ingestion uses, and the dry-run runs under that
-// shard's read lock — strictly side-effect-free, concurrent with ingest on
-// every other shard.
-func (s *Sharded) Explain(x mat.Vector, top int) (*Explanation, error) {
-	if err := s.validateRecord(x); err != nil {
+// Explain dry-runs routing one record without ingesting it: the record's
+// shard is resolved by the same stable hash ingestion uses, and the
+// dry-run runs under that shard's read lock — strictly side-effect-free,
+// concurrent with ingest on every other shard. See shard.explain.
+func (d *Dynamic) Explain(x mat.Vector, top int) (*Explanation, error) {
+	if err := d.validateRecord(x); err != nil {
 		return nil, err
 	}
-	sh := s.shards[s.shardOf(x)]
+	sh := d.shards[d.shardOf(x)]
 	sh.mu.RLock()
-	ex, err := sh.dyn.Explain(x, top)
+	ex := sh.explain(x, top)
 	sh.mu.RUnlock()
-	return ex, err
+	return ex, nil
 }

@@ -205,11 +205,11 @@ func TestShardGroupSizes(t *testing.T) {
 // rebuildFromScratch materializes the merged condensation bypassing the
 // snapshot cache entirely, cloning every group under its shard's read
 // lock — the pre-cache read path, kept as the coherence test's oracle.
-func rebuildFromScratch(s *Sharded) *Condensation {
+func rebuildFromScratch(s *Dynamic) *Condensation {
 	var groups []*stats.Group
 	for _, sh := range s.shards {
 		sh.mu.RLock()
-		for _, g := range sh.dyn.groups {
+		for _, g := range sh.groups {
 			groups = append(groups, g.Clone())
 		}
 		sh.mu.RUnlock()

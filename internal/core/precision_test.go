@@ -82,7 +82,7 @@ func TestFloat32RoutingEquivalence(t *testing.T) {
 
 	// Per-record Add path under the f32 router.
 	d := build(Float32)
-	if got := d.router.label(); got != "centroid-scan-f32" {
+	if got := d.shards[0].router.label(); got != "centroid-scan-f32" {
 		t.Fatalf("router label = %q, want centroid-scan-f32", got)
 	}
 	for _, x := range stream {
@@ -163,7 +163,7 @@ func TestShardedFloat32Equivalence(t *testing.T) {
 	const k, dim, shards = 5, 3, 4
 	stream := tieStream(51, 1200, dim)
 
-	build := func(p IndexPrecision) *Sharded {
+	build := func(p IndexPrecision) *Dynamic {
 		t.Helper()
 		c, err := NewCondenser(k, WithSeed(52))
 		if err != nil {
@@ -180,7 +180,7 @@ func TestShardedFloat32Equivalence(t *testing.T) {
 	}
 
 	ref := build(Float64)
-	if err := ref.AddAll(stream); err != nil {
+	if err := addEach(ref, stream); err != nil {
 		t.Fatal(err)
 	}
 	got := build(Float32)

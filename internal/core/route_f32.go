@@ -31,7 +31,7 @@ import (
 // sequential write discipline; concurrent speculation calls nearest
 // read-only with per-call scratch from a sync.Pool.
 type f32Router struct {
-	d      *Dynamic
+	sh     *shard
 	arena  []float32
 	maxAbs float64 // running max |coordinate| over arena rows and queries
 	pool   sync.Pool
@@ -44,12 +44,12 @@ type f32Scratch struct {
 	cand []int
 }
 
-func newF32Router(d *Dynamic) *f32Router {
-	r := &f32Router{d: d, arena: make([]float32, 0, len(d.centroids)*d.dim)}
+func newF32Router(sh *shard) *f32Router {
+	r := &f32Router{sh: sh, arena: make([]float32, 0, len(sh.centroids)*sh.dim)}
 	r.pool.New = func() any {
-		return &f32Scratch{q32: make([]float32, d.dim), cand: make([]int, 0, 64)}
+		return &f32Scratch{q32: make([]float32, sh.dim), cand: make([]int, 0, 64)}
 	}
-	for _, c := range d.centroids {
+	for _, c := range sh.centroids {
 		r.appendRow(c)
 	}
 	return r
@@ -82,7 +82,7 @@ func (r *f32Router) nearestBatch(qs []mat.Vector, ids []int, ds []float64) {
 }
 
 func (r *f32Router) nearestWith(x mat.Vector, s *f32Scratch) (int, float64) {
-	q32 := s.q32[:r.d.dim]
+	q32 := s.q32[:r.sh.dim]
 	maxAbs := r.maxAbs
 	for j, v := range x {
 		if a := math.Abs(v); a > maxAbs {
@@ -90,8 +90,8 @@ func (r *f32Router) nearestWith(x mat.Vector, s *f32Scratch) (int, float64) {
 		}
 		q32[j] = float32(v)
 	}
-	dim := float64(r.d.dim)
-	margin := kernel.MarginF32(r.d.dim, maxAbs)
+	dim := float64(r.sh.dim)
+	margin := kernel.MarginF32(r.sh.dim, maxAbs)
 	// One fused sweep: exact f32 minimum plus a candidate superset
 	// collected against the running minimum + 2·margin (see
 	// kernel.MinCollectF32 — the superset still contains every row that
@@ -103,10 +103,10 @@ func (r *f32Router) nearestWith(x mat.Vector, s *f32Scratch) (int, float64) {
 		// Magnitudes near the float32 overflow boundary void the margin
 		// bound (a squared distance may round to +Inf), so fall back to
 		// the exact scan. Unreachable for any sane data scale.
-		best, bestD = kernel.ArgminIndexed(x, r.d.centroids, allIDs(len(r.d.centroids), &s.cand), best, bestD)
+		best, bestD = kernel.ArgminIndexed(x, r.sh.centroids, allIDs(len(r.sh.centroids), &s.cand), best, bestD)
 	} else {
 		// Exact float64 re-verification, candidates in ascending id order.
-		best, bestD = kernel.ArgminIndexed(x, r.d.centroids, cand, best, bestD)
+		best, bestD = kernel.ArgminIndexed(x, r.sh.centroids, cand, best, bestD)
 	}
 	return best, bestD
 }
@@ -122,8 +122,8 @@ func allIDs(n int, buf *[]int) []int {
 }
 
 func (r *f32Router) update(id int) {
-	row := r.arena[id*r.d.dim : (id+1)*r.d.dim]
-	for j, x := range r.d.centroids[id] {
+	row := r.arena[id*r.sh.dim : (id+1)*r.sh.dim]
+	for j, x := range r.sh.centroids[id] {
 		if a := math.Abs(x); a > r.maxAbs {
 			r.maxAbs = a
 		}
@@ -131,6 +131,6 @@ func (r *f32Router) update(id int) {
 	}
 }
 
-func (r *f32Router) add(id int) { r.appendRow(r.d.centroids[id]) }
+func (r *f32Router) add(id int) { r.appendRow(r.sh.centroids[id]) }
 
 func (*f32Router) label() string { return "centroid-scan-f32" }

@@ -1,0 +1,332 @@
+package core
+
+import (
+	"fmt"
+	"sync"
+	"sync/atomic"
+	"time"
+
+	"condensation/internal/mat"
+	"condensation/internal/rng"
+	"condensation/internal/stats"
+	"condensation/internal/telemetry"
+)
+
+// searchSampleEvery is the sampling stride of the dynamic routing stage
+// timer: one in every searchSampleEvery routed records is timed. Two
+// time.Now() calls per record are measurable at high ingest rates, so the
+// histogram trades completeness for throughput — the sampled latencies
+// are representative (routing cost varies only with the group count,
+// which moves slowly) and the counters remain exact.
+const searchSampleEvery = 64
+
+// shard is one independent group set of a Dynamic engine — the state the
+// paper's DynamicGroupMaintenance (Figure 2) maintains. Each arriving
+// record is added to the group with the nearest centroid; as soon as a
+// group reaches 2k records its statistics are split into two groups of k
+// records each (SplitGroupStatistics), so every group holds between k and
+// 2k−1 records in steady state. Only aggregate statistics are retained —
+// never the raw stream records.
+//
+// Records are routed through a pluggable nearest-centroid router: the
+// paper's linear scan, or a maintained kd-index that stays exact under
+// centroid drift and splits. Every field is guarded by mu, which the
+// owning Dynamic takes around each call: the write lock for ingest and
+// configuration, the read lock for snapshots and diagnostics. Records
+// reaching a shard have already been validated by the engine.
+type shard struct {
+	mu sync.RWMutex
+
+	k    int
+	dim  int
+	opts Options
+	r    *rng.Source
+
+	groups    []*stats.Group
+	centroids []mat.Vector // cached, updated in place, kept in sync with groups
+	total     int          // cached running record count (Σ g.N()), updated on ingest
+	splits    int          // group splits performed so far
+	met       engineMetrics
+	tel       *telemetry.Registry
+	telLabels []string // label pairs applied to every engine series (shard="i" at N ≥ 2)
+	tr        *telemetry.Tracer
+
+	search  searchConfig     // routing backend + batch speculation parallelism
+	router  centroidRouter   // maintained nearest-centroid structure
+	routed  int              // records routed, for sampled stage timing
+	scratch batchScratch     // reusable AddBatch buffers
+	eig     mat.EigenScratch // reusable split eigensolve workspaces
+
+	// Stable group identity and lineage, maintained in parallel with
+	// groups/centroids: ids[i] is slot i's stable group id and births[i]
+	// its birth annotation. Ids are allocated monotonically under idBase —
+	// this shard's partition of the id space (see groupIDShardShift) — so
+	// ids are unique engine-wide and never reused after a split retires
+	// them. All of it is observe-only: ids never influence routing,
+	// splits, or the rng stream, and they are not serialized into
+	// checkpoints (a resumed engine renumbers from scratch).
+	ids    []uint64
+	births []groupBirth
+	idBase uint64
+	idSeq  uint64
+
+	// index is this shard's position in the engine; it stamps journal
+	// events and group diagnostics. jr is the lifecycle journal; nil (the
+	// default) disables it at one nil check per site.
+	index int
+	jr    *telemetry.Journal
+
+	// gen is the engine's mutation generation, shared by every shard: a
+	// monotone counter advanced before every state-changing apply and
+	// untouched by reads, so a generation value names a unique prefix of
+	// the engine-wide mutation sequence — the property that lets every
+	// read-side cache in the stack (the snapshot cache below, the server's
+	// artifact memos, checkpoint ETags) use it as a complete version key.
+	// lastMut is the counter value at this shard's own most recent
+	// mutation, so a shard's snapshot cache invalidates only when that
+	// shard changed, not when any sibling did.
+	gen     *atomic.Uint64
+	lastMut uint64
+
+	// The generation-keyed snapshot cache: the group clones handed out by
+	// the last condensation call, valid while lastMut still equals
+	// snapGen. Writers never touch it (they only advance the generation —
+	// copy on write-invalidate, not copy on read); concurrent readers
+	// racing to rebuild it under the read lock serialize on snapMu.
+	// snapIDs is the ids slice frozen with the clones, annotated onto
+	// snapshots.
+	snapMu     sync.Mutex
+	snapGen    uint64
+	snapGroups []*stats.Group
+	snapIDs    []uint64
+}
+
+// groupBirth is one group slot's observe-only birth annotation: the
+// mutation generation it was created at, the id of the split parent it was
+// born from (0 for founded or initial groups), and its centroid at birth —
+// the reference point per-group drift diagnostics measure against.
+type groupBirth struct {
+	gen      uint64
+	parent   uint64
+	centroid mat.Vector
+}
+
+// groupIDShardShift partitions the 64-bit group-id space per shard: shard
+// i allocates ids under base i<<48, so ids from different shards can never
+// collide and the owning shard is recoverable as id>>48. 2^48 ids per
+// shard outlasts any realistic stream; 2^16 shards outlasts any machine.
+const groupIDShardShift = 48
+
+// allocID hands out the next stable group id under this shard's base.
+// Ids are 1-based within the shard so 0 stays the "no parent" sentinel.
+func (sh *shard) allocID() uint64 {
+	sh.idSeq++
+	return sh.idBase | sh.idSeq
+}
+
+// annotate registers identity and birth for a group slot just appended to
+// groups: a fresh id, the current mutation generation, the given split
+// parent (0 when founded), and a clone of the group's centroid.
+func (sh *shard) annotate(parent uint64, centroid mat.Vector) uint64 {
+	id := sh.allocID()
+	sh.ids = append(sh.ids, id)
+	sh.births = append(sh.births, groupBirth{gen: sh.lastMut, parent: parent, centroid: centroid.Clone()})
+	return id
+}
+
+// bump advances the mutation generation at the start of a state change,
+// so a generation-keyed cache can never mistake a pre-mutation snapshot
+// for current state.
+func (sh *shard) bump() { sh.lastMut = sh.gen.Add(1) }
+
+// setTelemetry attaches a metrics registry, stamping the given label
+// pairs onto every engine series. The labels are retained so a later
+// routing-backend change re-registers the search series with them intact.
+func (sh *shard) setTelemetry(reg *telemetry.Registry, labels ...string) {
+	sh.tel = reg
+	sh.telLabels = labels
+	sh.met = newEngineMetrics(reg, labels...)
+	sh.met.withSearchBackend(reg, sh.router.label(), labels...)
+	sh.met.groups.Set(float64(len(sh.groups)))
+}
+
+// add routes one stream record to the group with the nearest centroid and
+// splits that group if it reaches 2k records, recording a sampled
+// per-record span.
+func (sh *shard) add(x mat.Vector) error {
+	sp := sh.tr.StartChild(nil, "dynamic.add")
+	if sp == nil {
+		return sh.place(x, nil)
+	}
+	err := sh.place(x, sp)
+	if err != nil {
+		sp.SetAttr("error", err.Error())
+	}
+	sp.End()
+	return err
+}
+
+// place is add's body, with sp the sampled per-record span (usually nil).
+func (sh *shard) place(x mat.Vector, sp *telemetry.Span) error {
+	if len(sh.groups) == 0 {
+		return sh.found(x)
+	}
+	best := sh.route(x)
+	sp.SetAttrInt("group", best)
+	if err := sh.ingest(best, x, sp); err != nil {
+		return err
+	}
+	sh.met.streamRecords.Inc()
+	return nil
+}
+
+// found admits the very first stream record of an empty shard: it
+// founds group 0.
+func (sh *shard) found(x mat.Vector) error {
+	sh.bump()
+	g := stats.NewGroup(sh.dim)
+	if err := g.Add(x); err != nil {
+		return err
+	}
+	sh.groups = append(sh.groups, g)
+	m, err := g.Mean()
+	if err != nil {
+		return err
+	}
+	sh.centroids = append(sh.centroids, m)
+	id := sh.annotate(0, m)
+	sh.router.add(len(sh.groups) - 1)
+	sh.total++
+	sh.met.streamRecords.Inc()
+	sh.met.groupsFormed.Inc()
+	sh.met.groups.Set(float64(len(sh.groups)))
+	if sh.jr != nil {
+		sh.jr.Record(telemetry.JournalEvent{
+			Type:       telemetry.EventGroupCreated,
+			Shard:      sh.index,
+			Generation: sh.lastMut,
+			Group:      id,
+			Detail:     "first stream record founded a group",
+		})
+	}
+	return nil
+}
+
+// route finds the nearest centroid in H to x through the configured
+// router, timing one record in searchSampleEvery.
+func (sh *shard) route(x mat.Vector) int {
+	sh.routed++
+	if sh.met.enabled && sh.routed%searchSampleEvery == 1 {
+		t0 := time.Now()
+		best, _ := sh.router.nearest(x)
+		sh.met.search.ObserveSince(t0)
+		return best
+	}
+	best, _ := sh.router.nearest(x)
+	return best
+}
+
+// ingest folds x into group best, refreshes the group's cached centroid in
+// place (no allocation), keeps the router in sync, and performs the
+// paper's split once the group reaches 2k records: delete M from H, add
+// M1 and M2 to H. sp, when non-nil, is the enclosing trace span (the
+// sampled per-record span for Add, the apply-phase span for AddBatch); a
+// split then records a child span under it.
+func (sh *shard) ingest(best int, x mat.Vector, sp *telemetry.Span) error {
+	sh.bump()
+	g := sh.groups[best]
+	if err := g.Add(x); err != nil {
+		return err
+	}
+	sh.total++
+	if err := g.MeanInto(sh.centroids[best]); err != nil {
+		return err
+	}
+	sh.router.update(best)
+
+	if g.N() == 2*sh.k {
+		var t0 time.Time
+		if sh.met.enabled {
+			t0 = time.Now()
+		}
+		splitSpan := childSpan(sh.tr, sp, "dynamic.split")
+		splitSpan.SetAttrInt("group", best)
+		m1, m2, err := splitGroupWith(g, sh.k, sh.opts.SplitAxis, sh.r, &sh.eig)
+		if err != nil {
+			return fmt.Errorf("core: splitting group %d: %w", best, err)
+		}
+		parentID := sh.ids[best]
+		sh.groups[best] = m1
+		if err := m1.MeanInto(sh.centroids[best]); err != nil {
+			return err
+		}
+		sh.router.update(best)
+		c2, err := m2.Mean()
+		if err != nil {
+			return err
+		}
+		sh.groups = append(sh.groups, m2)
+		sh.centroids = append(sh.centroids, c2)
+		// The parent id retires with the split; both halves are new groups
+		// with fresh ids and lineage back to the parent.
+		id1 := sh.allocID()
+		sh.ids[best] = id1
+		sh.births[best] = groupBirth{gen: sh.lastMut, parent: parentID, centroid: sh.centroids[best].Clone()}
+		id2 := sh.annotate(parentID, c2)
+		sh.router.add(len(sh.groups) - 1)
+		sh.maybePromote()
+		if sh.jr != nil {
+			sh.jr.Record(telemetry.JournalEvent{
+				Type:       telemetry.EventSplit,
+				Shard:      sh.index,
+				Generation: sh.lastMut,
+				Group:      parentID,
+				Parent:     parentID,
+				Children:   []uint64{id1, id2},
+				Detail:     fmt.Sprintf("group reached %d records (2k) and split into %d + %d", 2*sh.k, m1.N(), m2.N()),
+			})
+		}
+		splitSpan.End()
+		if sh.met.enabled {
+			sh.met.split.ObserveSince(t0)
+		}
+		sh.splits++
+		sh.met.splitEvents.Inc()
+		sh.met.groupsFormed.Inc()
+		sh.met.groups.Set(float64(len(sh.groups)))
+	}
+	return nil
+}
+
+// condensation snapshots the shard's groups as an immutable Condensation.
+// The group copies are cached per mutation generation: a snapshot taken
+// with no intervening writes reuses the previous call's clones instead of
+// re-copying O(G·d²) state, so repeated reads of unchanged state cost one
+// slice header. The cached groups are never mutated afterwards —
+// stats.Group read methods are pure and Condensation.Groups() clones on
+// access — so sharing them across snapshots is safe; each call still gets
+// a fresh Condensation header, so per-caller settings (parallelism,
+// telemetry, tracer) never leak between snapshots.
+func (sh *shard) condensation() *Condensation {
+	sh.snapMu.Lock()
+	if sh.snapGroups == nil || sh.snapGen != sh.lastMut {
+		groups := make([]*stats.Group, len(sh.groups))
+		for i, g := range sh.groups {
+			groups[i] = g.Clone()
+		}
+		sh.snapGroups = groups
+		sh.snapIDs = append([]uint64(nil), sh.ids...)
+		sh.snapGen = sh.lastMut
+		sh.met.snapMisses.Inc()
+	} else {
+		sh.met.snapHits.Inc()
+	}
+	groups := sh.snapGroups
+	ids := sh.snapIDs
+	sh.snapMu.Unlock()
+	cond := newCondensation(sh.dim, sh.k, sh.opts, groups)
+	cond.groupIDs = ids
+	cond.met = sh.met
+	cond.tr = sh.tr
+	return cond
+}

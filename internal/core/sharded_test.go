@@ -3,7 +3,9 @@ package core
 import (
 	"bytes"
 	"fmt"
+	"runtime"
 	"strings"
+	"sync"
 	"testing"
 
 	"condensation/internal/mat"
@@ -23,39 +25,39 @@ func checkpointBytes(t *testing.T, eng Engine) []byte {
 }
 
 // TestEngineInterfaceEquivalence is the compatibility contract of the
-// sharded engine: a 1-shard Sharded is bit-identical to a Dynamic built
-// from the same Condenser configuration — same groups, centroids, rng
-// stream, and serialized snapshot — through both the Add loop and the
-// batch path, from empty and from a static bootstrap.
+// 1-shard engine: every way of building one — Condenser.Dynamic and
+// DynamicFrom, Sharded and ShardedFrom at N = 1, and the bare
+// NewDynamicEmpty/NewDynamic constructors — yields the same groups, rng
+// stream, counters, and serialized snapshot as a sequential Add loop,
+// through both the Add loop and the batch path, from empty and from a
+// static bootstrap.
 func TestEngineInterfaceEquivalence(t *testing.T) {
-	const k, dim = 6, 4
+	const k, dim, seed = 6, 4, 5
 	stream := gaussianRecords(7, 900, dim)
 	initial, err := Static(gaussianRecords(8, 120, dim), k, rng.New(9), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	build := func(t *testing.T, sharded, fromInitial bool) Engine {
-		t.Helper()
-		c, err := NewCondenser(k, WithSeed(5))
-		if err != nil {
-			t.Fatal(err)
-		}
-		var eng Engine
-		switch {
-		case sharded && fromInitial:
-			eng, err = c.ShardedFrom(initial, 1)
-		case sharded:
-			eng, err = c.Sharded(dim, 1)
-		case fromInitial:
-			eng, err = c.DynamicFrom(initial)
-		default:
-			eng, err = c.Dynamic(dim)
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		return eng
+	builders := map[string]func(c *Condenser, fromInitial bool) (*Dynamic, error){
+		"Dynamic": func(c *Condenser, fromInitial bool) (*Dynamic, error) {
+			if fromInitial {
+				return c.DynamicFrom(initial)
+			}
+			return c.Dynamic(dim)
+		},
+		"Sharded(1)": func(c *Condenser, fromInitial bool) (*Dynamic, error) {
+			if fromInitial {
+				return c.ShardedFrom(initial, 1)
+			}
+			return c.Sharded(dim, 1)
+		},
+		"NewDynamic": func(_ *Condenser, fromInitial bool) (*Dynamic, error) {
+			if fromInitial {
+				return NewDynamic(initial, rng.New(seed))
+			}
+			return NewDynamicEmpty(dim, k, Options{}, rng.New(seed))
+		},
 	}
 
 	for _, tc := range []struct {
@@ -69,29 +71,40 @@ func TestEngineInterfaceEquivalence(t *testing.T) {
 		{"bootstrap/batch", true, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			dyn := build(t, false, tc.fromInitial)
-			shd := build(t, true, tc.fromInitial)
-			for _, eng := range []Engine{dyn, shd} {
-				var err error
+			c, err := NewCondenser(k, WithSeed(seed))
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref, err := builders["NewDynamic"](c, tc.fromInitial)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := addEach(ref, stream); err != nil {
+				t.Fatal(err)
+			}
+			want := checkpointBytes(t, ref)
+			for name, build := range builders {
+				eng, err := build(c, tc.fromInitial)
+				if err != nil {
+					t.Fatal(err)
+				}
 				if tc.batch {
 					err = eng.AddBatch(stream)
 				} else {
-					err = eng.AddAll(stream)
+					err = addEach(eng, stream)
 				}
 				if err != nil {
 					t.Fatal(err)
 				}
-			}
-			if got, want := checkpointBytes(t, shd), checkpointBytes(t, dyn); !bytes.Equal(got, want) {
-				t.Fatalf("1-shard Sharded snapshot differs from Dynamic (%d vs %d bytes)", len(got), len(want))
-			}
-			if shd.TotalCount() != dyn.TotalCount() || shd.NumGroups() != dyn.NumGroups() || shd.Splits() != dyn.Splits() {
-				t.Fatalf("counters differ: sharded (n=%d g=%d s=%d) vs dynamic (n=%d g=%d s=%d)",
-					shd.TotalCount(), shd.NumGroups(), shd.Splits(),
-					dyn.TotalCount(), dyn.NumGroups(), dyn.Splits())
-			}
-			if shd.NumShards() != 1 || !shd.Synchronized() || dyn.Synchronized() {
-				t.Fatal("capability methods disagree with the engines' contracts")
+				if got := checkpointBytes(t, eng); !bytes.Equal(got, want) {
+					t.Fatalf("%s: snapshot differs from the Add-loop reference (%d vs %d bytes)", name, len(got), len(want))
+				}
+				if eng.NumShards() != 1 || eng.TotalCount() != ref.TotalCount() ||
+					eng.NumGroups() != ref.NumGroups() || eng.Splits() != ref.Splits() {
+					t.Fatalf("%s: counters (shards=%d n=%d g=%d s=%d), reference (n=%d g=%d s=%d)",
+						name, eng.NumShards(), eng.TotalCount(), eng.NumGroups(), eng.Splits(),
+						ref.TotalCount(), ref.NumGroups(), ref.Splits())
+				}
 			}
 		})
 	}
@@ -108,7 +121,7 @@ func TestShardedMergedSnapshotDeterministic(t *testing.T) {
 	stream := gaussianRecords(11, 1600, dim)
 	for _, shards := range []int{1, 2, 4, 8} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			build := func(t *testing.T) *Sharded {
+			build := func(t *testing.T) *Dynamic {
 				t.Helper()
 				c, err := NewCondenser(k, WithSeed(3))
 				if err != nil {
@@ -140,7 +153,7 @@ func TestShardedMergedSnapshotDeterministic(t *testing.T) {
 			}
 
 			c := build(t)
-			if err := c.AddAll(stream); err != nil {
+			if err := addEach(c, stream); err != nil {
 				t.Fatal(err)
 			}
 
@@ -252,6 +265,18 @@ func TestShardedValidation(t *testing.T) {
 	if _, err := c.ShardedFrom(nil, 2); err == nil {
 		t.Fatal("nil initial condensation accepted")
 	}
+	// Groups formed at another k hold the wrong number of records for
+	// this engine's split rule, so seeding refuses them.
+	initial, err := Static(gaussianRecords(67, 60, 2), 4, rng.New(69), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.DynamicFrom(initial); err == nil || !strings.Contains(err.Error(), "k = 4") {
+		t.Fatalf("DynamicFrom with k 4 ≠ 3: err = %v", err)
+	}
+	if _, err := c.ShardedFrom(initial, 2); err == nil {
+		t.Fatal("ShardedFrom accepted a k mismatch")
+	}
 	s, err := c.Sharded(2, 3)
 	if err != nil {
 		t.Fatal(err)
@@ -295,7 +320,7 @@ func TestShardedFromDistributesGroups(t *testing.T) {
 		if got := s.TotalCount(); got != initial.TotalCount() {
 			t.Fatalf("%d shards: %d records after seeding, want %d", shards, got, initial.TotalCount())
 		}
-		if err := s.AddAll(gaussianRecords(23, 40, dim)); err != nil {
+		if err := addEach(s, gaussianRecords(23, 40, dim)); err != nil {
 			t.Fatalf("%d shards: ingest after seeding: %v", shards, err)
 		}
 	}
@@ -356,7 +381,7 @@ func TestDynamicTotalCountCached(t *testing.T) {
 	const k, dim = 4, 3
 	groundTruth := func(d *Dynamic) int {
 		var n int
-		for _, g := range d.groups {
+		for _, g := range d.shards[0].groups {
 			n += g.N()
 		}
 		return n
@@ -436,7 +461,7 @@ func TestShardCounts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := d.AddAll(stream[:100]); err != nil {
+	if err := addEach(d, stream[:100]); err != nil {
 		t.Fatal(err)
 	}
 	r, g, sp := d.ShardCounts(0)
@@ -456,5 +481,148 @@ func TestShardCounts(t *testing.T) {
 			}()
 			f()
 		}()
+	}
+}
+
+// TestDynamicConcurrentSingleShard drives one 1-shard engine from several
+// goroutines at once, with no lock of the caller's around it: batch and
+// per-record writers race readers of every kind (run under -race in CI).
+// Every record must be condensed exactly once and, once the writers are
+// done, every group must hold between k and 2k−1 records.
+func TestDynamicConcurrentSingleShard(t *testing.T) {
+	const k, dim = 5, 3
+	c, err := NewCondenser(k, WithSeed(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	initial, err := c.Static(gaussianRecords(61, 200, dim))
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := c.DynamicFrom(initial)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	const batchWriters, batches, batchSize, perRecord = 2, 10, 40, 150
+	var writers, readers sync.WaitGroup
+	done := make(chan struct{})
+	for w := 0; w < batchWriters; w++ {
+		writers.Add(1)
+		go func(w int) {
+			defer writers.Done()
+			for i := 0; i < batches; i++ {
+				if err := d.AddBatch(gaussianRecords(uint64(100+w*batches+i), batchSize, dim)); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(w)
+	}
+	writers.Add(1)
+	go func() {
+		defer writers.Done()
+		if err := addEach(d, gaussianRecords(63, perRecord, dim)); err != nil {
+			t.Error(err)
+		}
+	}()
+	probe := gaussianRecords(65, 1, dim)[0]
+	for _, read := range []func(){
+		func() { _ = d.Condensation().TotalCount() },
+		func() {
+			for _, info := range d.GroupInfos(nil) {
+				// A group may split between the two reads; a live one
+				// must come back under its own id.
+				if det, ok := d.GroupByID(info.ID); ok && det.ID != info.ID {
+					t.Errorf("GroupByID(%d) returned group %d", info.ID, det.ID)
+				}
+			}
+		},
+		func() {
+			if _, err := d.Explain(probe, 3); err != nil {
+				t.Error(err)
+			}
+		},
+		func() { _ = d.ShardGroupSizes(0, nil) },
+		func() {
+			g1 := d.Generation()
+			if g2 := d.Generation(); g2 < g1 {
+				t.Errorf("generation went backwards: %d then %d", g1, g2)
+			}
+		},
+	} {
+		readers.Add(1)
+		go func(read func()) {
+			defer readers.Done()
+			for {
+				select {
+				case <-done:
+					return
+				default:
+					read()
+				}
+			}
+		}(read)
+	}
+	writers.Wait()
+	close(done)
+	readers.Wait()
+
+	want := initial.TotalCount() + batchWriters*batches*batchSize + perRecord
+	if got := d.TotalCount(); got != want {
+		t.Fatalf("TotalCount = %d, want %d", got, want)
+	}
+	for i, n := range d.ShardGroupSizes(0, nil) {
+		if n < k || n > 2*k-1 {
+			t.Fatalf("group %d holds %d records, outside [%d,%d]", i, n, k, 2*k-1)
+		}
+	}
+	if got := d.Condensation().TotalCount(); got != want {
+		t.Fatalf("snapshot condenses %d records, want %d", got, want)
+	}
+}
+
+// TestShardedFromClonesOnce bounds the seeding constructor's allocations
+// to one copy of the initial groups at every shard count: the clones are
+// dealt straight into the shards, never copied a second time. At dim 16
+// a group's d×d second-order sums dominate every other per-group
+// allocation (centroid, birth centroid, router row: about a third of a
+// copy together), so a second clone would push the total past two copies;
+// the bound sits between the two at 1.75.
+func TestShardedFromClonesOnce(t *testing.T) {
+	const k, dim = 4, 16
+	initial, err := Static(gaussianRecords(71, 2400, dim), k, rng.New(73), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// allocBytes is the fewest bytes f allocated over a few runs, which
+	// discounts allocations by anything else in the process.
+	allocBytes := func(f func()) uint64 {
+		var least uint64
+		for run := 0; run < 3; run++ {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			f()
+			runtime.ReadMemStats(&after)
+			if n := after.TotalAlloc - before.TotalAlloc; run == 0 || n < least {
+				least = n
+			}
+		}
+		return least
+	}
+	clone := allocBytes(func() { _ = initial.Groups() })
+	c, err := NewCondenser(k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, shards := range []int{1, 2, 4} {
+		got := allocBytes(func() {
+			if _, err := c.ShardedFrom(initial, shards); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if got > clone*7/4 {
+			t.Errorf("%d shards: constructor allocated %d bytes, more than 1.75× one copy of the initial groups (%d bytes)", shards, got, clone)
+		}
 	}
 }

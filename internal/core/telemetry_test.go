@@ -104,7 +104,7 @@ func TestTelemetryDynamicCounters(t *testing.T) {
 		t.Fatal(err)
 	}
 	records := gaussianRecords(9, 80, 2)
-	if err := dyn.AddAll(records); err != nil {
+	if err := addEach(dyn, records); err != nil {
 		t.Fatal(err)
 	}
 	if got := reg.Counter(metricStreamRecords).Value(); got != 80 {

@@ -25,7 +25,7 @@ import (
 // whose renderer fails ships its error text instead, so one broken
 // subsystem never blocks the rest of the bundle.
 //
-// The snapshot is assembled through the same read-locked paths the
+// The snapshot is assembled through the same read paths the
 // individual endpoints use, so taking a bundle under concurrent ingest is
 // safe and observe-only.
 func (s *Server) WriteBundle(w io.Writer) error {

@@ -96,10 +96,8 @@ func (s *Server) handleGroups(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusMethodNotAllowed, errors.New("GET required"))
 		return
 	}
-	s.rlock()
 	gen := s.eng.Generation()
 	infos := s.eng.GroupInfos(nil)
-	s.runlock()
 	if infos == nil {
 		infos = []core.GroupInfo{}
 	}
@@ -118,9 +116,7 @@ func (s *Server) handleGroupByID(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("bad group id %q", raw))
 		return
 	}
-	s.rlock()
 	det, ok := s.eng.GroupByID(id)
-	s.runlock()
 	if !ok {
 		writeError(w, http.StatusNotFound,
 			fmt.Errorf("no live group with id %d (retired by a split, or never allocated)", id))
@@ -155,9 +151,7 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, errors.New("no record in request"))
 		return
 	}
-	s.rlock()
 	ex, err := s.eng.Explain(mat.Vector(req.Record), req.Top)
-	s.runlock()
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return

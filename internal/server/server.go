@@ -45,7 +45,6 @@ import (
 	"runtime/debug"
 	"strconv"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -67,12 +66,9 @@ type Config struct {
 	// Condenser supplies the condensation configuration (k, options,
 	// seed). Required unless the deprecated K/Options/Seed fields are set.
 	Condenser *core.Condenser
-	// Shards is the number of independent condenser shards the server
-	// builds when Engine is nil. 0 and 1 both mean a single unsharded
-	// engine guarded by the server's own lock — the exact pre-sharding
-	// serving path; ≥ 2 builds a core.Sharded whose per-shard locks
-	// replace the server's write lock, so concurrent batches only contend
-	// when they route to the same shard.
+	// Shards is the number of independent engine shards the server builds
+	// when Engine is nil; 0 means 1. Each shard has its own lock, so
+	// concurrent batches only contend when they route to the same shard.
 	Shards int
 	// K is the indistinguishability level.
 	//
@@ -136,16 +132,12 @@ type Config struct {
 const defaultAuditSample = 2048
 
 // Server is a thread-safe condensation HTTP service over a core.Engine.
-// For an engine that does not synchronize itself (core.Dynamic), ingestion
-// takes the server's write lock and read handlers share an RLock, so reads
-// never queue behind each other — only behind an in-flight batch ingest.
-// An engine that synchronizes itself (core.Sharded) bypasses the server's
-// lock entirely: concurrent batches then contend per shard, not per
-// server, which is the point of sharding.
+// The engine locks itself per shard, so the server holds no lock around
+// engine calls: reads never queue behind each other, only behind an
+// in-flight batch on the same shard, and concurrent batches contend per
+// shard, not per server.
 type Server struct {
-	mu       sync.RWMutex
 	eng      core.Engine
-	synced   bool // eng.Synchronized(): skip the server's own lock
 	k        int
 	dim      int
 	maxBatch int
@@ -219,15 +211,10 @@ func New(cfg Config) (*Server, error) {
 			}
 		}
 		var err error
-		switch {
-		case cfg.Shards > 1 && cfg.Initial != nil:
-			eng, err = condenser.ShardedFrom(cfg.Initial, cfg.Shards)
-		case cfg.Shards > 1:
-			eng, err = condenser.Sharded(cfg.Dim, cfg.Shards)
-		case cfg.Initial != nil:
-			eng, err = condenser.DynamicFrom(cfg.Initial)
-		default:
-			eng, err = condenser.Dynamic(cfg.Dim)
+		if cfg.Initial != nil {
+			eng, err = condenser.ShardedFrom(cfg.Initial, max(cfg.Shards, 1))
+		} else {
+			eng, err = condenser.Sharded(cfg.Dim, max(cfg.Shards, 1))
 		}
 		if err != nil {
 			return nil, err
@@ -253,7 +240,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	s := &Server{
 		eng:       eng,
-		synced:    eng.Synchronized(),
 		k:         eng.K(),
 		dim:       eng.Dim(),
 		maxBatch:  cfg.MaxBatch,
@@ -306,48 +292,19 @@ func New(cfg Config) (*Server, error) {
 }
 
 // Engine returns the engine the server serves — for wiring the same
-// engine into other drivers (a stream feeder, a background auditor), not
-// for bypassing the server's locking: callers must respect Synchronized.
+// engine into other drivers (a stream feeder, a background auditor). The
+// engine locks itself, so such drivers may run concurrently with the
+// server.
 func (s *Server) Engine() core.Engine { return s.eng }
-
-// lock/unlock bracket engine writes and rlock/runlock engine reads. For a
-// self-synchronizing engine they are no-ops — the engine's per-shard
-// locks already order writes and reads — so the server never stacks a
-// global lock on top of a sharded engine.
-func (s *Server) lock() {
-	if !s.synced {
-		s.mu.Lock()
-	}
-}
-
-func (s *Server) unlock() {
-	if !s.synced {
-		s.mu.Unlock()
-	}
-}
-
-func (s *Server) rlock() {
-	if !s.synced {
-		s.mu.RLock()
-	}
-}
-
-func (s *Server) runlock() {
-	if !s.synced {
-		s.mu.RUnlock()
-	}
-}
 
 // The read handlers below share one discipline for generation-keyed
 // memoization: read the generation, probe the cache, and on a miss build
-// the artifact and re-read the generation before installing. For a
-// non-synchronized engine the server's read lock excludes writers, so the
-// re-read always matches and every miss installs. For a self-synchronized
-// engine (rlock is a no-op) writers run concurrently, and a changed
-// generation means the artifact may straddle a mutation — it is then
-// served fresh but neither cached nor stamped with an ETag, after one
-// retry. Stores of a stale generation are refused by the cache itself, so
-// a slow build can never clobber a newer entry.
+// the artifact and re-read the generation before installing. Writers run
+// concurrently with readers, so a changed generation means the artifact
+// may straddle a mutation — it is then served fresh but neither cached
+// nor stamped with an ETag, after one retry. Stores of a stale generation
+// are refused by the cache itself, so a slow build can never clobber a
+// newer entry.
 
 // route registers a handler behind the telemetry middleware: per-endpoint
 // request counter by status class, latency histogram, and the shared
@@ -532,16 +489,14 @@ func (s *Server) handleRecords(w http.ResponseWriter, r *http.Request) {
 
 	// Ingest through the batch engine: records are speculatively routed in
 	// parallel and applied sequentially, bit-identical to a record-by-record
-	// Add loop but holding the write lock for far less wall-clock time. The
-	// request context still bounds the apply phase: if the client
+	// Add loop but holding the shard write locks for far less wall-clock
+	// time. The request context still bounds the apply phase: if the client
 	// disconnects or the deadline passes mid-batch, ingestion stops at a
-	// record boundary instead of holding the lock for the full batch.
+	// record boundary instead of holding the locks for the full batch.
 	t0 := time.Now()
-	s.lock()
 	err = s.eng.AddBatchContext(r.Context(), records)
 	groups := s.eng.NumGroups()
 	splits := s.eng.Splits()
-	s.unlock()
 	// LogAttrs, unlike Debug's ...any, boxes nothing while debug is off.
 	s.log.LogAttrs(r.Context(), slog.LevelDebug, "ingested batch",
 		slog.String("request_id", requestID(w)),
@@ -559,7 +514,7 @@ func (s *Server) handleRecords(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, err)
 		return
 	}
-	// Feed the audit reservoir outside the engine lock: a uniform sample of
+	// Feed the audit reservoir after the engine call: a uniform sample of
 	// the accepted originals, retained only for the audit's marginal-KS
 	// comparison and never served.
 	s.reservoir.OfferAll(records)
@@ -612,16 +567,13 @@ var errNoRecords = errors.New("no records condensed yet")
 // per-row copying — and encodes once into a reusable byte slice.
 func (s *Server) snapshotBody(seed uint64) (*respBody, error) {
 	for attempt := 0; ; attempt++ {
-		s.rlock()
 		gen := s.eng.Generation()
 		if b, ok := s.cache.snapshotAt(gen, seed); ok {
-			s.runlock()
 			s.cmSnapshot.hits.Inc()
 			return b, nil
 		}
 		cond := s.eng.Condensation()
 		stable := s.eng.Generation() == gen
-		s.runlock()
 		s.cmSnapshot.misses.Inc()
 		if cond.TotalCount() == 0 {
 			return nil, errNoRecords
@@ -737,7 +689,7 @@ func shardStatsFromSizes(i, k int, sizes []int) shardStats {
 
 // statsLive assembles the stats response from live size data alone: one
 // ShardGroupSizes sweep per shard into a reused buffer, no group cloning
-// or snapshotting. Caller holds the read lock.
+// or snapshotting.
 func (s *Server) statsLive(byShard bool) statsResponse {
 	resp := statsResponse{
 		Dim:    s.dim,
@@ -774,16 +726,13 @@ func (s *Server) statsLive(byShard bool) statsResponse {
 // the per-shard breakdown), memoized per generation.
 func (s *Server) statsBody(byShard bool) (*respBody, error) {
 	for attempt := 0; ; attempt++ {
-		s.rlock()
 		gen := s.eng.Generation()
 		if b, ok := s.cache.statsAt(gen, byShard); ok {
-			s.runlock()
 			s.cmStats.hits.Inc()
 			return b, nil
 		}
 		resp := s.statsLive(byShard)
 		stable := s.eng.Generation() == gen
-		s.runlock()
 		s.cmStats.misses.Inc()
 		var buf bytes.Buffer
 		if err := json.NewEncoder(&buf).Encode(resp); err != nil {
@@ -815,9 +764,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	if hasShard {
 		// One shard's view alone, for per-shard dashboards and smoke
 		// checks — cheap enough (a size sweep) to always serve live.
-		s.rlock()
 		sizes := s.eng.ShardGroupSizes(shard, nil)
-		s.runlock()
 		writeJSON(w, http.StatusOK, shardStatsFromSizes(shard, s.k, sizes))
 		return
 	}
@@ -836,16 +783,13 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 // both attempts — carries no validator.
 func (s *Server) checkpointBody() (body *respBody, cacheable bool, err error) {
 	for attempt := 0; ; attempt++ {
-		s.rlock()
 		gen := s.eng.Generation()
 		if b, ok := s.cache.checkpointAt(gen); ok {
-			s.runlock()
 			s.cmCheckpoint.hits.Inc()
 			return b, true, nil
 		}
 		cond := s.eng.Condensation()
 		stable := s.eng.Generation() == gen
-		s.runlock()
 		s.cmCheckpoint.misses.Inc()
 		var buf bytes.Buffer
 		if _, err := cond.WriteTo(&buf); err != nil {
@@ -946,10 +890,8 @@ func buildVCS() (revision, vcsTime string) {
 // healthSnapshot assembles the /healthz body and its HTTP status — shared
 // by the probe handler and the diagnostics bundle.
 func (s *Server) healthSnapshot() (healthResponse, int) {
-	s.rlock()
 	groups := s.eng.NumGroups()
 	records := s.eng.TotalCount()
-	s.runlock()
 	// The watchdog's worst rule state becomes the probe answer: degraded
 	// stays 200 (the service works, someone should look), failing turns
 	// 503 so orchestrators stop routing to it.
@@ -1012,7 +954,7 @@ func (s *Server) handleVars(w http.ResponseWriter, r *http.Request) {
 }
 
 // Audit runs one anonymization-quality pass over a snapshot of the live
-// condensation (taken under the read lock) and publishes the result into
+// condensation (taken under the shards' read locks) and publishes the result into
 // the server's metrics registry, so /v1/audit and /metrics always agree.
 // It is what the /v1/audit handler and condenserd's background auditor
 // both call. The computation is memoized per (generation, reservoir
@@ -1043,15 +985,13 @@ func (s *Server) publishAudit(e *auditEntry) {
 // auditPass returns the audit computation for the current (generation,
 // reservoir) state, computing and caching it on a miss. The reservoir's
 // offer count extends the memo key because the reservoir is fed after
-// the engine lock is released — the same generation can front two
+// the engine call returns — the same generation can front two
 // different KS baselines while a batch's offers are still draining.
 func (s *Server) auditPass() (*auditEntry, error) {
 	for attempt := 0; ; attempt++ {
-		s.rlock()
 		gen := s.eng.Generation()
 		seen := s.reservoir.Seen()
 		if e, ok := s.cache.auditAt(gen, seen); ok {
-			s.runlock()
 			s.cmAudit.hits.Inc()
 			return e, nil
 		}
@@ -1065,7 +1005,6 @@ func (s *Server) auditPass() (*auditEntry, error) {
 		}
 		sample := s.reservoir.Sample()
 		stable := s.eng.Generation() == gen && s.reservoir.Seen() == seen
-		s.runlock()
 		s.cmAudit.misses.Inc()
 		// Leftovers only arise when a static bootstrap folded sub-k
 		// remainders into nearest groups; the engine's counter carries
@@ -1103,9 +1042,7 @@ func (s *Server) auditPass() (*auditEntry, error) {
 // leftover count, and without publishing to the registry — the published
 // condense_audit_* series describe the merged state only.
 func (s *Server) auditShard(i int) (*audit.Report, error) {
-	s.rlock()
 	cond := s.eng.Shard(i)
-	s.runlock()
 	return audit.Compute(cond, audit.Config{SynthSeed: s.auditSeed})
 }
 

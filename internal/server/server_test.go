@@ -610,11 +610,14 @@ func TestBatchIngestMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestConcurrentReadsAndWrites hammers the server with interleaved batch
-// POSTs and read-only GETs. Under -race this proves the RWMutex discipline:
-// reads share the lock among themselves and exclude in-flight ingests.
+// TestConcurrentReadsAndWrites hammers a 1-shard server with interleaved
+// batch POSTs and read-only GETs. The server holds no lock of its own, so
+// under -race this proves the engine's shard lock alone orders them, and
+// every snapshot served mid-load is a consistent cut: between k and 2k−1
+// rows per group.
 func TestConcurrentReadsAndWrites(t *testing.T) {
-	ts := newTestServer(t, 4)
+	const k = 4
+	ts := newShardedServer(t, k, 1)
 	postRecords(t, ts, genRecords(50, 40)) // non-empty so snapshot serves
 
 	const writers, readers, rounds = 4, 6, 10
@@ -641,16 +644,32 @@ func TestConcurrentReadsAndWrites(t *testing.T) {
 	for g := 0; g < readers; g++ {
 		go func(g int) {
 			for i := 0; i < rounds; i++ {
-				resp, err := http.Get(ts.URL + paths[(g+i)%len(paths)])
+				path := paths[(g+i)%len(paths)]
+				resp, err := http.Get(ts.URL + path)
 				if err != nil {
 					errs <- err
 					return
 				}
-				_, _ = io.Copy(io.Discard, resp.Body)
+				body, err := io.ReadAll(resp.Body)
 				resp.Body.Close()
-				if resp.StatusCode != http.StatusOK {
-					errs <- fmt.Errorf("GET %s status %d", paths[(g+i)%len(paths)], resp.StatusCode)
+				if err != nil {
+					errs <- err
 					return
+				}
+				if resp.StatusCode != http.StatusOK {
+					errs <- fmt.Errorf("GET %s status %d", path, resp.StatusCode)
+					return
+				}
+				if strings.HasPrefix(path, "/v1/snapshot") {
+					var snap snapshotResponse
+					if err := json.Unmarshal(body, &snap); err != nil {
+						errs <- err
+						return
+					}
+					if n := len(snap.Records); n < snap.Groups*k || n > snap.Groups*(2*k-1) {
+						errs <- fmt.Errorf("snapshot of %d rows over %d groups breaks k = %d", n, snap.Groups, k)
+						return
+					}
 				}
 			}
 			errs <- nil
@@ -670,7 +689,7 @@ func TestConcurrentReadsAndWrites(t *testing.T) {
 	if err := json.NewDecoder(statsResp.Body).Decode(&sr); err != nil {
 		t.Fatal(err)
 	}
-	if want := 40 + writers*rounds*50; sr.Records != want {
-		t.Errorf("after concurrent load: %d records, want %d", sr.Records, want)
+	if want := 40 + writers*rounds*50; sr.Records != want || !sr.KSatisfied || sr.Shards != 1 {
+		t.Errorf("after concurrent load: %+v, want %d records, k satisfied, 1 shard", sr, want)
 	}
 }

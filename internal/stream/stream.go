@@ -1,6 +1,6 @@
 // Package stream drives the dynamic condensation of Section 3 of the paper
 // over simulated record streams: it feeds records to any core.Engine (a
-// single core.Dynamic or a core.Sharded), optionally interleaving snapshot
+// core.Dynamic at any shard count), optionally interleaving snapshot
 // callbacks, and can simulate concept drift by re-ordering or shifting the
 // stream. It exists so the dynamic experiments and the streaming example
 // share one tested driver.
@@ -51,9 +51,8 @@ type Driver struct {
 	tr      *telemetry.Tracer
 }
 
-// NewDriver wraps a condenser engine. Existing call sites passing a
-// *core.Dynamic keep compiling — Dynamic implements core.Engine — and a
-// *core.Sharded drops in the same way.
+// NewDriver wraps a condenser engine — a *core.Dynamic at any shard
+// count, or a decorator around one.
 func NewDriver(eng core.Engine) (*Driver, error) {
 	if eng == nil {
 		return nil, errors.New("stream: nil condenser engine")
