@@ -111,7 +111,6 @@ func (sh *shard) addBatch(ctx context.Context, records []mat.Vector) error {
 	// O(batch).
 	cand, candD := sh.scratch.routes(len(batch))
 	workers := par.Workers(sh.search.Parallelism)
-	br, hasBatchRouter := sh.router.(batchRouter)
 	specSpan := childSpan(sh.tr, sp, "dynamic.speculate")
 	specSpan.SetAttrInt("workers", workers)
 	applySpan := childSpan(sh.tr, sp, "dynamic.apply")
@@ -152,6 +151,10 @@ func (sh *shard) addBatch(ctx context.Context, records []mat.Vector) error {
 		}
 		window := batch[wlo:whi]
 		wcand, wcandD := cand[wlo:whi], candD[wlo:whi]
+		// The router is re-read per window: an apply may replace it (the
+		// SearchAuto promotion at the group cutoff), and the abandoned one
+		// no longer tracks centroid updates.
+		br, hasBatchRouter := sh.router.(batchRouter)
 
 		// Speculative routing against the state frozen at window start.
 		// Workers only read centroids and write disjoint candidate slots.

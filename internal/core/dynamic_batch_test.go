@@ -133,6 +133,36 @@ func TestAddBatchEquivalence(t *testing.T) {
 			}
 		}
 	}
+
+	// SearchAuto promotes a shard's scan router to the kd-index once the
+	// shard crosses the group cutoff; a batch that crosses it mid-window
+	// must speculate against the promoted router from the next window on.
+	t.Run("auto-promotion-mid-batch", func(t *testing.T) {
+		stream := gaussianRecords(7, 3000, dim)
+		build := func() *Dynamic {
+			d, err := NewDynamicEmpty(dim, k, Options{}, rng.New(5))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return d
+		}
+		ref := build()
+		if err := addEach(ref, stream); err != nil {
+			t.Fatal(err)
+		}
+		d := build()
+		for lo := 0; lo < len(stream); lo += 500 {
+			if err := d.AddBatch(stream[lo:min(lo+500, len(stream))]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got, want := d.NumGroups(), ref.NumGroups(); got != want {
+			t.Fatalf("AddBatch ended with %d groups, Add loop with %d", got, want)
+		}
+		if !bytes.Equal(dynamicFingerprint(t, d), dynamicFingerprint(t, ref)) {
+			t.Fatal("AddBatch diverged from the Add loop across the SearchAuto promotion")
+		}
+	})
 }
 
 // Telemetry on the batch path is observe-only: with a registry attached,

@@ -50,6 +50,7 @@ import (
 
 	"condensation/internal/audit"
 	"condensation/internal/core"
+	"condensation/internal/par"
 	"condensation/internal/rng"
 	"condensation/internal/telemetry"
 )
@@ -324,8 +325,14 @@ func (s *Server) route(path string, h http.HandlerFunc) {
 		// one, and echo it on the response up front. Handlers, error
 		// envelopes, and log lines read it back from the response header —
 		// never from a request context, which would cost a context and
-		// request copy on the read hot path.
-		id := r.Header.Get("X-Request-ID")
+		// request copy on the read hot path. The header map is indexed by
+		// its canonical key directly: net/http canonicalizes incoming keys,
+		// and Header.Get would allocate canonicalizing "X-Request-ID" on
+		// every request.
+		var id string
+		if v := r.Header["X-Request-Id"]; len(v) > 0 {
+			id = v[0]
+		}
 		if !validRequestID(id) {
 			id = s.mintRequestID()
 		}
@@ -521,13 +528,6 @@ func (s *Server) handleRecords(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, recordsResponse{Accepted: len(records), Groups: groups, Splits: splits})
 }
 
-// snapshotResponse carries a synthesized anonymized data set.
-type snapshotResponse struct {
-	Records [][]float64 `json:"records"`
-	Groups  int         `json:"groups"`
-	K       int         `json:"k"`
-}
-
 func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		w.Header().Set("Allow", http.MethodGet)
@@ -561,10 +561,9 @@ var errNoRecords = errors.New("no records condensed yet")
 // snapshotBody returns the encoded /v1/snapshot body for one synthesis
 // seed, memoized per (generation, seed): synthesis is a pure function of
 // the retained moments and the seed, so a generation-stable body can be
-// replayed byte for byte until the next write. A miss synthesizes into
-// row headers that share the flat per-group slabs SynthesizeGrouped
-// carves its points from — preallocated from the known record count, no
-// per-row copying — and encodes once into a reusable byte slice.
+// replayed byte for byte until the next write. A miss synthesizes and
+// encodes the grouped records directly (encodeSnapshot), on as many
+// workers as synthesis uses, into one exactly sized body.
 func (s *Server) snapshotBody(seed uint64) (*respBody, error) {
 	for attempt := 0; ; attempt++ {
 		gen := s.eng.Generation()
@@ -582,21 +581,11 @@ func (s *Server) snapshotBody(seed uint64) (*respBody, error) {
 		if err != nil {
 			return nil, err
 		}
-		resp := snapshotResponse{
-			Records: make([][]float64, 0, cond.TotalCount()),
-			Groups:  cond.NumGroups(),
-			K:       cond.K(),
-		}
-		for _, g := range grouped {
-			for _, x := range g {
-				resp.Records = append(resp.Records, x)
-			}
-		}
-		var buf bytes.Buffer
-		if err := json.NewEncoder(&buf).Encode(resp); err != nil {
+		data, err := encodeSnapshot(grouped, cond.NumGroups(), cond.K(), par.Workers(0))
+		if err != nil {
 			return nil, err
 		}
-		body := newRespBody(buf.Bytes())
+		body := newRespBody(data)
 		if stable {
 			s.cache.storeSnapshot(gen, seed, body)
 			return body, nil
