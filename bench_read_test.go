@@ -1,18 +1,28 @@
-// Serving-tier read benchmarks (PR 9): the generation-versioned read
-// path. Each benchmark drives one read endpoint against a server resumed
-// at the pinned G = 800 correlated-stream base and reports two cells:
+// Serving-tier read benchmarks: the generation-versioned read path. Each
+// benchmark drives one read endpoint against a server resumed at the
+// pinned G = 800 correlated-stream base and reports two cells:
 //
 //   - hot:  repeated reads of unchanged state — the generation-keyed
 //     caches serve stored bytes, so cost is response plumbing alone.
 //   - cold: every read is preceded by an off-clock single-record POST
-//     that moves the mutation generation, forcing the full rebuild
-//     (group clones, synthesis/size-sweep/serialization, encoding).
+//     that moves the mutation generation, forcing a rebuild. The rebuild
+//     is incremental: the engine re-clones only the group the POST
+//     changed, and a snapshot read re-synthesizes and re-encodes only
+//     that group, copying every other group's rows from the previous
+//     body at the same seed. Stats re-sweep sizes; checkpoints
+//     re-serialize every group.
 //
-// The hot/cold allocation gap is the tentpole claim: unchanged-state
-// reads drop from O(G·d²) clones per request to near-zero. The harness
-// reuses one request and one response writer so the cells measure the
-// server, not httptest allocations. Reference numbers live in
-// BENCH_PR9.json; CI guards the hot-cell allocs/op.
+// BenchmarkServerReadSnapshot adds a full cell, which reads a seed never
+// seen before on every iteration, so nothing can be reused and the
+// from-scratch build (every group synthesized and encoded) stays
+// measured.
+//
+// The hot/cold allocation gap was the claim of the generation-keyed
+// caches: unchanged-state reads drop from O(G·d²) clones per request to
+// near-zero. The harness reuses one request and one response writer so
+// the cells measure the server, not httptest allocations. Reference
+// numbers live in BENCH_PR9.json; CI guards the hot- and cold-cell
+// allocs/op.
 package condensation
 
 import (
@@ -20,6 +30,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"testing"
 
 	"condensation/internal/core"
@@ -64,8 +75,9 @@ func (w *benchWriter) get(b *testing.B, s *server.Server, req *http.Request, wan
 	}
 }
 
-// benchServerRead measures one read endpoint hot and cold at G = 800.
-func benchServerRead(b *testing.B, path string) {
+// benchServerRead measures one read endpoint hot and cold at G = 800. It
+// returns the constructor of the fresh servers the cells run against.
+func benchServerRead(b *testing.B, path string) func() *server.Server {
 	const dim, k = 8, 25
 	const G = 800
 	full := benchStreamCorr(14, G*k+1<<14, dim)
@@ -132,12 +144,30 @@ func benchServerRead(b *testing.B, path string) {
 			w.get(b, s, req, http.StatusOK)
 		}
 	})
+	return fresh
 }
 
 // BenchmarkServerReadSnapshot measures GET /v1/snapshot: 20000 synthesized
 // records, JSON-encoded (~3 MB per response). Hot replays the memoized
-// (generation, seed) body; cold re-synthesizes and re-encodes everything.
-func BenchmarkServerReadSnapshot(b *testing.B) { benchServerRead(b, "/v1/snapshot?seed=7") }
+// (generation, seed) body; cold rebuilds from the previous body, changing
+// only the group the POST changed; full reads a new seed each time and
+// synthesizes and encodes everything.
+func BenchmarkServerReadSnapshot(b *testing.B) {
+	fresh := benchServerRead(b, "/v1/snapshot?seed=7")
+	b.Run("full", func(b *testing.B) {
+		s := fresh()
+		w := newBenchWriter()
+		w.get(b, s, httptest.NewRequest(http.MethodGet, "/v1/snapshot?seed=7", nil), http.StatusOK)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			req := httptest.NewRequest(http.MethodGet, "/v1/snapshot?seed="+strconv.Itoa(1000+i), nil)
+			b.StartTimer()
+			w.get(b, s, req, http.StatusOK)
+		}
+	})
+}
 
 // BenchmarkServerReadStats measures GET /v1/stats: hot replays the encoded
 // body; cold re-sweeps the per-group sizes (no cloning either way).
@@ -149,21 +179,9 @@ func BenchmarkServerReadStats(b *testing.B) { benchServerRead(b, "/v1/stats") }
 // poller: If-None-Match matches, so the server answers with headers
 // alone — the replica-refresh fast path.
 func BenchmarkServerReadCheckpoint(b *testing.B) {
-	benchServerRead(b, "/v1/checkpoint")
-
-	const dim, k = 8, 25
-	const G = 800
-	full := benchStreamCorr(14, G*k+1<<10, dim)
-	base := benchBase(b, full, G, k)
-	c, err := core.NewCondenser(k, core.WithSeed(16))
-	if err != nil {
-		b.Fatal(err)
-	}
+	fresh := benchServerRead(b, "/v1/checkpoint")
 	b.Run("hot304", func(b *testing.B) {
-		s, err := server.New(server.Config{Dim: dim, Condenser: c, Initial: base})
-		if err != nil {
-			b.Fatal(err)
-		}
+		s := fresh()
 		w := newBenchWriter()
 		w.get(b, s, httptest.NewRequest(http.MethodGet, "/v1/checkpoint", nil), http.StatusOK)
 		etag := w.header.Get("ETag")

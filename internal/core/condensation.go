@@ -177,22 +177,43 @@ func (c *Condensation) Synthesize(r *rng.Source) ([]mat.Vector, error) {
 // out across SetParallelism workers — the output depends only on r and
 // the group statistics, never on scheduling.
 func (c *Condensation) SynthesizeGrouped(r *rng.Source) ([][]mat.Vector, error) {
+	return c.SynthesizeGroupedExcept(r, nil)
+}
+
+// SynthesizeGroupedExcept is SynthesizeGrouped for the groups whose skip
+// entry is false; a skipped group's slot in the result is nil. Every
+// group's rng stream is still split from r in group order, so each group
+// that is synthesized draws exactly the points SynthesizeGrouped gives it.
+// A caller holding group gi's points from an earlier call with the same
+// seed, for the same group (SharesGroup), can skip it and keep them. A nil
+// skip synthesizes every group; otherwise it must have one entry per
+// group.
+func (c *Condensation) SynthesizeGroupedExcept(r *rng.Source, skip []bool) ([][]mat.Vector, error) {
 	if r == nil {
 		return nil, errors.New("core: nil random source")
+	}
+	if skip != nil && len(skip) != len(c.groups) {
+		return nil, fmt.Errorf("core: skip mask has %d entries for %d groups", len(skip), len(c.groups))
 	}
 	sp := c.tr.StartChild(nil, "synthesize")
 	sp.SetAttrInt("groups", len(c.groups))
 	defer sp.End()
 	srcs := make([]*rng.Source, len(c.groups))
+	todo := make([]int, 0, len(c.groups))
 	for gi := range srcs {
 		srcs[gi] = r.Split()
+		if skip == nil || !skip[gi] {
+			todo = append(todo, gi)
+		}
 	}
+	sp.SetAttrInt("synthesized", len(todo))
 	workers := par.Workers(c.par)
 
 	// Phase 1: per-group means and covariance matrices, in parallel.
-	means := make([]mat.Vector, len(c.groups))
-	covs := make([]*mat.Matrix, len(c.groups))
-	err := par.Run(len(c.groups), workers, func(gi int) error {
+	means := make([]mat.Vector, len(todo))
+	covs := make([]*mat.Matrix, len(todo))
+	err := par.Run(len(todo), workers, func(t int) error {
+		gi := todo[t]
 		mean, err := c.groups[gi].Mean()
 		if err != nil {
 			return fmt.Errorf("core: group %d: %w", gi, err)
@@ -201,7 +222,7 @@ func (c *Condensation) SynthesizeGrouped(r *rng.Source) ([][]mat.Vector, error) 
 		if err != nil {
 			return fmt.Errorf("core: group %d: %w", gi, err)
 		}
-		means[gi], covs[gi] = mean, cov
+		means[t], covs[t] = mean, cov
 		return nil
 	})
 	if err != nil {
@@ -224,8 +245,9 @@ func (c *Condensation) SynthesizeGrouped(r *rng.Source) ([][]mat.Vector, error) 
 	// Phase 3: per-group point regeneration, each group drawing from its
 	// own pre-split rng stream exactly as before.
 	out := make([][]mat.Vector, len(c.groups))
-	err = par.Run(len(c.groups), workers, func(gi int) error {
-		pts, err := synthesizeGroup(c.groups[gi], means[gi], eigs[gi].ClampPSD(), c.opts.Synthesis, srcs[gi], c.met)
+	err = par.Run(len(todo), workers, func(t int) error {
+		gi := todo[t]
+		pts, err := synthesizeGroup(c.groups[gi], means[t], eigs[t].ClampPSD(), c.opts.Synthesis, srcs[gi], c.met)
 		if err != nil {
 			return fmt.Errorf("core: group %d: %w", gi, err)
 		}
@@ -236,6 +258,17 @@ func (c *Condensation) SynthesizeGrouped(r *rng.Source) ([][]mat.Vector, error) 
 		return nil, err
 	}
 	return out, nil
+}
+
+// SharesGroup reports whether group i of c is the very group object prev
+// held at index i: the two snapshots were taken from the same engine and
+// slot i did not change in between, so synthesizing it under the same
+// seed gives the same points. Snapshots of a Dynamic share the clones of
+// unchanged slots; a group that moved to another index (a split in an
+// earlier shard shifts every later shard's groups) is not shared, since
+// its rng stream index changed with it.
+func (c *Condensation) SharesGroup(prev *Condensation, i int) bool {
+	return prev != nil && i >= 0 && i < len(c.groups) && i < len(prev.groups) && c.groups[i] == prev.groups[i]
 }
 
 // eigenSampleEvery is the sampling stride of the stage=eigen timer during

@@ -237,6 +237,36 @@ func (d *Dynamic) TotalCount() int { return d.sum(func(sh *shard) int { return s
 // Splits returns the number of group splits performed, summed over shards.
 func (d *Dynamic) Splits() int { return d.sum(func(sh *shard) int { return sh.splits }) }
 
+// MaxRecordMagnitude bounds the absolute value of every stream record
+// value the engine admits. Finite values alone are not enough: the
+// engine squares and sums them, and a sum that overflows to +Inf breaks
+// routing (no centroid is nearer than +Inf) or turns the moments into
+// NaN. With every value in [−B, B], a group of n ≤ 2k records (a group
+// splits on reaching 2k) at dimension d keeps these quantities finite:
+//
+//   - a routing distance Σ_j (x_j − c_j)² ≤ 4·d·B²;
+//   - the first-order sums |Fs_j| ≤ 2k·B, so Fs_i·Fs_j ≤ 4k²·B², and the
+//     second-order sums |Sc_ij| ≤ 2k·B²;
+//   - the covariance entries Sc_ij/n − Fs_i·Fs_j/n² ≤ 2B², so the Jacobi
+//     sweep's squared off-diagonal and Frobenius sums are ≤ 4·d²·B⁴.
+//
+// The last is the tightest. B = 1e64 puts it at 4·d²·1e256, finite below
+// math.MaxFloat64 ≈ 1.8e308 for every d < 6e25, and 4k²·B² is finite for
+// every k < 6e89 — every engine that fits in memory, at any configured
+// dim and k.
+const MaxRecordMagnitude = 1e64
+
+// CheckRecordMagnitude reports an error when a value of x lies beyond
+// ±MaxRecordMagnitude. It assumes x is finite.
+func CheckRecordMagnitude(x mat.Vector) error {
+	for j, v := range x {
+		if math.Abs(v) > MaxRecordMagnitude {
+			return fmt.Errorf("core: record value %d (%g) is beyond ±%g", j, v, float64(MaxRecordMagnitude))
+		}
+	}
+	return nil
+}
+
 // validateRecord rejects records the engine cannot condense, before any
 // shard is touched.
 func (d *Dynamic) validateRecord(x mat.Vector) error {
@@ -246,7 +276,7 @@ func (d *Dynamic) validateRecord(x mat.Vector) error {
 	if !x.IsFinite() {
 		return errors.New("core: stream record has non-finite values")
 	}
-	return nil
+	return CheckRecordMagnitude(x)
 }
 
 // Add routes one stream record to its shard and, under that shard's lock,
@@ -258,9 +288,8 @@ func (d *Dynamic) Add(x mat.Vector) error {
 	}
 	sh := d.shards[d.shardOf(x)]
 	sh.mu.Lock()
-	err := sh.add(x)
-	sh.mu.Unlock()
-	return err
+	defer sh.mu.Unlock()
+	return sh.add(x)
 }
 
 // AddBatch ingests a batch of records, producing the exact condensation
@@ -292,11 +321,7 @@ func (d *Dynamic) AddBatchContext(ctx context.Context, records []mat.Vector) err
 		return nil
 	}
 	if len(d.shards) == 1 {
-		sh := d.shards[0]
-		sh.mu.Lock()
-		err := sh.addBatch(ctx, records)
-		sh.mu.Unlock()
-		return err
+		return d.shards[0].lockedAddBatch(ctx, records)
 	}
 
 	ctx, sp := d.tr.Start(ctx, "sharded.add_batch")
@@ -340,10 +365,7 @@ func (d *Dynamic) AddBatchContext(ctx context.Context, records []mat.Vector) err
 				shSpan.SetAttrInt("records", len(part))
 				defer shSpan.End()
 			}
-			sh := d.shards[i]
-			sh.mu.Lock()
-			errs[i] = sh.addBatch(shCtx, part)
-			sh.mu.Unlock()
+			errs[i] = d.shards[i].lockedAddBatch(shCtx, part)
 		}(i, part)
 	}
 	wg.Wait()

@@ -48,6 +48,14 @@ func (s *batchScratch) posMap(n int) []int32 {
 	return p
 }
 
+// lockedAddBatch runs addBatch under the shard's write lock, released by
+// defer so a panic cannot leave the shard locked.
+func (sh *shard) lockedAddBatch(ctx context.Context, records []mat.Vector) error {
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	return sh.addBatch(ctx, records)
+}
+
 // addBatch is the shard's high-throughput ingest path, producing the
 // exact condensation a sequential add loop over the same (already
 // validated, non-empty) records produces — bit-identical groups,

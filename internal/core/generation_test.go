@@ -154,11 +154,26 @@ func TestSnapshotCacheReuseAndInvalidation(t *testing.T) {
 		t.Error("earlier snapshot changed after a write — cached groups are shared with live state")
 	}
 
-	// The write invalidated the cache: a new snapshot sees fresh clones
-	// and the new record.
+	// The write invalidated the cache for the one slot it changed: a new
+	// snapshot re-clones that slot, which holds the new record, and shares
+	// every other slot's clone with the earlier snapshot.
 	c3 := d.Condensation()
-	if c3.groups[0] == c1.groups[0] {
-		t.Error("write did not invalidate the snapshot cache")
+	changed := 0
+	for i, g := range c3.groups {
+		if i >= len(c1.groups) || g.N() != c1.groups[i].N() {
+			changed++
+			if c3.SharesGroup(c1, i) {
+				t.Errorf("slot %d changed but its clone is shared with the earlier snapshot", i)
+			}
+		} else if !c3.SharesGroup(c1, i) {
+			t.Errorf("slot %d is unchanged but was re-cloned", i)
+		}
+	}
+	if changed != 1 {
+		t.Errorf("one write changed %d slots, want 1 (the record fell short of a split)", changed)
+	}
+	if !bytes.Equal(b1, condBytes(c1)) {
+		t.Error("earlier snapshot changed after a fresh snapshot shared its clones")
 	}
 	if c3.TotalCount() != c1.TotalCount()+1 {
 		t.Errorf("post-write snapshot has %d records, want %d", c3.TotalCount(), c1.TotalCount()+1)

@@ -94,11 +94,18 @@ type shard struct {
 	// copy on write-invalidate, not copy on read); concurrent readers
 	// racing to rebuild it under the read lock serialize on snapMu.
 	// snapIDs is the ids slice frozen with the clones, annotated onto
-	// snapshots.
+	// snapshots. dirty has one bit per slot, set by every write that
+	// changes the slot's group in place (ingest, which also covers the
+	// split's first half), so a miss re-clones only those slots and the
+	// slots appended since (founded groups, the split's second half), and
+	// shares every other clone with the previous snapshot. Writers set
+	// bits under mu's write lock; a miss clears them under the read lock
+	// and snapMu, so the two never overlap.
 	snapMu     sync.Mutex
 	snapGen    uint64
 	snapGroups []*stats.Group
 	snapIDs    []uint64
+	dirty      []uint64
 }
 
 // groupBirth is one group slot's observe-only birth annotation: the
@@ -132,6 +139,22 @@ func (sh *shard) annotate(parent uint64, centroid mat.Vector) uint64 {
 	sh.ids = append(sh.ids, id)
 	sh.births = append(sh.births, groupBirth{gen: sh.lastMut, parent: parent, centroid: centroid.Clone()})
 	return id
+}
+
+// markDirty records that slot i's group changed since the last snapshot
+// clone.
+func (sh *shard) markDirty(i int) {
+	w := i / 64
+	for len(sh.dirty) <= w {
+		sh.dirty = append(sh.dirty, 0)
+	}
+	sh.dirty[w] |= 1 << (i % 64)
+}
+
+// isDirty reports whether slot i changed since the last snapshot clone.
+func (sh *shard) isDirty(i int) bool {
+	w := i / 64
+	return w < len(sh.dirty) && sh.dirty[w]&(1<<(i%64)) != 0
 }
 
 // bump advances the mutation generation at the start of a state change,
@@ -234,6 +257,7 @@ func (sh *shard) route(x mat.Vector) int {
 // split then records a child span under it.
 func (sh *shard) ingest(best int, x mat.Vector, sp *telemetry.Span) error {
 	sh.bump()
+	sh.markDirty(best)
 	g := sh.groups[best]
 	if err := g.Add(x); err != nil {
 		return err
@@ -302,7 +326,10 @@ func (sh *shard) ingest(best int, x mat.Vector, sp *telemetry.Span) error {
 // The group copies are cached per mutation generation: a snapshot taken
 // with no intervening writes reuses the previous call's clones instead of
 // re-copying O(G·d²) state, so repeated reads of unchanged state cost one
-// slice header. The cached groups are never mutated afterwards —
+// slice header. A miss re-clones only the slots marked dirty since the
+// previous miss and shares every other clone with the previous snapshot,
+// so a snapshot after a write costs one pointer per group plus one clone
+// per changed group. The cached groups are never mutated afterwards —
 // stats.Group read methods are pure and Condensation.Groups() clones on
 // access — so sharing them across snapshots is safe; each call still gets
 // a fresh Condensation header, so per-caller settings (parallelism,
@@ -310,10 +337,16 @@ func (sh *shard) ingest(best int, x mat.Vector, sp *telemetry.Span) error {
 func (sh *shard) condensation() *Condensation {
 	sh.snapMu.Lock()
 	if sh.snapGroups == nil || sh.snapGen != sh.lastMut {
+		prev := sh.snapGroups
 		groups := make([]*stats.Group, len(sh.groups))
 		for i, g := range sh.groups {
-			groups[i] = g.Clone()
+			if i < len(prev) && !sh.isDirty(i) {
+				groups[i] = prev[i]
+			} else {
+				groups[i] = g.Clone()
+			}
 		}
+		clear(sh.dirty)
 		sh.snapGroups = groups
 		sh.snapIDs = append([]uint64(nil), sh.ids...)
 		sh.snapGen = sh.lastMut

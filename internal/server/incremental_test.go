@@ -1,0 +1,190 @@
+package server
+
+import (
+	"bytes"
+	"encoding/json"
+	"fmt"
+	"net/http"
+	"net/http/httptest"
+	"sync"
+	"testing"
+
+	"condensation/internal/core"
+	"condensation/internal/mat"
+	"condensation/internal/par"
+	"condensation/internal/rng"
+)
+
+// newIncrementalServer builds a dim-2 server with k = 3, so a few dozen
+// records force splits.
+func newIncrementalServer(t *testing.T, shards int) *Server {
+	t.Helper()
+	c, err := core.NewCondenser(3, core.WithSeed(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := New(Config{Dim: 2, Condenser: c, Shards: shards})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// postBatch sends one POST /v1/records through the handler.
+func postBatch(t testing.TB, s *Server, recs [][]float64) {
+	body, err := json.Marshal(map[string]any{"records": recs})
+	if err != nil {
+		t.Error(err)
+		return
+	}
+	w := httptest.NewRecorder()
+	s.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/records", bytes.NewReader(body)))
+	if w.Code != http.StatusOK {
+		t.Errorf("POST status %d: %s", w.Code, w.Body.String())
+	}
+}
+
+// fromScratch is the snapshot body of the engine's current state built
+// with no reuse: synthesize every group, encode every group.
+func fromScratch(t *testing.T, s *Server, seed uint64) []byte {
+	t.Helper()
+	cond := s.eng.Condensation()
+	grouped, err := cond.SynthesizeGrouped(rng.New(seed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := encodeSnapshot(grouped, cond.NumGroups(), cond.K(), par.Workers(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return want
+}
+
+// TestIncrementalSnapshotDifferential interleaves single-record Adds and
+// HTTP batches that force splits with snapshot reads alternating across
+// two seeds, and requires every served body to equal a from-scratch
+// build of the same state. At 3 shards it also requires a read after a
+// shard-0 split, which shifts every later shard's groups to new indices
+// and so new rng streams: none of those groups may be reused.
+func TestIncrementalSnapshotDifferential(t *testing.T) {
+	for _, shards := range []int{1, 3} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			s := newIncrementalServer(t, shards)
+			r := rng.New(uint64(40 + shards))
+			record := func() []float64 { return []float64{r.Norm() * 3, r.Norm()} }
+			postBatch(t, s, [][]float64{record(), record(), record(), record(), record(), record()})
+
+			seeds := []uint64{7, 8}
+			prev := map[uint64]*snapshotEntry{}
+			prevG0 := map[uint64]int{}
+			reused, shifted := 0, 0
+			for step := 0; step < 160; step++ {
+				if r.IntN(3) == 0 {
+					batch := make([][]float64, 1+r.IntN(12))
+					for i := range batch {
+						batch[i] = record()
+					}
+					postBatch(t, s, batch)
+				} else if err := s.eng.Add(record()); err != nil {
+					t.Fatal(err)
+				}
+				seed := seeds[step%2]
+				got, err := s.snapshotBody(seed)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(got.data, fromScratch(t, s, seed)) {
+					t.Fatalf("step %d seed %d: served body differs from a from-scratch build", step, seed)
+				}
+				e, ok := s.cache.snapshotAt(s.eng.Generation(), seed)
+				if !ok || e.body != got {
+					t.Fatalf("step %d: the served body is not the seed's cached entry", step)
+				}
+				_, g0, _ := s.eng.ShardCounts(0)
+				if p := prev[seed]; p != nil {
+					for gi := 0; gi < e.cond.NumGroups(); gi++ {
+						if e.cond.SharesGroup(p.cond, gi) {
+							reused++
+						}
+					}
+					if g0 > prevG0[seed] && e.cond.NumGroups() > g0 {
+						// Shard 0 split: every later shard's group sits
+						// at a new index, so none of them is reused.
+						shifted++
+						for gi := g0; gi < e.cond.NumGroups(); gi++ {
+							if e.cond.SharesGroup(p.cond, gi) {
+								t.Fatalf("step %d: group %d reused across a shift", step, gi)
+							}
+						}
+					}
+				}
+				prev[seed], prevG0[seed] = e, g0
+			}
+			if reused == 0 {
+				t.Fatal("no group was ever reused: the incremental path never ran")
+			}
+			if shards > 1 && shifted == 0 {
+				t.Fatal("no read followed a shard-0 split that shifted later shards")
+			}
+		})
+	}
+}
+
+// TestIncrementalSnapshotConcurrent runs writers and readers of two seeds
+// together, so reuse bases are built from states that move mid-build.
+// Each round then stops the writers and requires both seeds' bodies to
+// equal a from-scratch build: a base from a racing build must still
+// yield exact bytes. Run it under -race.
+func TestIncrementalSnapshotConcurrent(t *testing.T) {
+	for _, shards := range []int{1, 3} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			s := newIncrementalServer(t, shards)
+			postBatch(t, s, genRecords(3, 40))
+			for round := 0; round < 4; round++ {
+				var wg sync.WaitGroup
+				for w := 0; w < 2; w++ {
+					wg.Add(1)
+					go func(w int) {
+						defer wg.Done()
+						r := rng.New(uint64(100*round + w))
+						for i := 0; i < 25; i++ {
+							if i%3 == 0 {
+								postBatch(t, s, [][]float64{{r.Norm(), r.Norm()}, {r.Norm(), r.Norm()}})
+							} else if err := s.eng.Add(mat.Vector{r.Norm(), r.Norm()}); err != nil {
+								t.Error(err)
+							}
+						}
+					}(w)
+				}
+				for rd := 0; rd < 2; rd++ {
+					wg.Add(1)
+					go func(seed uint64) {
+						defer wg.Done()
+						for i := 0; i < 15; i++ {
+							b, err := s.snapshotBody(seed)
+							if err != nil {
+								t.Error(err)
+								return
+							}
+							var resp snapshotResponse
+							if err := json.Unmarshal(b.data, &resp); err != nil {
+								t.Errorf("seed %d: served body is not JSON: %v", seed, err)
+								return
+							}
+						}
+					}(uint64(1 + rd))
+				}
+				wg.Wait()
+				for _, seed := range []uint64{1, 2} {
+					got, err := s.snapshotBody(seed)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !bytes.Equal(got.data, fromScratch(t, s, seed)) {
+						t.Fatalf("round %d seed %d: body after concurrent rebuilds differs from a from-scratch build", round, seed)
+					}
+				}
+			}
+		})
+	}
+}

@@ -6,6 +6,7 @@ import (
 	"sync"
 
 	"condensation/internal/audit"
+	"condensation/internal/core"
 	"condensation/internal/telemetry"
 )
 
@@ -38,9 +39,11 @@ func newCheckpointBody(data []byte, gen uint64) *respBody {
 // readCache memoizes the server's derived read artifacts — encoded
 // checkpoint bytes, encoded stats bodies, synthesized snapshot bodies,
 // and audit reports — keyed by the engine's mutation generation. The
-// cache retains one generation only: the first store or probe at a newer
-// generation drops everything from the older one, so memory stays
-// bounded by the artifacts of the current state. Entries are immutable
+// cache serves one generation only: the first store or probe at a newer
+// generation drops everything from the older one, except that each
+// seed's latest snapshot stays as the base its next rebuild reuses
+// (snapshotEntry), so memory stays bounded by the artifacts of the
+// current state plus at most maxSnapshotSeeds bases. Entries are immutable
 // once stored (byte slices are handed to clients as-is and never
 // written again), which is what makes serving them without copying safe.
 //
@@ -64,16 +67,33 @@ type readCache struct {
 	checkpoint   *respBody
 	statsMerged  *respBody
 	statsByShard *respBody
-	snapshots    map[uint64]*respBody // by synthesis seed
+	snapshots    map[uint64]*snapshotEntry // by synthesis seed
 	audits       *auditEntry
 }
 
-// maxSnapshotSeeds bounds the per-generation synthesis memo: clients are
-// expected to poll a few fixed seeds, but seeds come from the URL, so an
-// adversarial seed sweep must not grow memory without bound. When the map
-// fills, it resets rather than evicts — simple, and the whole map dies at
-// the next write anyway.
+// maxSnapshotSeeds bounds the synthesis memo: clients are expected to poll
+// a few fixed seeds, but seeds come from the URL, so an adversarial seed
+// sweep must not grow memory without bound. When the map fills, it resets
+// rather than evicts — simple, and a reset costs each seed no more than
+// its reuse base: its next miss builds from scratch.
 const maxSnapshotSeeds = 32
+
+// snapshotEntry is one seed's latest snapshot build. Its body is served
+// while the engine stays at gen, if the build saw gen throughout. A
+// generation step stops serving it but keeps it as the base for the next
+// miss at the same seed, which copies the encoded rows of every group it
+// shares with cond instead of synthesizing and encoding them again (see
+// buildSnapshot). Reuse is decided by group identity under the same seed,
+// never by generation, so any completed build is a valid base.
+type snapshotEntry struct {
+	gen    uint64
+	served bool
+	body   *respBody
+	// cond is the condensation the body was synthesized from; offs are
+	// its groups' row offsets in the body (see encodeSnapshotFrom).
+	cond *core.Condensation
+	offs []int
+}
 
 // auditEntry is one generation's memoized audit pass: the merged report
 // plus the per-shard reports a sharded Audit() publishes alongside it.
@@ -105,18 +125,25 @@ func (c *readCache) step(gen uint64) bool {
 		c.checkpoint = nil
 		c.statsMerged = nil
 		c.statsByShard = nil
-		c.snapshots = nil
 		c.audits = nil
 		return true
 	}
 	return gen == c.gen
 }
 
-// holdsArtifacts reports whether any prepared artifact is cached — an
-// invalidation that drops nothing is not worth a journal entry.
+// holdsArtifacts reports whether any prepared artifact is served at the
+// cache's generation — an invalidation that drops nothing is not worth a
+// journal entry. Snapshot entries kept only as reuse bases do not count.
 func (c *readCache) holdsArtifacts() bool {
-	return c.checkpoint != nil || c.statsMerged != nil || c.statsByShard != nil ||
-		len(c.snapshots) > 0 || c.audits != nil
+	if c.checkpoint != nil || c.statsMerged != nil || c.statsByShard != nil || c.audits != nil {
+		return true
+	}
+	for _, e := range c.snapshots {
+		if e.served && e.gen == c.gen {
+			return true
+		}
+	}
+	return false
 }
 
 // checkpointAt returns the prepared checkpoint for generation gen, if
@@ -170,32 +197,39 @@ func (c *readCache) storeStats(gen uint64, byShard bool, b *respBody) {
 	}
 }
 
-// snapshotAt returns the prepared synthesis body for (gen, seed), if
-// cached.
-func (c *readCache) snapshotAt(gen, seed uint64) (*respBody, bool) {
+// snapshotAt returns seed's snapshot entry and whether its body may be
+// served at generation gen. An entry that may not be served is still the
+// reuse base for a rebuild.
+func (c *readCache) snapshotAt(gen, seed uint64) (*snapshotEntry, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	e := c.snapshots[seed]
 	if !c.step(gen) {
-		return nil, false
+		return e, false
 	}
-	b, ok := c.snapshots[seed]
-	return b, ok
+	return e, e != nil && e.served && e.gen == gen
 }
 
-// storeSnapshot caches the prepared synthesis body for (gen, seed).
-func (c *readCache) storeSnapshot(gen, seed uint64, b *respBody) {
+// storeSnapshot installs a snapshot build as seed's entry. It is served
+// only if it was built from one generation throughout and the cache has
+// not advanced past it; either way it becomes the seed's reuse base,
+// unless the seed already holds a build of a later generation.
+func (c *readCache) storeSnapshot(seed uint64, e *snapshotEntry) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if !c.step(gen) {
+	if e.served && !c.step(e.gen) {
+		e.served = false
+	}
+	if old := c.snapshots[seed]; old != nil && old.gen > e.gen {
 		return
 	}
-	if len(c.snapshots) >= maxSnapshotSeeds {
+	if len(c.snapshots) >= maxSnapshotSeeds && c.snapshots[seed] == nil {
 		c.snapshots = nil
 	}
 	if c.snapshots == nil {
-		c.snapshots = make(map[uint64]*respBody)
+		c.snapshots = make(map[uint64]*snapshotEntry)
 	}
-	c.snapshots[seed] = b
+	c.snapshots[seed] = e
 }
 
 // auditAt returns the memoized audit pass for (gen, reservoirSeen), if

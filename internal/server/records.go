@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"strconv"
 
+	"condensation/internal/core"
 	"condensation/internal/mat"
 )
 
@@ -31,8 +32,9 @@ import (
 //
 // Refusals keep one precedence: a syntax error anywhere is 400, then an
 // empty batch 400, then a batch over the limit 413, then the first
-// wrong-dimension record 400, then the first non-finite record 400. A body
-// over the byte limit is 413 before any of them.
+// wrong-dimension record 400, then the first non-finite record 400, then
+// the first record with a value beyond ±core.MaxRecordMagnitude 400. A
+// body over the byte limit is 413 before any of them.
 
 // recordsBodyLimit is the byte cap on a POST /v1/records body, derived from
 // the batch limit: 64 bytes per value is roomy for any float64 as
@@ -149,6 +151,11 @@ func decodeRecords(body []byte, dim, maxBatch int) ([]mat.Vector, int, error) {
 			return nil, http.StatusBadRequest, fmt.Errorf("record %d has non-finite values", i)
 		}
 		records[i] = v
+	}
+	for i, v := range records {
+		if err := core.CheckRecordMagnitude(v); err != nil {
+			return nil, http.StatusBadRequest, fmt.Errorf("record %d: %w", i, err)
+		}
 	}
 	return records, http.StatusOK, nil
 }

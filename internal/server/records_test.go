@@ -3,12 +3,15 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"condensation/internal/core"
 	"condensation/internal/mat"
@@ -249,5 +252,58 @@ func TestRecordsHandlerAllocs(t *testing.T) {
 	t.Logf("%.0f allocations per %d-record POST", allocs, n)
 	if allocs > 40 {
 		t.Errorf("%.0f allocations per %d-record POST, want <= 40", allocs, n)
+	}
+}
+
+// TestRecordsOverflowRefused replays the POST that used to overflow a
+// routing distance to +Inf and panic inside the shard lock, after which
+// every later POST hung: it must be refused with 400, and a following
+// POST and stats read must complete. Values at ±core.MaxRecordMagnitude
+// are accepted and stay servable; the next float beyond is refused.
+func TestRecordsOverflowRefused(t *testing.T) {
+	const b = core.MaxRecordMagnitude
+	above := math.Nextafter(b, math.Inf(1))
+	client := &http.Client{Timeout: 10 * time.Second}
+	post := func(ts *httptest.Server, body string) int {
+		t.Helper()
+		resp, err := client.Post(ts.URL+"/v1/records", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	get := func(ts *httptest.Server, path string) int {
+		t.Helper()
+		resp, err := client.Get(ts.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	for _, shards := range []int{1, 4} {
+		ts := newShardedServer(t, 2, shards)
+		if got := post(ts, `{"records":[[1e160,1],[1e160,2],[1,1e160],[2,1e160]]}`); got != http.StatusBadRequest {
+			t.Fatalf("shards=%d: overflowing batch status %d, want 400", shards, got)
+		}
+		if got := post(ts, `{"records":[[1,1],[1,2],[2,1],[2,2]]}`); got != http.StatusOK {
+			t.Fatalf("shards=%d: POST after the refusal status %d, want 200", shards, got)
+		}
+		if got := get(ts, "/v1/stats"); got != http.StatusOK {
+			t.Fatalf("shards=%d: stats after the refusal status %d", shards, got)
+		}
+
+		atBound := fmt.Sprintf(`{"records":[[%g,1],[%g,2],[1,%g],[2,%g],[-%g,-%g]]}`, b, b, b, b, b, b)
+		if got := post(ts, atBound); got != http.StatusOK {
+			t.Fatalf("shards=%d: values at the bound status %d, want 200", shards, got)
+		}
+		if got := get(ts, "/v1/snapshot"); got != http.StatusOK {
+			t.Fatalf("shards=%d: snapshot of values at the bound status %d, want 200", shards, got)
+		}
+		beyond := fmt.Sprintf(`{"records":[[1,1],[%s,1]]}`, strconv.FormatFloat(-above, 'g', -1, 64))
+		if got := post(ts, beyond); got != http.StatusBadRequest {
+			t.Fatalf("shards=%d: the next float beyond the bound status %d, want 400", shards, got)
+		}
 	}
 }

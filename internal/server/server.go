@@ -50,8 +50,6 @@ import (
 
 	"condensation/internal/audit"
 	"condensation/internal/core"
-	"condensation/internal/par"
-	"condensation/internal/rng"
 	"condensation/internal/telemetry"
 )
 
@@ -561,15 +559,17 @@ var errNoRecords = errors.New("no records condensed yet")
 // snapshotBody returns the encoded /v1/snapshot body for one synthesis
 // seed, memoized per (generation, seed): synthesis is a pure function of
 // the retained moments and the seed, so a generation-stable body can be
-// replayed byte for byte until the next write. A miss synthesizes and
-// encodes the grouped records directly (encodeSnapshot), on as many
-// workers as synthesis uses, into one exactly sized body.
+// replayed byte for byte until the next write. A miss rebuilds the body
+// from the seed's previous build (buildSnapshot), synthesizing and
+// encoding only the groups that changed since, into one exactly sized
+// body.
 func (s *Server) snapshotBody(seed uint64) (*respBody, error) {
 	for attempt := 0; ; attempt++ {
 		gen := s.eng.Generation()
-		if b, ok := s.cache.snapshotAt(gen, seed); ok {
+		base, ok := s.cache.snapshotAt(gen, seed)
+		if ok {
 			s.cmSnapshot.hits.Inc()
-			return b, nil
+			return base.body, nil
 		}
 		cond := s.eng.Condensation()
 		stable := s.eng.Generation() == gen
@@ -577,21 +577,14 @@ func (s *Server) snapshotBody(seed uint64) (*respBody, error) {
 		if cond.TotalCount() == 0 {
 			return nil, errNoRecords
 		}
-		grouped, err := cond.SynthesizeGrouped(rng.New(seed))
+		e, err := buildSnapshot(cond, seed, base)
 		if err != nil {
 			return nil, err
 		}
-		data, err := encodeSnapshot(grouped, cond.NumGroups(), cond.K(), par.Workers(0))
-		if err != nil {
-			return nil, err
-		}
-		body := newRespBody(data)
-		if stable {
-			s.cache.storeSnapshot(gen, seed, body)
-			return body, nil
-		}
-		if attempt >= 1 {
-			return body, nil
+		e.gen, e.served = gen, stable
+		s.cache.storeSnapshot(seed, e)
+		if stable || attempt >= 1 {
+			return e.body, nil
 		}
 	}
 }

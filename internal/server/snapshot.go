@@ -5,8 +5,10 @@ import (
 	"math"
 	"strconv"
 
+	"condensation/internal/core"
 	"condensation/internal/mat"
 	"condensation/internal/par"
+	"condensation/internal/rng"
 )
 
 // GET /v1/snapshot answers a cache miss by synthesizing every record and
@@ -33,27 +35,83 @@ import (
 // scratch slice. The parts are then copied, behind the header and ahead
 // of the trailer, into one exactly sized body: the read cache keeps that
 // body, so it must carry no spare capacity.
+//
+// After a write, most groups are unchanged, and so are their rows: a
+// group's synthesized records depend only on its moments and its rng
+// stream, the gi-th split of the seed. A rebuild therefore takes the rows
+// of every group the new condensation shares with the previous build at
+// the same seed (core.Condensation.SharesGroup: the same group object at
+// the same index) straight from the previous body, and synthesizes and
+// encodes only the rest. The body is byte for byte the from-scratch
+// encoding.
 
 // snapshotValueMax bounds the bytes one float64 takes in the encoding:
 // "-0.0000012345678901234567" ('f' form just above 1e-6) is the longest.
 const snapshotValueMax = 25
 
+// buildSnapshot synthesizes cond under seed and encodes the body, reusing
+// base's rows for every group cond shares with base.cond. A nil base
+// builds from scratch.
+func buildSnapshot(cond *core.Condensation, seed uint64, base *snapshotEntry) (*snapshotEntry, error) {
+	var reuse []bool
+	if base != nil {
+		reuse = make([]bool, cond.NumGroups())
+		for gi := range reuse {
+			reuse[gi] = cond.SharesGroup(base.cond, gi)
+		}
+	}
+	grouped, err := cond.SynthesizeGroupedExcept(rng.New(seed), reuse)
+	if err != nil {
+		return nil, err
+	}
+	data, offs, err := encodeSnapshotFrom(grouped, reuse, base, cond.NumGroups(), cond.K(), par.Workers(0))
+	if err != nil {
+		return nil, err
+	}
+	return &snapshotEntry{body: newRespBody(data), cond: cond, offs: offs}, nil
+}
+
 // encodeSnapshot renders the /v1/snapshot body for grouped synthesized
 // records on up to workers goroutines. The result is identical for every
 // worker count.
 func encodeSnapshot(grouped [][]mat.Vector, groups, k, workers int) ([]byte, error) {
+	data, _, err := encodeSnapshotFrom(grouped, nil, nil, groups, k, workers)
+	return data, err
+}
+
+// snapshotHeader opens every snapshot body.
+const snapshotHeader = `{"records":[`
+
+// encodeSnapshotFrom is encodeSnapshot for a body some of whose groups are
+// already encoded in base: where reuse[gi] is set, grouped[gi] must be
+// empty (SynthesizeGroupedExcept leaves it nil) and group gi's rows are
+// copied from base, which must hold group gi. A nil reuse encodes every
+// group. It also returns the body's group offsets: group gi's rows, each
+// followed by a comma, are bytes offs[gi]:offs[gi+1] of the rows that
+// start after the header. In the body the last row's comma is the
+// trailer's "]".
+func encodeSnapshotFrom(grouped [][]mat.Vector, reuse []bool, base *snapshotEntry, groups, k, workers int) ([]byte, []int, error) {
+	reused := func(gi int) bool { return reuse != nil && reuse[gi] }
 	bounds := splitByRecords(grouped, workers)
 	parts := make([][]byte, len(bounds)-1)
+	// offs[gi+1] holds group gi's length until the prefix sum below.
+	offs := make([]int, len(grouped)+1)
 	err := par.Run(len(parts), len(parts), func(p int) error {
-		b, err := appendRows(grouped[bounds[p]:bounds[p+1]])
+		lo, hi := bounds[p], bounds[p+1]
+		b, err := appendRows(grouped[lo:hi], offs[lo+1:hi+1])
 		parts[p] = b
 		return err
 	})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
+	}
+	for gi := range grouped {
+		if reused(gi) {
+			offs[gi+1] = base.offs[gi+1] - base.offs[gi]
+		}
+		offs[gi+1] += offs[gi]
 	}
 
-	const header = `{"records":[`
 	var tail [64]byte
 	trailer := append(tail[:0], `],"groups":`...)
 	trailer = strconv.AppendInt(trailer, int64(groups), 10)
@@ -61,19 +119,32 @@ func encodeSnapshot(grouped [][]mat.Vector, groups, k, workers int) ([]byte, err
 	trailer = strconv.AppendInt(trailer, int64(k), 10)
 	trailer = append(trailer, "}\n"...)
 
-	// Every row in the parts ends with a comma; the last one is dropped.
-	rows := 0
-	for _, b := range parts {
-		rows += len(b)
+	// Every row ends with a comma; the trailer overwrites the last one.
+	h, n := len(snapshotHeader), offs[len(grouped)]
+	body := make([]byte, h+n, h+max(n-1, 0)+len(trailer))
+	copy(body, snapshotHeader)
+	rows := body[h:]
+	var baseRows []byte
+	if base != nil {
+		baseRows = base.body.data[h:]
 	}
-	rows = max(rows-1, 0)
-	body := make([]byte, 0, len(header)+rows+len(trailer))
-	body = append(body, header...)
-	for _, b := range parts {
-		body = append(body, b...)
+	for p, part := range parts {
+		for gi := bounds[p]; gi < bounds[p+1]; gi++ {
+			dst := rows[offs[gi]:offs[gi+1]]
+			if !reused(gi) {
+				part = part[copy(dst, part):]
+				continue
+			}
+			end := base.offs[gi+1]
+			copy(dst, baseRows[base.offs[gi]:end])
+			if len(dst) > 0 && end == base.offs[len(base.offs)-1] {
+				// The base's last row ended in the trailer's "]".
+				dst[len(dst)-1] = ','
+			}
+		}
 	}
-	body = append(body[:len(header)+rows], trailer...)
-	return body, nil
+	body = append(body[:h+max(n-1, 0)], trailer...)
+	return body, offs, nil
 }
 
 // splitByRecords cuts grouped into at most workers contiguous group
@@ -101,8 +172,9 @@ func splitByRecords(grouped [][]mat.Vector, workers int) []int {
 // appendRows encodes every record of groups, each as a JSON array
 // followed by a comma, into a scratch slice sized once for the longest
 // possible encoding: a value and its separator per coordinate, plus the
-// brackets and trailing comma per row.
-func appendRows(groups [][]mat.Vector) ([]byte, error) {
+// brackets and trailing comma per row. It stores the length of group i's
+// rows in lens[i].
+func appendRows(groups [][]mat.Vector, lens []int) ([]byte, error) {
 	need := 0
 	for _, g := range groups {
 		for _, x := range g {
@@ -110,7 +182,8 @@ func appendRows(groups [][]mat.Vector) ([]byte, error) {
 		}
 	}
 	b := make([]byte, 0, need)
-	for _, g := range groups {
+	for i, g := range groups {
+		start := len(b)
 		for _, x := range g {
 			b = append(b, '[')
 			for j, v := range x {
@@ -124,6 +197,7 @@ func appendRows(groups [][]mat.Vector) ([]byte, error) {
 			}
 			b = append(b, ']', ',')
 		}
+		lens[i] = len(b) - start
 	}
 	return b, nil
 }

@@ -76,6 +76,9 @@ func floatWords(vs ...float64) []byte {
 // FuzzEncodeSnapshot checks the fixed-shape encoder against encoding/json
 // over arbitrary float64 bit patterns, row shapes and worker counts: the
 // bodies must be byte-identical, and a non-finite value must fail both.
+// Bit gi%64 of reuse marks group gi as reused: the body is then encoded
+// again with those groups' rows copied from a base body whose other
+// groups have different rows, and must still equal encoding/json's.
 func FuzzEncodeSnapshot(f *testing.F) {
 	row := []byte{2<<2 | 1} // one group of one two-value row
 	for _, v := range []float64{
@@ -90,10 +93,13 @@ func FuzzEncodeSnapshot(f *testing.F) {
 		math.NaN(),
 		math.Inf(-1),
 	} {
-		f.Add(floatWords(v, 1), row, uint8(1))
+		f.Add(floatWords(v, 1), row, uint8(1), uint64(0))
 	}
-	f.Add(floatWords(1e-6, -1e-6, 0.1, 123456789012345680000, 5e-324), []byte{0, 3<<2 | 3, 7 << 2, 1<<2 | 2, 0}, uint8(3))
-	f.Fuzz(func(t *testing.T, values, shape []byte, workers uint8) {
+	shapes := []byte{0, 3<<2 | 3, 7 << 2, 1<<2 | 2, 0}
+	for _, reuse := range []uint64{0, 1<<1 | 1<<3, 1 << 3, 1<<5 - 1, 1<<1 | 1<<2} {
+		f.Add(floatWords(1e-6, -1e-6, 0.1, 123456789012345680000, 5e-324), shapes, uint8(3), reuse)
+	}
+	f.Fuzz(func(t *testing.T, values, shape []byte, workers uint8, reuse uint64) {
 		grouped := fuzzGroups(values, shape)
 		k := int(workers) - 100 // negative k values too
 		want, werr := referenceSnapshot(grouped, len(grouped), k)
@@ -106,6 +112,40 @@ func FuzzEncodeSnapshot(f *testing.F) {
 		}
 		if !bytes.Equal(got, want) {
 			t.Fatalf("encoder and encoding/json differ:\n got %s\nwant %s", got, want)
+		}
+
+		// The base holds the reused groups as they are and every other
+		// group cut to its first half, so their offsets move.
+		mask := make([]bool, len(grouped))
+		baseGrouped := make([][]mat.Vector, len(grouped))
+		partial := make([][]mat.Vector, len(grouped))
+		for gi, g := range grouped {
+			mask[gi] = reuse>>(gi%64)&1 == 1
+			baseGrouped[gi] = g[:len(g)/2]
+			if mask[gi] {
+				baseGrouped[gi] = g
+			} else {
+				partial[gi] = g
+			}
+		}
+		baseBody, baseOffs, err := encodeSnapshotFrom(baseGrouped, nil, nil, len(grouped), k, int(workers))
+		if err != nil {
+			t.Fatal(err)
+		}
+		base := &snapshotEntry{body: newRespBody(baseBody), offs: baseOffs}
+		inc, offs, err := encodeSnapshotFrom(partial, mask, base, len(grouped), k, int(workers))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(inc, want) {
+			t.Fatalf("reuse mask %b: incremental and from-scratch encodings differ:\n got %s\nwant %s", reuse, inc, want)
+		}
+		if cap(inc) != len(inc) {
+			t.Fatalf("reuse mask %b: body cap %d, len %d", reuse, cap(inc), len(inc))
+		}
+		_, fullOffs, _ := encodeSnapshotFrom(grouped, nil, nil, len(grouped), k, int(workers))
+		if fmt.Sprint(offs) != fmt.Sprint(fullOffs) {
+			t.Fatalf("reuse mask %b: offsets %v, from scratch %v", reuse, offs, fullOffs)
 		}
 	})
 }
@@ -226,12 +266,12 @@ func TestSnapshotCachedBodyExact(t *testing.T) {
 		t.Fatalf("snapshot status %d: %s", resp.StatusCode, body)
 	}
 	s := serverFromTS(t, ts)
-	b, ok := s.cache.snapshotAt(s.eng.Generation(), 7)
+	e, ok := s.cache.snapshotAt(s.eng.Generation(), 7)
 	if !ok {
 		t.Fatal("snapshot not cached")
 	}
-	if slack := cap(b.data) - len(b.data); slack > 64 {
-		t.Fatalf("cached body holds %d bytes of spare capacity (len %d)", slack, len(b.data))
+	if slack := cap(e.body.data) - len(e.body.data); slack > 64 {
+		t.Fatalf("cached body holds %d bytes of spare capacity (len %d)", slack, len(e.body.data))
 	}
 }
 
@@ -259,8 +299,8 @@ func TestSnapshotNonFinite500(t *testing.T) {
 			t.Fatalf("error body %s does not name the value", body)
 		}
 	}
-	if _, ok := s.cache.snapshotAt(s.eng.Generation(), 1); ok {
-		t.Fatal("a failed snapshot left a body in the read cache")
+	if e, _ := s.cache.snapshotAt(s.eng.Generation(), 1); e != nil {
+		t.Fatal("a failed snapshot left a body or a reuse base in the read cache")
 	}
 }
 
