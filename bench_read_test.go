@@ -2,15 +2,15 @@
 // benchmark drives one read endpoint against a server resumed at the
 // pinned G = 800 correlated-stream base and reports two cells:
 //
-//   - hot:  repeated reads of unchanged state — the generation-keyed
-//     caches serve stored bytes, so cost is response plumbing alone.
+//   - hot:  repeated reads of unchanged state — the current release
+//     serves stored bytes, so cost is response plumbing alone.
 //   - cold: every read is preceded by an off-clock single-record POST
-//     that moves the mutation generation, forcing a rebuild. The rebuild
-//     is incremental: the engine re-clones only the group the POST
-//     changed, and a snapshot read re-synthesizes and re-encodes only
-//     that group, copying every other group's rows from the previous
-//     body at the same seed. Stats re-sweep sizes; checkpoints
-//     re-serialize every group.
+//     that moves the mutation generation, forcing a new release: the
+//     engine re-clones only the group the POST changed and the release
+//     scans the group sizes once. A snapshot read then re-synthesizes
+//     and re-encodes only that group, copying every other group's rows
+//     from the previous body at the same seed. Stats summarize the
+//     release's sizes; checkpoints re-serialize every group.
 //
 // BenchmarkServerReadSnapshot adds a full cell, which reads a seed never
 // seen before on every iteration, so nothing can be reused and the
@@ -137,7 +137,7 @@ func benchServerRead(b *testing.B, path string) func() *server.Server {
 		s := fresh()
 		w := newBenchWriter()
 		req := httptest.NewRequest(http.MethodGet, path, nil)
-		w.get(b, s, req, http.StatusOK) // warm the generation caches off the clock
+		w.get(b, s, req, http.StatusOK) // warm the release off the clock
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -170,12 +170,12 @@ func BenchmarkServerReadSnapshot(b *testing.B) {
 }
 
 // BenchmarkServerReadStats measures GET /v1/stats: hot replays the encoded
-// body; cold re-sweeps the per-group sizes (no cloning either way).
+// body; cold cuts a release and summarizes its group sizes.
 func BenchmarkServerReadStats(b *testing.B) { benchServerRead(b, "/v1/stats") }
 
 // BenchmarkServerReadCheckpoint measures GET /v1/checkpoint: hot serves
-// the cached encoded state under its generation ETag; cold re-clones all
-// G groups and re-serializes. The extra hot304 cell is the conditional
+// the release's encoded state under its generation ETag; cold cuts a
+// release and re-serializes every group. The extra hot304 cell is the conditional
 // poller: If-None-Match matches, so the server answers with headers
 // alone — the replica-refresh fast path.
 func BenchmarkServerReadCheckpoint(b *testing.B) {

@@ -20,11 +20,12 @@
 // -debug-addr set, net/http/pprof profiling endpoints are served on that
 // separate (ideally loopback-only) address.
 //
-// Reads are generation-versioned: the engine's mutation generation
-// (reported on /healthz) keys caches of group snapshots, synthesized
-// bodies, stats, audit reports, and encoded checkpoints, so repeated
-// reads of unchanged state replay prepared bytes instead of recloning
-// groups. GET /v1/checkpoint serves a strong ETag: "<generation>" and
+// Reads are generation-versioned: every read is derived from one
+// k-gated release of the engine's state per mutation generation (reported
+// on /healthz), which memoizes synthesized bodies, stats, audit reports,
+// and encoded checkpoints, so repeated reads of unchanged state replay
+// prepared bytes instead of recloning groups. Groups below k records are
+// never released; until one reaches k, GET /v1/snapshot answers 409. GET /v1/checkpoint serves a strong ETag: "<generation>" and
 // answers If-None-Match with 304, so replica-style pollers re-download
 // only after a write; cache effectiveness is exported as
 // condense_read_cache_{hits,misses}_total{cache=...} on /metrics.

@@ -45,6 +45,14 @@ func newCondensation(dim, k int, opts Options, groups []*stats.Group) *Condensat
 	return &Condensation{dim: dim, k: k, opts: opts, groups: groups}
 }
 
+// derive wraps groups, a subset of c's groups shared rather than copied,
+// and their ids with c's configuration and observe-only attachments.
+func (c *Condensation) derive(groups []*stats.Group, ids []uint64) *Condensation {
+	d := newCondensation(c.dim, c.k, c.opts, groups)
+	d.groupIDs, d.par, d.met, d.tr = ids, c.par, c.met, c.tr
+	return d
+}
+
 // SetParallelism bounds the worker goroutines Synthesize and
 // SynthesizeGrouped fan the groups across; values < 1 (the default) mean
 // runtime.NumCPU(). Each group draws from its own pre-derived rng stream,

@@ -425,21 +425,6 @@ func (d *Dynamic) ShardCounts(i int) (records, groups, splits int) {
 	return records, groups, splits
 }
 
-// ShardGroupSizes appends shard i's live per-group record counts to buf
-// (resliced to zero length first) under that shard's read lock — no group
-// cloning, so size-only consumers (per-shard stats, k-invariant checks)
-// stay O(G) ints per shard.
-func (d *Dynamic) ShardGroupSizes(i int, buf []int) []int {
-	sh := d.shards[i]
-	sh.mu.RLock()
-	buf = buf[:0]
-	for _, g := range sh.groups {
-		buf = append(buf, g.N())
-	}
-	sh.mu.RUnlock()
-	return buf
-}
-
 // Generation returns the engine-wide mutation generation: the shared
 // counter every shard advances on each applied record. It advances on
 // every state-changing apply (Add, each applied record of AddBatch —

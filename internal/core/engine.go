@@ -46,21 +46,11 @@ type Engine interface {
 
 	// NumShards returns the number of independent shards.
 	NumShards() int
-	// Shard snapshots the groups of one shard as an immutable
-	// Condensation. Shard(0) on a single-shard engine equals
-	// Condensation(). It panics when i is out of range — shard indices
-	// come from NumShards, not from untrusted input.
-	Shard(i int) *Condensation
 	// ShardCounts returns one shard's live record/group/split counts
 	// without materializing its groups — cheap enough for periodic
-	// scraping. Like Shard, it panics when i is out of range.
+	// scraping. It panics when i is out of range — shard indices come
+	// from NumShards, not from untrusted input.
 	ShardCounts(i int) (records, groups, splits int)
-	// ShardGroupSizes appends one shard's live per-group record counts to
-	// buf (resliced to zero length first) and returns it — a moments-only
-	// size audit with no group cloning, for consumers that need the size
-	// distribution but not the statistics. Like Shard, it panics when i is
-	// out of range.
-	ShardGroupSizes(i int, buf []int) []int
 
 	// Generation returns the engine's mutation generation: a monotone
 	// counter advanced on every state-changing apply (Add, each applied
@@ -70,20 +60,21 @@ type Engine interface {
 	// The read is one atomic load and never blocks on engine locks.
 	Generation() uint64
 
-	// GroupInfos appends every live group's lifecycle summary (stable id,
-	// shard, size, birth generation, split parent, centroid drift) to buf
-	// (resliced to zero length first) and returns it, in stable
-	// shard-then-slot order. Pure read.
+	// GroupInfos appends the lifecycle summary (stable id, shard, size,
+	// birth generation, split parent, centroid drift) of every live group
+	// holding at least k records to buf (resliced to zero length first) and
+	// returns it, in stable shard-then-slot order. Pure read.
 	GroupInfos(buf []GroupInfo) []GroupInfo
 	// GroupByID returns the diagnostics detail of the live group with the
 	// given stable id, or ok=false when no such group exists (retired by a
-	// split, never allocated, or wrong shard bits). Pure read.
+	// split, never allocated, or wrong shard bits) or it holds fewer than k
+	// records. Pure read.
 	GroupByID(id uint64) (GroupDetail, bool)
 	// Explain dry-runs routing one record without ingesting it: the shard
-	// it would route to, the top candidate groups in exact (distance, id)
-	// order, and the absorb/split/found outcome. Strictly side-effect-free
-	// — engine state, rng stream, and checkpoint bytes are bit-identical
-	// whether Explain ran or not. Pure read.
+	// it would route to, the top candidate groups of at least k records in
+	// exact (distance, id) order, and the absorb/split/found outcome.
+	// Strictly side-effect-free — engine state, rng stream, and checkpoint
+	// bytes are bit-identical whether Explain ran or not. Pure read.
 	Explain(x mat.Vector, top int) (*Explanation, error)
 
 	// SetTelemetry attaches a metrics registry (nil disables recording).

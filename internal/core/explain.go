@@ -11,10 +11,14 @@ import (
 
 // This file is the engine's explainability surface: per-group lifecycle
 // diagnostics (GroupInfos, GroupByID) and the routing dry-run (Explain).
-// Everything here is strictly read-only — no method mutates groups,
-// centroids, routers, the rng stream, counters, or shared scratch — so the
-// whole surface is safe under a read lock concurrent with other readers,
-// and calling it any number of times leaves checkpoint bytes untouched.
+// Like a Release, it reports only groups holding at least k records: a
+// smaller group's centroid is the mean of fewer than k raw records (a
+// pure-stream shard's first group is one record verbatim), so it is never
+// summarized, looked up, or offered as a candidate. Everything here is
+// strictly read-only — no method mutates groups, centroids, routers, the
+// rng stream, counters, or shared scratch — so the whole surface is safe
+// under a read lock concurrent with other readers, and calling it any
+// number of times leaves checkpoint bytes untouched.
 
 // Explain outcomes: what ingesting the explained record would do.
 const (
@@ -53,14 +57,14 @@ type GroupInfo struct {
 	CentroidDrift float64 `json:"centroid_drift"`
 }
 
-// GroupDetail extends GroupInfo with the group's centroids and covariance
-// conditioning for the per-group diagnostics endpoint.
+// GroupDetail extends GroupInfo with the group's centroid and covariance
+// conditioning for the per-group diagnostics endpoint. The centroid at
+// birth is not reported: a founded group's birth centroid is its first
+// raw record. CentroidDrift summarizes it instead.
 type GroupDetail struct {
 	GroupInfo
 	// Centroid is the group's current centroid Y(G).
 	Centroid mat.Vector `json:"centroid"`
-	// BirthCentroid is the centroid at the group's birth.
-	BirthCentroid mat.Vector `json:"birth_centroid"`
 	// CondNumber is the covariance condition number λmax/λmin, the same
 	// convention the audit uses; 0 when Degenerate.
 	CondNumber float64 `json:"condition_number,omitempty"`
@@ -96,10 +100,12 @@ type Explanation struct {
 	Outcome string `json:"outcome"`
 	// Routed is the winning candidate — the exact lexicographic
 	// (distance, id) minimum every router backend agrees on. Nil when the
-	// outcome is ExplainFound.
+	// outcome is ExplainFound, or when the winner holds fewer than k
+	// records.
 	Routed *ExplainCandidate `json:"routed,omitempty"`
-	// Candidates are the top-M nearest groups in exact (distance, id)
-	// order; Candidates[0] equals *Routed.
+	// Candidates are the top-M nearest groups of at least k records in
+	// exact (distance, id) order; Candidates[0] equals *Routed when Routed
+	// is set.
 	Candidates []ExplainCandidate `json:"candidates,omitempty"`
 	// F32Active reports whether the float32 shadow index is routing
 	// (SetIndexPrecision(Float32)).
@@ -125,21 +131,28 @@ func (sh *shard) groupInfoAt(i int, g *stats.Group) GroupInfo {
 	}
 }
 
-// appendGroupInfos appends every group's summary to buf in slot order.
+// appendGroupInfos appends the summary of every group of at least k
+// records to buf in slot order.
 func (sh *shard) appendGroupInfos(buf []GroupInfo) []GroupInfo {
 	for i, g := range sh.groups {
-		buf = append(buf, sh.groupInfoAt(i, g))
+		if g.N() >= sh.k {
+			buf = append(buf, sh.groupInfoAt(i, g))
+		}
 	}
 	return buf
 }
 
 // groupByID returns the diagnostics detail of the shard's live group with
-// the given stable id. The lookup is a linear scan over the group slots —
-// diagnostics cadence, not serving cadence. Pure read; the eigensolve uses
-// fresh workspaces, never the shard's split scratch.
+// the given stable id, unless it holds fewer than k records. The lookup
+// is a linear scan over the group slots — diagnostics cadence, not serving
+// cadence. Pure read; the eigensolve uses fresh workspaces, never the
+// shard's split scratch.
 func (sh *shard) groupByID(id uint64) (GroupDetail, bool) {
 	for i := range sh.ids {
 		if sh.ids[i] == id {
+			if sh.groups[i].N() < sh.k {
+				break
+			}
 			return sh.groupDetailAt(i), true
 		}
 	}
@@ -150,9 +163,8 @@ func (sh *shard) groupByID(id uint64) (GroupDetail, bool) {
 func (sh *shard) groupDetailAt(i int) GroupDetail {
 	g := sh.groups[i]
 	det := GroupDetail{
-		GroupInfo:     sh.groupInfoAt(i, g),
-		Centroid:      sh.centroids[i].Clone(),
-		BirthCentroid: sh.births[i].centroid.Clone(),
+		GroupInfo: sh.groupInfoAt(i, g),
+		Centroid:  sh.centroids[i].Clone(),
 	}
 	eig, err := g.Eigen()
 	if err != nil {
@@ -172,10 +184,11 @@ func (sh *shard) groupDetailAt(i int) GroupDetail {
 }
 
 // explain dry-runs routing one validated record within the shard: it
-// reports the top candidate groups in the exact (squared distance, id)
-// order every router backend produces, and the outcome ingesting the
-// record would have — absorb, split (the nearest group sits at 2k−1), or
-// found (no groups yet). top ≤ 0 asks for the default candidate count.
+// reports the top candidate groups of at least k records in the exact
+// (squared distance, id) order every router backend produces, and the
+// outcome ingesting the record would have — absorb, split (the nearest
+// group sits at 2k−1), or found (no groups yet). top ≤ 0 asks for the
+// default candidate count.
 //
 // The dry-run is strictly side-effect-free: it scans the shard's centroid
 // cache directly instead of going through the router (whose sampled stage
@@ -221,20 +234,23 @@ func (sh *shard) explain(x mat.Vector, top int) *Explanation {
 		}
 		return order[a].slot < order[b].slot
 	})
-	if top > len(order) {
-		top = len(order)
-	}
-	ex.Candidates = make([]ExplainCandidate, top)
-	for i := 0; i < top; i++ {
-		s := order[i]
-		ex.Candidates[i] = ExplainCandidate{
-			ID:         sh.ids[s.slot],
-			DistanceSq: s.d2,
-			Size:       sh.groups[s.slot].N(),
+	ex.Candidates = make([]ExplainCandidate, 0, min(top, len(order)))
+	for _, s := range order {
+		if len(ex.Candidates) == top {
+			break
+		}
+		if n := sh.groups[s.slot].N(); n >= sh.k {
+			ex.Candidates = append(ex.Candidates, ExplainCandidate{
+				ID:         sh.ids[s.slot],
+				DistanceSq: s.d2,
+				Size:       n,
+			})
 		}
 	}
-	routed := ex.Candidates[0]
-	ex.Routed = &routed
+	if len(ex.Candidates) > 0 && ex.Candidates[0].ID == sh.ids[order[0].slot] {
+		routed := ex.Candidates[0]
+		ex.Routed = &routed
+	}
 	if sh.groups[order[0].slot].N()+1 == 2*sh.k {
 		ex.Outcome = ExplainSplit
 	} else {
@@ -243,9 +259,9 @@ func (sh *shard) explain(x mat.Vector, top int) *Explanation {
 	return ex
 }
 
-// GroupInfos appends every live group's lifecycle summary to buf
-// (resliced to zero length first) in stable shard-then-slot order, each
-// shard read under its own read lock.
+// GroupInfos appends the lifecycle summary of every live group holding at
+// least k records to buf (resliced to zero length first) in stable
+// shard-then-slot order, each shard read under its own read lock.
 func (d *Dynamic) GroupInfos(buf []GroupInfo) []GroupInfo {
 	buf = buf[:0]
 	for _, sh := range d.shards {
@@ -257,8 +273,9 @@ func (d *Dynamic) GroupInfos(buf []GroupInfo) []GroupInfo {
 }
 
 // GroupByID returns the diagnostics detail of the live group with the
-// given stable id. The owning shard is recovered from the id's base bits,
-// so only that shard's read lock is taken.
+// given stable id, if it holds at least k records. The owning shard is
+// recovered from the id's base bits, so only that shard's read lock is
+// taken.
 func (d *Dynamic) GroupByID(id uint64) (GroupDetail, bool) {
 	i := int(id >> groupIDShardShift)
 	if i < 0 || i >= len(d.shards) {

@@ -127,8 +127,8 @@ func TestShardedGroupIDNoCollision(t *testing.T) {
 		if det.ID != gi.ID || det.Size != gi.Size {
 			t.Fatalf("GroupByID(%d) = %+v, want summary %+v", gi.ID, det.GroupInfo, gi)
 		}
-		if len(det.Centroid) != dim || len(det.BirthCentroid) != dim {
-			t.Fatalf("GroupByID(%d) centroids have wrong dimension", gi.ID)
+		if len(det.Centroid) != dim {
+			t.Fatalf("GroupByID(%d) centroid has wrong dimension", gi.ID)
 		}
 		if !det.Degenerate && det.CondNumber < 1 {
 			t.Fatalf("group %d condition number %v < 1", gi.ID, det.CondNumber)
@@ -435,5 +435,49 @@ func TestGroupLineageDrift(t *testing.T) {
 	}
 	if children == 0 {
 		t.Fatal("600 records produced no split children")
+	}
+}
+
+// TestDiagnosticsWithholdBelowK: a pure-stream engine's first group is one
+// raw record, so until it holds k records no diagnostic may summarize it,
+// look it up, or offer it as a routing candidate.
+func TestDiagnosticsWithholdBelowK(t *testing.T) {
+	const k, dim = 10, 2
+	d := buildDynamic(t, k, dim)
+	if err := d.Add(mat.Vector{0.3141592653589793, 0.2718281828459045}); err != nil {
+		t.Fatal(err)
+	}
+	if infos := d.GroupInfos(nil); len(infos) != 0 {
+		t.Fatalf("GroupInfos summarized %d groups below k", len(infos))
+	}
+	id := d.Condensation().GroupIDs()[0]
+	if _, ok := d.GroupByID(id); ok {
+		t.Fatalf("GroupByID(%d) served a group below k", id)
+	}
+	ex, err := d.Explain(mat.Vector{0.5, 0.5}, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ex.Routed != nil || len(ex.Candidates) != 0 || ex.Outcome != ExplainAbsorb {
+		t.Fatalf("explain over a group below k: %+v", ex)
+	}
+
+	for _, x := range gaussianRecords(3, k-1, dim) {
+		if err := d.Add(x); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if infos := d.GroupInfos(nil); len(infos) != 1 || infos[0].ID != id || infos[0].Size != k {
+		t.Fatalf("GroupInfos at k records = %+v, want group %d of size %d", infos, id, k)
+	}
+	if det, ok := d.GroupByID(id); !ok || det.Size != k {
+		t.Fatalf("GroupByID(%d) at k records = %+v, %v", id, det, ok)
+	}
+	ex, err = d.Explain(mat.Vector{0.5, 0.5}, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ex.Routed == nil || ex.Routed.ID != id || len(ex.Candidates) != 1 {
+		t.Fatalf("explain at k records: %+v", ex)
 	}
 }

@@ -65,7 +65,6 @@ func TestGenerationMonotoneAndReadStable(t *testing.T) {
 	_ = d.Condensation()
 	_ = d.Condensation()
 	_ = d.Shard(0)
-	_ = d.ShardGroupSizes(0, nil)
 	_, _, _ = d.ShardCounts(0)
 	_ = d.NumGroups()
 	_ = d.TotalCount()
@@ -100,7 +99,6 @@ func TestGenerationSharedAcrossShards(t *testing.T) {
 	_ = s.Condensation()
 	for i := 0; i < s.NumShards(); i++ {
 		_ = s.Shard(i)
-		_ = s.ShardGroupSizes(i, nil)
 		_, _, _ = s.ShardCounts(i)
 	}
 	if got := s.Generation(); got != g {
@@ -177,43 +175,6 @@ func TestSnapshotCacheReuseAndInvalidation(t *testing.T) {
 	}
 	if c3.TotalCount() != c1.TotalCount()+1 {
 		t.Errorf("post-write snapshot has %d records, want %d", c3.TotalCount(), c1.TotalCount()+1)
-	}
-}
-
-func TestShardGroupSizes(t *testing.T) {
-	c, err := NewCondenser(4, WithSeed(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, err := c.Sharded(2, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	records := clusteredRecords(47, 50, 50)
-	if err := s.AddBatch(records); err != nil {
-		t.Fatal(err)
-	}
-	var total, groups int
-	buf := make([]int, 0, 16)
-	for i := 0; i < s.NumShards(); i++ {
-		buf = s.ShardGroupSizes(i, buf)
-		r, g, _ := s.ShardCounts(i)
-		if len(buf) != g {
-			t.Errorf("shard %d: %d sizes, want %d groups", i, len(buf), g)
-		}
-		var sum int
-		for _, n := range buf {
-			sum += n
-		}
-		if sum != r {
-			t.Errorf("shard %d: sizes sum to %d, want %d records", i, sum, r)
-		}
-		total += sum
-		groups += len(buf)
-	}
-	if total != s.TotalCount() || groups != s.NumGroups() {
-		t.Errorf("sizes cover %d records/%d groups, engine has %d/%d",
-			total, groups, s.TotalCount(), s.NumGroups())
 	}
 }
 

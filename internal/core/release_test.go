@@ -1,0 +1,129 @@
+package core
+
+import (
+	"fmt"
+	"testing"
+
+	"condensation/internal/mat"
+)
+
+// TestReleaseShardSizes: in steady state nothing is withheld, so a
+// Release holds the cut itself, and its per-shard size ranges cover
+// exactly each shard's live groups and records.
+func TestReleaseShardSizes(t *testing.T) {
+	c, err := NewCondenser(4, WithSeed(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := c.Sharded(2, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.AddBatch(clusteredRecords(47, 50, 50)); err != nil {
+		t.Fatal(err)
+	}
+	cut := s.Condensation()
+	rel := NewRelease(s.Generation(), cut, s.NumShards())
+	if rel.Condensation() != cut {
+		t.Fatal("a release withholding nothing copied the cut")
+	}
+	if g, n := rel.Withheld(); g != 0 || n != 0 {
+		t.Fatalf("steady state withheld %d groups / %d records", g, n)
+	}
+	var total, groups int
+	for i := 0; i < s.NumShards(); i++ {
+		sizes := rel.ShardSizes(i)
+		r, g, _ := s.ShardCounts(i)
+		if len(sizes) != g {
+			t.Errorf("shard %d: %d sizes, want %d groups", i, len(sizes), g)
+		}
+		var sum int
+		for _, n := range sizes {
+			sum += n
+		}
+		if sum != r {
+			t.Errorf("shard %d: sizes sum to %d, want %d records", i, sum, r)
+		}
+		sh := rel.Shard(i)
+		if sh.NumGroups() != len(sizes) || sh.TotalCount() != sum {
+			t.Errorf("shard %d: Shard holds %d groups / %d records, sizes say %d / %d",
+				i, sh.NumGroups(), sh.TotalCount(), len(sizes), sum)
+		}
+		for _, id := range sh.GroupIDs() {
+			if int(id>>groupIDShardShift) != i {
+				t.Errorf("shard %d range holds group %d of shard %d", i, id, id>>groupIDShardShift)
+			}
+		}
+		total += sum
+		groups += len(sizes)
+	}
+	if total != s.TotalCount() || groups != s.NumGroups() || groups != len(rel.Sizes()) {
+		t.Errorf("sizes cover %d records/%d groups, engine has %d/%d, release %d groups",
+			total, groups, s.TotalCount(), s.NumGroups(), len(rel.Sizes()))
+	}
+}
+
+// TestReleaseWithholdsBelowK: a pure-stream engine's first group is one
+// raw record. The Release withholds it until it holds k records, and then
+// releases it.
+func TestReleaseWithholdsBelowK(t *testing.T) {
+	const k, dim = 10, 2
+	for _, shards := range []int{1, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			c, err := NewCondenser(k, WithSeed(11))
+			if err != nil {
+				t.Fatal(err)
+			}
+			d, err := c.Sharded(dim, shards)
+			if err != nil {
+				t.Fatal(err)
+			}
+			x := mat.Vector{0.3141592653589793, 0.2718281828459045}
+			if err := d.Add(x); err != nil {
+				t.Fatal(err)
+			}
+			rel := NewRelease(d.Generation(), d.Condensation(), shards)
+			if n := rel.Condensation().NumGroups(); n != 0 {
+				t.Fatalf("one record released %d groups", n)
+			}
+			if g, n := rel.Withheld(); g != 1 || n != 1 || len(rel.Sizes()) != 0 {
+				t.Fatalf("withheld %d groups / %d records, released %d groups; want 1/1/0", g, n, len(rel.Sizes()))
+			}
+			for i := 0; i < shards; i++ {
+				if len(rel.ShardSizes(i)) != 0 || rel.Shard(i).NumGroups() != 0 {
+					t.Fatalf("shard %d released a group", i)
+				}
+			}
+
+			// Records land on the first record's shard by hashing whole
+			// records, so feed a stream until some group reaches k.
+			stream := gaussianRecords(5, 40*shards*k, dim)
+			for _, y := range stream {
+				if err := d.Add(y); err != nil {
+					t.Fatal(err)
+				}
+				rel = NewRelease(d.Generation(), d.Condensation(), shards)
+				if rel.Condensation().NumGroups() > 0 {
+					break
+				}
+			}
+			if rel.Condensation().NumGroups() == 0 {
+				t.Fatal("no group ever reached k")
+			}
+			for i, n := range rel.Sizes() {
+				if n < k {
+					t.Fatalf("released group %d holds %d < k records", i, n)
+				}
+			}
+			wg, wn := rel.Withheld()
+			released := rel.Condensation().TotalCount()
+			if released+wn != d.TotalCount() || len(rel.Sizes())+wg != d.NumGroups() {
+				t.Fatalf("released %d+withheld %d records of %d; %d+%d groups of %d",
+					released, wn, d.TotalCount(), len(rel.Sizes()), wg, d.NumGroups())
+			}
+			if got := len(rel.Condensation().GroupIDs()); got != len(rel.Sizes()) {
+				t.Fatalf("released condensation carries %d ids for %d groups", got, len(rel.Sizes()))
+			}
+		})
+	}
+}

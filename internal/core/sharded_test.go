@@ -543,7 +543,7 @@ func TestDynamicConcurrentSingleShard(t *testing.T) {
 				t.Error(err)
 			}
 		},
-		func() { _ = d.ShardGroupSizes(0, nil) },
+		func() { _ = NewRelease(d.Generation(), d.Condensation(), d.NumShards()).Sizes() },
 		func() {
 			g1 := d.Generation()
 			if g2 := d.Generation(); g2 < g1 {
@@ -572,8 +572,8 @@ func TestDynamicConcurrentSingleShard(t *testing.T) {
 	if got := d.TotalCount(); got != want {
 		t.Fatalf("TotalCount = %d, want %d", got, want)
 	}
-	for i, n := range d.ShardGroupSizes(0, nil) {
-		if n < k || n > 2*k-1 {
+	for i, g := range d.Shard(0).Groups() {
+		if n := g.N(); n < k || n > 2*k-1 {
 			t.Fatalf("group %d holds %d records, outside [%d,%d]", i, n, k, 2*k-1)
 		}
 	}

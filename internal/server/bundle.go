@@ -70,11 +70,7 @@ func (s *Server) WriteBundle(w io.Writer) error {
 			return s.reg.WritePrometheus(w)
 		}},
 		{"audit.json", asJSON(func() (interface{}, error) {
-			e, err := s.auditPass()
-			if err != nil {
-				return nil, err
-			}
-			return e.merged, nil
+			return s.audit(s.release())
 		})},
 		{"buildinfo.txt", func(w io.Writer) error {
 			info, ok := debug.ReadBuildInfo()

@@ -119,7 +119,7 @@ func (s *Server) handleGroupByID(w http.ResponseWriter, r *http.Request) {
 	det, ok := s.eng.GroupByID(id)
 	if !ok {
 		writeError(w, http.StatusNotFound,
-			fmt.Errorf("no live group with id %d (retired by a split, or never allocated)", id))
+			fmt.Errorf("no live group with id %d of at least k records (below k, retired by a split, or never allocated)", id))
 		return
 	}
 	writeJSON(w, http.StatusOK, det)

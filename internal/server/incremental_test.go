@@ -44,11 +44,16 @@ func postBatch(t testing.TB, s *Server, recs [][]float64) {
 	}
 }
 
-// fromScratch is the snapshot body of the engine's current state built
-// with no reuse: synthesize every group, encode every group.
+// snapshotOf serves seed's snapshot body from the current release.
+func snapshotOf(s *Server, seed uint64) (*respBody, error) {
+	return s.release().snapshot(seed, s.cmSnapshot)
+}
+
+// fromScratch is the snapshot body of the current release built with no
+// reuse: synthesize every released group, encode every released group.
 func fromScratch(t *testing.T, s *Server, seed uint64) []byte {
 	t.Helper()
-	cond := s.eng.Condensation()
+	cond := s.release().Condensation()
 	grouped, err := cond.SynthesizeGrouped(rng.New(seed))
 	if err != nil {
 		t.Fatal(err)
@@ -89,30 +94,32 @@ func TestIncrementalSnapshotDifferential(t *testing.T) {
 					t.Fatal(err)
 				}
 				seed := seeds[step%2]
-				got, err := s.snapshotBody(seed)
+				got, err := snapshotOf(s, seed)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if !bytes.Equal(got.data, fromScratch(t, s, seed)) {
 					t.Fatalf("step %d seed %d: served body differs from a from-scratch build", step, seed)
 				}
-				e, ok := s.cache.snapshotAt(s.eng.Generation(), seed)
-				if !ok || e.body != got {
-					t.Fatalf("step %d: the served body is not the seed's cached entry", step)
+				rel := s.release()
+				e := snapshotEntryOf(rel, seed)
+				if e == nil || e.rel != rel.Release || e.body != got {
+					t.Fatalf("step %d: the served body is not the seed's entry in the current release", step)
 				}
-				_, g0, _ := s.eng.ShardCounts(0)
+				g0 := len(e.rel.ShardSizes(0))
+				cond := e.rel.Condensation()
 				if p := prev[seed]; p != nil {
-					for gi := 0; gi < e.cond.NumGroups(); gi++ {
-						if e.cond.SharesGroup(p.cond, gi) {
+					for gi := 0; gi < cond.NumGroups(); gi++ {
+						if cond.SharesGroup(p.rel.Condensation(), gi) {
 							reused++
 						}
 					}
-					if g0 > prevG0[seed] && e.cond.NumGroups() > g0 {
+					if g0 > prevG0[seed] && cond.NumGroups() > g0 {
 						// Shard 0 split: every later shard's group sits
 						// at a new index, so none of them is reused.
 						shifted++
-						for gi := g0; gi < e.cond.NumGroups(); gi++ {
-							if e.cond.SharesGroup(p.cond, gi) {
+						for gi := g0; gi < cond.NumGroups(); gi++ {
+							if cond.SharesGroup(p.rel.Condensation(), gi) {
 								t.Fatalf("step %d: group %d reused across a shift", step, gi)
 							}
 						}
@@ -161,7 +168,7 @@ func TestIncrementalSnapshotConcurrent(t *testing.T) {
 					go func(seed uint64) {
 						defer wg.Done()
 						for i := 0; i < 15; i++ {
-							b, err := s.snapshotBody(seed)
+							b, err := snapshotOf(s, seed)
 							if err != nil {
 								t.Error(err)
 								return
@@ -176,7 +183,7 @@ func TestIncrementalSnapshotConcurrent(t *testing.T) {
 				}
 				wg.Wait()
 				for _, seed := range []uint64{1, 2} {
-					got, err := s.snapshotBody(seed)
+					got, err := snapshotOf(s, seed)
 					if err != nil {
 						t.Fatal(err)
 					}

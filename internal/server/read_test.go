@@ -39,7 +39,7 @@ func getWith(t *testing.T, url string, header map[string]string) (*http.Response
 
 func testCheckpointETagFlow(t *testing.T, shards int) {
 	reg := telemetry.NewRegistry()
-	s, err := New(Config{Dim: 2, K: 4, Seed: 1, Shards: shards, Telemetry: reg})
+	s, err := New(Config{Dim: 2, Condenser: newCondenser(t, 4, 1), Shards: shards, Telemetry: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +140,7 @@ func (w *truncWriter) Write(p []byte) (int, error) {
 // with fewer bytes than declared — detectable — rather than a cleanly
 // terminated short stream.
 func TestCheckpointTruncationDetectable(t *testing.T) {
-	s, err := New(Config{Dim: 2, K: 4, Seed: 1})
+	s, err := New(Config{Dim: 2, Condenser: newCondenser(t, 4, 1)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +167,7 @@ func TestCheckpointTruncationDetectable(t *testing.T) {
 
 func TestSnapshotMemoized(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	s, err := New(Config{Dim: 2, K: 4, Seed: 1, Telemetry: reg})
+	s, err := New(Config{Dim: 2, Condenser: newCondenser(t, 4, 1), Telemetry: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +214,7 @@ func TestSnapshotMemoized(t *testing.T) {
 
 func TestStatsMemoizedAndHealthGeneration(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	s, err := New(Config{Dim: 2, K: 4, Seed: 1, Shards: 2, Telemetry: reg})
+	s, err := New(Config{Dim: 2, Condenser: newCondenser(t, 4, 1), Shards: 2, Telemetry: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,7 +276,7 @@ func TestStatsMemoizedAndHealthGeneration(t *testing.T) {
 
 func TestAuditMemoized(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	s, err := New(Config{Dim: 2, K: 4, Seed: 1, Shards: 2, Telemetry: reg})
+	s, err := New(Config{Dim: 2, Condenser: newCondenser(t, 4, 1), Shards: 2, Telemetry: reg})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -166,7 +166,7 @@ type onlyReader struct{ io.Reader }
 // client declares its length or streams it chunked.
 func TestRecordsBodyLimit(t *testing.T) {
 	const dim, maxBatch = 2, 3
-	s, err := New(Config{Dim: dim, K: 2, Seed: 1, MaxBatch: maxBatch})
+	s, err := New(Config{Dim: dim, Condenser: newCondenser(t, 2, 1), MaxBatch: maxBatch})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -30,6 +30,10 @@
 // X-Request-ID is accepted (or one is minted), echoed on the response,
 // attached to trace spans, and stamped into error envelopes. Error
 // responses use one JSON envelope: {"error": "...", "request_id": "..."}.
+//
+// Snapshot, stats, audit and checkpoint are derived from one k-gated
+// core.Release per engine generation (release.go): no group of fewer than
+// k records is ever served.
 package server
 
 import (
@@ -57,36 +61,23 @@ import (
 type Config struct {
 	// Engine is the condenser engine to serve. When set it is used as-is
 	// (the server attaches its telemetry registry and tracer) and Dim,
-	// Condenser, Shards, Initial, and the deprecated fields are ignored.
-	// When nil, the server constructs an engine from the fields below.
+	// Condenser, Shards, and Initial are ignored. When nil, the server
+	// constructs an engine from the fields below.
 	Engine core.Engine
 	// Dim is the record dimensionality.
 	Dim int
 	// Condenser supplies the condensation configuration (k, options,
-	// seed). Required unless the deprecated K/Options/Seed fields are set.
+	// seed). Required unless Engine is set.
 	Condenser *core.Condenser
 	// Shards is the number of independent engine shards the server builds
 	// when Engine is nil; 0 means 1. Each shard has its own lock, so
 	// concurrent batches only contend when they route to the same shard.
 	Shards int
-	// K is the indistinguishability level.
-	//
-	// Deprecated: set Condenser instead; K is consulted only when
-	// Condenser is nil.
-	K int
-	// Options tunes condensation behaviour.
-	//
-	// Deprecated: set Condenser instead.
-	Options core.Options
-	// Seed seeds the server's split-axis randomness.
-	//
-	// Deprecated: set Condenser instead.
-	Seed uint64
 	// MaxBatch bounds the records accepted per POST (default 10000).
 	MaxBatch int
 	// Initial optionally seeds the server with an existing condensation
-	// (e.g. loaded from a checkpoint); its dim/k/options take precedence
-	// over Dim and over a nil Condenser's defaults.
+	// (e.g. loaded from a checkpoint); its dim takes precedence over Dim,
+	// and its k must match the Condenser's.
 	Initial *core.Condensation
 	// Telemetry receives the server's HTTP metrics and, through the
 	// dynamic condenser, the engine's stage timers and group counters. Nil
@@ -120,9 +111,9 @@ type Config struct {
 	// disables the endpoint and leaves /healthz always "ok".
 	Watchdog *telemetry.Watchdog
 	// Journal optionally attaches a group-lifecycle journal: the engine
-	// records foundings/splits/rebuilds into it, the read cache records
-	// invalidations, the watchdog records rule transitions, and the server
-	// serves the ring from /v1/events. Nil disables the endpoint (404) and
+	// records foundings/splits/rebuilds into it, the server records
+	// read-cache invalidations, the watchdog records rule transitions, and
+	// the server serves the ring from /v1/events. Nil disables the endpoint (404) and
 	// all recording, like a nil Tracer does /debug/trace.
 	Journal *telemetry.Journal
 }
@@ -170,12 +161,11 @@ type Server struct {
 	reservoir *audit.Reservoir
 	auditSeed uint64
 
-	// cache memoizes derived read artifacts per engine generation —
-	// encoded checkpoint/stats/snapshot bodies and audit reports — so
-	// repeated reads of unchanged state serve stored bytes instead of
-	// re-cloning and re-encoding O(state). The cm* pairs count hit/miss
-	// outcomes per artifact kind.
-	cache        readCache
+	// cur is the current release: the k-gated cut every read artifact is
+	// derived from (see release.go). shards is the engine's fixed shard
+	// count. The cm* pairs count hit/miss outcomes per artifact kind.
+	cur          atomic.Pointer[release]
+	shards       int
 	cmSnapshot   cacheMetrics
 	cmStats      cacheMetrics
 	cmAudit      cacheMetrics
@@ -186,34 +176,48 @@ type Server struct {
 	buildRevision, buildTime string
 }
 
-// New builds a server.
+// routes is the server's route table: every endpoint New registers.
+// The exact /v1/groups path lists all groups; the /v1/groups/ subtree
+// serves one group by id. Each row is one pattern, so metric cardinality
+// stays bounded by the table, never by how many group ids clients probe.
+var routes = []struct {
+	path    string
+	handler func(*Server, http.ResponseWriter, *http.Request)
+}{
+	{"/v1/records", (*Server).handleRecords},
+	{"/v1/snapshot", (*Server).handleSnapshot},
+	{"/v1/stats", (*Server).handleStats},
+	{"/v1/audit", (*Server).handleAudit},
+	{"/v1/checkpoint", (*Server).handleCheckpoint},
+	{"/v1/history", (*Server).handleHistory},
+	{"/v1/health/rules", (*Server).handleHealthRules},
+	{"/v1/events", (*Server).handleEvents},
+	{"/v1/groups", (*Server).handleGroups},
+	{"/v1/groups/", (*Server).handleGroupByID},
+	{"/v1/explain", (*Server).handleExplain},
+	{"/healthz", (*Server).handleHealth},
+	{"/metrics", (*Server).handleMetrics},
+	{"/debug/vars", (*Server).handleVars},
+	{"/debug/trace", (*Server).handleTrace},
+	{"/debug/bundle", (*Server).handleBundle},
+}
+
+// New builds a server over cfg.Engine, or over an engine it builds from
+// cfg.Condenser.
 func New(cfg Config) (*Server, error) {
 	if cfg.MaxBatch <= 0 {
 		cfg.MaxBatch = 10000
 	}
 	eng := cfg.Engine
 	if eng == nil {
-		condenser := cfg.Condenser
-		if condenser == nil {
-			// Legacy configuration path: assemble a facade from the deprecated
-			// positional fields, honouring the checkpoint's k/options when
-			// resuming.
-			k, opts := cfg.K, cfg.Options
-			if cfg.Initial != nil {
-				k, opts = cfg.Initial.K(), cfg.Initial.Options()
-			}
-			var err error
-			condenser, err = core.NewCondenser(k,
-				core.WithSeed(cfg.Seed), core.WithOptions(opts))
-			if err != nil {
-				return nil, err
-			}
+		if cfg.Condenser == nil {
+			return nil, errors.New("server: Config needs an Engine or a Condenser")
 		}
 		var err error
 		if cfg.Initial != nil {
-			eng, err = condenser.ShardedFrom(cfg.Initial, max(cfg.Shards, 1))
+			eng, err = cfg.Condenser.ShardedFrom(cfg.Initial, max(cfg.Shards, 1))
 		} else {
-			eng, err = condenser.Sharded(cfg.Dim, max(cfg.Shards, 1))
+			eng, err = cfg.Condenser.Sharded(cfg.Dim, max(cfg.Shards, 1))
 		}
 		if err != nil {
 			return nil, err
@@ -253,9 +257,9 @@ func New(cfg Config) (*Server, error) {
 		jr:        cfg.Journal,
 		reservoir: audit.NewReservoir(sampleCap, auditSeed),
 		auditSeed: auditSeed,
+		shards:    eng.NumShards(),
 	}
 	s.reqPrefix = "r" + strconv.FormatInt(time.Now().UnixNano(), 36) + "-"
-	s.cache.jr = cfg.Journal
 	// The watchdog stamps its rule-transition journal events with the
 	// engine generation they were observed at.
 	s.wd.SetJournal(cfg.Journal, eng.Generation)
@@ -268,25 +272,9 @@ func New(cfg Config) (*Server, error) {
 		s.log = telemetry.Nop()
 	}
 	s.initObservability()
-	s.route("/v1/records", s.handleRecords)
-	s.route("/v1/snapshot", s.handleSnapshot)
-	s.route("/v1/stats", s.handleStats)
-	s.route("/v1/audit", s.handleAudit)
-	s.route("/v1/checkpoint", s.handleCheckpoint)
-	s.route("/v1/history", s.handleHistory)
-	s.route("/v1/health/rules", s.handleHealthRules)
-	s.route("/v1/events", s.handleEvents)
-	// The exact path lists all groups; the subtree serves one group by id.
-	// Both register one route-table pattern each, so metric cardinality
-	// stays bounded by the table, never by how many group ids clients probe.
-	s.route("/v1/groups", s.handleGroups)
-	s.route("/v1/groups/", s.handleGroupByID)
-	s.route("/v1/explain", s.handleExplain)
-	s.route("/healthz", s.handleHealth)
-	s.route("/metrics", s.handleMetrics)
-	s.route("/debug/vars", s.handleVars)
-	s.route("/debug/trace", s.handleTrace)
-	s.route("/debug/bundle", s.handleBundle)
+	for _, rt := range routes {
+		s.route(rt.path, rt.handler)
+	}
 	return s, nil
 }
 
@@ -296,20 +284,11 @@ func New(cfg Config) (*Server, error) {
 // server.
 func (s *Server) Engine() core.Engine { return s.eng }
 
-// The read handlers below share one discipline for generation-keyed
-// memoization: read the generation, probe the cache, and on a miss build
-// the artifact and re-read the generation before installing. Writers run
-// concurrently with readers, so a changed generation means the artifact
-// may straddle a mutation — it is then served fresh but neither cached
-// nor stamped with an ETag, after one retry. Stores of a stale generation
-// are refused by the cache itself, so a slow build can never clobber a
-// newer entry.
-
 // route registers a handler behind the telemetry middleware: per-endpoint
 // request counter by status class, latency histogram, and the shared
 // in-flight gauge. The path label is the registered pattern, so metric
 // cardinality is bounded by the route table, never by client input.
-func (s *Server) route(path string, h http.HandlerFunc) {
+func (s *Server) route(path string, h func(*Server, http.ResponseWriter, *http.Request)) {
 	requests2xx := s.reg.Counter("http_requests_total", "path", path, "code", "2xx")
 	requests4xx := s.reg.Counter("http_requests_total", "path", path, "code", "4xx")
 	requests5xx := s.reg.Counter("http_requests_total", "path", path, "code", "5xx")
@@ -359,7 +338,7 @@ func (s *Server) route(path string, h http.HandlerFunc) {
 				requests2xx.Inc()
 			}
 		}()
-		h(sw, r)
+		h(s, sw, r)
 	})
 }
 
@@ -541,7 +520,7 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 		}
 		seed = v
 	}
-	body, err := s.snapshotBody(seed)
+	body, err := s.release().snapshot(seed, s.cmSnapshot)
 	if err != nil {
 		if errors.Is(err, errNoRecords) {
 			writeError(w, http.StatusConflict, err)
@@ -553,56 +532,27 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	writePrepared(w, headerJSON, body)
 }
 
-// errNoRecords is the empty-engine snapshot refusal, mapped to 409.
-var errNoRecords = errors.New("no records condensed yet")
+// errNoRecords is the snapshot refusal of a release that holds no group,
+// mapped to 409: nothing has reached k records yet.
+var errNoRecords = errors.New("no group of k records to release yet")
 
-// snapshotBody returns the encoded /v1/snapshot body for one synthesis
-// seed, memoized per (generation, seed): synthesis is a pure function of
-// the retained moments and the seed, so a generation-stable body can be
-// replayed byte for byte until the next write. A miss rebuilds the body
-// from the seed's previous build (buildSnapshot), synthesizing and
-// encoding only the groups that changed since, into one exactly sized
-// body.
-func (s *Server) snapshotBody(seed uint64) (*respBody, error) {
-	for attempt := 0; ; attempt++ {
-		gen := s.eng.Generation()
-		base, ok := s.cache.snapshotAt(gen, seed)
-		if ok {
-			s.cmSnapshot.hits.Inc()
-			return base.body, nil
-		}
-		cond := s.eng.Condensation()
-		stable := s.eng.Generation() == gen
-		s.cmSnapshot.misses.Inc()
-		if cond.TotalCount() == 0 {
-			return nil, errNoRecords
-		}
-		e, err := buildSnapshot(cond, seed, base)
-		if err != nil {
-			return nil, err
-		}
-		e.gen, e.served = gen, stable
-		s.cache.storeSnapshot(seed, e)
-		if stable || attempt >= 1 {
-			return e.body, nil
-		}
-	}
-}
-
-// statsResponse summarizes the live condensation. ByShard is present only
-// when the request asked for the per-shard breakdown.
+// statsResponse summarizes the current release: the groups and records it
+// holds, and the records it withholds in groups below k. Splits is the
+// engine's live split count. ByShard is present only when the request
+// asked for the per-shard breakdown.
 type statsResponse struct {
-	Dim          int          `json:"dim"`
-	K            int          `json:"k"`
-	Shards       int          `json:"shards"`
-	Groups       int          `json:"groups"`
-	Records      int          `json:"records"`
-	Splits       int          `json:"splits"`
-	MinGroupSize int          `json:"min_group_size"`
-	MaxGroupSize int          `json:"max_group_size"`
-	AvgGroupSize float64      `json:"avg_group_size"`
-	KSatisfied   bool         `json:"k_satisfied"`
-	ByShard      []shardStats `json:"by_shard,omitempty"`
+	Dim             int          `json:"dim"`
+	K               int          `json:"k"`
+	Shards          int          `json:"shards"`
+	Groups          int          `json:"groups"`
+	Records         int          `json:"records"`
+	WithheldRecords int          `json:"withheld_records"`
+	Splits          int          `json:"splits"`
+	MinGroupSize    int          `json:"min_group_size"`
+	MaxGroupSize    int          `json:"max_group_size"`
+	AvgGroupSize    float64      `json:"avg_group_size"`
+	KSatisfied      bool         `json:"k_satisfied"`
+	ByShard         []shardStats `json:"by_shard,omitempty"`
 }
 
 // shardStats is one shard's block of the per-shard breakdown.
@@ -628,8 +578,8 @@ func (s *Server) shardParam(q url.Values) (int, bool, error) {
 	if err != nil {
 		return 0, false, fmt.Errorf("bad shard %q", v)
 	}
-	if i < 0 || i >= s.eng.NumShards() {
-		return 0, false, fmt.Errorf("shard %d out of range [0,%d)", i, s.eng.NumShards())
+	if i < 0 || i >= s.shards {
+		return 0, false, fmt.Errorf("shard %d out of range [0,%d)", i, s.shards)
 	}
 	return i, true, nil
 }
@@ -644,11 +594,10 @@ func byShardParam(q url.Values) bool {
 	return v == "" || v == "1" || v == "true"
 }
 
-// shardStatsFromSizes summarizes one shard from its live per-group
-// record counts alone — the moments-only size audit behind /v1/stats.
-// The k ≤ n(G) ≤ 2k−1 size invariant is fully checkable from the counts,
-// so no group statistics are cloned. An empty shard reports KSatisfied:
-// it holds no records whose indistinguishability could be violated.
+// shardStatsFromSizes summarizes one shard of a release from its group
+// sizes alone: no group statistics are read. An empty shard reports
+// KSatisfied: it releases no records whose indistinguishability could be
+// violated.
 func shardStatsFromSizes(i, k int, sizes []int) shardStats {
 	st := shardStats{Shard: i, Groups: len(sizes), KSatisfied: true}
 	if len(sizes) == 0 {
@@ -657,78 +606,46 @@ func shardStatsFromSizes(i, k int, sizes []int) shardStats {
 	st.MinGroupSize = sizes[0]
 	for _, n := range sizes {
 		st.Records += n
-		if n < st.MinGroupSize {
-			st.MinGroupSize = n
-		}
-		if n > st.MaxGroupSize {
-			st.MaxGroupSize = n
-		}
+		st.MinGroupSize = min(st.MinGroupSize, n)
+		st.MaxGroupSize = max(st.MaxGroupSize, n)
 	}
 	st.AvgGroupSize = float64(st.Records) / float64(len(sizes))
 	st.KSatisfied = st.MinGroupSize >= k
 	return st
 }
 
-// statsLive assembles the stats response from live size data alone: one
-// ShardGroupSizes sweep per shard into a reused buffer, no group cloning
-// or snapshotting.
-func (s *Server) statsLive(byShard bool) statsResponse {
-	resp := statsResponse{
-		Dim:    s.dim,
-		K:      s.k,
-		Shards: s.eng.NumShards(),
-		Splits: s.eng.Splits(),
+// stats returns the release's encoded /v1/stats body: merged, optionally
+// with the per-shard breakdown.
+func (s *Server) stats(r *release, byShard bool) (*respBody, error) {
+	slot := &r.stats[0]
+	if byShard {
+		slot = &r.stats[1]
 	}
-	var sizes []int
-	for i := 0; i < resp.Shards; i++ {
-		sizes = s.eng.ShardGroupSizes(i, sizes)
-		st := shardStatsFromSizes(i, s.k, sizes)
-		resp.Groups += st.Groups
-		resp.Records += st.Records
-		if st.Groups > 0 {
-			if resp.MinGroupSize == 0 || st.MinGroupSize < resp.MinGroupSize {
-				resp.MinGroupSize = st.MinGroupSize
-			}
-			if st.MaxGroupSize > resp.MaxGroupSize {
-				resp.MaxGroupSize = st.MaxGroupSize
-			}
+	return memo(r, slot, s.cmStats, func() (*respBody, error) {
+		_, withheld := r.Withheld()
+		all := shardStatsFromSizes(0, s.k, r.Sizes())
+		resp := statsResponse{
+			Dim:             s.dim,
+			K:               s.k,
+			Shards:          s.shards,
+			Groups:          all.Groups,
+			Records:         all.Records,
+			WithheldRecords: withheld,
+			Splits:          s.eng.Splits(),
+			MinGroupSize:    all.MinGroupSize,
+			MaxGroupSize:    all.MaxGroupSize,
+			AvgGroupSize:    all.AvgGroupSize,
+			KSatisfied:      all.Groups > 0 && all.KSatisfied,
 		}
-		if byShard {
-			resp.ByShard = append(resp.ByShard, st)
+		for i := 0; byShard && i < s.shards; i++ {
+			resp.ByShard = append(resp.ByShard, shardStatsFromSizes(i, s.k, r.ShardSizes(i)))
 		}
-	}
-	if resp.Groups > 0 {
-		resp.AvgGroupSize = float64(resp.Records) / float64(resp.Groups)
-		resp.KSatisfied = resp.MinGroupSize >= s.k
-	}
-	return resp
-}
-
-// statsBody returns the encoded /v1/stats body (merged, optionally with
-// the per-shard breakdown), memoized per generation.
-func (s *Server) statsBody(byShard bool) (*respBody, error) {
-	for attempt := 0; ; attempt++ {
-		gen := s.eng.Generation()
-		if b, ok := s.cache.statsAt(gen, byShard); ok {
-			s.cmStats.hits.Inc()
-			return b, nil
-		}
-		resp := s.statsLive(byShard)
-		stable := s.eng.Generation() == gen
-		s.cmStats.misses.Inc()
 		var buf bytes.Buffer
 		if err := json.NewEncoder(&buf).Encode(resp); err != nil {
 			return nil, err
 		}
-		body := newRespBody(buf.Bytes())
-		if stable {
-			s.cache.storeStats(gen, byShard, body)
-			return body, nil
-		}
-		if attempt >= 1 {
-			return body, nil
-		}
-	}
+		return newRespBody(buf.Bytes()), nil
+	})
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
@@ -743,14 +660,14 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
+	rel := s.release()
 	if hasShard {
 		// One shard's view alone, for per-shard dashboards and smoke
-		// checks — cheap enough (a size sweep) to always serve live.
-		sizes := s.eng.ShardGroupSizes(shard, nil)
-		writeJSON(w, http.StatusOK, shardStatsFromSizes(shard, s.k, sizes))
+		// checks — cheap enough to summarize on every request.
+		writeJSON(w, http.StatusOK, shardStatsFromSizes(shard, s.k, rel.ShardSizes(shard)))
 		return
 	}
-	body, err := s.statsBody(byShardParam(q))
+	body, err := s.stats(rel, byShardParam(q))
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, err)
 		return
@@ -758,34 +675,20 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	writePrepared(w, headerJSON, body)
 }
 
-// checkpointBody returns the prepared checkpoint of the current state and
-// whether its bytes are proven to be exactly the state at one generation
-// (and therefore cached and stamped with that generation's ETag). An
-// uncacheable body — a concurrent writer moved the engine mid-build on
-// both attempts — carries no validator.
-func (s *Server) checkpointBody() (body *respBody, cacheable bool, err error) {
-	for attempt := 0; ; attempt++ {
-		gen := s.eng.Generation()
-		if b, ok := s.cache.checkpointAt(gen); ok {
-			s.cmCheckpoint.hits.Inc()
-			return b, true, nil
-		}
-		cond := s.eng.Condensation()
-		stable := s.eng.Generation() == gen
-		s.cmCheckpoint.misses.Inc()
+// checkpoint returns the release's prepared checkpoint: the released
+// groups only, stamped with the generation's ETag when the release is
+// stable.
+func (s *Server) checkpoint(r *release) (*respBody, error) {
+	return memo(r, &r.checkpoint, s.cmCheckpoint, func() (*respBody, error) {
 		var buf bytes.Buffer
-		if _, err := cond.WriteTo(&buf); err != nil {
-			return nil, false, err
+		if _, err := r.Condensation().WriteTo(&buf); err != nil {
+			return nil, err
 		}
-		if stable {
-			b := newCheckpointBody(buf.Bytes(), gen)
-			s.cache.storeCheckpoint(gen, b)
-			return b, true, nil
+		if r.stable {
+			return newCheckpointBody(buf.Bytes(), r.Generation()), nil
 		}
-		if attempt >= 1 {
-			return newRespBody(buf.Bytes()), false, nil
-		}
-	}
+		return newRespBody(buf.Bytes()), nil
+	})
 }
 
 // etagMatch reports whether an If-None-Match header matches the given
@@ -812,12 +715,12 @@ func (s *Server) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusMethodNotAllowed, errors.New("GET required"))
 		return
 	}
-	body, cacheable, err := s.checkpointBody()
+	body, err := s.checkpoint(s.release())
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, err)
 		return
 	}
-	if cacheable {
+	if body.etag != "" {
 		// The generation names this exact byte stream, so it is a valid
 		// strong ETag: replica-style pollers send it back and pay one
 		// header round-trip while the state is unchanged. "Etag" is the
@@ -935,97 +838,94 @@ func (s *Server) handleVars(w http.ResponseWriter, r *http.Request) {
 	_ = s.reg.WriteJSON(w)
 }
 
-// Audit runs one anonymization-quality pass over a snapshot of the live
-// condensation (taken under the shards' read locks) and publishes the result into
-// the server's metrics registry, so /v1/audit and /metrics always agree.
-// It is what the /v1/audit handler and condenserd's background auditor
-// both call. The computation is memoized per (generation, reservoir
-// offer count) — the complete input key of the deterministic audit — so
-// a periodic auditor over an idle engine replays the cached report; the
-// publish still runs per call, preserving the watchdog's view of audit
-// cadence, and the republished numbers are identical to a recompute.
+// Audit runs one anonymization-quality pass over the current release and
+// publishes the result into the server's metrics registry, so /v1/audit
+// and /metrics always agree. It is what the /v1/audit handler and
+// condenserd's background auditor both call. The report is memoized on the
+// release, keyed by the reservoir's offer count too, so a periodic auditor
+// over an idle engine replays it; the publish still runs per call,
+// preserving the watchdog's view of audit cadence.
 func (s *Server) Audit() (*audit.Report, error) {
-	e, err := s.auditPass()
+	return s.publishAudit(s.release())
+}
+
+// publishAudit publishes one audit pass of r: the merged report, and on a
+// sharded engine each shard's report under shard="i" labels so the
+// watchdog and dashboards can see which shard is degrading, not just that
+// the merged numbers moved.
+func (s *Server) publishAudit(r *release) (*audit.Report, error) {
+	rep, err := s.audit(r)
 	if err != nil {
 		return nil, err
 	}
-	s.publishAudit(e)
-	return e.merged, nil
-}
-
-// publishAudit publishes one audit pass: the merged report, and on a
-// sharded engine each shard's privacy-critical slice under shard="i"
-// labels so the watchdog and dashboards can see which shard is
-// degrading, not just that the merged numbers moved.
-func (s *Server) publishAudit(e *auditEntry) {
-	e.merged.Publish(s.reg)
-	for i, sr := range e.shards {
-		sr.PublishShard(s.reg, i)
-	}
-}
-
-// auditPass returns the audit computation for the current (generation,
-// reservoir) state, computing and caching it on a miss. The reservoir's
-// offer count extends the memo key because the reservoir is fed after
-// the engine call returns — the same generation can front two
-// different KS baselines while a batch's offers are still draining.
-func (s *Server) auditPass() (*auditEntry, error) {
-	for attempt := 0; ; attempt++ {
-		gen := s.eng.Generation()
-		seen := s.reservoir.Seen()
-		if e, ok := s.cache.auditAt(gen, seen); ok {
-			s.cmAudit.hits.Inc()
-			return e, nil
-		}
-		cond := s.eng.Condensation()
-		var shardConds []*core.Condensation
-		if n := s.eng.NumShards(); n >= 2 {
-			shardConds = make([]*core.Condensation, n)
-			for i := range shardConds {
-				shardConds[i] = s.eng.Shard(i)
-			}
-		}
-		sample := s.reservoir.Sample()
-		stable := s.eng.Generation() == gen && s.reservoir.Seen() == seen
-		s.cmAudit.misses.Inc()
-		// Leftovers only arise when a static bootstrap folded sub-k
-		// remainders into nearest groups; the engine's counter carries
-		// that count forward.
-		leftovers := int(s.reg.Counter("condense_leftover_records_total").Value())
-		rep, err := audit.Compute(cond, audit.Config{
-			Original:  sample,
-			SynthSeed: s.auditSeed,
-			Leftovers: leftovers,
-		})
+	rep.Publish(s.reg)
+	if s.shards >= 2 {
+		shards, err := s.shardAudits(r)
 		if err != nil {
 			return nil, err
 		}
-		e := &auditEntry{reservoirSeen: seen, merged: rep}
-		for _, sc := range shardConds {
-			sr, err := audit.Compute(sc, audit.Config{SynthSeed: s.auditSeed})
-			if err != nil {
-				return nil, err
-			}
-			e.shards = append(e.shards, sr)
-		}
-		if stable {
-			s.cache.storeAudit(gen, e)
-			return e, nil
-		}
-		if attempt >= 1 {
-			return e, nil
+		for i, sr := range shards {
+			sr.PublishShard(s.reg, i)
 		}
 	}
+	return rep, nil
 }
 
-// auditShard audits one shard's snapshot in isolation: the same pooled
-// group-moment metrics, but without the KS block (the reservoir samples
-// the whole stream, not one shard's slice of it), without the bootstrap
-// leftover count, and without publishing to the registry — the published
-// condense_audit_* series describe the merged state only.
-func (s *Server) auditShard(i int) (*audit.Report, error) {
-	cond := s.eng.Shard(i)
-	return audit.Compute(cond, audit.Config{SynthSeed: s.auditSeed})
+// audit returns the merged audit report of r. The reservoir's offer count
+// extends the memo key because the reservoir is fed after the engine call
+// returns — one release can front two different KS baselines while a
+// batch's offers are still draining. A report whose sample moved during
+// the pass is served but not kept.
+func (s *Server) audit(r *release) (*audit.Report, error) {
+	seen := s.reservoir.Seen()
+	r.mu.Lock()
+	e := r.audit
+	r.mu.Unlock()
+	if e != nil && e.reservoirSeen == seen {
+		s.cmAudit.hits.Inc()
+		return e.report, nil
+	}
+	s.cmAudit.misses.Inc()
+	sample := s.reservoir.Sample()
+	// Leftovers only arise when a static bootstrap folded sub-k
+	// remainders into nearest groups; the engine's counter carries that
+	// count forward.
+	leftovers := int(s.reg.Counter("condense_leftover_records_total").Value())
+	rep, err := audit.Compute(r.Condensation(), audit.Config{
+		Original:  sample,
+		SynthSeed: s.auditSeed,
+		Leftovers: leftovers,
+	})
+	if err != nil {
+		return nil, err
+	}
+	if s.reservoir.Seen() == seen {
+		r.mu.Lock()
+		r.audit = &auditEntry{reservoirSeen: seen, report: rep}
+		r.mu.Unlock()
+	}
+	return rep, nil
+}
+
+// shardAudits returns r's per-shard audit reports: the same pooled
+// group-moment metrics as the merged report, but without the KS block
+// (the reservoir samples the whole stream, not one shard's slice of it)
+// and without the bootstrap leftover count.
+func (s *Server) shardAudits(r *release) ([]*audit.Report, error) {
+	reps, err := memo(r, &r.shardAudits, cacheMetrics{}, func() (*[]*audit.Report, error) {
+		reps := make([]*audit.Report, s.shards)
+		for i := range reps {
+			var err error
+			if reps[i], err = audit.Compute(r.Shard(i), audit.Config{SynthSeed: s.auditSeed}); err != nil {
+				return nil, err
+			}
+		}
+		return &reps, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return *reps, nil
 }
 
 // shardAudit is one shard's entry in the by_shard audit array.
@@ -1053,40 +953,28 @@ func (s *Server) handleAudit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	if hasShard {
-		rep, err := s.auditShard(shard)
-		if err != nil {
+	rel := s.release()
+	var resp auditByShardResponse
+	if !hasShard {
+		if resp.Report, err = s.publishAudit(rel); err != nil {
 			writeError(w, http.StatusInternalServerError, err)
 			return
 		}
-		writeJSON(w, http.StatusOK, shardAudit{Shard: shard, Report: rep})
-		return
+		if !byShardParam(q) {
+			writeJSON(w, http.StatusOK, resp.Report)
+			return
+		}
 	}
-	e, err := s.auditPass()
+	shards, err := s.shardAudits(rel)
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, err)
 		return
 	}
-	s.publishAudit(e)
-	if !byShardParam(q) {
-		writeJSON(w, http.StatusOK, e.merged)
+	if hasShard {
+		writeJSON(w, http.StatusOK, shardAudit{Shard: shard, Report: shards[shard]})
 		return
 	}
-	resp := auditByShardResponse{Report: e.merged}
-	for i := 0; i < s.eng.NumShards(); i++ {
-		// The memoized pass carries per-shard reports on a sharded
-		// engine; a single-shard engine computes its one shard live.
-		sr := (*audit.Report)(nil)
-		if i < len(e.shards) {
-			sr = e.shards[i]
-		} else {
-			var err error
-			sr, err = s.auditShard(i)
-			if err != nil {
-				writeError(w, http.StatusInternalServerError, err)
-				return
-			}
-		}
+	for i, sr := range shards {
 		resp.ByShard = append(resp.ByShard, shardAudit{Shard: i, Report: sr})
 	}
 	writeJSON(w, http.StatusOK, resp)

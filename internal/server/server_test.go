@@ -16,9 +16,19 @@ import (
 	"condensation/internal/rng"
 )
 
+// newCondenser returns a condenser at level k under the given seed.
+func newCondenser(t testing.TB, k int, seed uint64) *core.Condenser {
+	t.Helper()
+	c, err := core.NewCondenser(k, core.WithSeed(seed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
 func newTestServer(t *testing.T, k int) *httptest.Server {
 	t.Helper()
-	s, err := New(Config{Dim: 2, K: k, Seed: 1})
+	s, err := New(Config{Dim: 2, Condenser: newCondenser(t, k, 1)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +198,7 @@ func TestBadRequests(t *testing.T) {
 }
 
 func TestBatchLimit(t *testing.T) {
-	s, err := New(Config{Dim: 2, K: 2, Seed: 1, MaxBatch: 5})
+	s, err := New(Config{Dim: 2, Condenser: newCondenser(t, 2, 1), MaxBatch: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -437,7 +447,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	}
 
 	// A new server seeded from the checkpoint carries the state forward.
-	s2, err := New(Config{Seed: 9, Initial: cond})
+	s2, err := New(Config{Condenser: newCondenser(t, cond.K(), 9), Initial: cond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -497,18 +507,18 @@ func TestConcurrentIngest(t *testing.T) {
 }
 
 func TestNewValidation(t *testing.T) {
-	if _, err := New(Config{Dim: 0, K: 2}); err == nil {
+	if _, err := New(Config{Dim: 0, Condenser: newCondenser(t, 2, 0)}); err == nil {
 		t.Error("dim=0 accepted")
 	}
-	if _, err := New(Config{Dim: 2, K: 0}); err == nil {
-		t.Error("k=0 accepted")
+	if _, err := New(Config{Dim: 2}); err == nil {
+		t.Error("a Config with neither Engine nor Condenser accepted")
 	}
 }
 
 // TestIngestCancelledContext verifies the ingestion path honours the
 // request context: a pre-cancelled request admits no records.
 func TestIngestCancelledContext(t *testing.T) {
-	s, err := New(Config{Dim: 2, K: 3})
+	s, err := New(Config{Dim: 2, Condenser: newCondenser(t, 3, 0)})
 	if err != nil {
 		t.Fatal(err)
 	}

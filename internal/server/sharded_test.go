@@ -209,7 +209,7 @@ func TestConfigEngine(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Dim/Shards/K in the config must be ignored in favour of the engine.
-	s, err := New(Config{Engine: eng, Dim: 99, Shards: 7, K: 55})
+	s, err := New(Config{Engine: eng, Dim: 99, Shards: 7})
 	if err != nil {
 		t.Fatal(err)
 	}

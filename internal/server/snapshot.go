@@ -33,7 +33,7 @@ import (
 // goroutine, so the encoder splits the groups into contiguous ranges of
 // about equal record count and formats one range per worker into its own
 // scratch slice. The parts are then copied, behind the header and ahead
-// of the trailer, into one exactly sized body: the read cache keeps that
+// of the trailer, into one exactly sized body: the release keeps that
 // body, so it must carry no spare capacity.
 //
 // After a write, most groups are unchanged, and so are their rows: a
@@ -43,21 +43,24 @@ import (
 // the same seed (core.Condensation.SharesGroup: the same group object at
 // the same index) straight from the previous body, and synthesizes and
 // encodes only the rest. The body is byte for byte the from-scratch
-// encoding.
+// encoding. When the release withholds nothing, its condensation is the
+// engine's cut itself, so group identity carries over exactly.
 
 // snapshotValueMax bounds the bytes one float64 takes in the encoding:
 // "-0.0000012345678901234567" ('f' form just above 1e-6) is the longest.
 const snapshotValueMax = 25
 
-// buildSnapshot synthesizes cond under seed and encodes the body, reusing
-// base's rows for every group cond shares with base.cond. A nil base
-// builds from scratch.
-func buildSnapshot(cond *core.Condensation, seed uint64, base *snapshotEntry) (*snapshotEntry, error) {
+// buildSnapshot synthesizes rel's groups under seed and encodes the body,
+// reusing base's rows for every group rel shares with base's release. A
+// nil base builds from scratch.
+func buildSnapshot(rel *core.Release, seed uint64, base *snapshotEntry) (*snapshotEntry, error) {
+	cond := rel.Condensation()
 	var reuse []bool
 	if base != nil {
 		reuse = make([]bool, cond.NumGroups())
+		prev := base.rel.Condensation()
 		for gi := range reuse {
-			reuse[gi] = cond.SharesGroup(base.cond, gi)
+			reuse[gi] = cond.SharesGroup(prev, gi)
 		}
 	}
 	grouped, err := cond.SynthesizeGroupedExcept(rng.New(seed), reuse)
@@ -68,7 +71,7 @@ func buildSnapshot(cond *core.Condensation, seed uint64, base *snapshotEntry) (*
 	if err != nil {
 		return nil, err
 	}
-	return &snapshotEntry{body: newRespBody(data), cond: cond, offs: offs}, nil
+	return &snapshotEntry{rel: rel, body: newRespBody(data), offs: offs}, nil
 }
 
 // encodeSnapshot renders the /v1/snapshot body for grouped synthesized

@@ -256,7 +256,7 @@ func TestSnapshotMatchesEncodingJSON(t *testing.T) {
 	}
 }
 
-// TestSnapshotCachedBodyExact guards the read cache's memory: the cached
+// TestSnapshotCachedBodyExact guards the release's memory: the kept
 // snapshot body must be the exactly sized copy, not a worker's presized
 // scratch slice with its slack.
 func TestSnapshotCachedBodyExact(t *testing.T) {
@@ -266,9 +266,9 @@ func TestSnapshotCachedBodyExact(t *testing.T) {
 		t.Fatalf("snapshot status %d: %s", resp.StatusCode, body)
 	}
 	s := serverFromTS(t, ts)
-	e, ok := s.cache.snapshotAt(s.eng.Generation(), 7)
-	if !ok {
-		t.Fatal("snapshot not cached")
+	e := snapshotEntryOf(s.release(), 7)
+	if e == nil {
+		t.Fatal("snapshot not kept on the release")
 	}
 	if slack := cap(e.body.data) - len(e.body.data); slack > 64 {
 		t.Fatalf("cached body holds %d bytes of spare capacity (len %d)", slack, len(e.body.data))
@@ -284,7 +284,7 @@ func TestSnapshotNonFinite500(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := New(Config{Dim: 2, K: 4, Initial: cond})
+	s, err := New(Config{Condenser: newCondenser(t, 4, 0), Initial: cond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,8 +299,8 @@ func TestSnapshotNonFinite500(t *testing.T) {
 			t.Fatalf("error body %s does not name the value", body)
 		}
 	}
-	if e, _ := s.cache.snapshotAt(s.eng.Generation(), 1); e != nil {
-		t.Fatal("a failed snapshot left a body or a reuse base in the read cache")
+	if e := snapshotEntryOf(s.release(), 1); e != nil {
+		t.Fatal("a failed snapshot left a body or a reuse base on the release")
 	}
 }
 
