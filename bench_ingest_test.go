@@ -174,52 +174,6 @@ func BenchmarkDynamicAddAll(b *testing.B) {
 	}
 }
 
-// BenchmarkDynamicIngestF32 measures the opt-in Float32 index mode against
-// the default float64 scan router on the same correlated stream and G:
-// single-precision pruning with the safety margin plus float64
-// re-verification, versus the pure double-precision sweep. Output is
-// bit-identical between the two cells (TestFloat32RoutingEquivalence);
-// only the index arithmetic differs.
-func BenchmarkDynamicIngestF32(b *testing.B) {
-	const dim, k, batchSize, G = 8, 25, 1024, 800
-	full := benchStreamCorr(14, G*k+1<<16, dim)
-	pool := full[G*k:]
-	base := benchBase(b, full, G, k)
-	for _, prec := range []core.IndexPrecision{core.Float64, core.Float32} {
-		b.Run(fmt.Sprintf("corr/G=%d/scan/%s/batch", G, prec), func(b *testing.B) {
-			fresh := func() *core.Dynamic {
-				dyn := benchFresh(b, base, core.SearchScanSort)
-				if err := dyn.SetIndexPrecision(prec); err != nil {
-					b.Fatal(err)
-				}
-				return dyn
-			}
-			dyn := fresh()
-			fed := 0
-			b.ReportAllocs()
-			b.ResetTimer()
-			for done := 0; done < b.N; {
-				if fed >= benchResetEvery {
-					b.StopTimer()
-					dyn = fresh()
-					fed = 0
-					b.StartTimer()
-				}
-				n := batchSize
-				if b.N-done < n {
-					n = b.N - done
-				}
-				lo := done % (len(pool) - batchSize)
-				if err := dyn.AddBatch(pool[lo : lo+n]); err != nil {
-					b.Fatal(err)
-				}
-				done += n
-				fed += n
-			}
-		})
-	}
-}
-
 // BenchmarkDynamicIngestJournal measures the lifecycle journal's ingest
 // cost at pinned G on the per-record Add path: journal=off must stay at
 // 0 allocs/record (the journal is one nil check), and journal=on pays

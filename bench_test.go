@@ -211,14 +211,12 @@ func BenchmarkCoreStaticCondense(b *testing.B) {
 	}
 }
 
-// BenchmarkCoreStaticSearch compares the neighbour-search backends behind
+// BenchmarkCoreStaticSearch compares the static neighbour searches behind
 // the Condenser facade on identical inputs; the sub-benchmark names make
-// the scan-sort → quickselect/kd-tree speedup visible in benchstat diffs.
+// the scan-sort → auto (quickselect) speedup visible in benchstat diffs.
 func BenchmarkCoreStaticSearch(b *testing.B) {
 	ds := datagen.Pima(7)
-	for _, search := range []core.NeighborSearch{
-		core.SearchScanSort, core.SearchQuickselect, core.SearchKDTree,
-	} {
+	for _, search := range []core.NeighborSearch{core.SearchScanSort, core.SearchAuto} {
 		b.Run(search.String(), func(b *testing.B) {
 			c, err := core.NewCondenser(25, core.WithSeed(1), core.WithNeighborSearch(search))
 			if err != nil {
@@ -419,9 +417,7 @@ func BenchmarkExtensionNaiveBayes(b *testing.B) {
 // the neighbour-search backends do not touch).
 func BenchmarkScalingCondense(b *testing.B) {
 	ds := datagen.TwoGaussians(7, 1000, 6, 4)
-	for _, search := range []core.NeighborSearch{
-		core.SearchScanSort, core.SearchQuickselect, core.SearchKDTree,
-	} {
+	for _, search := range []core.NeighborSearch{core.SearchScanSort, core.SearchAuto} {
 		b.Run(search.String(), func(b *testing.B) {
 			c, err := core.NewCondenser(20, core.WithSeed(1), core.WithNeighborSearch(search))
 			if err != nil {

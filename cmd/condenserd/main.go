@@ -6,7 +6,7 @@
 // Usage:
 //
 //	condenserd -addr :8080 -dim 7 -k 25
-//	condenserd -addr :8080 -dim 7 -k 25 -search kdtree -par 8
+//	condenserd -addr :8080 -dim 7 -k 25 -par 8
 //	condenserd -addr :8080 -dim 7 -k 25 -shards 4
 //	condenserd -addr :8080 -resume checkpoint.bin
 //	condenserd -addr :8080 -dim 7 -debug-addr localhost:6060
@@ -15,8 +15,8 @@
 // Endpoints: POST /v1/records, POST /v1/explain, GET /v1/snapshot,
 // GET /v1/stats, GET /v1/audit, GET /v1/checkpoint, GET /v1/history,
 // GET /v1/events, GET /v1/groups, GET /v1/groups/{id},
-// GET /v1/health/rules, GET /healthz, GET /metrics, GET /debug/vars,
-// GET /debug/trace, GET /debug/bundle (see internal/server). With
+// GET /v1/health/rules, GET /healthz, GET /metrics, GET /debug/trace,
+// GET /debug/bundle (see internal/server). With
 // -debug-addr set, net/http/pprof profiling endpoints are served on that
 // separate (ideally loopback-only) address.
 //
@@ -124,8 +124,6 @@ func run(args []string, stderr io.Writer, serve func(ctx context.Context, addr s
 		shards      = fs.Int("shards", 1, "independent condenser shards (1 = single unsharded engine)")
 		seed        = fs.Uint64("seed", 1, "random seed for split-axis decisions")
 		batch       = fs.Int("batch", 10000, "maximum records per POST")
-		search      = fs.String("search", "auto", "neighbour-search backend: auto, scan-sort, quickselect, or kdtree")
-		precision   = fs.String("precision", "float64", "routing index arithmetic: float64, or float32 (prune in single precision, re-verify in float64; identical output)")
 		parallel    = fs.Int("par", 0, "worker goroutines for batch routing and static sweeps (≤ 0 means NumCPU)")
 		resume      = fs.String("resume", "", "checkpoint file to restore state from")
 		logLevel    = fs.String("log-level", "info", "log level: debug, info, warn, error, or off")
@@ -210,18 +208,8 @@ func run(args []string, stderr io.Writer, serve func(ctx context.Context, addr s
 		fs.Usage()
 		return fmt.Errorf("-dim is required when not resuming from a checkpoint")
 	}
-	searchBackend, err := core.ParseNeighborSearch(*search)
-	if err != nil {
-		return fmt.Errorf("-search: %w", err)
-	}
-	indexPrecision, err := core.ParseIndexPrecision(*precision)
-	if err != nil {
-		return fmt.Errorf("-precision: %w", err)
-	}
 	condenser, err := core.NewCondenser(condenserK,
 		core.WithSeed(*seed), core.WithOptions(condenserOpts),
-		core.WithNeighborSearch(searchBackend),
-		core.WithIndexPrecision(indexPrecision),
 		core.WithParallelism(*parallel),
 		core.WithTelemetry(reg),
 		core.WithTracer(tracer))

@@ -261,29 +261,29 @@ func TestRunTraceOut(t *testing.T) {
 	}
 }
 
-// TestRunSearchFlag covers the routing-backend and parallelism flags: every
-// backend name serves identically (the backends are exact, so even the
-// ingested state agrees), and unknown names are rejected before listening.
+// TestRunSearchFlag covers the backend flags: -search and -precision are
+// gone (the daemon always routes with the default exact search), so both
+// are refused before listening, while -par still serves.
 func TestRunSearchFlag(t *testing.T) {
-	for _, backend := range []string{"auto", "scan-sort", "quickselect", "kdtree"} {
-		h, err := capture(t, []string{"-dim", "2", "-k", "3", "-search", backend, "-par", "2"})
-		if err != nil {
-			t.Fatalf("-search %s: %v", backend, err)
-		}
-		ts := httptest.NewServer(h)
-		resp, err := http.Post(ts.URL+"/v1/records", "application/json",
-			bytes.NewReader([]byte(`{"records":[[1,2],[3,4],[5,6],[7,8]]}`)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		ts.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Errorf("-search %s: ingest status %d", backend, resp.StatusCode)
-		}
+	h, err := capture(t, []string{"-dim", "2", "-k", "3", "-par", "2"})
+	if err != nil {
+		t.Fatalf("-par 2: %v", err)
 	}
-	if _, err := capture(t, []string{"-dim", "2", "-search", "ball-tree"}); err == nil {
-		t.Error("unknown -search backend accepted")
+	ts := httptest.NewServer(h)
+	resp, err := http.Post(ts.URL+"/v1/records", "application/json",
+		bytes.NewReader([]byte(`{"records":[[1,2],[3,4],[5,6],[7,8]]}`)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	ts.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Errorf("-par 2: ingest status %d", resp.StatusCode)
+	}
+	for _, flag := range []string{"-search", "-precision"} {
+		if _, err := capture(t, []string{"-dim", "2", flag, "auto"}); err == nil {
+			t.Errorf("removed flag %s accepted", flag)
+		}
 	}
 }
 

@@ -18,7 +18,7 @@ import (
 //	c, err := core.NewCondenser(25,
 //		core.WithSeed(7),
 //		core.WithSynthesis(core.SynthesisUniform),
-//		core.WithNeighborSearch(core.SearchKDTree),
+//		core.WithNeighborSearch(core.SearchAuto),
 //		core.WithParallelism(8))
 //	cond, err := c.Static(records)
 //
@@ -42,6 +42,8 @@ type Condenser struct {
 	tel     *telemetry.Registry // nil means telemetry disabled
 	trace   *telemetry.Tracer   // nil means tracing disabled
 	journal *telemetry.Journal  // nil means lifecycle journal disabled
+
+	precision IndexPrecision // deprecated WithIndexPrecision; only Float64 is valid
 }
 
 // CondenserOption configures a Condenser.
@@ -85,8 +87,10 @@ func WithOptions(o Options) CondenserOption {
 	return func(c *Condenser) { c.opts = o }
 }
 
-// WithNeighborSearch selects the static neighbour-search backend
-// (default SearchAuto: quickselect with a parallel distance sweep).
+// WithNeighborSearch selects the neighbour-search backend (default
+// SearchAuto). Static construction runs the quickselect scan under every
+// value except SearchScanSort, the full-sort reference; dynamic routing
+// scans, or pins the kd-index under SearchKDTree (see initRouter).
 func WithNeighborSearch(s NeighborSearch) CondenserOption {
 	return func(c *Condenser) { c.search.Search = s }
 }
@@ -95,15 +99,6 @@ func WithNeighborSearch(s NeighborSearch) CondenserOption {
 // sweep; values < 1 (the default) mean runtime.NumCPU().
 func WithParallelism(p int) CondenserOption {
 	return func(c *Condenser) { c.search.Parallelism = p }
-}
-
-// WithIndexPrecision selects the dynamic routing index's arithmetic
-// (default Float64). Float32 stores the pruning arena in single precision
-// and re-verifies candidates in float64, so condensed output is
-// bit-identical under either setting — this is a memory-bandwidth knob,
-// not an accuracy trade.
-func WithIndexPrecision(p IndexPrecision) CondenserOption {
-	return func(c *Condenser) { c.search.Precision = p }
 }
 
 // WithMode selects the construction regime Anonymize uses (default
@@ -150,7 +145,10 @@ func NewCondenser(k int, opts ...CondenserOption) (*Condenser, error) {
 	if err := c.opts.validate(); err != nil {
 		return nil, err
 	}
-	if err := c.search.validate(); err != nil {
+	if err := c.search.Search.validate(); err != nil {
+		return nil, err
+	}
+	if err := c.precision.validate(); err != nil {
 		return nil, err
 	}
 	if c.mode != ModeStatic && c.mode != ModeDynamic {

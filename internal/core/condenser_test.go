@@ -42,7 +42,7 @@ func TestSearchBackendEquivalence(t *testing.T) {
 	}{
 		{60, 2, 5},
 		{237, 3, 10}, // leftovers exercise the nearest-group fold-in
-		{500, 4, 25}, // multiple kd-tree rebuilds
+		{500, 4, 25}, // many groups
 		{120, 8, 7},  // moderate dimension
 		{40, 2, 40},  // one group swallows everything
 		{35, 2, 50},  // fewer records than k: single undersized group
@@ -53,7 +53,7 @@ func TestSearchBackendEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, search := range []NeighborSearch{SearchAuto, SearchQuickselect, SearchKDTree} {
+		for _, search := range []NeighborSearch{SearchAuto, SearchKDTree} {
 			c, err := NewCondenser(tc.k, WithSeed(9), WithNeighborSearch(search))
 			if err != nil {
 				t.Fatal(err)
@@ -227,6 +227,12 @@ func TestCondenserValidation(t *testing.T) {
 	if _, err := NewCondenser(2, WithNeighborSearch(NeighborSearch(9))); err == nil {
 		t.Error("bad search backend accepted")
 	}
+	if _, err := NewCondenser(2, WithIndexPrecision(Float64)); err != nil {
+		t.Errorf("deprecated WithIndexPrecision(Float64) refused: %v", err)
+	}
+	if _, err := NewCondenser(2, WithIndexPrecision(IndexPrecision(1))); err == nil {
+		t.Error("index precision other than Float64 accepted")
+	}
 	if _, err := NewCondenser(2, WithMode(Mode(9))); err == nil {
 		t.Error("bad mode accepted")
 	}
@@ -239,17 +245,5 @@ func TestCondenserValidation(t *testing.T) {
 	}
 	if c.K() != 3 {
 		t.Errorf("K = %d", c.K())
-	}
-}
-
-func TestParseNeighborSearch(t *testing.T) {
-	for _, s := range []NeighborSearch{SearchAuto, SearchScanSort, SearchQuickselect, SearchKDTree} {
-		got, err := ParseNeighborSearch(s.String())
-		if err != nil || got != s {
-			t.Errorf("round-trip %v: got %v, err %v", s, got, err)
-		}
-	}
-	if _, err := ParseNeighborSearch("bogus"); err == nil {
-		t.Error("bogus backend accepted")
 	}
 }

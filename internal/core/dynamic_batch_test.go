@@ -94,7 +94,7 @@ func TestAddBatchEquivalence(t *testing.T) {
 		}
 		want := dynamicFingerprint(t, ref)
 
-		for _, search := range []NeighborSearch{SearchAuto, SearchScanSort, SearchQuickselect, SearchKDTree} {
+		for _, search := range []NeighborSearch{SearchAuto, SearchScanSort, SearchKDTree} {
 			for _, par := range []int{1, 2, 8} {
 				for _, batch := range []int{1, 7, 256, len(stream)} {
 					d := build(boot)

@@ -124,21 +124,14 @@ func (k *kdRouter) add(id int) {
 func (*kdRouter) label() string { return "centroid-kdtree" }
 
 // initRouter (re)builds the router for the configured backend and the
-// current group count. SearchScanSort and SearchQuickselect both map to
-// the scan — centroid routing has nothing to sort or select — and
-// SearchAuto starts scanning, promoting to the kd-index once the group
-// count reaches dynamicIndexCutoff (maybePromote).
+// current group count. SearchScanSort pins the scan, SearchKDTree pins
+// the kd-index, and SearchAuto starts scanning, promoting to the kd-index
+// once the group count reaches dynamicIndexCutoff (maybePromote).
 func (sh *shard) initRouter() {
-	switch {
-	case sh.search.Precision == Float32:
-		// The float32 index keeps the arena-sweep shape at half the
-		// memory traffic; the kd promotion is skipped so the pruning
-		// sweep stays a single contiguous pass.
-		sh.router = newF32Router(sh)
-	case sh.search.Search == SearchKDTree,
-		sh.search.Search == SearchAuto && len(sh.groups) >= dynamicIndexCutoff:
+	if sh.search.Search == SearchKDTree ||
+		sh.search.Search == SearchAuto && len(sh.groups) >= dynamicIndexCutoff {
 		sh.router = newKDRouter(sh)
-	default:
+	} else {
 		sh.router = newScanRouter(sh)
 	}
 	sh.met.withSearchBackend(sh.tel, sh.router.label(), sh.telLabels...)
@@ -155,7 +148,6 @@ func (sh *shard) initRouter() {
 // maybePromote upgrades an auto-configured scan router to the kd-index
 // once the group count crosses the cutoff. Called after every group
 // append; both routers are exact, so promotion never changes routing.
-// The float32 router is pinned: it never promotes.
 func (sh *shard) maybePromote() {
 	if sh.search.Search != SearchAuto || len(sh.groups) < dynamicIndexCutoff {
 		return
@@ -175,8 +167,8 @@ func (sh *shard) maybePromote() {
 }
 
 // SetNeighborSearch selects the nearest-centroid routing backend for
-// every shard. The scan and quickselect names map to the reference linear
-// scan (routing has no sort to skip); SearchKDTree forces the maintained
+// every shard. SearchScanSort pins the reference linear scan
+// (routing has no sort to skip); SearchKDTree forces the maintained
 // centroid index; SearchAuto (the default) scans while a shard's group
 // count is small and promotes to the index at dynamicIndexCutoff groups.
 // All backends route identically — TestAddBatchEquivalence proves
@@ -187,22 +179,6 @@ func (d *Dynamic) SetNeighborSearch(s NeighborSearch) error {
 	}
 	d.eachShard(func(sh *shard) {
 		sh.search.Search = s
-		sh.initRouter()
-	})
-	return nil
-}
-
-// SetIndexPrecision selects the routing index arithmetic for every shard
-// (default Float64). Float32 halves the pruning sweep's memory traffic
-// while the final routing decision is still taken in float64, so the
-// condensed statistics are bit-identical under either setting
-// (TestFloat32RoutingEquivalence).
-func (d *Dynamic) SetIndexPrecision(p IndexPrecision) error {
-	if err := p.validate(); err != nil {
-		return err
-	}
-	d.eachShard(func(sh *shard) {
-		sh.search.Precision = p
 		sh.initRouter()
 	})
 	return nil

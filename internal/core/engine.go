@@ -87,15 +87,6 @@ type Engine interface {
 	// disables recording at one nil check per event site; the journal is
 	// observe-only, so condensed output is bit-identical either way.
 	SetJournal(j *telemetry.Journal)
-	// SetNeighborSearch selects the nearest-centroid routing backend.
-	SetNeighborSearch(s NeighborSearch) error
-	// SetParallelism bounds the worker goroutines of batch speculation;
-	// values < 1 mean runtime.NumCPU().
-	SetParallelism(p int)
-	// SetIndexPrecision selects the routing index arithmetic (default
-	// Float64; Float32 prunes in single precision and re-verifies in
-	// float64, so condensed output is identical either way).
-	SetIndexPrecision(p IndexPrecision) error
 }
 
 var _ Engine = (*Dynamic)(nil)

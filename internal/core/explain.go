@@ -1,10 +1,8 @@
 package core
 
 import (
-	"math"
 	"sort"
 
-	"condensation/internal/kernel"
 	"condensation/internal/mat"
 	"condensation/internal/stats"
 )
@@ -107,15 +105,6 @@ type Explanation struct {
 	// exact (distance, id) order; Candidates[0] equals *Routed when Routed
 	// is set.
 	Candidates []ExplainCandidate `json:"candidates,omitempty"`
-	// F32Active reports whether the float32 shadow index is routing
-	// (SetIndexPrecision(Float32)).
-	F32Active bool `json:"f32_active"`
-	// F32Margin, when F32Active, is the |d32 − d64| error bound the shadow
-	// index would use for this record: candidates within 2·margin of the
-	// float32 minimum are re-verified in float64. A margin much smaller
-	// than the gap between Candidates[0] and Candidates[1] explains why
-	// float32 pruning is safe for this data scale.
-	F32Margin float64 `json:"f32_margin,omitempty"`
 }
 
 // groupInfoAt summarizes group slot i. Read-only; caller holds the lock.
@@ -200,19 +189,6 @@ func (sh *shard) explain(x mat.Vector, top int) *Explanation {
 		top = explainDefaultTop
 	}
 	ex := &Explanation{Shard: sh.index, Generation: sh.lastMut, Groups: len(sh.groups)}
-	if r, ok := sh.router.(*f32Router); ok {
-		// Report the margin the shadow index would bound this query with —
-		// computed against a local copy of the running maximum so the
-		// dry-run never widens the router's own bound.
-		ex.F32Active = true
-		maxAbs := r.maxAbs
-		for _, v := range x {
-			if a := math.Abs(v); a > maxAbs {
-				maxAbs = a
-			}
-		}
-		ex.F32Margin = kernel.MarginF32(sh.dim, maxAbs)
-	}
 	if len(sh.groups) == 0 {
 		ex.Outcome = ExplainFound
 		return ex

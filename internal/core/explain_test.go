@@ -2,7 +2,6 @@ package core
 
 import (
 	"bytes"
-	"fmt"
 	"sync"
 	"testing"
 
@@ -220,71 +219,64 @@ func TestGroupIDsNotSerialized(t *testing.T) {
 // predicted outcome must match what actually happens.
 func TestExplainMatchesRouting(t *testing.T) {
 	const k, dim = 5, 3
-	for _, precision := range []IndexPrecision{Float64, Float32} {
-		t.Run(fmt.Sprintf("precision=%v", precision), func(t *testing.T) {
-			d := buildDynamic(t, k, dim, WithIndexPrecision(precision))
-			warm := gaussianRecords(31, 250, dim)
-			probes := gaussianRecords(32, 60, dim)
-			for _, x := range warm {
-				if err := d.Add(x); err != nil {
-					t.Fatal(err)
+	// Routing runs on the float64 index; the subtest is named for it.
+	t.Run("precision=float64", func(t *testing.T) {
+		d := buildDynamic(t, k, dim)
+		warm := gaussianRecords(31, 250, dim)
+		probes := gaussianRecords(32, 60, dim)
+		for _, x := range warm {
+			if err := d.Add(x); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, x := range probes {
+			ex, err := d.Explain(x, 3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ex.Generation != d.Generation() {
+				t.Fatalf("explanation generation %d, engine at %d", ex.Generation, d.Generation())
+			}
+			if ex.Routed == nil || len(ex.Candidates) == 0 {
+				t.Fatalf("no routed candidate on a populated engine: %+v", ex)
+			}
+			if *ex.Routed != ex.Candidates[0] {
+				t.Fatal("Routed differs from Candidates[0]")
+			}
+			for i := 1; i < len(ex.Candidates); i++ {
+				if ex.Candidates[i].DistanceSq < ex.Candidates[i-1].DistanceSq {
+					t.Fatal("candidates out of distance order")
 				}
 			}
-			for _, x := range probes {
-				ex, err := d.Explain(x, 3)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if ex.Generation != d.Generation() {
-					t.Fatalf("explanation generation %d, engine at %d", ex.Generation, d.Generation())
-				}
-				if ex.F32Active != (precision == Float32) {
-					t.Fatalf("F32Active = %v under precision %v", ex.F32Active, precision)
-				}
-				if ex.F32Active && ex.F32Margin <= 0 {
-					t.Fatal("float32 dry-run reported no margin")
-				}
-				if ex.Routed == nil || len(ex.Candidates) == 0 {
-					t.Fatalf("no routed candidate on a populated engine: %+v", ex)
-				}
-				if *ex.Routed != ex.Candidates[0] {
-					t.Fatal("Routed differs from Candidates[0]")
-				}
-				for i := 1; i < len(ex.Candidates); i++ {
-					if ex.Candidates[i].DistanceSq < ex.Candidates[i-1].DistanceSq {
-						t.Fatal("candidates out of distance order")
-					}
-				}
 
-				before, beforeID := d.NumGroups(), ex.Routed.ID
-				if err := d.Add(x); err != nil {
-					t.Fatal(err)
-				}
-				switch ex.Outcome {
-				case ExplainAbsorb:
-					if d.NumGroups() != before {
-						t.Fatalf("predicted absorb, group count %d -> %d", before, d.NumGroups())
-					}
-					det, ok := d.GroupByID(beforeID)
-					if !ok {
-						t.Fatalf("predicted absorb into %d, but it is gone", beforeID)
-					}
-					if det.Size != ex.Routed.Size+1 {
-						t.Fatalf("group %d grew %d -> %d, want +1", beforeID, ex.Routed.Size, det.Size)
-					}
-				case ExplainSplit:
-					if d.NumGroups() != before+1 {
-						t.Fatalf("predicted split, group count %d -> %d", before, d.NumGroups())
-					}
-					if _, ok := d.GroupByID(beforeID); ok {
-						t.Fatalf("predicted split of %d, but it survived", beforeID)
-					}
-				default:
-					t.Fatalf("unexpected outcome %q on a populated engine", ex.Outcome)
-				}
+			before, beforeID := d.NumGroups(), ex.Routed.ID
+			if err := d.Add(x); err != nil {
+				t.Fatal(err)
 			}
-		})
-	}
+			switch ex.Outcome {
+			case ExplainAbsorb:
+				if d.NumGroups() != before {
+					t.Fatalf("predicted absorb, group count %d -> %d", before, d.NumGroups())
+				}
+				det, ok := d.GroupByID(beforeID)
+				if !ok {
+					t.Fatalf("predicted absorb into %d, but it is gone", beforeID)
+				}
+				if det.Size != ex.Routed.Size+1 {
+					t.Fatalf("group %d grew %d -> %d, want +1", beforeID, ex.Routed.Size, det.Size)
+				}
+			case ExplainSplit:
+				if d.NumGroups() != before+1 {
+					t.Fatalf("predicted split, group count %d -> %d", before, d.NumGroups())
+				}
+				if _, ok := d.GroupByID(beforeID); ok {
+					t.Fatalf("predicted split of %d, but it survived", beforeID)
+				}
+			default:
+				t.Fatalf("unexpected outcome %q on a populated engine", ex.Outcome)
+			}
+		}
+	})
 }
 
 // TestExplainFoundOnEmpty: an empty engine explains every record as a
@@ -311,7 +303,7 @@ func TestExplainFoundOnEmpty(t *testing.T) {
 func TestExplainSideEffectFree(t *testing.T) {
 	const k, dim = 5, 3
 	t.Run("dynamic", func(t *testing.T) {
-		d := buildDynamic(t, k, dim, WithIndexPrecision(Float32))
+		d := buildDynamic(t, k, dim)
 		for _, x := range gaussianRecords(41, 300, dim) {
 			if err := d.Add(x); err != nil {
 				t.Fatal(err)
@@ -333,7 +325,7 @@ func TestExplainSideEffectFree(t *testing.T) {
 		}
 		// The rng stream is untouched too: ingest after the dry-runs must
 		// match an engine that never explained anything.
-		ref := buildDynamic(t, k, dim, WithIndexPrecision(Float32))
+		ref := buildDynamic(t, k, dim)
 		for _, x := range gaussianRecords(41, 300, dim) {
 			if err := ref.Add(x); err != nil {
 				t.Fatal(err)

@@ -4,12 +4,16 @@ import (
 	"bytes"
 	"testing"
 
+	"condensation/internal/mat"
 	"condensation/internal/rng"
 )
 
 // FuzzReadCondensation feeds arbitrary bytes to the condensation decoder;
 // it must reject or produce a consistent condensation, never panic or
-// over-allocate catastrophically.
+// over-allocate catastrophically. An accepted checkpoint must also survive
+// what a resuming server does with it: DynamicFrom, AddBatch, then
+// synthesis (bounded here to 1<<16 records and dimension 256, so one
+// input stays cheap).
 func FuzzReadCondensation(f *testing.F) {
 	cond, err := Static(clusteredRecords(200, 8, 8), 4, rng.New(201), Options{})
 	if err != nil {
@@ -44,6 +48,34 @@ func FuzzReadCondensation(f *testing.F) {
 		}
 		if again.NumGroups() != got.NumGroups() || again.TotalCount() != got.TotalCount() {
 			t.Fatal("round trip changed group structure")
+		}
+
+		if got.Dim() > 256 {
+			return
+		}
+		c, err := NewCondenser(got.K(), WithOptions(got.Options()), WithParallelism(1))
+		if err != nil {
+			t.Fatalf("checkpoint's own k and options refused: %v", err)
+		}
+		d, err := c.DynamicFrom(got)
+		if err != nil {
+			t.Fatalf("resume failed: %v", err)
+		}
+		r := rng.New(uint64(len(data)))
+		batch := make([]mat.Vector, 8)
+		for i := range batch {
+			batch[i] = make(mat.Vector, got.Dim())
+			for j := range batch[i] {
+				batch[i][j] = r.Norm()
+			}
+		}
+		if err := d.AddBatch(batch); err != nil {
+			t.Fatalf("ingest after resume failed: %v", err)
+		}
+		if got.TotalCount() <= 1<<16 {
+			// Finite moments may still overflow the eigensolve: an error
+			// is allowed, a panic is not.
+			_, _ = d.Condensation().SynthesizeGrouped(rng.New(1))
 		}
 	})
 }

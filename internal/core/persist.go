@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 
 	"condensation/internal/stats"
@@ -65,6 +66,13 @@ func (c *Condensation) WriteTo(w io.Writer) (int64, error) {
 	return n, bw.Flush()
 }
 
+// maxGroupBytes bounds one group encoding read from an untrusted file.
+const maxGroupBytes = 1 << 26
+
+// groupEncodingLen is the length of stats.Group's binary encoding at
+// dimension dim: a 20-byte header, Fs, and the upper triangle of Sc.
+func groupEncodingLen(dim int) int { return 20 + 8*dim + 8*dim*(dim+1)/2 }
+
 // ReadCondensation deserializes a condensation written by WriteTo.
 func ReadCondensation(r io.Reader) (*Condensation, error) {
 	br := bufio.NewReader(r)
@@ -105,7 +113,9 @@ func ReadCondensation(r io.Reader) (*Condensation, error) {
 	if err := opts.validate(); err != nil {
 		return nil, fmt.Errorf("core: condensation file: %w", err)
 	}
-	if dim < 1 || dim > 1<<20 {
+	// Every group encoding must fit in maxGroupBytes, so a dimension whose
+	// groups could not is refused even when the file holds no group yet.
+	if dim < 1 || dim > 1<<20 || groupEncodingLen(dim) > maxGroupBytes {
 		return nil, fmt.Errorf("core: condensation file has implausible dimension %d", dim)
 	}
 	if k < 1 {
@@ -126,12 +136,13 @@ func ReadCondensation(r io.Reader) (*Condensation, error) {
 		capHint = 4096
 	}
 	groups := make([]*stats.Group, 0, capHint)
+	total := 0 // running record count; must stay representable
 	for i := uint64(0); i < count; i++ {
 		size, err := read()
 		if err != nil {
 			return nil, fmt.Errorf("core: reading group %d header: %w", i, err)
 		}
-		if size > 1<<26 {
+		if size > maxGroupBytes {
 			return nil, fmt.Errorf("core: group %d claims %d bytes", i, size)
 		}
 		data := make([]byte, size)
@@ -145,6 +156,10 @@ func ReadCondensation(r io.Reader) (*Condensation, error) {
 		if g.Dim() != dim {
 			return nil, fmt.Errorf("core: group %d has dimension %d, file header says %d", i, g.Dim(), dim)
 		}
+		if g.N() > math.MaxInt-total {
+			return nil, fmt.Errorf("core: group %d's %d records overflow the total count", i, g.N())
+		}
+		total += g.N()
 		groups = append(groups, &g)
 	}
 	return newCondensation(dim, k, opts, groups), nil

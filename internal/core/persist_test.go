@@ -2,6 +2,8 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
+	"math"
 	"testing"
 
 	"condensation/internal/rng"
@@ -90,6 +92,59 @@ func TestReadCondensationRejectsGarbage(t *testing.T) {
 	trunc := buf.Bytes()[:buf.Len()-5]
 	if _, err := ReadCondensation(bytes.NewReader(trunc)); err == nil {
 		t.Error("truncated stream accepted")
+	}
+}
+
+// TestReadCondensationRejectsCorruptMoments patches one field of a valid
+// checkpoint's group moments. Each patched file used to decode and resume;
+// n = −5 then panicked in synthesis and a non-finite Fs made every
+// synthesis fail. The decoder now enforces stats.FromMoments' invariants.
+func TestReadCondensationRejectsCorruptMoments(t *testing.T) {
+	cond, err := Static(clusteredRecords(68, 20, 0), 4, rng.New(69), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if _, err := cond.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	valid := buf.Bytes()
+	if _, err := ReadCondensation(bytes.NewReader(valid)); err != nil {
+		t.Fatalf("unpatched checkpoint refused: %v", err)
+	}
+	// Layout: an 8-word header, then per group an 8-byte length and the
+	// group encoding (4-byte magic, 8-byte dim, 8-byte n, Fs, Sc).
+	const g0 = 8*8 + 8
+	g1 := g0 + int(binary.LittleEndian.Uint64(valid[g0-8:])) + 8
+	nAt := func(g int) int { return g + 12 }
+	fs0 := g0 + 20
+	for _, tc := range []struct {
+		name string
+		at   int
+		v    uint64
+	}{
+		{"n=-5", nAt(g0), uint64(1<<64 - 5)},
+		{"n=0", nAt(g0), 0},
+		{"Fs[0]=NaN", fs0, math.Float64bits(math.NaN())},
+		{"Fs[0]=+Inf", fs0, math.Float64bits(math.Inf(1))},
+		{"Sc[0][0]=-Inf", fs0 + 8*cond.Dim(), math.Float64bits(math.Inf(-1))},
+		{"total count overflows", nAt(g1), uint64(math.MaxInt - 1)},
+	} {
+		data := bytes.Clone(valid)
+		binary.LittleEndian.PutUint64(data[tc.at:], tc.v)
+		if _, err := ReadCondensation(bytes.NewReader(data)); err == nil {
+			t.Errorf("%s: corrupt checkpoint accepted", tc.name)
+		}
+	}
+	// A file with no groups may still not claim a dimension whose group
+	// encoding would exceed the per-group byte bound.
+	for dim, ok := range map[uint64]bool{4094: true, 4095: false, 1 << 20: false} {
+		data := bytes.Clone(valid[:8*8])
+		binary.LittleEndian.PutUint64(data[2*8:], dim)
+		binary.LittleEndian.PutUint64(data[7*8:], 0) // group count
+		if _, err := ReadCondensation(bytes.NewReader(data)); (err == nil) != ok {
+			t.Errorf("empty file with dim %d: err = %v, want accepted=%v", dim, err, ok)
+		}
 	}
 }
 

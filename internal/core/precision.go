@@ -2,56 +2,29 @@ package core
 
 import "fmt"
 
-// IndexPrecision selects the arithmetic the dynamic engine's routing
-// index stores and prunes with. It is a performance knob in the same
-// sense as NeighborSearch: the condensed statistics are identical under
-// every setting, because float32 pruning always re-verifies its final
-// candidates in float64 (see f32Router) before a routing decision is
-// made. Group moments, splits, and synthesis are float64 regardless.
+// IndexPrecision names the arithmetic of the dynamic routing index.
+// Routing always runs in float64, so Float64 is its only value.
+//
+// Deprecated: kept so callers that pass WithIndexPrecision(Float64) still
+// compile; it has no effect.
 type IndexPrecision int
 
-const (
-	// Float64 is the default: the routing index stores and compares
-	// full-precision coordinates. This is the exact reference path,
-	// byte-identical to prior releases.
-	Float64 IndexPrecision = iota
-	// Float32 stores a shadow float32 arena for the routing index and
-	// runs the O(G·d) pruning sweep in single precision, halving the
-	// sweep's memory traffic; the float64 answer is recovered exactly by
-	// re-verifying every candidate within a proven safety margin.
-	Float32
-)
+// Float64 is the only IndexPrecision.
+//
+// Deprecated: see IndexPrecision.
+const Float64 IndexPrecision = 0
 
-// String returns the precision name.
-func (p IndexPrecision) String() string {
-	switch p {
-	case Float64:
-		return "float64"
-	case Float32:
-		return "float32"
-	default:
-		return fmt.Sprintf("IndexPrecision(%d)", int(p))
-	}
-}
-
-// ParseIndexPrecision converts a precision name (as printed by String)
-// back to the enum, for command-line flags.
-func ParseIndexPrecision(name string) (IndexPrecision, error) {
-	switch name {
-	case "float64", "f64":
-		return Float64, nil
-	case "float32", "f32":
-		return Float32, nil
-	default:
-		return 0, fmt.Errorf("core: unknown index precision %q", name)
-	}
+// WithIndexPrecision accepts Float64 only; NewCondenser rejects any other
+// value.
+//
+// Deprecated: routing always runs in float64.
+func WithIndexPrecision(p IndexPrecision) CondenserOption {
+	return func(c *Condenser) { c.precision = p }
 }
 
 func (p IndexPrecision) validate() error {
-	switch p {
-	case Float64, Float32:
-		return nil
-	default:
+	if p != Float64 {
 		return fmt.Errorf("core: unknown index precision %d", int(p))
 	}
+	return nil
 }

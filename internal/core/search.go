@@ -8,28 +8,28 @@ import (
 	"condensation/internal/kernel"
 )
 
-// NeighborSearch selects how the static construction finds the k−1 nearest
-// not-yet-grouped records for each sampled seed. All backends are exact:
-// with distinct pairwise distances they form identical groups; ties are
-// broken by ascending record index in every backend except SearchScanSort,
-// whose tie order is whatever the sort happens to produce.
+// NeighborSearch pins the nearest-neighbour searches of the two
+// constructions. Every choice is exact, so it changes speed only
+// (TestSearchBackendEquivalence, TestAddBatchEquivalence). Ties fall to
+// the lower record or group index, except in the static full sort, whose
+// tie order is whatever the sort produces.
+//
+// Static construction (the k−1 nearest records of a sampled seed) runs
+// the quickselect scan, except under SearchScanSort. Dynamic routing (the
+// nearest centroid) scans the centroids, promoting to the kd-index at
+// dynamicIndexCutoff groups under SearchAuto.
 type NeighborSearch int
 
 const (
-	// SearchAuto picks automatically: the quickselect scan, with the
-	// distance sweep parallelized for large remaining sets. This is the
-	// default and the fastest portable choice.
+	// SearchAuto is the default: the quickselect scan for static
+	// construction, and the scan router promoted to the kd-index once a
+	// shard holds dynamicIndexCutoff groups.
 	SearchAuto NeighborSearch = iota
-	// SearchScanSort is the original reference implementation: a full
-	// distance scan followed by a full sort per group, O(n log n) per group
-	// (O(n² log n) overall). Kept for cross-checking the fast paths.
+	// SearchScanSort is the reference: a full distance scan and full sort
+	// per static group, and a router pinned to the centroid scan.
 	SearchScanSort
-	// SearchQuickselect scans distances but partially selects the k
-	// smallest instead of sorting all of them, O(n) expected per group.
-	SearchQuickselect
-	// SearchKDTree answers each group's neighbour query from a KD-tree
-	// with tombstone deletion and periodic rebuild — ~O(log n) expected
-	// per query in low dimension, at the cost of tree maintenance.
+	// SearchKDTree pins the dynamic router to the kd-index from the first
+	// group; static construction runs the SearchAuto scan.
 	SearchKDTree
 )
 
@@ -40,8 +40,6 @@ func (s NeighborSearch) String() string {
 		return "auto"
 	case SearchScanSort:
 		return "scan-sort"
-	case SearchQuickselect:
-		return "quickselect"
 	case SearchKDTree:
 		return "kdtree"
 	default:
@@ -49,53 +47,25 @@ func (s NeighborSearch) String() string {
 	}
 }
 
-// ParseNeighborSearch converts a backend name (as printed by String) back
-// to the enum, for command-line flags.
-func ParseNeighborSearch(name string) (NeighborSearch, error) {
-	switch name {
-	case "auto":
-		return SearchAuto, nil
-	case "scan-sort":
-		return SearchScanSort, nil
-	case "quickselect":
-		return SearchQuickselect, nil
-	case "kdtree":
-		return SearchKDTree, nil
-	default:
-		return 0, fmt.Errorf("core: unknown neighbour search %q", name)
-	}
-}
-
 func (s NeighborSearch) validate() error {
 	switch s {
-	case SearchAuto, SearchScanSort, SearchQuickselect, SearchKDTree:
+	case SearchAuto, SearchScanSort, SearchKDTree:
 		return nil
 	default:
 		return fmt.Errorf("core: unknown neighbour search %d", int(s))
 	}
 }
 
-// searchConfig carries the performance knobs of the static construction.
-// They deliberately live outside Options: they never change the condensed
-// statistics (up to distance ties), only how fast they are computed, so
-// they are not part of the persisted condensation state.
+// searchConfig carries the performance knobs of both constructions. They
+// deliberately live outside Options: they never change the condensed
+// statistics, only how fast they are computed, so they are not part of
+// the persisted condensation state.
 type searchConfig struct {
 	// Search selects the neighbour-search backend (default SearchAuto).
 	Search NeighborSearch
 	// Parallelism bounds the worker goroutines of the distance sweep;
 	// values < 1 mean runtime.NumCPU().
 	Parallelism int
-	// Precision selects the arithmetic of the dynamic routing index
-	// (default Float64, the exact reference; Float32 prunes in single
-	// precision and re-verifies candidates in float64 — see precision.go).
-	Precision IndexPrecision
-}
-
-func (c searchConfig) validate() error {
-	if err := c.Search.validate(); err != nil {
-		return err
-	}
-	return c.Precision.validate()
 }
 
 // workers resolves the effective worker count.

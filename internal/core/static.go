@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"condensation/internal/kernel"
-	"condensation/internal/knn"
 	"condensation/internal/mat"
 	"condensation/internal/rng"
 	"condensation/internal/stats"
@@ -58,7 +57,7 @@ func staticCondense(ctx context.Context, records []mat.Vector, k int, r *rng.Sou
 	if err := opts.validate(); err != nil {
 		return nil, nil, err
 	}
-	if err := cfg.validate(); err != nil {
+	if err := cfg.Search.validate(); err != nil {
 		return nil, nil, err
 	}
 	if k < 1 {
@@ -110,10 +109,7 @@ func staticCondense(ctx context.Context, records []mat.Vector, k int, r *rng.Sou
 		return cond, members, nil
 	}
 
-	search, err := newNeighborSearcher(records, cfg)
-	if err != nil {
-		return nil, nil, err
-	}
+	search := newNeighborSearcher(records, cfg)
 
 	var groups []*stats.Group
 	var members [][]int
@@ -126,10 +122,7 @@ func staticCondense(ctx context.Context, records []mat.Vector, k int, r *rng.Sou
 		if met.enabled {
 			t0 = time.Now()
 		}
-		group, err := search.takeGroup(pick, k)
-		if err != nil {
-			return nil, nil, err
-		}
+		group := search.takeGroup(pick, k)
 		if met.enabled {
 			met.search.ObserveSince(t0)
 			t0 = time.Now()
@@ -210,23 +203,10 @@ func staticCondense(ctx context.Context, records []mat.Vector, k int, r *rng.Sou
 	return cond, members, nil
 }
 
-// neighborSearcher abstracts the alive-set bookkeeping of the static
-// construction: how many records remain, and extracting a sampled record
-// together with its k−1 nearest survivors.
-type neighborSearcher interface {
-	// remaining returns the number of not-yet-grouped records.
-	remaining() int
-	// takeGroup removes the record at alive position pick plus its k−1
-	// nearest surviving records and returns their record indices in
-	// ascending-distance order (the seed record first).
-	takeGroup(pick, k int) ([]int, error)
-	// leftover removes and returns the record indices still alive, in
-	// alive-set order.
-	leftover() []int
-}
-
-// newNeighborSearcher builds the backend selected by cfg.
-func newNeighborSearcher(records []mat.Vector, cfg searchConfig) (neighborSearcher, error) {
+// newNeighborSearcher builds the static construction's alive-set search
+// over records: the quickselect scan, or the full sort under
+// SearchScanSort.
+func newNeighborSearcher(records []mat.Vector, cfg searchConfig) *scanSearcher {
 	// alive holds indices of records not yet assigned to a group. Removal
 	// is swap-delete, so order is not preserved — grouping is randomized by
 	// the sampling step anyway.
@@ -234,40 +214,24 @@ func newNeighborSearcher(records []mat.Vector, cfg searchConfig) (neighborSearch
 	for i := range alive {
 		alive[i] = i
 	}
-	switch cfg.Search {
-	case SearchKDTree:
-		tree, err := knn.NewDynamicKDTree(records)
-		if err != nil {
-			return nil, fmt.Errorf("core: building kd-tree: %w", err)
-		}
-		pos := make([]int, len(records))
-		for i := range pos {
-			pos[i] = i
-		}
-		return &kdTreeSearcher{records: records, tree: tree, alive: alive, pos: pos}, nil
-	default:
-		dim := 0
-		if len(records) > 0 {
-			dim = len(records[0])
-		}
-		// The arena mirrors the alive set row for row: arena row i holds
-		// the coordinates of record alive[i], so the kernel sweeps run
-		// over contiguous memory instead of gathering through the records
-		// slice. Swap-deletes move rows in lockstep with alive.
-		arena := make([]float64, len(records)*dim)
-		for i, x := range records {
-			copy(arena[i*dim:(i+1)*dim], x)
-		}
-		return &scanSearcher{
-			dim:      dim,
-			arena:    arena,
-			alive:    alive,
-			fullSort: cfg.Search == SearchScanSort,
-			workers:  cfg.workers(),
-			dist:     make([]float64, len(records)),
-			order:    make([]int, len(records)),
-			chosen:   make([]int, 0, len(records)),
-		}, nil
+	dim := len(records[0])
+	// The arena mirrors the alive set row for row: arena row i holds the
+	// coordinates of record alive[i], so the kernel sweeps run over
+	// contiguous memory instead of gathering through the records slice.
+	// Swap-deletes move rows in lockstep with alive.
+	arena := make([]float64, len(records)*dim)
+	for i, x := range records {
+		copy(arena[i*dim:(i+1)*dim], x)
+	}
+	return &scanSearcher{
+		dim:      dim,
+		arena:    arena,
+		alive:    alive,
+		fullSort: cfg.Search == SearchScanSort,
+		workers:  cfg.workers(),
+		dist:     make([]float64, len(records)),
+		order:    make([]int, len(records)),
+		chosen:   make([]int, 0, len(records)),
 	}
 }
 
@@ -288,9 +252,13 @@ type scanSearcher struct {
 	chosen []int     // alive positions picked for the current group
 }
 
+// remaining returns the number of not-yet-grouped records.
 func (s *scanSearcher) remaining() int { return len(s.alive) }
 
-func (s *scanSearcher) takeGroup(pick, k int) ([]int, error) {
+// takeGroup removes the record at alive position pick plus its k−1
+// nearest surviving records and returns their record indices in
+// ascending-distance order (the seed record first).
+func (s *scanSearcher) takeGroup(pick, k int) []int {
 	seed := s.arena[pick*s.dim : (pick+1)*s.dim]
 	dist := s.dist[:len(s.alive)]
 	sweepArena(dist, seed, s.arena, s.dim, s.workers)
@@ -322,62 +290,12 @@ func (s *scanSearcher) takeGroup(pick, k int) ([]int, error) {
 		copy(s.arena[pos*s.dim:(pos+1)*s.dim], s.arena[last*s.dim:(last+1)*s.dim])
 		s.alive = s.alive[:last]
 	}
-	return group, nil
+	return group
 }
 
+// leftover removes and returns the record indices still alive, in
+// alive-set order.
 func (s *scanSearcher) leftover() []int {
-	out := append([]int(nil), s.alive...)
-	s.alive = s.alive[:0]
-	return out
-}
-
-// kdTreeSearcher answers neighbour queries from a DynamicKDTree with
-// tombstone deletion. It mirrors the scan backends' alive-set bookkeeping
-// (same swap-delete order) so that the seed sampled for a given rng draw
-// is the same record under every backend.
-type kdTreeSearcher struct {
-	records []mat.Vector
-	tree    *knn.DynamicKDTree
-	alive   []int
-	pos     []int // record index -> position in alive, -1 once grouped
-}
-
-func (s *kdTreeSearcher) remaining() int { return len(s.alive) }
-
-func (s *kdTreeSearcher) takeGroup(pick, k int) ([]int, error) {
-	seed := s.records[s.alive[pick]]
-	neighbors, err := s.tree.NearestAlive(seed, k)
-	if err != nil {
-		return nil, fmt.Errorf("core: kd-tree query: %w", err)
-	}
-	group := make([]int, len(neighbors))
-	for i, nb := range neighbors {
-		group[i] = nb.Index
-	}
-	// Delete from the tree and from the alive set, highest alive position
-	// first so swap-delete does not disturb pending positions.
-	positions := make([]int, len(group))
-	for i, idx := range group {
-		if err := s.tree.Delete(idx); err != nil {
-			return nil, fmt.Errorf("core: kd-tree delete: %w", err)
-		}
-		positions[i] = s.pos[idx]
-	}
-	sort.Sort(sort.Reverse(sort.IntSlice(positions)))
-	for _, p := range positions {
-		last := len(s.alive) - 1
-		s.pos[s.alive[p]] = -1
-		if p != last {
-			moved := s.alive[last]
-			s.alive[p] = moved
-			s.pos[moved] = p
-		}
-		s.alive = s.alive[:last]
-	}
-	return group, nil
-}
-
-func (s *kdTreeSearcher) leftover() []int {
 	out := append([]int(nil), s.alive...)
 	s.alive = s.alive[:0]
 	return out

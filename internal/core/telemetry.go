@@ -78,8 +78,8 @@ func newEngineMetrics(reg *telemetry.Registry, labels ...string) engineMetrics {
 }
 
 // withSearchBackend attaches the neighbor_search stage series for the
-// named backend ("quickselect", "scan-sort", "kdtree", or the dynamic
-// engine's "centroid-scan"), carrying the same extra labels as the other
+// named backend (the static "quickselect" or "scan-sort", or the dynamic
+// "centroid-scan" or "centroid-kdtree"), carrying the same extra labels as the other
 // engine series.
 func (m *engineMetrics) withSearchBackend(reg *telemetry.Registry, backend string, labels ...string) {
 	if reg == nil {
@@ -89,13 +89,14 @@ func (m *engineMetrics) withSearchBackend(reg *telemetry.Registry, backend strin
 		append([]string{"stage", "neighbor_search", "backend", backend}, labels...)...)
 }
 
-// searchBackendLabel names the effective static backend for the metric
-// label: SearchAuto resolves to the quickselect scan it actually runs.
+// searchBackendLabel names the static search a backend actually runs, for
+// the metric label: the full sort under SearchScanSort, the quickselect
+// scan under every other value.
 func searchBackendLabel(s NeighborSearch) string {
-	if s == SearchAuto {
-		return SearchQuickselect.String()
+	if s == SearchScanSort {
+		return s.String()
 	}
-	return s.String()
+	return "quickselect"
 }
 
 // WithTelemetry attaches a metrics registry to the Condenser: every

@@ -52,37 +52,3 @@ func BenchmarkKernelArgminBatch(b *testing.B) {
 		ArgminBatch(ids, ds, qs, flat, 8)
 	}
 }
-
-func BenchmarkKernelMinF32(b *testing.B) {
-	flat, q := benchArena(800, 8)
-	flat32 := make([]float32, len(flat))
-	for i, x := range flat {
-		flat32[i] = float32(x)
-	}
-	q32 := make([]float32, len(q))
-	for i, x := range q {
-		q32[i] = float32(x)
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		MinF32(q32, flat32)
-	}
-}
-
-func BenchmarkKernelMinCollectF32(b *testing.B) {
-	flat, q := benchArena(800, 8)
-	flat32 := make([]float32, len(flat))
-	for i, x := range flat {
-		flat32[i] = float32(x)
-	}
-	q32 := make([]float32, len(q))
-	for i, x := range q {
-		q32[i] = float32(x)
-	}
-	margin := MarginF32(8, 4)
-	cand := make([]int, 0, 64)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		_, cand = MinCollectF32(q32, flat32, 2*margin, cand[:0])
-	}
-}

@@ -205,91 +205,3 @@ func TestTopKMatchesSort(t *testing.T) {
 		}
 	}
 }
-
-// TestF32CollectContainsExactArgmin is the safety-margin property test:
-// for adversarial near-tie arenas the f32 candidate set must contain
-// every row achieving the exact f64 minimum, so the f64 re-verification
-// of candidates reproduces the full-precision lexicographic argmin.
-func TestF32CollectContainsExactArgmin(t *testing.T) {
-	r := rand.New(rand.NewPCG(15, 16))
-	for trial := 0; trial < 300; trial++ {
-		d := 1 + r.IntN(12)
-		n := 2 + r.IntN(60)
-		scale := math.Pow(10, float64(r.IntN(7)-3))
-		pts := make([][]float64, n)
-		maxAbs := 0.0
-		base := randVec(r, d)
-		for i := range pts {
-			p := make([]float64, d)
-			for j := range p {
-				// Cluster tightly around base so f32 rounding collides
-				// distances that f64 still separates.
-				p[j] = (base[j] + r.NormFloat64()*1e-7) * scale
-				if a := math.Abs(p[j]); a > maxAbs {
-					maxAbs = a
-				}
-			}
-			pts[i] = p
-		}
-		q := make([]float64, d)
-		for j := range q {
-			q[j] = (base[j] + r.NormFloat64()*1e-7) * scale
-			if a := math.Abs(q[j]); a > maxAbs {
-				maxAbs = a
-			}
-		}
-		flat32 := make([]float32, 0, n*d)
-		for _, p := range pts {
-			for _, x := range p {
-				flat32 = append(flat32, float32(x))
-			}
-		}
-		q32 := make([]float32, d)
-		for j, x := range q {
-			q32[j] = float32(x)
-		}
-		min32 := MinF32(q32, flat32)
-		margin := MarginF32(d, maxAbs)
-		cand := CollectWithinF32(q32, flat32, float64(min32)+2*margin, nil)
-
-		// The fused single-pass kernel must find the identical minimum and
-		// a candidate superset of the two-pass collection.
-		fusedMin, fusedCand := MinCollectF32(q32, flat32, 2*margin, nil)
-		if math.Float32bits(fusedMin) != math.Float32bits(min32) {
-			t.Fatalf("trial %d: MinCollectF32 min %v, MinF32 %v", trial, fusedMin, min32)
-		}
-		inFused := make(map[int]bool, len(fusedCand))
-		for _, id := range fusedCand {
-			inFused[id] = true
-		}
-		for _, id := range cand {
-			if !inFused[id] {
-				t.Fatalf("trial %d: row %d within final threshold but missing from fused candidates", trial, id)
-			}
-		}
-
-		wantID, wantD := -1, math.Inf(1)
-		for i, p := range pts {
-			if dd := refDistSq(q, p); dd < wantD {
-				wantID, wantD = i, dd
-			}
-		}
-		inCand := false
-		gotID, gotD := -1, math.Inf(1)
-		for _, id := range cand {
-			dd := refDistSq(q, pts[id])
-			if dd < gotD {
-				gotID, gotD = id, dd
-			}
-			if id == wantID {
-				inCand = true
-			}
-		}
-		if !inCand {
-			t.Fatalf("trial %d: exact argmin %d missing from %d candidates (margin %v)", trial, wantID, len(cand), margin)
-		}
-		if gotID != wantID || math.Float64bits(gotD) != math.Float64bits(wantD) {
-			t.Fatalf("trial %d: candidate re-verify picked (%d,%v), exact (%d,%v)", trial, gotID, gotD, wantID, wantD)
-		}
-	}
-}

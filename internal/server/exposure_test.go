@@ -21,8 +21,9 @@ import (
 // response of any registered route may carry a single ingested value. It
 // drives a real Server — journal, tracer, flight recorder and watchdog
 // on — at 1 or 4 shards and k from 2 to 10 with 1 to 4k records, POSTed
-// singly and in batches, then reads every route in the route table
-// (every /debug/bundle entry included, heap.pprof gunzipped) and searches
+// singly and in batches or fed to the engine's Add, and reads every route
+// in the route table (every /debug/bundle entry included, heap.pprof
+// gunzipped) after half the records and again after all. It searches
 // each body for every ingested value's 8 raw bytes, in both byte orders,
 // and for its shortest 'g', 'f' and JSON text.
 //
@@ -54,6 +55,16 @@ func FuzzReleaseExposure(f *testing.F) {
 
 // checkExposure runs one exposure-oracle case.
 func checkExposure(t *testing.T, seed uint64, shards, k, n, maxBatch int) {
+	reqs := exposureRequests(shards, n)
+	for _, rt := range routes {
+		if len(reqs[rt.path]) == 0 {
+			t.Fatalf("route %s is not read by the exposure oracle", rt.path)
+		}
+	}
+	if len(reqs) != len(routes) {
+		t.Fatalf("the oracle reads %d routes, the route table registers %d", len(reqs), len(routes))
+	}
+
 	reg := telemetry.NewRegistry()
 	rec := telemetry.NewRecorder(reg, 16)
 	wd := telemetry.NewWatchdog(reg, telemetry.Nop(), HealthRules(shards)...)
@@ -90,7 +101,33 @@ func checkExposure(t *testing.T, seed uint64, shards, k, n, maxBatch int) {
 		s.ServeHTTP(w, req)
 		return w.Body.Bytes()
 	}
-	var posts []*http.Request
+	// Records arrive in batches, about a third of them through the
+	// engine's own Add (as an embedding process would feed it) and the
+	// rest POSTed. The full route sweep runs once the first half is in
+	// and again at the end.
+	sweep := func(stage string) {
+		t.Helper()
+		for i := 0; i < 3; i++ {
+			if _, err := s.Audit(); err != nil {
+				t.Fatal(err)
+			}
+			rec.Scrape()
+			wd.Evaluate(rec)
+		}
+		for path, rs := range exposureRequests(shards, n) {
+			for _, req := range rs {
+				body := serve(req)
+				what := stage + ": " + req.Method + " " + req.URL.String()
+				check(what, body)
+				if path == "/debug/bundle" {
+					for name, entry := range unpackBundle(t, body) {
+						check(what+" "+name, entry)
+					}
+				}
+			}
+		}
+	}
+	swept := false
 	for sent := 0; sent < n; {
 		batch := make([][]float64, min(1+r.IntN(maxBatch), n-sent))
 		for i := range batch {
@@ -100,44 +137,25 @@ func checkExposure(t *testing.T, seed uint64, shards, k, n, maxBatch int) {
 			}
 		}
 		sent += len(batch)
-		body, err := json.Marshal(map[string]any{"records": batch})
-		if err != nil {
-			t.Fatal(err)
-		}
-		posts = append(posts, httptest.NewRequest(http.MethodPost, "/v1/records", bytes.NewReader(body)))
-	}
-	for _, req := range posts {
-		check("POST /v1/records", serve(req))
-	}
-	for i := 0; i < 3; i++ {
-		if _, err := s.Audit(); err != nil {
-			t.Fatal(err)
-		}
-		rec.Scrape()
-		wd.Evaluate(rec)
-	}
-
-	reqs := exposureRequests(shards, n)
-	for _, rt := range routes {
-		if len(reqs[rt.path]) == 0 {
-			t.Fatalf("route %s is not read by the exposure oracle", rt.path)
-		}
-	}
-	if len(reqs) != len(routes) {
-		t.Fatalf("the oracle reads %d routes, the route table registers %d", len(reqs), len(routes))
-	}
-	for path, rs := range reqs {
-		for _, req := range rs {
-			body := serve(req)
-			what := req.Method + " " + req.URL.String()
-			check(what, body)
-			if path == "/debug/bundle" {
-				for name, entry := range unpackBundle(t, body) {
-					check(what+" "+name, entry)
+		if r.IntN(3) == 0 {
+			for _, x := range batch {
+				if err := s.Engine().Add(x); err != nil {
+					t.Fatal(err)
 				}
 			}
+		} else {
+			body, err := json.Marshal(map[string]any{"records": batch})
+			if err != nil {
+				t.Fatal(err)
+			}
+			check("POST /v1/records", serve(httptest.NewRequest(http.MethodPost, "/v1/records", bytes.NewReader(body))))
+		}
+		if !swept && sent >= n/2 {
+			sweep("half")
+			swept = true
 		}
 	}
+	sweep("end")
 }
 
 // valueForms is every form in which a leaked value could appear in a
@@ -194,7 +212,6 @@ func exposureRequests(shards, n int) map[string][]*http.Request {
 		"/v1/explain":      {explain},
 		"/healthz":         get("/healthz"),
 		"/metrics":         get("/metrics"),
-		"/debug/vars":      get("/debug/vars"),
 		"/debug/trace":     get("/debug/trace"),
 		"/debug/bundle":    get("/debug/bundle"),
 	}

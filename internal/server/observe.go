@@ -74,7 +74,7 @@ func (s *Server) initObservability() {
 // collect refreshes the derived gauges — uptime and, on a sharded engine,
 // the per-shard load family plus the max/mean imbalance ratio. It runs at
 // every recorder scrape (on the scraper goroutine) and at every direct
-// /metrics and /debug/vars read, never on the ingest path.
+// /metrics read, never on the ingest path.
 func (s *Server) collect() {
 	s.uptime.Set(s.uptimeSeconds())
 	if s.shardRecords == nil {

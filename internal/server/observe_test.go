@@ -363,12 +363,6 @@ func TestBuildInfoMetrics(t *testing.T) {
 	if !strings.Contains(metrics, "condense_uptime_seconds") {
 		t.Errorf("metrics missing condense_uptime_seconds")
 	}
-	var vars map[string]interface{}
-	getJSON(t, o.ts.URL+"/debug/vars", &vars)
-	up, ok := vars["condense_uptime_seconds"].(float64)
-	if !ok || up < 0 {
-		t.Errorf("debug/vars uptime = %v, want a non-negative number", vars["condense_uptime_seconds"])
-	}
 }
 
 // TestObserveOnlyCheckpoint: an aggressively scraped server must produce

@@ -20,7 +20,6 @@
 //	POST /v1/explain    {"record": [...], "top": M}   routing dry-run, side-effect-free
 //	GET  /healthz                                     build info, uptime, live counts, health state
 //	GET  /metrics                                     Prometheus text exposition
-//	GET  /debug/vars                                  expvar-style JSON metrics
 //	GET  /debug/trace   ?last=N                       Chrome trace-event JSON (when tracing on)
 //	GET  /debug/bundle                                one-shot diagnostics tar.gz
 //
@@ -197,7 +196,6 @@ var routes = []struct {
 	{"/v1/explain", (*Server).handleExplain},
 	{"/healthz", (*Server).handleHealth},
 	{"/metrics", (*Server).handleMetrics},
-	{"/debug/vars", (*Server).handleVars},
 	{"/debug/trace", (*Server).handleTrace},
 	{"/debug/bundle", (*Server).handleBundle},
 }
@@ -825,17 +823,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	s.collect()
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	_ = s.reg.WritePrometheus(w)
-}
-
-func (s *Server) handleVars(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		w.Header().Set("Allow", http.MethodGet)
-		writeError(w, http.StatusMethodNotAllowed, errors.New("GET required"))
-		return
-	}
-	s.collect()
-	w.Header().Set("Content-Type", "application/json")
-	_ = s.reg.WriteJSON(w)
 }
 
 // Audit runs one anonymization-quality pass over the current release and

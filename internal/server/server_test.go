@@ -406,26 +406,6 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 }
 
-func TestDebugVarsEndpoint(t *testing.T) {
-	ts := newTestServer(t, 4)
-	postRecords(t, ts, genRecords(6, 20))
-	resp, err := http.Get(ts.URL + "/debug/vars")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("debug/vars status %d", resp.StatusCode)
-	}
-	var vars map[string]interface{}
-	if err := json.NewDecoder(resp.Body).Decode(&vars); err != nil {
-		t.Fatalf("debug/vars is not JSON: %v", err)
-	}
-	if vars["condense_stream_records_total"] != float64(20) {
-		t.Errorf("condense_stream_records_total = %v", vars["condense_stream_records_total"])
-	}
-}
-
 func TestCheckpointRoundTrip(t *testing.T) {
 	ts := newTestServer(t, 4)
 	postRecords(t, ts, genRecords(4, 50))

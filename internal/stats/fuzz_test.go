@@ -31,6 +31,10 @@ func FuzzGroupUnmarshal(f *testing.F) {
 		if g.Dim() <= 0 {
 			t.Fatalf("accepted group with dimension %d", g.Dim())
 		}
+		// FromMoments' invariants hold for every accepted group.
+		if g.N() < 1 || !g.fs.IsFinite() || !g.sc.IsFinite() {
+			t.Fatalf("accepted group with n=%d or non-finite moments: %v", g.N(), &g)
+		}
 		// Every accepted group must round-trip identically.
 		out, err := g.MarshalBinary()
 		if err != nil {

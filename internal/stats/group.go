@@ -277,6 +277,15 @@ func (g *Group) UnmarshalBinary(data []byte) error {
 			sc.Set(j, i, v)
 		}
 	}
+	// Enforce FromMoments' invariants: decoded bytes are untrusted, and a
+	// non-positive count or a non-finite moment would only fail (or panic)
+	// later, at synthesis.
+	if n <= 0 {
+		return fmt.Errorf("stats: non-positive count %d in encoding", n)
+	}
+	if !fs.IsFinite() || !sc.IsFinite() {
+		return errors.New("stats: non-finite moments in encoding")
+	}
 	g.dim, g.n, g.fs, g.sc = dim, n, fs, sc
 	return nil
 }

@@ -3,68 +3,11 @@ package telemetry
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"log/slog"
 	"math"
 	"strings"
 	"testing"
 )
-
-// TestWriteJSONNonFinite: JSON cannot carry Inf/NaN, so the expvar-style
-// export quotes them instead of emitting an invalid document.
-func TestWriteJSONNonFinite(t *testing.T) {
-	reg := NewRegistry()
-	reg.Gauge("pos").Set(math.Inf(1))
-	reg.Gauge("neg").Set(math.Inf(-1))
-	reg.Gauge("nan").Set(math.NaN())
-	reg.Gauge("plain", "shard", "a").Set(2.5)
-
-	var buf bytes.Buffer
-	if err := reg.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var decoded map[string]interface{}
-	if err := json.Unmarshal(buf.Bytes(), &decoded); err != nil {
-		t.Fatalf("non-finite gauges broke the JSON export: %v\n%s", err, buf.String())
-	}
-	if decoded["pos"] != "+Inf" {
-		t.Errorf("pos = %v, want quoted +Inf", decoded["pos"])
-	}
-	if decoded["neg"] != "-Inf" {
-		t.Errorf("neg = %v, want quoted -Inf", decoded["neg"])
-	}
-	if decoded["nan"] != "NaN" {
-		t.Errorf("nan = %v, want quoted NaN", decoded["nan"])
-	}
-	if decoded[`plain{shard="a"}`] != 2.5 {
-		t.Errorf("labeled gauge missing or wrong: %v", decoded)
-	}
-}
-
-// TestWriteJSONEmpty: an empty registry still writes a valid document, and
-// a nil registry writes nothing.
-func TestWriteJSONEmpty(t *testing.T) {
-	var buf bytes.Buffer
-	if err := NewRegistry().WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var decoded map[string]interface{}
-	if err := json.Unmarshal(buf.Bytes(), &decoded); err != nil {
-		t.Fatalf("empty registry export invalid: %v\n%s", err, buf.String())
-	}
-	if len(decoded) != 0 {
-		t.Errorf("empty registry exported %v", decoded)
-	}
-
-	var nilReg *Registry
-	buf.Reset()
-	if err := nilReg.WriteJSON(&buf); err != nil {
-		t.Fatalf("nil registry WriteJSON: %v", err)
-	}
-	if err := json.Unmarshal(buf.Bytes(), &decoded); err != nil || len(decoded) != 0 {
-		t.Errorf("nil registry export: err=%v body=%q", err, buf.String())
-	}
-}
 
 // TestPrometheusNonFinite covers formatFloat's ±Inf branches through the
 // text exposition.

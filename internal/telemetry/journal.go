@@ -17,7 +17,7 @@ const (
 	// parent id retires and two children are born (paper §3.2).
 	EventSplit = "split"
 	// EventIndexRebuild marks a centroid-router (re)build: the SearchAuto
-	// scan→kd promotion, or an explicit backend/precision change.
+	// scan→kd promotion, or an explicit backend change.
 	EventIndexRebuild = "index_rebuild"
 	// EventSpecFallback marks a batch whose speculation windows re-routed
 	// records live because their candidate group changed mid-window.

@@ -1,7 +1,7 @@
 // Package telemetry is the stdlib-only observability layer of the
 // condensation stack: a metrics registry of atomic counters, gauges, and
-// fixed-bucket histograms, exportable as Prometheus text exposition or
-// expvar-style JSON, plus log/slog-based structured logging helpers.
+// fixed-bucket histograms, exportable as Prometheus text exposition, plus
+// log/slog-based structured logging helpers.
 //
 // The design rule is that a disabled metric must cost ~nothing. Every
 // handle type (*Counter, *Gauge, *Histogram) is nil-safe: calling a method
@@ -446,46 +446,4 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	}
 	_, err := io.WriteString(w, b.String())
 	return err
-}
-
-// WriteJSON writes the registry contents as an expvar-style JSON object:
-// one key per series (name plus rendered labels), scalar values for
-// counters and gauges, and {"count","sum","buckets"} objects for
-// histograms. Keys are sorted, so the output is deterministic.
-func (r *Registry) WriteJSON(w io.Writer) error {
-	var b strings.Builder
-	b.WriteString("{")
-	for i, m := range r.snapshot() {
-		if i > 0 {
-			b.WriteString(",")
-		}
-		fmt.Fprintf(&b, "\n%s: ", strconv.Quote(m.name+m.labels))
-		switch {
-		case m.c != nil:
-			fmt.Fprintf(&b, "%d", m.c.Value())
-		case m.g != nil:
-			writeJSONFloat(&b, m.g.Value())
-		case m.h != nil:
-			fmt.Fprintf(&b, `{"count": %d, "sum": `, m.h.Count())
-			writeJSONFloat(&b, m.h.Sum())
-			b.WriteString(`, "buckets": {`)
-			for j, ub := range m.h.upper {
-				fmt.Fprintf(&b, "%s: %d, ", strconv.Quote(formatFloat(ub)), m.h.buckets[j].Load())
-			}
-			fmt.Fprintf(&b, `"+Inf": %d}}`, m.h.buckets[len(m.h.upper)].Load())
-		}
-	}
-	b.WriteString("\n}\n")
-	_, err := io.WriteString(w, b.String())
-	return err
-}
-
-// writeJSONFloat renders a float as JSON, mapping non-finite values (which
-// JSON cannot carry) to quoted strings.
-func writeJSONFloat(b *strings.Builder, v float64) {
-	if math.IsInf(v, 0) || math.IsNaN(v) {
-		fmt.Fprintf(b, "%s", strconv.Quote(formatFloat(v)))
-		return
-	}
-	b.WriteString(strconv.FormatFloat(v, 'g', -1, 64))
 }

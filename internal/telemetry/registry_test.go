@@ -98,29 +98,6 @@ c_gauge 2.5
 	}
 }
 
-func TestWriteJSON(t *testing.T) {
-	reg := NewRegistry()
-	reg.Counter("hits_total").Add(3)
-	reg.Gauge("temp").Set(1.5)
-	reg.Histogram("lat", []float64{1}).Observe(0.5)
-
-	var buf bytes.Buffer
-	if err := reg.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var decoded map[string]interface{}
-	if err := json.Unmarshal(buf.Bytes(), &decoded); err != nil {
-		t.Fatalf("output is not valid JSON: %v\n%s", err, buf.String())
-	}
-	if decoded["hits_total"] != float64(3) {
-		t.Errorf("hits_total = %v", decoded["hits_total"])
-	}
-	hist, ok := decoded["lat"].(map[string]interface{})
-	if !ok || hist["count"] != float64(1) {
-		t.Errorf("lat = %v", decoded["lat"])
-	}
-}
-
 // TestNilSafety proves the disabled path: a nil registry hands out nil
 // handles and every operation on them is a no-op.
 func TestNilSafety(t *testing.T) {
