@@ -74,7 +74,7 @@ func benchStreamCorr(seed uint64, n, dim int) []mat.Vector {
 // condensers.
 func benchBase(b *testing.B, pool []mat.Vector, groups, k int) *core.Condensation {
 	b.Helper()
-	base, err := core.Static(pool[:groups*k], k, rng.New(12), core.Options{})
+	base, err := condense(pool[:groups*k], k, rng.New(12))
 	if err != nil {
 		b.Fatal(err)
 	}

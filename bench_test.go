@@ -205,7 +205,7 @@ func BenchmarkCoreStaticCondense(b *testing.B) {
 	r := rng.New(1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.Static(ds.X, 25, r, core.Options{}); err != nil {
+		if _, err := condense(ds.X, 25, r); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -238,7 +238,7 @@ func BenchmarkCoreDynamicAdd(b *testing.B) {
 	for i, x := range ds.X {
 		joint[i] = x
 	}
-	base, err := core.Static(joint[:500], 25, rng.New(2), core.Options{})
+	base, err := condense(joint[:500], 25, rng.New(2))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -256,7 +256,7 @@ func BenchmarkCoreDynamicAdd(b *testing.B) {
 
 func BenchmarkCoreSynthesize(b *testing.B) {
 	ds := datagen.Ionosphere(7)
-	cond, err := core.Static(ds.X, 25, rng.New(4), core.Options{})
+	cond, err := condense(ds.X, 25, rng.New(4))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -284,7 +284,7 @@ func benchWorkerCounts() []int {
 // (TestSynthesizeParallelEquivalence), only the wall clock moves.
 func BenchmarkCoreSynthesizeParallel(b *testing.B) {
 	ds := datagen.Abalone(7)
-	cond, err := core.Static(ds.X, 25, rng.New(4), core.Options{})
+	cond, err := condense(ds.X, 25, rng.New(4))
 	if err != nil {
 		b.Fatal(err)
 	}

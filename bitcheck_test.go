@@ -18,7 +18,7 @@ import (
 func TestBitcheckFingerprint(t *testing.T) {
 	const dim, k, G = 8, 25, 300
 	full := benchStreamCorr(14, G*k+10000, dim)
-	base, err := core.Static(full[:G*k], k, rng.New(12), core.Options{})
+	base, err := condense(full[:G*k], k, rng.New(12))
 	if err != nil {
 		t.Fatal(err)
 	}

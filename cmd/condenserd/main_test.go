@@ -71,7 +71,11 @@ func TestRunResume(t *testing.T) {
 	for i := range recs {
 		recs[i] = mat.Vector{r.Norm(), r.Norm()}
 	}
-	cond, err := core.Static(recs, 5, r, core.Options{})
+	c, err := core.NewCondenser(5, core.WithRandomSource(r))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cond, err := c.Static(recs)
 	if err != nil {
 		t.Fatal(err)
 	}

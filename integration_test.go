@@ -11,12 +11,31 @@ import (
 	"condensation/internal/dataset"
 	"condensation/internal/discretize"
 	"condensation/internal/knn"
+	"condensation/internal/mat"
 	"condensation/internal/metrics"
 	"condensation/internal/privacy"
 	"condensation/internal/rng"
 	"condensation/internal/stream"
 	"condensation/internal/tree"
 )
+
+// condense runs Condenser.Static on an injected rng source.
+func condense(records []mat.Vector, k int, r *rng.Source) (*core.Condensation, error) {
+	c, err := core.NewCondenser(k, core.WithRandomSource(r))
+	if err != nil {
+		return nil, err
+	}
+	return c.Static(records)
+}
+
+// anonymize runs Condenser.Anonymize on an injected rng source.
+func anonymize(ds *dataset.Dataset, k int, r *rng.Source) (*dataset.Dataset, *core.Report, error) {
+	c, err := core.NewCondenser(k, core.WithRandomSource(r))
+	if err != nil {
+		return nil, nil, err
+	}
+	return c.Anonymize(ds)
+}
 
 // TestPipelineClassification exercises the full paper pipeline end to end
 // on every classification data set: generate → split → anonymize → train
@@ -48,7 +67,7 @@ func TestPipelineClassification(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			anon, report, err := core.Anonymize(train, core.AnonymizeConfig{K: 10, Mode: core.ModeStatic}, r.Split())
+			anon, report, err := anonymize(train, 10, r.Split())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -131,7 +150,7 @@ func TestPipelineRegression(t *testing.T) {
 		return acc
 	}
 	origAcc := score(train)
-	anon, _, err := core.Anonymize(train, core.AnonymizeConfig{K: 10, Mode: core.ModeStatic}, r.Split())
+	anon, _, err := anonymize(train, 10, r.Split())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +177,7 @@ func TestPipelineDynamicStream(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		base, err := core.Static(sub.X[:50], k, r.Split(), core.Options{})
+		base, err := condense(sub.X[:50], k, r.Split())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -242,7 +261,7 @@ func TestPipelineMining(t *testing.T) {
 	if len(origRules) == 0 {
 		t.Fatal("no rules mined from original data; mining study would be vacuous")
 	}
-	anon, _, err := core.Anonymize(ds, core.AnonymizeConfig{K: 10, Mode: core.ModeStatic}, r)
+	anon, _, err := anonymize(ds, 10, r)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,7 +291,7 @@ func TestPipelineTree(t *testing.T) {
 		return acc
 	}
 	origAcc := fit(train)
-	anon, _, err := core.Anonymize(train, core.AnonymizeConfig{K: 15, Mode: core.ModeStatic}, r.Split())
+	anon, _, err := anonymize(train, 15, r.Split())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,7 +305,7 @@ func TestPipelineTree(t *testing.T) {
 // format and verifies synthesized output equivalence.
 func TestPipelineCheckpoint(t *testing.T) {
 	ds := datagen.Ecoli(109)
-	cond, err := core.Static(ds.X, 12, rng.New(110), core.Options{})
+	cond, err := condense(ds.X, 12, rng.New(110))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -320,7 +339,7 @@ func TestMomentPreservationEndToEnd(t *testing.T) {
 	ds := datagen.Pima(112)
 	var prevErr float64 = -1
 	for _, k := range []int{100, 25, 5} {
-		cond, err := core.Static(ds.X, k, rng.New(113), core.Options{})
+		cond, err := condense(ds.X, k, rng.New(113))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,14 +1,12 @@
 package core
 
 import (
-	"context"
 	"errors"
 	"fmt"
 
 	"condensation/internal/dataset"
 	"condensation/internal/mat"
 	"condensation/internal/rng"
-	"condensation/internal/telemetry"
 )
 
 // Mode selects between the paper's two group-construction regimes.
@@ -32,36 +30,6 @@ func (m Mode) String() string {
 	default:
 		return fmt.Sprintf("Mode(%d)", int(m))
 	}
-}
-
-// AnonymizeConfig configures data-set level anonymization.
-type AnonymizeConfig struct {
-	// K is the indistinguishability level (minimum group size).
-	K int
-	// Mode selects static or dynamic condensation.
-	Mode Mode
-	// Options tunes synthesis, split axis, and leftover policy.
-	Options Options
-	// InitialFraction is the fraction of records (per class) used as the
-	// dynamic mode's initial static database; the remainder is streamed.
-	// Values outside (0, 1] fall back to the default 0.25. Ignored for
-	// static mode.
-	InitialFraction float64
-	// Search selects the static neighbour-search backend (default
-	// SearchAuto). It changes speed, never the condensed statistics (up to
-	// distance ties).
-	Search NeighborSearch
-	// Parallelism bounds the static distance sweep's worker goroutines;
-	// values < 1 mean runtime.NumCPU().
-	Parallelism int
-	// Telemetry optionally records stage timings and group counters into a
-	// metrics registry. Nil disables recording; the anonymized output is
-	// bit-identical either way.
-	Telemetry *telemetry.Registry
-	// Tracer optionally records sampled execution spans for the
-	// condensation and synthesis stages. Nil disables tracing; observe-only
-	// like Telemetry.
-	Tracer *telemetry.Tracer
 }
 
 // ClassReport describes the condensation of one class (or of the whole
@@ -116,7 +84,8 @@ func (r *Report) AvgGroupSize() float64 {
 	return 0
 }
 
-// Anonymize produces a privacy-preserving replacement for ds.
+// Anonymize produces a privacy-preserving replacement for ds using the
+// configured mode.
 //
 // For classification data sets each class is condensed separately
 // (Section 3.1 of the paper: "separate sets of data were generated from
@@ -128,33 +97,25 @@ func (r *Report) AvgGroupSize() float64 {
 // and condensed jointly with the features, so the synthesized data
 // preserves feature–target correlations; the extra attribute is split
 // back off into the synthesized targets.
-//
-// Deprecated: use the Condenser facade — NewCondenser(k, WithSeed(s),
-// WithMode(m), ...).Anonymize(ds).
-func Anonymize(ds *dataset.Dataset, cfg AnonymizeConfig, r *rng.Source) (*dataset.Dataset, *Report, error) {
-	if r == nil {
-		return nil, nil, errors.New("core: nil random source")
-	}
+func (c *Condenser) Anonymize(ds *dataset.Dataset) (*dataset.Dataset, *Report, error) {
 	if err := ds.Validate(); err != nil {
 		return nil, nil, fmt.Errorf("core: input data set: %w", err)
 	}
 	if ds.Len() == 0 {
 		return nil, nil, errors.New("core: empty data set")
 	}
-	if cfg.K < 1 {
-		return nil, nil, fmt.Errorf("core: indistinguishability level k = %d, must be ≥ 1", cfg.K)
-	}
+	r := c.rng()
 	switch ds.Task {
 	case dataset.Classification:
-		return anonymizeClassification(ds, cfg, r)
+		return c.anonymizeClassification(ds, r)
 	case dataset.Regression:
-		return anonymizeRegression(ds, cfg, r)
+		return c.anonymizeRegression(ds, r)
 	default:
 		return nil, nil, fmt.Errorf("core: unsupported task %v", ds.Task)
 	}
 }
 
-func anonymizeClassification(ds *dataset.Dataset, cfg AnonymizeConfig, r *rng.Source) (*dataset.Dataset, *Report, error) {
+func (c *Condenser) anonymizeClassification(ds *dataset.Dataset, r *rng.Source) (*dataset.Dataset, *Report, error) {
 	out := &dataset.Dataset{
 		Name:       ds.Name + "-anonymized",
 		Attrs:      append([]string(nil), ds.Attrs...),
@@ -172,7 +133,7 @@ func anonymizeClassification(ds *dataset.Dataset, cfg AnonymizeConfig, r *rng.So
 		for i, ri := range idx {
 			recs[i] = ds.X[ri]
 		}
-		cond, err := condenseRecords(recs, cfg, r.Split())
+		cond, err := c.condenseRecords(recs, r.Split())
 		if err != nil {
 			return nil, nil, fmt.Errorf("core: class %d: %w", label, err)
 		}
@@ -190,7 +151,7 @@ func anonymizeClassification(ds *dataset.Dataset, cfg AnonymizeConfig, r *rng.So
 	return out, report, nil
 }
 
-func anonymizeRegression(ds *dataset.Dataset, cfg AnonymizeConfig, r *rng.Source) (*dataset.Dataset, *Report, error) {
+func (c *Condenser) anonymizeRegression(ds *dataset.Dataset, r *rng.Source) (*dataset.Dataset, *Report, error) {
 	d := ds.Dim()
 	recs := make([]mat.Vector, ds.Len())
 	for i, x := range ds.X {
@@ -199,7 +160,7 @@ func anonymizeRegression(ds *dataset.Dataset, cfg AnonymizeConfig, r *rng.Source
 		joint[d] = ds.Targets[i]
 		recs[i] = joint
 	}
-	cond, err := condenseRecords(recs, cfg, r.Split())
+	cond, err := c.condenseRecords(recs, r.Split())
 	if err != nil {
 		return nil, nil, err
 	}
@@ -223,52 +184,47 @@ func anonymizeRegression(ds *dataset.Dataset, cfg AnonymizeConfig, r *rng.Source
 }
 
 // condenseRecords runs the configured construction regime on one record
-// set. The returned condensation inherits cfg.Parallelism for its
-// synthesis fan-out.
-func condenseRecords(recs []mat.Vector, cfg AnonymizeConfig, r *rng.Source) (*Condensation, error) {
-	search := searchConfig{Search: cfg.Search, Parallelism: cfg.Parallelism}
-	switch cfg.Mode {
-	case ModeStatic:
-		cond, _, err := staticCondense(context.Background(), recs, cfg.K, r, cfg.Options, search, cfg.Telemetry, cfg.Tracer)
+// set. The returned condensation inherits the configured parallelism for
+// its synthesis fan-out.
+func (c *Condenser) condenseRecords(recs []mat.Vector, r *rng.Source) (*Condensation, error) {
+	if c.mode == ModeStatic {
+		cond, _, err := c.staticCondense(recs, r)
 		if cond != nil {
-			cond.SetTracer(cfg.Tracer)
+			cond.SetTracer(c.trace)
 		}
 		return cond, err
-	case ModeDynamic:
-		frac := cfg.InitialFraction
-		if frac <= 0 || frac > 1 {
-			frac = 0.25
-		}
-		initial := int(frac * float64(len(recs)))
-		// The initial database must support at least one full group; the
-		// stream needs at least the records not in the initial database.
-		if initial < cfg.K {
-			initial = cfg.K
-		}
-		if initial > len(recs) {
-			initial = len(recs)
-		}
-		base, _, err := staticCondense(context.Background(), recs[:initial], cfg.K, r, cfg.Options, search, cfg.Telemetry, cfg.Tracer)
-		if err != nil {
-			return nil, err
-		}
-		dyn, err := NewDynamic(base, r)
-		if err != nil {
-			return nil, err
-		}
-		dyn.SetTelemetry(cfg.Telemetry)
-		dyn.SetTracer(cfg.Tracer)
-		for i, x := range recs[initial:] {
-			if err := dyn.Add(x); err != nil {
-				return nil, fmt.Errorf("core: stream record %d: %w", i, err)
-			}
-		}
-		cond := dyn.Condensation()
-		cond.SetParallelism(cfg.Parallelism)
-		return cond, nil
-	default:
-		return nil, fmt.Errorf("core: unsupported mode %v", cfg.Mode)
 	}
+	frac := c.initial
+	if frac <= 0 || frac > 1 {
+		frac = 0.25
+	}
+	initial := int(frac * float64(len(recs)))
+	// The initial database must support at least one full group; the
+	// stream needs at least the records not in the initial database.
+	if initial < c.k {
+		initial = c.k
+	}
+	if initial > len(recs) {
+		initial = len(recs)
+	}
+	base, _, err := c.staticCondense(recs[:initial], r)
+	if err != nil {
+		return nil, err
+	}
+	dyn, err := NewDynamic(base, r)
+	if err != nil {
+		return nil, err
+	}
+	dyn.SetTelemetry(c.tel)
+	dyn.SetTracer(c.trace)
+	for i, x := range recs[initial:] {
+		if err := dyn.Add(x); err != nil {
+			return nil, fmt.Errorf("core: stream record %d: %w", i, err)
+		}
+	}
+	cond := dyn.Condensation()
+	cond.SetParallelism(c.search.Parallelism)
+	return cond, nil
 }
 
 func classReport(label, records int, cond *Condensation) ClassReport {

@@ -29,6 +29,15 @@ func toyClassification(seed uint64, perClass int) *dataset.Dataset {
 	return ds
 }
 
+// anonymize runs Condenser.Anonymize on an injected rng source.
+func anonymize(ds *dataset.Dataset, k int, r *rng.Source, opts ...CondenserOption) (*dataset.Dataset, *Report, error) {
+	c, err := NewCondenser(k, append(opts, WithRandomSource(r))...)
+	if err != nil {
+		return nil, nil, err
+	}
+	return c.Anonymize(ds)
+}
+
 func toyRegression(seed uint64, n int) *dataset.Dataset {
 	r := rng.New(seed)
 	ds := &dataset.Dataset{
@@ -46,7 +55,7 @@ func toyRegression(seed uint64, n int) *dataset.Dataset {
 
 func TestAnonymizeClassificationStatic(t *testing.T) {
 	ds := toyClassification(1, 30)
-	anon, report, err := Anonymize(ds, AnonymizeConfig{K: 5, Mode: ModeStatic}, rng.New(2))
+	anon, report, err := anonymize(ds, 5, rng.New(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +89,7 @@ func TestAnonymizeClassesStaySeparated(t *testing.T) {
 	// With classes 10σ apart, every synthesized class-0 record must stay
 	// far from the class-1 region, or the anonymized labels are wrong.
 	ds := toyClassification(3, 40)
-	anon, _, err := Anonymize(ds, AnonymizeConfig{K: 8, Mode: ModeStatic}, rng.New(4))
+	anon, _, err := anonymize(ds, 8, rng.New(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +103,7 @@ func TestAnonymizeClassesStaySeparated(t *testing.T) {
 
 func TestAnonymizeClassificationDynamic(t *testing.T) {
 	ds := toyClassification(5, 50)
-	anon, report, err := Anonymize(ds, AnonymizeConfig{K: 5, Mode: ModeDynamic, InitialFraction: 0.3}, rng.New(6))
+	anon, report, err := anonymize(ds, 5, rng.New(6), WithMode(ModeDynamic), WithInitialFraction(0.3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +119,7 @@ func TestAnonymizeClassificationDynamic(t *testing.T) {
 
 func TestAnonymizeRegression(t *testing.T) {
 	ds := toyRegression(7, 80)
-	anon, report, err := Anonymize(ds, AnonymizeConfig{K: 8, Mode: ModeStatic}, rng.New(8))
+	anon, report, err := anonymize(ds, 8, rng.New(8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,35 +154,25 @@ func TestAnonymizeRegression(t *testing.T) {
 }
 
 func TestAnonymizeErrors(t *testing.T) {
-	ds := toyClassification(9, 10)
-	if _, _, err := Anonymize(ds, AnonymizeConfig{K: 0, Mode: ModeStatic}, rng.New(1)); err == nil {
-		t.Error("k=0 accepted")
-	}
-	if _, _, err := Anonymize(ds, AnonymizeConfig{K: 2, Mode: Mode(9)}, rng.New(1)); err == nil {
-		t.Error("bad mode accepted")
-	}
-	if _, _, err := Anonymize(ds, AnonymizeConfig{K: 2, Mode: ModeStatic}, nil); err == nil {
-		t.Error("nil source accepted")
-	}
 	empty := &dataset.Dataset{Task: dataset.Classification}
-	if _, _, err := Anonymize(empty, AnonymizeConfig{K: 2}, rng.New(1)); err == nil {
+	if _, _, err := anonymize(empty, 2, rng.New(1)); err == nil {
 		t.Error("empty data set accepted")
 	}
 	bad := toyClassification(10, 5)
 	bad.Labels = bad.Labels[:3]
-	if _, _, err := Anonymize(bad, AnonymizeConfig{K: 2}, rng.New(1)); err == nil {
+	if _, _, err := anonymize(bad, 2, rng.New(1)); err == nil {
 		t.Error("invalid data set accepted")
 	}
 	badTask := toyClassification(11, 5)
 	badTask.Task = dataset.Task(9)
-	if _, _, err := Anonymize(badTask, AnonymizeConfig{K: 2}, rng.New(1)); err == nil {
+	if _, _, err := anonymize(badTask, 2, rng.New(1)); err == nil {
 		t.Error("unknown task accepted")
 	}
 }
 
 func TestAnonymizeSmallClassSmallerThanK(t *testing.T) {
 	ds := toyClassification(12, 3) // classes of 3 with k=5
-	anon, report, err := Anonymize(ds, AnonymizeConfig{K: 5, Mode: ModeStatic}, rng.New(13))
+	anon, report, err := anonymize(ds, 5, rng.New(13))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,12 +188,11 @@ func TestAnonymizeSmallClassSmallerThanK(t *testing.T) {
 
 func TestAnonymizeDeterministic(t *testing.T) {
 	ds := toyClassification(14, 20)
-	cfg := AnonymizeConfig{K: 4, Mode: ModeStatic}
-	a1, _, err := Anonymize(ds, cfg, rng.New(15))
+	a1, _, err := anonymize(ds, 4, rng.New(15))
 	if err != nil {
 		t.Fatal(err)
 	}
-	a2, _, err := Anonymize(ds, cfg, rng.New(15))
+	a2, _, err := anonymize(ds, 4, rng.New(15))
 	if err != nil {
 		t.Fatal(err)
 	}

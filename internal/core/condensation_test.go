@@ -23,7 +23,7 @@ func correlatedRecords(seed uint64, n int) []mat.Vector {
 
 func TestSynthesizeCountAndDim(t *testing.T) {
 	recs := correlatedRecords(1, 60)
-	cond, err := Static(recs, 6, rng.New(2), Options{})
+	cond, err := condense(recs, 6, rng.New(2), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +45,7 @@ func TestSynthesizeK1ReproducesOriginals(t *testing.T) {
 	// With k=1 each group holds one record with zero covariance, so the
 	// synthesized set equals the original set exactly (up to ordering).
 	recs := correlatedRecords(4, 15)
-	cond, err := Static(recs, 1, rng.New(5), Options{})
+	cond, err := condense(recs, 1, rng.New(5), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +160,7 @@ func TestSynthesizeUniformIsBounded(t *testing.T) {
 
 func TestSynthesizeGroupedAlignment(t *testing.T) {
 	recs := correlatedRecords(11, 24)
-	cond, err := Static(recs, 4, rng.New(12), Options{})
+	cond, err := condense(recs, 4, rng.New(12), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +179,7 @@ func TestSynthesizeGroupedAlignment(t *testing.T) {
 }
 
 func TestSynthesizeNilSource(t *testing.T) {
-	cond, err := Static(correlatedRecords(14, 10), 2, rng.New(15), Options{})
+	cond, err := condense(correlatedRecords(14, 10), 2, rng.New(15), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +189,7 @@ func TestSynthesizeNilSource(t *testing.T) {
 }
 
 func TestSynthesizeDeterministic(t *testing.T) {
-	cond, err := Static(correlatedRecords(16, 20), 4, rng.New(17), Options{})
+	cond, err := condense(correlatedRecords(16, 20), 4, rng.New(17), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,11 +229,11 @@ func TestOptionStrings(t *testing.T) {
 }
 
 func TestMergeCondensations(t *testing.T) {
-	a, err := Static(correlatedRecords(30, 20), 5, rng.New(31), Options{})
+	a, err := condense(correlatedRecords(30, 20), 5, rng.New(31), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Static(correlatedRecords(32, 12), 3, rng.New(33), Options{})
+	b, err := condense(correlatedRecords(32, 12), 3, rng.New(33), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,7 +260,7 @@ func TestMergeErrors(t *testing.T) {
 	if _, err := Merge(); err == nil {
 		t.Error("empty merge accepted")
 	}
-	a, err := Static(correlatedRecords(35, 10), 2, rng.New(36), Options{})
+	a, err := condense(correlatedRecords(35, 10), 2, rng.New(36), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,7 +268,7 @@ func TestMergeErrors(t *testing.T) {
 		t.Error("nil input accepted")
 	}
 	recs1D := []mat.Vector{{1}, {2}, {3}, {4}}
-	b, err := Static(recs1D, 2, rng.New(37), Options{})
+	b, err := condense(recs1D, 2, rng.New(37), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,11 +1,9 @@
 package core
 
 import (
-	"context"
 	"errors"
 	"fmt"
 
-	"condensation/internal/dataset"
 	"condensation/internal/mat"
 	"condensation/internal/rng"
 	"condensation/internal/telemetry"
@@ -172,25 +170,30 @@ func (c *Condenser) rng() *rng.Source {
 	return rng.New(c.seed)
 }
 
-// Static condenses the records into groups of at least k (Figure 1) using
-// the configured neighbour-search backend and parallelism.
+// Static runs the CreateCondensedGroups algorithm of Figure 1 on the full
+// set of records: while at least k records remain, sample one uniformly at
+// random, gather its k−1 nearest remaining neighbours into a group, record
+// the group's aggregate statistics, and delete the group's records.
+// Remaining records (between 1 and k−1 of them) are folded into the group
+// with the nearest centroid, so a few groups may hold more than k records.
+// Records must be finite and within ±MaxRecordMagnitude, the bound the
+// stream enforces.
+//
+// The records slice is not modified. k = 1 produces one group per record,
+// in which case synthesis reproduces each record exactly — the paper's
+// group-size-1 anchor where static condensation equals the original data.
 func (c *Condenser) Static(records []mat.Vector) (*Condensation, error) {
-	return c.StaticContext(context.Background(), records)
-}
-
-// StaticContext is Static with a context: a span carried by ctx becomes
-// the parent of the pipeline's trace spans (the context is not consulted
-// for cancellation).
-func (c *Condenser) StaticContext(ctx context.Context, records []mat.Vector) (*Condensation, error) {
-	cond, _, err := staticCondense(ctx, records, c.k, c.rng(), c.opts, c.search, c.tel, c.trace)
+	cond, _, err := c.staticCondense(records, c.rng())
 	return cond, err
 }
 
 // StaticWithMembers is Static, additionally reporting which original
-// records each group condensed — for privacy evaluation and tests only;
-// membership must never leave the trusted collection boundary.
+// records each group condensed: members[g] lists the record indices of
+// group g. The membership map is exactly what a condensation deployment
+// must *not* publish; it is exposed for privacy evaluation (re-
+// identification attacks need the ground truth) and for tests.
 func (c *Condenser) StaticWithMembers(records []mat.Vector) (*Condensation, [][]int, error) {
-	return staticCondense(context.Background(), records, c.k, c.rng(), c.opts, c.search, c.tel, c.trace)
+	return c.staticCondense(records, c.rng())
 }
 
 // Dynamic returns an empty one-shard dynamic condenser (Figure 2) over
@@ -246,7 +249,7 @@ func (c *Condenser) ShardedFrom(initial *Condensation, shards int) (*Dynamic, er
 // setting in one call.
 func (c *Condenser) Bootstrap(initial []mat.Vector) (*Dynamic, error) {
 	r := c.rng()
-	cond, _, err := staticCondense(context.Background(), initial, c.k, r, c.opts, c.search, c.tel, c.trace)
+	cond, _, err := c.staticCondense(initial, r)
 	if err != nil {
 		return nil, err
 	}
@@ -282,21 +285,4 @@ func (c *Condenser) wire(d *Dynamic, err error) (*Dynamic, error) {
 	d.SetTracer(c.trace)
 	d.SetJournal(c.journal)
 	return d, nil
-}
-
-// Anonymize produces a privacy-preserving replacement for ds using the
-// configured mode, per-class for classification and jointly with the
-// target for regression (Section 3.1).
-func (c *Condenser) Anonymize(ds *dataset.Dataset) (*dataset.Dataset, *Report, error) {
-	cfg := AnonymizeConfig{
-		K:               c.k,
-		Mode:            c.mode,
-		Options:         c.opts,
-		InitialFraction: c.initial,
-		Search:          c.search.Search,
-		Parallelism:     c.search.Parallelism,
-		Telemetry:       c.tel,
-		Tracer:          c.trace,
-	}
-	return Anonymize(ds, cfg, c.rng())
 }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"testing"
 
@@ -35,7 +34,9 @@ func groupKey(g *stats.Group) string {
 // TestSearchBackendEquivalence is the fast-path cross-check: under the
 // same rng seed, the quickselect and kd-tree backends must produce groups
 // with aggregate statistics identical (bit for bit — members are added in
-// the same ascending-distance order) to the reference scan-sort path.
+// the same ascending-distance order) to the reference scan-sort path. The
+// reference draws from an injected rng.New(9), the others from WithSeed(9),
+// so this also pins that the two give one stream.
 func TestSearchBackendEquivalence(t *testing.T) {
 	for _, tc := range []struct {
 		n, d, k int
@@ -48,8 +49,11 @@ func TestSearchBackendEquivalence(t *testing.T) {
 		{35, 2, 50},  // fewer records than k: single undersized group
 	} {
 		records := gaussianRecords(uint64(tc.n)*31+uint64(tc.d), tc.n, tc.d)
-		reference, refMembers, err := staticCondense(context.Background(), records, tc.k, rng.New(9), Options{},
-			searchConfig{Search: SearchScanSort}, nil, nil)
+		scan, err := NewCondenser(tc.k, WithRandomSource(rng.New(9)), WithNeighborSearch(SearchScanSort))
+		if err != nil {
+			t.Fatal(err)
+		}
+		reference, refMembers, err := scan.StaticWithMembers(records)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -124,34 +128,6 @@ func TestParallelSweepEquivalence(t *testing.T) {
 	for gi := range wantGroups {
 		if groupKey(gotGroups[gi]) != groupKey(wantGroups[gi]) {
 			t.Fatalf("parallel sweep diverged at group %d", gi)
-		}
-	}
-}
-
-// TestCondenserDefaultsMatchDeprecatedAPI pins the compatibility contract:
-// the zero-option facade with seed s equals the deprecated positional call
-// with rng.New(s).
-func TestCondenserDefaultsMatchDeprecatedAPI(t *testing.T) {
-	records := gaussianRecords(5, 90, 3)
-	c, err := NewCondenser(6, WithSeed(42))
-	if err != nil {
-		t.Fatal(err)
-	}
-	facade, err := c.Static(records)
-	if err != nil {
-		t.Fatal(err)
-	}
-	legacy, err := Static(records, 6, rng.New(42), Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if facade.NumGroups() != legacy.NumGroups() {
-		t.Fatalf("facade %d groups, legacy %d", facade.NumGroups(), legacy.NumGroups())
-	}
-	fg, lg := facade.Groups(), legacy.Groups()
-	for gi := range fg {
-		if groupKey(fg[gi]) != groupKey(lg[gi]) {
-			t.Fatalf("facade diverged from legacy API at group %d", gi)
 		}
 	}
 }

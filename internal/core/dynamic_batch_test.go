@@ -67,7 +67,7 @@ func TestAddBatchEquivalence(t *testing.T) {
 		var d *Dynamic
 		var err error
 		if boot {
-			cond, serr := Static(gaussianRecords(22, 80, dim), k, rng.New(23), Options{})
+			cond, serr := condense(gaussianRecords(22, 80, dim), k, rng.New(23), Options{})
 			if serr != nil {
 				t.Fatal(serr)
 			}

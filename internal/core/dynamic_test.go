@@ -25,7 +25,7 @@ func TestDynamicSteadyStateGroupSizes(t *testing.T) {
 	stream := clusteredRecords(32, 100, 100)
 	k := 5
 
-	cond, err := Static(base, k, rng.New(33), Options{})
+	cond, err := condense(base, k, rng.New(33), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +50,7 @@ func TestDynamicSteadyStateGroupSizes(t *testing.T) {
 func TestDynamicSplitsHappen(t *testing.T) {
 	base := clusteredRecords(35, 10, 0)
 	k := 5
-	cond, err := Static(base, k, rng.New(36), Options{})
+	cond, err := condense(base, k, rng.New(36), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +72,7 @@ func TestDynamicRoutesToNearestCluster(t *testing.T) {
 	// check the total mass near B grows accordingly.
 	base := clusteredRecords(39, 20, 20)
 	k := 4
-	cond, err := Static(base, k, rng.New(40), Options{})
+	cond, err := condense(base, k, rng.New(40), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +133,7 @@ func TestDynamicConstructorErrors(t *testing.T) {
 	if _, err := NewDynamic(nil, rng.New(1)); err == nil {
 		t.Error("nil condensation accepted")
 	}
-	cond, err := Static(clusteredRecords(46, 5, 0), 2, rng.New(2), Options{})
+	cond, err := condense(clusteredRecords(46, 5, 0), 2, rng.New(2), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

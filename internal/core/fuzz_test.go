@@ -15,7 +15,7 @@ import (
 // synthesis (bounded here to 1<<16 records and dimension 256, so one
 // input stays cheap).
 func FuzzReadCondensation(f *testing.F) {
-	cond, err := Static(clusteredRecords(200, 8, 8), 4, rng.New(201), Options{})
+	cond, err := condense(clusteredRecords(200, 8, 8), 4, rng.New(201), Options{})
 	if err != nil {
 		f.Fatal(err)
 	}

@@ -14,7 +14,7 @@ import (
 // output bit for bit, because every group's rng stream is still split in
 // order, and each skipped group's slot is nil.
 func TestSynthesizeGroupedExcept(t *testing.T) {
-	cond, err := Static(clusteredRecords(61, 90, 90), 6, rng.New(2), Options{})
+	cond, err := condense(clusteredRecords(61, 90, 90), 6, rng.New(2), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,7 +12,7 @@ import (
 // the synthesized records are bit-identical for every worker count.
 func TestSynthesizeParallelEquivalence(t *testing.T) {
 	recs := correlatedRecords(30, 120)
-	cond, err := Static(recs, 8, rng.New(31), Options{})
+	cond, err := condense(recs, 8, rng.New(31), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +56,7 @@ func TestSynthesizeParallelEquivalence(t *testing.T) {
 // Gaussian ablation mode, whose draw pattern differs per point.
 func TestSynthesizeParallelGaussian(t *testing.T) {
 	recs := correlatedRecords(33, 90)
-	cond, err := Static(recs, 6, rng.New(34), Options{Synthesis: SynthesisGaussian})
+	cond, err := condense(recs, 6, rng.New(34), Options{Synthesis: SynthesisGaussian})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func TestSynthesizeParallelGaussian(t *testing.T) {
 func TestAnonymizeParallelEquivalence(t *testing.T) {
 	ds := toyClassification(36, 50)
 	run := func(p int) ([][]float64, error) {
-		anon, _, err := Anonymize(ds, AnonymizeConfig{K: 5, Parallelism: p}, rng.New(37))
+		anon, _, err := anonymize(ds, 5, rng.New(37), WithParallelism(p))
 		if err != nil {
 			return nil, err
 		}
@@ -127,11 +127,11 @@ func TestAnonymizeParallelEquivalence(t *testing.T) {
 // first input's synthesis parallelism.
 func TestMergePropagatesParallelism(t *testing.T) {
 	recs := correlatedRecords(38, 40)
-	a, err := Static(recs[:20], 4, rng.New(39), Options{})
+	a, err := condense(recs[:20], 4, rng.New(39), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Static(recs[20:], 4, rng.New(40), Options{})
+	b, err := condense(recs[20:], 4, rng.New(40), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

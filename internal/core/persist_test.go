@@ -11,7 +11,7 @@ import (
 
 func TestCondensationRoundTrip(t *testing.T) {
 	recs := clusteredRecords(61, 20, 20)
-	orig, err := Static(recs, 5, rng.New(62), Options{
+	orig, err := condense(recs, 5, rng.New(62), Options{
 		Synthesis: SynthesisGaussian,
 		SplitAxis: SplitRandom,
 		Leftover:  LeftoverOwnGroup,
@@ -71,7 +71,7 @@ func TestReadCondensationRejectsGarbage(t *testing.T) {
 	}
 	// Corrupt a valid stream's version field.
 	recs := clusteredRecords(64, 6, 0)
-	cond, err := Static(recs, 2, rng.New(65), Options{})
+	cond, err := condense(recs, 2, rng.New(65), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +100,7 @@ func TestReadCondensationRejectsGarbage(t *testing.T) {
 // n = −5 then panicked in synthesis and a non-finite Fs made every
 // synthesis fail. The decoder now enforces stats.FromMoments' invariants.
 func TestReadCondensationRejectsCorruptMoments(t *testing.T) {
-	cond, err := Static(clusteredRecords(68, 20, 0), 4, rng.New(69), Options{})
+	cond, err := condense(clusteredRecords(68, 20, 0), 4, rng.New(69), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +150,7 @@ func TestReadCondensationRejectsCorruptMoments(t *testing.T) {
 
 func TestReadCondensationRejectsBadOptions(t *testing.T) {
 	recs := clusteredRecords(66, 6, 0)
-	cond, err := Static(recs, 2, rng.New(67), Options{})
+	cond, err := condense(recs, 2, rng.New(67), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,11 +166,11 @@ func TestReadCondensationRejectsBadOptions(t *testing.T) {
 }
 
 func TestClassCondensationsRoundTrip(t *testing.T) {
-	a, err := Static(clusteredRecords(70, 10, 0), 3, rng.New(71), Options{})
+	a, err := condense(clusteredRecords(70, 10, 0), 3, rng.New(71), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Static(clusteredRecords(72, 0, 14), 4, rng.New(73), Options{})
+	b, err := condense(clusteredRecords(72, 0, 14), 4, rng.New(73), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +213,7 @@ func TestClassCondensationsErrors(t *testing.T) {
 		t.Error("zero stream accepted")
 	}
 	// Valid stream, truncated body.
-	a, err := Static(clusteredRecords(74, 8, 0), 2, rng.New(75), Options{})
+	a, err := condense(clusteredRecords(74, 8, 0), 2, rng.New(75), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

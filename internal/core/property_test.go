@@ -40,7 +40,7 @@ func TestStaticInvariantsProperty(t *testing.T) {
 		d := 1 + r.IntN(5)
 		k := 1 + r.IntN(15)
 		recs := randomRecords(r, n, d)
-		cond, err := Static(recs, k, r.Split(), Options{})
+		cond, err := condense(recs, k, r.Split(), Options{})
 		if err != nil {
 			return false
 		}
@@ -104,7 +104,7 @@ func TestDynamicInterleavingInvariantProperty(t *testing.T) {
 		d := 1 + r.IntN(4)
 		k := 2 + r.IntN(8)
 		base := randomRecords(r, k+r.IntN(4*k), d)
-		cond, err := Static(base, k, r.Split(), Options{})
+		cond, err := condense(base, k, r.Split(), Options{})
 		if err != nil {
 			return false
 		}
@@ -158,7 +158,7 @@ func TestSynthesisGroupMeanProperty(t *testing.T) {
 		d := 1 + r.IntN(4)
 		k := 5 + r.IntN(10)
 		recs := randomRecords(r, n, d)
-		cond, err := Static(recs, k, r.Split(), Options{})
+		cond, err := condense(recs, k, r.Split(), Options{})
 		if err != nil {
 			return false
 		}
@@ -231,7 +231,7 @@ func TestPersistRoundTripProperty(t *testing.T) {
 		d := 1 + r.IntN(4)
 		k := 1 + r.IntN(8)
 		recs := randomRecords(r, n, d)
-		cond, err := Static(recs, k, r.Split(), Options{})
+		cond, err := condense(recs, k, r.Split(), Options{})
 		if err != nil {
 			return false
 		}

@@ -34,7 +34,7 @@ func checkpointBytes(t *testing.T, eng Engine) []byte {
 func TestEngineInterfaceEquivalence(t *testing.T) {
 	const k, dim, seed = 6, 4, 5
 	stream := gaussianRecords(7, 900, dim)
-	initial, err := Static(gaussianRecords(8, 120, dim), k, rng.New(9), Options{})
+	initial, err := condense(gaussianRecords(8, 120, dim), k, rng.New(9), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,7 +267,7 @@ func TestShardedValidation(t *testing.T) {
 	}
 	// Groups formed at another k hold the wrong number of records for
 	// this engine's split rule, so seeding refuses them.
-	initial, err := Static(gaussianRecords(67, 60, 2), 4, rng.New(69), Options{})
+	initial, err := condense(gaussianRecords(67, 60, 2), 4, rng.New(69), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,7 +301,7 @@ func TestShardedValidation(t *testing.T) {
 // leaves the excess shards empty but serviceable.
 func TestShardedFromDistributesGroups(t *testing.T) {
 	const k, dim = 5, 3
-	initial, err := Static(gaussianRecords(19, 60, dim), k, rng.New(21), Options{})
+	initial, err := condense(gaussianRecords(19, 60, dim), k, rng.New(21), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -409,7 +409,7 @@ func TestDynamicTotalCountCached(t *testing.T) {
 		t.Fatalf("after batch: TotalCount = %d, groups hold %d, want 500", got, want)
 	}
 
-	initial, err := Static(gaussianRecords(37, 90, dim), k, rng.New(39), Options{})
+	initial, err := condense(gaussianRecords(37, 90, dim), k, rng.New(39), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -591,7 +591,7 @@ func TestDynamicConcurrentSingleShard(t *testing.T) {
 // the bound sits between the two at 1.75.
 func TestShardedFromClonesOnce(t *testing.T) {
 	const k, dim = 4, 16
-	initial, err := Static(gaussianRecords(71, 2400, dim), k, rng.New(73), Options{})
+	initial, err := condense(gaussianRecords(71, 2400, dim), k, rng.New(73), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"sort"
@@ -11,61 +10,15 @@ import (
 	"condensation/internal/mat"
 	"condensation/internal/rng"
 	"condensation/internal/stats"
-	"condensation/internal/telemetry"
 )
 
-// Static runs the CreateCondensedGroups algorithm of Figure 1 on the full
-// set of records: while at least k records remain, sample one uniformly at
-// random, gather its k−1 nearest remaining neighbours into a group, record
-// the group's aggregate statistics, and delete the group's records.
-// Remaining records (between 1 and k−1 of them) are folded into the group
-// with the nearest centroid, so a few groups may hold more than k records.
-//
-// The records slice is not modified. Passing k = 1 produces one group per
-// record, in which case synthesis reproduces each record exactly — the
-// paper's group-size-1 anchor where static condensation equals the
-// original data.
-//
-// Deprecated: use the Condenser facade — NewCondenser(k, WithSeed(s),
-// ...).Static(records) — which also exposes the neighbour-search backend
-// and the parallelism of the distance sweep.
-func Static(records []mat.Vector, k int, r *rng.Source, opts Options) (*Condensation, error) {
-	cond, _, err := staticCondense(context.Background(), records, k, r, opts, searchConfig{}, nil, nil)
-	return cond, err
-}
-
-// StaticWithMembers is Static, additionally reporting which original
-// records each group condensed: members[g] lists the record indices of
-// group g. The membership map is exactly what a condensation deployment
-// must *not* publish; it is exposed for privacy evaluation (re-
-// identification attacks need the ground truth) and for tests.
-//
-// Deprecated: use NewCondenser(k, ...).StaticWithMembers(records).
-func StaticWithMembers(records []mat.Vector, k int, r *rng.Source, opts Options) (*Condensation, [][]int, error) {
-	return staticCondense(context.Background(), records, k, r, opts, searchConfig{}, nil, nil)
-}
-
-// staticCondense is the engine behind Static and Condenser.Static. Per
-// group it draws exactly one value from r (the seed-record sample), so
-// every search backend consumes the identical rng stream; with distinct
-// pairwise distances all backends therefore produce identical groups, with
-// members added in ascending-distance order.
-//
-// ctx is consulted only for a parent trace span; cancellation is not
-// checked (the static construction is one uninterruptible pass).
-func staticCondense(ctx context.Context, records []mat.Vector, k int, r *rng.Source, opts Options, cfg searchConfig, tel *telemetry.Registry, tr *telemetry.Tracer) (*Condensation, [][]int, error) {
-	if err := opts.validate(); err != nil {
-		return nil, nil, err
-	}
-	if err := cfg.Search.validate(); err != nil {
-		return nil, nil, err
-	}
-	if k < 1 {
-		return nil, nil, fmt.Errorf("core: indistinguishability level k = %d, must be ≥ 1", k)
-	}
-	if r == nil {
-		return nil, nil, errors.New("core: nil random source")
-	}
+// staticCondense is the engine behind Condenser.Static, StaticWithMembers,
+// Bootstrap and Anonymize. Per group it draws exactly one value from r (the
+// seed-record sample), so both neighbour searches consume the identical rng
+// stream; with distinct pairwise distances they therefore produce identical
+// groups, with members added in ascending-distance order.
+func (c *Condenser) staticCondense(records []mat.Vector, r *rng.Source) (*Condensation, [][]int, error) {
+	k := c.k
 	if len(records) == 0 {
 		return nil, nil, errors.New("core: no records to condense")
 	}
@@ -77,15 +30,18 @@ func staticCondense(ctx context.Context, records []mat.Vector, k int, r *rng.Sou
 		if !x.IsFinite() {
 			return nil, nil, fmt.Errorf("core: record %d has non-finite values", i)
 		}
+		if err := CheckRecordMagnitude(x); err != nil {
+			return nil, nil, fmt.Errorf("core: record %d: %w", i, err)
+		}
 	}
 
-	met := newEngineMetrics(tel)
-	met.withSearchBackend(tel, searchBackendLabel(cfg.Search))
+	met := newEngineMetrics(c.tel)
+	met.withSearchBackend(c.tel, searchBackendLabel(c.search.Search))
 
-	_, span := tr.Start(ctx, "static.condense")
+	span := c.trace.StartChild(nil, "static.condense")
 	span.SetAttrInt("records", len(records))
 	span.SetAttrInt("k", k)
-	span.SetAttr("backend", searchBackendLabel(cfg.Search))
+	span.SetAttr("backend", searchBackendLabel(c.search.Search))
 	defer span.End()
 
 	// k = 1 needs no neighbour search: every record is its own group. This
@@ -103,18 +59,18 @@ func staticCondense(ctx context.Context, records []mat.Vector, k int, r *rng.Sou
 			members[i] = []int{i}
 		}
 		met.groupsFormed.Add(len(groups))
-		cond := newCondensation(dim, k, opts, groups)
-		cond.par = cfg.Parallelism
+		cond := newCondensation(dim, k, c.opts, groups)
+		cond.par = c.search.Parallelism
 		cond.met = met
 		return cond, members, nil
 	}
 
-	search := newNeighborSearcher(records, cfg)
+	search := newNeighborSearcher(records, c.search)
 
 	var groups []*stats.Group
 	var members [][]int
 	var t0 time.Time
-	loopSpan := childSpan(tr, span, "static.groups")
+	loopSpan := childSpan(c.trace, span, "static.groups")
 	for search.remaining() >= k {
 		// Randomly sample a data point X from D, then pull X and its k−1
 		// closest remaining records out of the alive set.
@@ -145,10 +101,10 @@ func staticCondense(ctx context.Context, records []mat.Vector, k int, r *rng.Sou
 
 	// Handle the final < k leftover records.
 	if leftover := search.leftover(); len(leftover) > 0 {
-		leftSpan := childSpan(tr, span, "static.leftover")
+		leftSpan := childSpan(c.trace, span, "static.leftover")
 		leftSpan.SetAttrInt("records", len(leftover))
 		defer leftSpan.End()
-		switch opts.Leftover {
+		switch c.opts.Leftover {
 		case LeftoverNearestGroup:
 			if len(groups) == 0 {
 				// Fewer than k records in total: the best available option
@@ -197,8 +153,8 @@ func staticCondense(ctx context.Context, records []mat.Vector, k int, r *rng.Sou
 
 	// The sweep parallelism doubles as the synthesis parallelism of the
 	// resulting condensation — one knob end to end.
-	cond := newCondensation(dim, k, opts, groups)
-	cond.par = cfg.Parallelism
+	cond := newCondensation(dim, k, c.opts, groups)
+	cond.par = c.search.Parallelism
 	cond.met = met
 	return cond, members, nil
 }

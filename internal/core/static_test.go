@@ -9,6 +9,22 @@ import (
 	"condensation/internal/stats"
 )
 
+// condense runs Condenser.Static on an injected rng source, so a test pins
+// the stream its groups are drawn from.
+func condense(records []mat.Vector, k int, r *rng.Source, o Options) (*Condensation, error) {
+	cond, _, err := condenseMembers(records, k, r, o)
+	return cond, err
+}
+
+// condenseMembers is condense through Condenser.StaticWithMembers.
+func condenseMembers(records []mat.Vector, k int, r *rng.Source, o Options) (*Condensation, [][]int, error) {
+	c, err := NewCondenser(k, WithRandomSource(r), WithOptions(o))
+	if err != nil {
+		return nil, nil, err
+	}
+	return c.StaticWithMembers(records)
+}
+
 // clusteredRecords returns two well-separated 2-D clusters of the given
 // sizes, deterministic for a seed.
 func clusteredRecords(seed uint64, nA, nB int) []mat.Vector {
@@ -26,7 +42,7 @@ func clusteredRecords(seed uint64, nA, nB int) []mat.Vector {
 func TestStaticBasicInvariants(t *testing.T) {
 	recs := clusteredRecords(1, 30, 30)
 	for _, k := range []int{1, 2, 5, 7, 10} {
-		cond, err := Static(recs, k, rng.New(2), Options{})
+		cond, err := condense(recs, k, rng.New(2), Options{})
 		if err != nil {
 			t.Fatalf("k=%d: %v", k, err)
 		}
@@ -48,7 +64,7 @@ func TestStaticBasicInvariants(t *testing.T) {
 func TestStaticGroupCountExact(t *testing.T) {
 	// 20 records with k=5 and no leftovers: exactly 4 groups of 5.
 	recs := clusteredRecords(3, 10, 10)
-	cond, err := Static(recs, 5, rng.New(4), Options{})
+	cond, err := condense(recs, 5, rng.New(4), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +82,7 @@ func TestStaticLeftoverNearestGroup(t *testing.T) {
 	// 23 records with k=5: 4 groups plus 3 leftovers absorbed, so sizes
 	// sum to 23 and every group has ≥ 5.
 	recs := clusteredRecords(5, 12, 11)
-	cond, err := Static(recs, 5, rng.New(6), Options{Leftover: LeftoverNearestGroup})
+	cond, err := condense(recs, 5, rng.New(6), Options{Leftover: LeftoverNearestGroup})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +99,7 @@ func TestStaticLeftoverNearestGroup(t *testing.T) {
 
 func TestStaticLeftoverOwnGroup(t *testing.T) {
 	recs := clusteredRecords(7, 12, 11)
-	cond, err := Static(recs, 5, rng.New(8), Options{Leftover: LeftoverOwnGroup})
+	cond, err := condense(recs, 5, rng.New(8), Options{Leftover: LeftoverOwnGroup})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +113,7 @@ func TestStaticLeftoverOwnGroup(t *testing.T) {
 
 func TestStaticFewerRecordsThanK(t *testing.T) {
 	recs := clusteredRecords(9, 3, 0)
-	cond, err := Static(recs, 10, rng.New(10), Options{})
+	cond, err := condense(recs, 10, rng.New(10), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +127,7 @@ func TestStaticLocality(t *testing.T) {
 	// group should straddle the clusters: every group centroid lies near
 	// one cluster center, never in the middle.
 	recs := clusteredRecords(11, 40, 40)
-	cond, err := Static(recs, 8, rng.New(12), Options{})
+	cond, err := condense(recs, 8, rng.New(12), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +148,7 @@ func TestStaticPreservesGlobalMoments(t *testing.T) {
 	// Merging all group statistics must reproduce the exact global moments
 	// — condensation loses within-group detail, not totals.
 	recs := clusteredRecords(13, 25, 25)
-	cond, err := Static(recs, 5, rng.New(14), Options{})
+	cond, err := condense(recs, 5, rng.New(14), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,26 +171,27 @@ func TestStaticPreservesGlobalMoments(t *testing.T) {
 }
 
 func TestStaticErrors(t *testing.T) {
-	recs := clusteredRecords(15, 5, 5)
-	if _, err := Static(nil, 2, rng.New(1), Options{}); err == nil {
+	if _, err := condense(nil, 2, rng.New(1), Options{}); err == nil {
 		t.Error("empty records accepted")
 	}
-	if _, err := Static(recs, 0, rng.New(1), Options{}); err == nil {
-		t.Error("k=0 accepted")
-	}
-	if _, err := Static(recs, 2, nil, Options{}); err == nil {
-		t.Error("nil source accepted")
-	}
-	if _, err := Static(recs, 2, rng.New(1), Options{Synthesis: Synthesis(9)}); err == nil {
-		t.Error("bad options accepted")
-	}
 	ragged := []mat.Vector{{1, 2}, {3}}
-	if _, err := Static(ragged, 1, rng.New(1), Options{}); err == nil {
+	if _, err := condense(ragged, 1, rng.New(1), Options{}); err == nil {
 		t.Error("ragged records accepted")
 	}
 	nan := []mat.Vector{{1, math.NaN()}}
-	if _, err := Static(nan, 1, rng.New(1), Options{}); err == nil {
+	if _, err := condense(nan, 1, rng.New(1), Options{}); err == nil {
 		t.Error("NaN records accepted")
+	}
+	// Records beyond ±MaxRecordMagnitude are refused as the stream refuses
+	// them: four at 5e153 overflow the eigensolve and synthesize NaN.
+	huge := []mat.Vector{{5e153, 5e153}, {-5e153, 5e153}, {5e153, -5e153}, {-5e153, -5e153}}
+	if _, err := condense(huge, 4, rng.New(1), Options{}); err == nil {
+		t.Error("records beyond ±MaxRecordMagnitude accepted")
+	}
+	if c, err := NewCondenser(4); err != nil {
+		t.Fatal(err)
+	} else if _, err := c.Bootstrap(huge); err == nil {
+		t.Error("Bootstrap accepted records beyond ±MaxRecordMagnitude")
 	}
 }
 
@@ -184,7 +201,7 @@ func TestStaticDoesNotMutateInput(t *testing.T) {
 	for i, x := range recs {
 		orig[i] = x.Clone()
 	}
-	if _, err := Static(recs, 3, rng.New(18), Options{}); err != nil {
+	if _, err := condense(recs, 3, rng.New(18), Options{}); err != nil {
 		t.Fatal(err)
 	}
 	for i := range recs {
@@ -196,11 +213,11 @@ func TestStaticDoesNotMutateInput(t *testing.T) {
 
 func TestStaticDeterministicGivenSeed(t *testing.T) {
 	recs := clusteredRecords(19, 20, 20)
-	c1, err := Static(recs, 4, rng.New(20), Options{})
+	c1, err := condense(recs, 4, rng.New(20), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	c2, err := Static(recs, 4, rng.New(20), Options{})
+	c2, err := condense(recs, 4, rng.New(20), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +234,7 @@ func TestStaticDeterministicGivenSeed(t *testing.T) {
 
 func TestStaticK1GroupsAreSingletons(t *testing.T) {
 	recs := clusteredRecords(21, 7, 0)
-	cond, err := Static(recs, 1, rng.New(22), Options{})
+	cond, err := condense(recs, 1, rng.New(22), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +250,7 @@ func TestStaticK1GroupsAreSingletons(t *testing.T) {
 
 func TestCondensationGroupsAreCopies(t *testing.T) {
 	recs := clusteredRecords(23, 6, 0)
-	cond, err := Static(recs, 3, rng.New(24), Options{})
+	cond, err := condense(recs, 3, rng.New(24), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -256,7 +273,7 @@ func TestCondensationEmptyAccessors(t *testing.T) {
 func TestStaticWithMembersPartition(t *testing.T) {
 	recs := clusteredRecords(25, 13, 14)
 	for _, k := range []int{1, 4, 9} {
-		cond, members, err := StaticWithMembers(recs, k, rng.New(26), Options{})
+		cond, members, err := condenseMembers(recs, k, rng.New(26), Options{})
 		if err != nil {
 			t.Fatalf("k=%d: %v", k, err)
 		}
@@ -286,7 +303,7 @@ func TestStaticWithMembersPartition(t *testing.T) {
 
 func TestStaticWithMembersStatsMatchMembers(t *testing.T) {
 	recs := clusteredRecords(27, 10, 10)
-	cond, members, err := StaticWithMembers(recs, 4, rng.New(28), Options{})
+	cond, members, err := condenseMembers(recs, 4, rng.New(28), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

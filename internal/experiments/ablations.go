@@ -168,7 +168,11 @@ func LeftoverAblation(ds *dataset.Dataset, cfg Config) (*Table, error) {
 		for _, pol := range []core.Leftover{core.LeftoverNearestGroup, core.LeftoverOwnGroup} {
 			c := cfg
 			c.Options.Leftover = pol
-			anon, report, err := core.Anonymize(train, c.anonymizeConfig(k, core.ModeStatic), r.Split())
+			condenser, err := c.condenser(k, core.ModeStatic, r.Split())
+			if err != nil {
+				return err
+			}
+			anon, report, err := condenser.Anonymize(train)
 			if err != nil {
 				return err
 			}
@@ -242,7 +246,11 @@ func ClusteringStudy(ds *dataset.Dataset, clusters int, cfg Config) (*Table, err
 	err := cfg.runCells(len(cells), func(i int) error {
 		k := cfg.GroupSizes[i/reps]
 		r := srcs[i]
-		anon, _, err := core.Anonymize(ds, cfg.anonymizeConfig(k, core.ModeStatic), r.Split())
+		condenser, err := cfg.condenser(k, core.ModeStatic, r.Split())
+		if err != nil {
+			return err
+		}
+		anon, _, err := condenser.Anonymize(ds)
 		if err != nil {
 			return err
 		}

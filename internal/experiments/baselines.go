@@ -273,7 +273,7 @@ func AttackStudy(ds *dataset.Dataset, cfg Config) (*Table, error) {
 	err := cfg.runCells(len(cells), func(i int) error {
 		k := cfg.GroupSizes[i/reps]
 		r := srcs[i]
-		condenser, err := cfg.condenser(k, r)
+		condenser, err := cfg.condenser(k, core.ModeStatic, r)
 		if err != nil {
 			return err
 		}

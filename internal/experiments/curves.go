@@ -56,24 +56,14 @@ type Config struct {
 	LogEvery int
 }
 
-// anonymizeConfig assembles the core anonymization config for one
-// (k, mode) cell of a study.
-func (c Config) anonymizeConfig(k int, mode core.Mode) core.AnonymizeConfig {
-	return core.AnonymizeConfig{
-		K:               k,
-		Mode:            mode,
-		Options:         c.Options,
-		InitialFraction: c.InitialFraction,
-		Parallelism:     c.Parallelism,
-	}
-}
-
-// condenser builds the Condenser facade for one k, drawing randomness
-// from r so repetitions stay independent.
-func (c Config) condenser(k int, r *rng.Source) (*core.Condenser, error) {
+// condenser builds the Condenser facade for one (k, mode) cell, drawing
+// randomness from r so repetitions stay independent.
+func (c Config) condenser(k int, mode core.Mode, r *rng.Source) (*core.Condenser, error) {
 	return core.NewCondenser(k,
 		core.WithRandomSource(r),
 		core.WithOptions(c.Options),
+		core.WithMode(mode),
+		core.WithInitialFraction(c.InitialFraction),
 		core.WithParallelism(c.Parallelism))
 }
 
@@ -189,7 +179,11 @@ func AccuracyCurve(ds *dataset.Dataset, cfg Config) ([]AccuracyPoint, error) {
 // anonymizeAndEvaluate condenses the training data at level k in the given
 // mode and scores the resulting classifier on the original test data.
 func anonymizeAndEvaluate(train, test *dataset.Dataset, cfg Config, k int, mode core.Mode, r *rng.Source) (acc, avgGroupSize float64, err error) {
-	anon, report, err := core.Anonymize(train, cfg.anonymizeConfig(k, mode), r)
+	condenser, err := cfg.condenser(k, mode, r)
+	if err != nil {
+		return 0, 0, err
+	}
+	anon, report, err := condenser.Anonymize(train)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -293,7 +287,11 @@ func CompatibilityCurve(ds *dataset.Dataset, cfg Config) ([]CompatPoint, error) 
 // anonymizeAndCompare anonymizes the full data set and computes µ between
 // original and anonymized records.
 func anonymizeAndCompare(ds *dataset.Dataset, cfg Config, k int, mode core.Mode, r *rng.Source) (mu, avgGroupSize float64, err error) {
-	anon, report, err := core.Anonymize(ds, cfg.anonymizeConfig(k, mode), r)
+	condenser, err := cfg.condenser(k, mode, r)
+	if err != nil {
+		return 0, 0, err
+	}
+	anon, report, err := condenser.Anonymize(ds)
 	if err != nil {
 		return 0, 0, err
 	}

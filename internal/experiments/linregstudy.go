@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 
+	"condensation/internal/core"
 	"condensation/internal/dataset"
 	"condensation/internal/linreg"
 	"condensation/internal/mat"
@@ -55,7 +56,7 @@ func LinRegStudy(ds *dataset.Dataset, cfg Config) (*Table, error) {
 			row[d] = train.Targets[i]
 			joint[i] = row
 		}
-		condenser, err := cfg.condenser(k, r.Split())
+		condenser, err := cfg.condenser(k, core.ModeStatic, r.Split())
 		if err != nil {
 			return err
 		}

@@ -46,7 +46,11 @@ func TreeStudy(ds *dataset.Dataset, cfg Config) (*Table, error) {
 		}
 		cells[i].orig = o
 		for _, mode := range []core.Mode{core.ModeStatic, core.ModeDynamic} {
-			anon, _, err := core.Anonymize(train, cfg.anonymizeConfig(k, mode), r.Split())
+			condenser, err := cfg.condenser(k, mode, r.Split())
+			if err != nil {
+				return err
+			}
+			anon, _, err := condenser.Anonymize(train)
 			if err != nil {
 				return err
 			}
@@ -118,7 +122,11 @@ func AssociationStudy(ds *dataset.Dataset, bins int, minSupport, minConfidence f
 	srcs := presplit(root, len(cells))
 	err = cfg.runCells(len(cells), func(i int) error {
 		k := cfg.GroupSizes[i/reps]
-		anon, _, err := core.Anonymize(ds, cfg.anonymizeConfig(k, core.ModeStatic), srcs[i])
+		condenser, err := cfg.condenser(k, core.ModeStatic, srcs[i])
+		if err != nil {
+			return err
+		}
+		anon, _, err := condenser.Anonymize(ds)
 		if err != nil {
 			return err
 		}

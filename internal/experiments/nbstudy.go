@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 
+	"condensation/internal/core"
 	"condensation/internal/dataset"
 	"condensation/internal/mat"
 	"condensation/internal/nb"
@@ -72,7 +73,7 @@ func NaiveBayesStudy(ds *dataset.Dataset, cfg Config) (*Table, error) {
 			for i, ri := range idx {
 				recs[i] = train.X[ri]
 			}
-			condenser, err := cfg.condenser(k, r.Split())
+			condenser, err := cfg.condenser(k, core.ModeStatic, r.Split())
 			if err != nil {
 				return err
 			}

@@ -58,7 +58,11 @@ func ScalingStudy(k int, sizes []int, cfg Config) (*Table, error) {
 		if err != nil {
 			return err
 		}
-		anon, _, err := core.Anonymize(ds, cfg.anonymizeConfig(k, core.ModeStatic), r.Split())
+		condenser, err := cfg.condenser(k, core.ModeStatic, r.Split())
+		if err != nil {
+			return err
+		}
+		anon, _, err := condenser.Anonymize(ds)
 		if err != nil {
 			return err
 		}
@@ -117,7 +121,11 @@ func FidelityStudy(dsName string, cfg Config) (*Table, error) {
 		for si, synth := range []core.Synthesis{core.SynthesisUniform, core.SynthesisGaussian} {
 			c := cfg
 			c.Options.Synthesis = synth
-			anon, _, err := core.Anonymize(ds, c.anonymizeConfig(k, core.ModeStatic), srcs[2*i+si])
+			condenser, err := c.condenser(k, core.ModeStatic, srcs[2*i+si])
+			if err != nil {
+				return err
+			}
+			anon, _, err := condenser.Anonymize(ds)
 			if err != nil {
 				return err
 			}

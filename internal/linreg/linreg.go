@@ -66,7 +66,7 @@ func Train(train *dataset.Dataset, opts Options) (*Model, error) {
 
 // FromGroups fits the model from condensed group statistics of jointly
 // condensed records whose final attribute is the regression target (the
-// layout core.Anonymize uses for regression data). The groups are merged
+// layout core.Condenser.Anonymize uses for regression data). The groups are merged
 // exactly and the normal equations are assembled from the merged moments.
 func FromGroups(groups []*stats.Group, opts Options) (*Model, error) {
 	if len(groups) == 0 {

@@ -77,7 +77,11 @@ func TestFromGroupsMatchesTrainExactly(t *testing.T) {
 		row[d] = ds.Targets[i]
 		joint[i] = row
 	}
-	cond, err := core.Static(joint, 10, rng.New(4), core.Options{})
+	c, err := core.NewCondenser(10, core.WithRandomSource(rng.New(4)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cond, err := c.Static(joint)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +140,11 @@ func TestLinRegOnAnonymizedAbalone(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	anon, _, err := core.Anonymize(train, core.AnonymizeConfig{K: 20, Mode: core.ModeStatic}, r.Split())
+	c, err := core.NewCondenser(20, core.WithRandomSource(r.Split()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	anon, _, err := c.Anonymize(train)
 	if err != nil {
 		t.Fatal(err)
 	}

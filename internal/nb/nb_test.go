@@ -61,7 +61,11 @@ func TestFromGroupsMatchesTrainExactly(t *testing.T) {
 		for i, ri := range idx {
 			recs[i] = train.X[ri]
 		}
-		cond, err := core.Static(recs, 10, r.Split(), core.Options{})
+		c, err := core.NewCondenser(10, core.WithRandomSource(r.Split()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		cond, err := c.Static(recs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -116,7 +120,11 @@ func TestNBOnAnonymizedPima(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	anon, _, err := core.Anonymize(train, core.AnonymizeConfig{K: 15, Mode: core.ModeStatic}, r.Split())
+	c, err := core.NewCondenser(15, core.WithRandomSource(r.Split()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	anon, _, err := c.Anonymize(train)
 	if err != nil {
 		t.Fatal(err)
 	}

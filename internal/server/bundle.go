@@ -12,8 +12,6 @@ import (
 	"runtime/debug"
 	"runtime/pprof"
 	"time"
-
-	"condensation/internal/telemetry"
 )
 
 // WriteBundle writes a one-shot diagnostics snapshot of the live server as
@@ -92,11 +90,7 @@ func (s *Server) WriteBundle(w io.Writer) error {
 			name string
 			fill func(io.Writer) error
 		}{"history.json", asJSON(func() (interface{}, error) {
-			return historyResponse{
-				Capacity: s.rec.Capacity(),
-				Recorded: s.rec.Seq(),
-				Windows:  s.rec.Windows(0),
-			}, nil
+			return s.history(0), nil
 		})})
 	}
 	if s.wd != nil {
@@ -121,16 +115,7 @@ func (s *Server) WriteBundle(w io.Writer) error {
 			name string
 			fill func(io.Writer) error
 		}{"journal.json", asJSON(func() (interface{}, error) {
-			events := s.jr.Events(0)
-			if events == nil {
-				events = []telemetry.JournalEvent{}
-			}
-			return eventsResponse{
-				Capacity: s.jr.Capacity(),
-				Recorded: s.jr.Seq(),
-				Dropped:  s.jr.Dropped(),
-				Events:   events,
-			}, nil
+			return s.events(0), nil
 		})})
 	}
 
@@ -146,11 +131,6 @@ func (s *Server) WriteBundle(w io.Writer) error {
 }
 
 func (s *Server) handleBundle(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		w.Header().Set("Allow", http.MethodGet)
-		writeError(w, http.StatusMethodNotAllowed, errors.New("GET required"))
-		return
-	}
 	h := w.Header()
 	h.Set("Content-Type", "application/gzip")
 	h.Set("Content-Disposition", `attachment; filename="condense-bundle.tar.gz"`)

@@ -29,25 +29,16 @@ type eventsResponse struct {
 }
 
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		w.Header().Set("Allow", http.MethodGet)
-		writeError(w, http.StatusMethodNotAllowed, errors.New("GET required"))
-		return
-	}
 	if s.jr == nil {
 		writeError(w, http.StatusNotFound,
 			errors.New("lifecycle journal not enabled (start with -journal > 0)"))
 		return
 	}
 	q := queryParams(r)
-	last := 0
-	if v := q.Get("last"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil || n < 0 {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("bad last %q", v))
-			return
-		}
-		last = n
+	last, err := parseLast(q)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err)
+		return
 	}
 	var types []string
 	if v := q.Get("type"); v != "" {
@@ -59,16 +50,22 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 	}
+	writeJSON(w, http.StatusOK, s.events(last, types...))
+}
+
+// events builds the events body over up to last journal events (0 for
+// all) of the given types, for GET /v1/events and the diagnostics bundle.
+func (s *Server) events(last int, types ...string) eventsResponse {
 	events := s.jr.Events(last, types...)
 	if events == nil {
 		events = []telemetry.JournalEvent{}
 	}
-	writeJSON(w, http.StatusOK, eventsResponse{
+	return eventsResponse{
 		Capacity: s.jr.Capacity(),
 		Recorded: s.jr.Seq(),
 		Dropped:  s.jr.Dropped(),
 		Events:   events,
-	})
+	}
 }
 
 // validEventType guards the ?type= filter against typos: a filter naming
@@ -91,11 +88,6 @@ type groupsResponse struct {
 }
 
 func (s *Server) handleGroups(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		w.Header().Set("Allow", http.MethodGet)
-		writeError(w, http.StatusMethodNotAllowed, errors.New("GET required"))
-		return
-	}
 	gen := s.eng.Generation()
 	infos := s.eng.GroupInfos(nil)
 	if infos == nil {
@@ -105,11 +97,6 @@ func (s *Server) handleGroups(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleGroupByID(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		w.Header().Set("Allow", http.MethodGet)
-		writeError(w, http.StatusMethodNotAllowed, errors.New("GET required"))
-		return
-	}
 	raw := strings.TrimPrefix(r.URL.Path, "/v1/groups/")
 	id, err := strconv.ParseUint(raw, 10, 64)
 	if err != nil {
@@ -135,11 +122,6 @@ type explainRequest struct {
 }
 
 func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", http.MethodPost)
-		writeError(w, http.StatusMethodNotAllowed, errors.New("POST required"))
-		return
-	}
 	var req explainRequest
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()

@@ -132,24 +132,15 @@ type historyResponse struct {
 }
 
 func (s *Server) handleHistory(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		w.Header().Set("Allow", http.MethodGet)
-		writeError(w, http.StatusMethodNotAllowed, errors.New("GET required"))
-		return
-	}
 	if s.rec == nil {
 		writeError(w, http.StatusNotFound,
 			errors.New("flight recorder not enabled (start with -scrape-every > 0)"))
 		return
 	}
-	last := 0
-	if q := r.URL.Query().Get("last"); q != "" {
-		v, err := strconv.Atoi(q)
-		if err != nil || v < 0 {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("bad last %q", q))
-			return
-		}
-		last = v
+	last, err := parseLast(r.URL.Query())
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err)
+		return
 	}
 	var selectors []string
 	if q := r.URL.Query().Get("series"); q != "" {
@@ -164,17 +155,23 @@ func (s *Server) handleHistory(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	windows := s.rec.Windows(last)
+	resp := s.history(last)
 	if selectors != nil {
-		for i, win := range windows {
-			windows[i] = telemetry.FilterWindow(win, selectors)
+		for i, win := range resp.Windows {
+			resp.Windows[i] = telemetry.FilterWindow(win, selectors)
 		}
 	}
-	writeJSON(w, http.StatusOK, historyResponse{
+	writeJSON(w, http.StatusOK, resp)
+}
+
+// history builds the history body over up to last windows (0 for all),
+// for GET /v1/history and the diagnostics bundle.
+func (s *Server) history(last int) historyResponse {
+	return historyResponse{
 		Capacity: s.rec.Capacity(),
 		Recorded: s.rec.Seq(),
-		Windows:  windows,
-	})
+		Windows:  s.rec.Windows(last),
+	}
 }
 
 // unknownSelectors returns the history selectors matching no series in the
@@ -207,11 +204,6 @@ type healthRulesResponse struct {
 }
 
 func (s *Server) handleHealthRules(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		w.Header().Set("Allow", http.MethodGet)
-		writeError(w, http.StatusMethodNotAllowed, errors.New("GET required"))
-		return
-	}
 	if s.wd == nil {
 		writeError(w, http.StatusNotFound,
 			errors.New("health watchdog not enabled (start with -scrape-every > 0)"))

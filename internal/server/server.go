@@ -175,29 +175,31 @@ type Server struct {
 	buildRevision, buildTime string
 }
 
-// routes is the server's route table: every endpoint New registers.
-// The exact /v1/groups path lists all groups; the /v1/groups/ subtree
-// serves one group by id. Each row is one pattern, so metric cardinality
-// stays bounded by the table, never by how many group ids clients probe.
+// routes is the server's route table: every endpoint New registers, with
+// the one method it serves. The exact /v1/groups path lists all groups;
+// the /v1/groups/ subtree serves one group by id. Each row is one pattern,
+// so metric cardinality stays bounded by the table, never by how many
+// group ids clients probe.
 var routes = []struct {
+	method  string
 	path    string
 	handler func(*Server, http.ResponseWriter, *http.Request)
 }{
-	{"/v1/records", (*Server).handleRecords},
-	{"/v1/snapshot", (*Server).handleSnapshot},
-	{"/v1/stats", (*Server).handleStats},
-	{"/v1/audit", (*Server).handleAudit},
-	{"/v1/checkpoint", (*Server).handleCheckpoint},
-	{"/v1/history", (*Server).handleHistory},
-	{"/v1/health/rules", (*Server).handleHealthRules},
-	{"/v1/events", (*Server).handleEvents},
-	{"/v1/groups", (*Server).handleGroups},
-	{"/v1/groups/", (*Server).handleGroupByID},
-	{"/v1/explain", (*Server).handleExplain},
-	{"/healthz", (*Server).handleHealth},
-	{"/metrics", (*Server).handleMetrics},
-	{"/debug/trace", (*Server).handleTrace},
-	{"/debug/bundle", (*Server).handleBundle},
+	{http.MethodPost, "/v1/records", (*Server).handleRecords},
+	{http.MethodGet, "/v1/snapshot", (*Server).handleSnapshot},
+	{http.MethodGet, "/v1/stats", (*Server).handleStats},
+	{http.MethodGet, "/v1/audit", (*Server).handleAudit},
+	{http.MethodGet, "/v1/checkpoint", (*Server).handleCheckpoint},
+	{http.MethodGet, "/v1/history", (*Server).handleHistory},
+	{http.MethodGet, "/v1/health/rules", (*Server).handleHealthRules},
+	{http.MethodGet, "/v1/events", (*Server).handleEvents},
+	{http.MethodGet, "/v1/groups", (*Server).handleGroups},
+	{http.MethodGet, "/v1/groups/", (*Server).handleGroupByID},
+	{http.MethodPost, "/v1/explain", (*Server).handleExplain},
+	{http.MethodGet, "/healthz", (*Server).handleHealth},
+	{http.MethodGet, "/metrics", (*Server).handleMetrics},
+	{http.MethodGet, "/debug/trace", (*Server).handleTrace},
+	{http.MethodGet, "/debug/bundle", (*Server).handleBundle},
 }
 
 // New builds a server over cfg.Engine, or over an engine it builds from
@@ -271,7 +273,7 @@ func New(cfg Config) (*Server, error) {
 	}
 	s.initObservability()
 	for _, rt := range routes {
-		s.route(rt.path, rt.handler)
+		s.route(rt.method, rt.path, rt.handler)
 	}
 	return s, nil
 }
@@ -285,8 +287,11 @@ func (s *Server) Engine() core.Engine { return s.eng }
 // route registers a handler behind the telemetry middleware: per-endpoint
 // request counter by status class, latency histogram, and the shared
 // in-flight gauge. The path label is the registered pattern, so metric
-// cardinality is bounded by the route table, never by client input.
-func (s *Server) route(path string, h func(*Server, http.ResponseWriter, *http.Request)) {
+// cardinality is bounded by the route table, never by client input. A
+// request with any other method than the route's is answered 405 before
+// the handler runs.
+func (s *Server) route(method, path string, h func(*Server, http.ResponseWriter, *http.Request)) {
+	wrongMethod := errors.New(method + " required")
 	requests2xx := s.reg.Counter("http_requests_total", "path", path, "code", "2xx")
 	requests4xx := s.reg.Counter("http_requests_total", "path", path, "code", "4xx")
 	requests5xx := s.reg.Counter("http_requests_total", "path", path, "code", "5xx")
@@ -336,6 +341,11 @@ func (s *Server) route(path string, h func(*Server, http.ResponseWriter, *http.R
 				requests2xx.Inc()
 			}
 		}()
+		if r.Method != method {
+			sw.Header().Set("Allow", method)
+			writeError(sw, http.StatusMethodNotAllowed, wrongMethod)
+			return
+		}
 		h(s, sw, r)
 	})
 }
@@ -433,6 +443,20 @@ func queryParams(r *http.Request) url.Values {
 	return r.URL.Query()
 }
 
+// parseLast reads the ?last= bound of a ring endpoint: absent means 0,
+// every buffered entry; anything but a non-negative integer is refused.
+func parseLast(q url.Values) (int, error) {
+	v := q.Get("last")
+	if v == "" {
+		return 0, nil
+	}
+	n, err := strconv.Atoi(v)
+	if err != nil || n < 0 {
+		return 0, fmt.Errorf("bad last %q", v)
+	}
+	return n, nil
+}
+
 func writeJSON(w http.ResponseWriter, status int, v interface{}) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
@@ -445,11 +469,6 @@ func writeError(w http.ResponseWriter, status int, err error) {
 }
 
 func (s *Server) handleRecords(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		w.Header().Set("Allow", http.MethodPost)
-		writeError(w, http.StatusMethodNotAllowed, errors.New("POST required"))
-		return
-	}
 	body, err := readBody(w, r, recordsBodyLimit(s.maxBatch, s.dim))
 	if err != nil {
 		var tooLarge *http.MaxBytesError
@@ -504,11 +523,6 @@ func (s *Server) handleRecords(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		w.Header().Set("Allow", http.MethodGet)
-		writeError(w, http.StatusMethodNotAllowed, errors.New("GET required"))
-		return
-	}
 	seed := uint64(1)
 	if q := queryParams(r).Get("seed"); q != "" {
 		v, err := strconv.ParseUint(q, 10, 64)
@@ -647,11 +661,6 @@ func (s *Server) stats(r *release, byShard bool) (*respBody, error) {
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		w.Header().Set("Allow", http.MethodGet)
-		writeError(w, http.StatusMethodNotAllowed, errors.New("GET required"))
-		return
-	}
 	q := queryParams(r)
 	shard, hasShard, err := s.shardParam(q)
 	if err != nil {
@@ -708,11 +717,6 @@ func etagMatch(header, etag string) bool {
 }
 
 func (s *Server) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		w.Header().Set("Allow", http.MethodGet)
-		writeError(w, http.StatusMethodNotAllowed, errors.New("GET required"))
-		return
-	}
 	body, err := s.checkpoint(s.release())
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, err)
@@ -799,11 +803,6 @@ func (s *Server) healthSnapshot() (healthResponse, int) {
 }
 
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		w.Header().Set("Allow", http.MethodGet)
-		writeError(w, http.StatusMethodNotAllowed, errors.New("GET required"))
-		return
-	}
 	resp, status := s.healthSnapshot()
 	writeJSON(w, status, resp)
 }
@@ -813,11 +812,6 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 func (s *Server) uptimeSeconds() float64 { return time.Since(s.start).Seconds() }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		w.Header().Set("Allow", http.MethodGet)
-		writeError(w, http.StatusMethodNotAllowed, errors.New("GET required"))
-		return
-	}
 	// Refresh derived gauges so a direct Prometheus scrape (no flight
 	// recorder running) still sees live uptime and shard loads.
 	s.collect()
@@ -929,11 +923,6 @@ type auditByShardResponse struct {
 }
 
 func (s *Server) handleAudit(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		w.Header().Set("Allow", http.MethodGet)
-		writeError(w, http.StatusMethodNotAllowed, errors.New("GET required"))
-		return
-	}
 	q := queryParams(r)
 	shard, hasShard, err := s.shardParam(q)
 	if err != nil {
@@ -968,23 +957,14 @@ func (s *Server) handleAudit(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		w.Header().Set("Allow", http.MethodGet)
-		writeError(w, http.StatusMethodNotAllowed, errors.New("GET required"))
-		return
-	}
 	if s.tr == nil {
 		writeError(w, http.StatusNotFound, errors.New("tracing not enabled (start with -trace-sample > 0)"))
 		return
 	}
-	last := 0
-	if q := r.URL.Query().Get("last"); q != "" {
-		v, err := strconv.Atoi(q)
-		if err != nil || v < 0 {
-			writeError(w, http.StatusBadRequest, fmt.Errorf("bad last %q", q))
-			return
-		}
-		last = v
+	last, err := parseLast(r.URL.Query())
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err)
+		return
 	}
 	w.Header().Set("Content-Type", "application/json")
 	_ = s.tr.WriteChromeTrace(w, last)

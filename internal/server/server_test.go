@@ -269,6 +269,42 @@ func TestHealth(t *testing.T) {
 	}
 }
 
+// TestWrongMethodEveryRoute sends every route the method it does not
+// serve. Each answers 405 with an Allow header, the JSON envelope naming
+// the required method and the echoed request id, and counts as a 4xx —
+// before any "not enabled" 404, since this server runs no recorder,
+// journal or tracer.
+func TestWrongMethodEveryRoute(t *testing.T) {
+	s, err := New(Config{Dim: 2, Condenser: newCondenser(t, 3, 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rt := range routes {
+		wrong := http.MethodPost
+		if rt.method == http.MethodPost {
+			wrong = http.MethodGet
+		}
+		req := httptest.NewRequest(wrong, rt.path, nil)
+		req.Header.Set("X-Request-ID", "wrong-method")
+		rec := httptest.NewRecorder()
+		s.ServeHTTP(rec, req)
+		want := fmt.Sprintf(`{"error":"%s required","request_id":"wrong-method"}`+"\n", rt.method)
+		if h := rec.Header(); rec.Code != http.StatusMethodNotAllowed || rec.Body.String() != want ||
+			h.Get("Allow") != rt.method || h.Get("X-Request-ID") != "wrong-method" {
+			t.Errorf("%s %s: %d %v %q, want 405 Allow %s %q", wrong, rt.path, rec.Code, h, rec.Body, rt.method, want)
+		}
+	}
+	var prom bytes.Buffer
+	if err := s.reg.WritePrometheus(&prom); err != nil {
+		t.Fatal(err)
+	}
+	for _, rt := range routes {
+		if line := fmt.Sprintf(`http_requests_total{path=%q,code="4xx"} 1`, rt.path); !strings.Contains(prom.String(), line) {
+			t.Errorf("metrics lack %s", line)
+		}
+	}
+}
+
 // TestErrorEnvelope pins every 4xx path to the JSON error envelope with
 // the right status code: bad JSON, wrong method, dimension mismatch, and
 // the cancelled-context 408.

@@ -14,6 +14,7 @@ import (
 	"condensation/internal/mat"
 	"condensation/internal/par"
 	"condensation/internal/rng"
+	"condensation/internal/stats"
 )
 
 // snapshotResponse is the /v1/snapshot body as a Go value: what clients
@@ -279,8 +280,29 @@ func TestSnapshotCachedBodyExact(t *testing.T) {
 // moments near the float64 limit, whose eigensolve overflows. The
 // request must fail with a 500, and no body may be cached.
 func TestSnapshotNonFinite500(t *testing.T) {
+	// Static construction and the stream refuse the records (±v, ±v), so
+	// their moments come in as a decoded checkpoint: a one-group file whose
+	// group encoding, the file's tail, is swapped for those moments.
 	const v = 5e153
-	cond, err := core.Static([]mat.Vector{{v, v}, {-v, -v}, {v, -v}, {-v, v}}, 4, rng.New(1), core.Options{})
+	huge, err := stats.FromMoments(4, mat.Vector{0, 0}, mat.Diagonal(mat.Vector{4 * v * v, 4 * v * v}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	enc, err := huge.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	small, err := newCondenser(t, 4, 1).Static([]mat.Vector{{1, 1}, {-1, -1}, {1, -1}, {-1, 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if _, err := small.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	ckpt := buf.Bytes()
+	copy(ckpt[len(ckpt)-len(enc):], enc)
+	cond, err := core.ReadCondensation(bytes.NewReader(ckpt))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -317,7 +339,11 @@ func BenchmarkEncodeSnapshot(b *testing.B) {
 			recs[i][j] = r.Norm()
 		}
 	}
-	cond, err := core.Static(recs, k, rng.New(9), core.Options{})
+	c, err := core.NewCondenser(k, core.WithSeed(9))
+	if err != nil {
+		b.Fatal(err)
+	}
+	cond, err := c.Static(recs)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -1,7 +1,7 @@
 package telemetry
 
 import (
-	"sync"
+	"slices"
 	"time"
 )
 
@@ -68,12 +68,7 @@ type JournalEvent struct {
 // events are rare (splits, rebuilds, transitions), so completeness is
 // affordable and is what makes lineage reconstruction trustworthy.
 type Journal struct {
-	mu      sync.Mutex
-	ring    []JournalEvent
-	next    int    // ring slot for the next event
-	filled  int    // events currently held (≤ len(ring))
-	seq     uint64 // events ever recorded; stamps JournalEvent.Seq
-	dropped uint64 // events overwritten by newer ones
+	events *ring[JournalEvent]
 }
 
 // defaultJournalCapacity bounds the ring when NewJournal is given a
@@ -86,7 +81,7 @@ func NewJournal(capacity int) *Journal {
 	if capacity <= 0 {
 		capacity = defaultJournalCapacity
 	}
-	return &Journal{ring: make([]JournalEvent, capacity)}
+	return &Journal{events: newRing[JournalEvent](capacity)}
 }
 
 // Record stamps ev with the next sequence number and the current time and
@@ -96,18 +91,11 @@ func (j *Journal) Record(ev JournalEvent) {
 	if j == nil {
 		return
 	}
-	j.mu.Lock()
-	j.seq++
-	ev.Seq = j.seq
-	ev.Time = time.Now()
-	if j.filled == len(j.ring) {
-		j.dropped++
-	} else {
-		j.filled++
-	}
-	j.ring[j.next] = ev
-	j.next = (j.next + 1) % len(j.ring)
-	j.mu.Unlock()
+	j.events.push(ev, func(ev JournalEvent, seq uint64) JournalEvent {
+		ev.Seq = seq
+		ev.Time = time.Now()
+		return ev
+	})
 }
 
 // Events returns up to last of the most recent buffered events in record
@@ -119,35 +107,11 @@ func (j *Journal) Events(last int, types ...string) []JournalEvent {
 	if j == nil {
 		return nil
 	}
-	wanted := func(string) bool { return true }
+	var keep func(JournalEvent) bool
 	if len(types) > 0 {
-		wanted = func(t string) bool {
-			for _, w := range types {
-				if t == w {
-					return true
-				}
-			}
-			return false
-		}
+		keep = func(ev JournalEvent) bool { return slices.Contains(types, ev.Type) }
 	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	var out []JournalEvent
-	// Walk newest to oldest, collect matches up to last, then reverse.
-	for i := 1; i <= j.filled; i++ {
-		ev := j.ring[(j.next-i+len(j.ring))%len(j.ring)]
-		if !wanted(ev.Type) {
-			continue
-		}
-		out = append(out, ev)
-		if last > 0 && len(out) == last {
-			break
-		}
-	}
-	for lo, hi := 0, len(out)-1; lo < hi; lo, hi = lo+1, hi-1 {
-		out[lo], out[hi] = out[hi], out[lo]
-	}
-	return out
+	return j.events.last(last, keep)
 }
 
 // Len returns the number of events currently buffered.
@@ -155,9 +119,8 @@ func (j *Journal) Len() int {
 	if j == nil {
 		return 0
 	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.filled
+	n, _ := j.events.counts()
+	return n
 }
 
 // Seq returns the number of events ever recorded — the Seq stamp of the
@@ -166,9 +129,8 @@ func (j *Journal) Seq() uint64 {
 	if j == nil {
 		return 0
 	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.seq
+	_, total := j.events.counts()
+	return total
 }
 
 // Dropped returns the number of events overwritten by newer ones.
@@ -176,9 +138,8 @@ func (j *Journal) Dropped() uint64 {
 	if j == nil {
 		return 0
 	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.dropped
+	n, total := j.events.counts()
+	return total - uint64(n)
 }
 
 // Capacity returns the ring capacity (0 for a nil journal).
@@ -186,5 +147,5 @@ func (j *Journal) Capacity() int {
 	if j == nil {
 		return 0
 	}
-	return len(j.ring)
+	return j.events.capacity()
 }

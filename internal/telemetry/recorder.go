@@ -27,12 +27,10 @@ import (
 type Recorder struct {
 	reg *Registry
 
-	mu         sync.Mutex
+	windows *ring[Window]
+
+	mu         sync.Mutex // serializes scrapes; guards the fields below
 	collectors []func()
-	ring       []Window
-	next       int                 // ring slot for the next window
-	filled     int                 // windows currently held (≤ len(ring))
-	seq        uint64              // windows ever recorded
 	prevC      map[string]uint64   // last counter values, for deltas
 	prevH      map[string]histPrev // last histogram states, for deltas
 	lastScrape time.Time
@@ -56,10 +54,10 @@ func NewRecorder(reg *Registry, capacity int) *Recorder {
 		capacity = defaultRecorderCapacity
 	}
 	return &Recorder{
-		reg:   reg,
-		ring:  make([]Window, capacity),
-		prevC: make(map[string]uint64),
-		prevH: make(map[string]histPrev),
+		reg:     reg,
+		windows: newRing[Window](capacity),
+		prevC:   make(map[string]uint64),
+		prevH:   make(map[string]histPrev),
 	}
 }
 
@@ -166,9 +164,7 @@ func (r *Recorder) Scrape() Window {
 		start = now
 	}
 	r.lastScrape = now
-	r.seq++
 	w := Window{
-		Seq:        r.seq,
 		Start:      start,
 		End:        now,
 		Counters:   make(map[string]CounterSample),
@@ -207,12 +203,10 @@ func (r *Recorder) Scrape() Window {
 			r.prevH[id] = histPrev{count: s.Count, sum: s.Sum, buckets: s.Buckets}
 		}
 	}
-	if r.filled < len(r.ring) {
-		r.filled++
-	}
-	r.ring[r.next] = w
-	r.next = (r.next + 1) % len(r.ring)
-	return w
+	return r.windows.push(w, func(w Window, seq uint64) Window {
+		w.Seq = seq
+		return w
+	})
 }
 
 // Run scrapes every interval until ctx is done, invoking after (when
@@ -239,9 +233,8 @@ func (r *Recorder) Len() int {
 	if r == nil {
 		return 0
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.filled
+	n, _ := r.windows.counts()
+	return n
 }
 
 // Capacity returns the ring capacity in windows.
@@ -249,7 +242,7 @@ func (r *Recorder) Capacity() int {
 	if r == nil {
 		return 0
 	}
-	return len(r.ring)
+	return r.windows.capacity()
 }
 
 // Seq returns the number of windows ever recorded (including evicted
@@ -258,9 +251,8 @@ func (r *Recorder) Seq() uint64 {
 	if r == nil {
 		return 0
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.seq
+	_, total := r.windows.counts()
+	return total
 }
 
 // Windows returns up to last of the most recent windows, oldest first
@@ -270,18 +262,7 @@ func (r *Recorder) Windows(last int) []Window {
 	if r == nil {
 		return nil
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	n := r.filled
-	if last > 0 && last < n {
-		n = last
-	}
-	out := make([]Window, n)
-	start := (r.next - n + len(r.ring)) % len(r.ring)
-	for i := 0; i < n; i++ {
-		out[i] = r.ring[(start+i)%len(r.ring)]
-	}
-	return out
+	return r.windows.last(last, nil)
 }
 
 // LastWindow returns the most recent window, if any.

@@ -6,7 +6,6 @@ import (
 	"io"
 	"strconv"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -38,12 +37,7 @@ type Tracer struct {
 	starts      atomic.Uint64 // root-start counter driving the sampler
 	ids         atomic.Uint64 // span id allocator (0 is reserved for "no parent")
 
-	mu      sync.Mutex
-	ring    []SpanEvent
-	next    int    // ring slot for the next completed span
-	filled  int    // completed spans currently held (≤ len(ring))
-	total   uint64 // completed spans ever recorded
-	dropped uint64 // completed spans overwritten by newer ones
+	spans *ring[SpanEvent]
 }
 
 // SpanEvent is one completed span as stored in the ring.
@@ -88,7 +82,7 @@ func NewTracer(capacity, sampleEvery int) *Tracer {
 	}
 	t := &Tracer{
 		epoch: time.Now(),
-		ring:  make([]SpanEvent, capacity),
+		spans: newRing[SpanEvent](capacity),
 	}
 	t.sampleEvery.Store(int64(sampleEvery))
 	return t
@@ -178,7 +172,7 @@ func (s *Span) End() {
 		return
 	}
 	end := time.Now()
-	s.t.record(SpanEvent{
+	s.t.spans.push(SpanEvent{
 		Name:   s.name,
 		ID:     s.id,
 		Parent: s.parent,
@@ -186,21 +180,7 @@ func (s *Span) End() {
 		Start:  s.start.Sub(s.t.epoch),
 		Dur:    end.Sub(s.start),
 		Attrs:  s.attrs,
-	})
-}
-
-// record commits one completed span, overwriting the oldest when full.
-func (t *Tracer) record(ev SpanEvent) {
-	t.mu.Lock()
-	if t.filled == len(t.ring) {
-		t.dropped++
-	} else {
-		t.filled++
-	}
-	t.ring[t.next] = ev
-	t.next = (t.next + 1) % len(t.ring)
-	t.total++
-	t.mu.Unlock()
+	}, nil)
 }
 
 // Len returns the number of completed spans currently buffered.
@@ -208,9 +188,8 @@ func (t *Tracer) Len() int {
 	if t == nil {
 		return 0
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.filled
+	n, _ := t.spans.counts()
+	return n
 }
 
 // Dropped returns the number of completed spans overwritten by newer ones
@@ -219,9 +198,8 @@ func (t *Tracer) Dropped() uint64 {
 	if t == nil {
 		return 0
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.dropped
+	n, total := t.spans.counts()
+	return total - uint64(n)
 }
 
 // Events returns up to last of the most recently completed spans in
@@ -231,19 +209,7 @@ func (t *Tracer) Events(last int) []SpanEvent {
 	if t == nil {
 		return nil
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	n := t.filled
-	if last > 0 && last < n {
-		n = last
-	}
-	out := make([]SpanEvent, n)
-	// t.next is one past the newest; walk back n slots.
-	start := (t.next - n + len(t.ring)) % len(t.ring)
-	for i := 0; i < n; i++ {
-		out[i] = t.ring[(start+i)%len(t.ring)]
-	}
-	return out
+	return t.spans.last(last, nil)
 }
 
 // WriteChromeTrace writes up to last buffered spans (≤ 0 for all) as a

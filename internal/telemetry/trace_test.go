@@ -154,8 +154,8 @@ func TestTracerRingBounded(t *testing.T) {
 
 func TestTracerDefaultCapacity(t *testing.T) {
 	tr := NewTracer(0, 1)
-	if len(tr.ring) != defaultTraceCapacity {
-		t.Fatalf("default capacity = %d, want %d", len(tr.ring), defaultTraceCapacity)
+	if tr.spans.capacity() != defaultTraceCapacity {
+		t.Fatalf("default capacity = %d, want %d", tr.spans.capacity(), defaultTraceCapacity)
 	}
 }
 
