@@ -31,12 +31,12 @@ type Condensation struct {
 	// tr records synthesis trace spans; nil disables tracing. Observe-only
 	// like met.
 	tr *telemetry.Tracer
-	// groupIDs, when set, annotates groups[i] with its stable engine group
-	// id (see Dynamic). Observe-only diagnostics metadata: it is not
-	// serialized into checkpoints and never influences synthesis. Snapshots
-	// taken from a static condensation (or restored from a checkpoint
-	// before any engine wraps them) carry no ids.
-	groupIDs []uint64
+	// meta, when set, annotates groups[i] with its stable engine group id
+	// and birth (see groupMeta). Observe-only diagnostics metadata: it is
+	// not serialized into checkpoints and never influences synthesis.
+	// Snapshots taken from a static condensation (or restored from a
+	// checkpoint before any engine wraps them) carry none.
+	meta []*groupMeta
 }
 
 // newCondensation wraps a set of groups. The groups are owned by the
@@ -46,10 +46,11 @@ func newCondensation(dim, k int, opts Options, groups []*stats.Group) *Condensat
 }
 
 // derive wraps groups, a subset of c's groups shared rather than copied,
-// and their ids with c's configuration and observe-only attachments.
-func (c *Condensation) derive(groups []*stats.Group, ids []uint64) *Condensation {
+// and their annotations with c's configuration and observe-only
+// attachments.
+func (c *Condensation) derive(groups []*stats.Group, meta []*groupMeta) *Condensation {
 	d := newCondensation(c.dim, c.k, c.opts, groups)
-	d.groupIDs, d.par, d.met, d.tr = ids, c.par, c.met, c.tr
+	d.meta, d.par, d.met, d.tr = meta, c.par, c.met, c.tr
 	return d
 }
 
@@ -133,10 +134,14 @@ func (c *Condensation) Groups() []*stats.Group {
 // condensations, freshly restored checkpoints). The ids are observe-only
 // lineage metadata — see Dynamic's id scheme.
 func (c *Condensation) GroupIDs() []uint64 {
-	if c.groupIDs == nil {
+	if c.meta == nil {
 		return nil
 	}
-	return append([]uint64(nil), c.groupIDs...)
+	ids := make([]uint64, len(c.meta))
+	for i, m := range c.meta {
+		ids[i] = m.id
+	}
+	return ids
 }
 
 // Centroids returns the centroid of every group.

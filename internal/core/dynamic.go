@@ -116,10 +116,9 @@ func newDynamic(dim, k int, opts Options, search searchConfig, groups []*stats.G
 			k: k, dim: dim, opts: opts, r: r, search: search,
 			groups:    make([]*stats.Group, 0, dealt),
 			centroids: make([]mat.Vector, 0, dealt),
-			ids:       make([]uint64, 0, dealt),
-			births:    make([]groupBirth, 0, dealt),
+			meta:      make([]*groupMeta, 0, dealt),
 			// Shard i allocates stable group ids under base i<<48, so ids
-			// from different shards never collide and GroupByID recovers
+			// from different shards never collide and a Release recovers
 			// the owning shard from the id alone.
 			idBase: uint64(i) << groupIDShardShift,
 			index:  i,
@@ -390,14 +389,14 @@ func (d *Dynamic) Condensation() *Condensation {
 		return d.Shard(0)
 	}
 	var groups []*stats.Group
-	var ids []uint64
+	var meta []*groupMeta
 	for i := range d.shards {
 		cond := d.Shard(i)
 		groups = append(groups, cond.groups...)
-		ids = append(ids, cond.groupIDs...)
+		meta = append(meta, cond.meta...)
 	}
 	merged := newCondensation(d.dim, d.k, d.opts, groups)
-	merged.groupIDs = ids
+	merged.meta = meta
 	merged.met = d.met
 	merged.tr = d.tr
 	return merged

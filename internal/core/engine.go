@@ -18,6 +18,12 @@ import (
 // 2k−1 records in steady state, only aggregate statistics are retained,
 // and the same seed and shard count reproduce the same condensed state
 // bit for bit.
+//
+// Condensed state leaves the process only through Condensation: NewRelease
+// gates a cut to its groups of at least k records, and every read artifact
+// — snapshot, checkpoint, stats, audit, group diagnostics — is derived
+// from that Release. Explain is the one read of live state, because it
+// answers what Add would do now.
 type Engine interface {
 	// Add routes one stream record to the group with the nearest centroid
 	// (within the record's shard) and splits that group if it reaches 2k
@@ -60,16 +66,6 @@ type Engine interface {
 	// The read is one atomic load and never blocks on engine locks.
 	Generation() uint64
 
-	// GroupInfos appends the lifecycle summary (stable id, shard, size,
-	// birth generation, split parent, centroid drift) of every live group
-	// holding at least k records to buf (resliced to zero length first) and
-	// returns it, in stable shard-then-slot order. Pure read.
-	GroupInfos(buf []GroupInfo) []GroupInfo
-	// GroupByID returns the diagnostics detail of the live group with the
-	// given stable id, or ok=false when no such group exists (retired by a
-	// split, never allocated, or wrong shard bits) or it holds fewer than k
-	// records. Pure read.
-	GroupByID(id uint64) (GroupDetail, bool)
 	// Explain dry-runs routing one record without ingesting it: the shard
 	// it would route to, the top candidate groups of at least k records in
 	// exact (distance, id) order, and the absorb/split/found outcome.

@@ -22,6 +22,12 @@ func buildDynamic(t *testing.T, k, dim int, opts ...CondenserOption) *Dynamic {
 	return d
 }
 
+// releaseOf cuts d's current state as a Release, the way the server does;
+// group diagnostics are read from it.
+func releaseOf(d *Dynamic) *Release {
+	return NewRelease(d.Generation(), d.Condensation(), d.NumShards())
+}
+
 // TestGroupIDsStableAndUnique: every live group carries a distinct id,
 // ids survive absorbs unchanged, and a split retires the parent id in
 // favour of two fresh children that both name it as parent.
@@ -35,7 +41,7 @@ func TestGroupIDsStableAndUnique(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	infos := d.GroupInfos(nil)
+	infos := releaseOf(d).GroupInfos(nil)
 	if len(infos) != d.NumGroups() {
 		t.Fatalf("GroupInfos returned %d summaries for %d groups", len(infos), d.NumGroups())
 	}
@@ -103,7 +109,8 @@ func TestShardedGroupIDNoCollision(t *testing.T) {
 	if err := s.AddBatch(gaussianRecords(23, 900, dim)); err != nil {
 		t.Fatal(err)
 	}
-	infos := s.GroupInfos(nil)
+	rel := releaseOf(s)
+	infos := rel.GroupInfos(nil)
 	if len(infos) != s.NumGroups() {
 		t.Fatalf("GroupInfos returned %d summaries for %d groups", len(infos), s.NumGroups())
 	}
@@ -119,7 +126,7 @@ func TestShardedGroupIDNoCollision(t *testing.T) {
 		}
 		perShard[gi.Shard]++
 
-		det, ok := s.GroupByID(gi.ID)
+		det, ok := rel.GroupByID(gi.ID)
 		if !ok {
 			t.Fatalf("GroupByID(%d) missed a live group", gi.ID)
 		}
@@ -136,10 +143,10 @@ func TestShardedGroupIDNoCollision(t *testing.T) {
 	if len(perShard) < 2 {
 		t.Fatalf("stream landed on %d shard(s); routing hash broken?", len(perShard))
 	}
-	if _, ok := s.GroupByID(uint64(shards) << groupIDShardShift); ok {
+	if _, ok := rel.GroupByID(uint64(shards) << groupIDShardShift); ok {
 		t.Fatal("GroupByID accepted an id for a shard that does not exist")
 	}
-	if _, ok := s.GroupByID(0); ok {
+	if _, ok := rel.GroupByID(0); ok {
 		t.Fatal("GroupByID accepted the 0 sentinel")
 	}
 }
@@ -198,7 +205,7 @@ func TestGroupIDsNotSerialized(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	infos := resumed.GroupInfos(nil)
+	infos := releaseOf(resumed).GroupInfos(nil)
 	seen := make(map[uint64]bool, len(infos))
 	for _, gi := range infos {
 		if gi.ID == 0 || seen[gi.ID] {
@@ -258,7 +265,7 @@ func TestExplainMatchesRouting(t *testing.T) {
 				if d.NumGroups() != before {
 					t.Fatalf("predicted absorb, group count %d -> %d", before, d.NumGroups())
 				}
-				det, ok := d.GroupByID(beforeID)
+				det, ok := releaseOf(d).GroupByID(beforeID)
 				if !ok {
 					t.Fatalf("predicted absorb into %d, but it is gone", beforeID)
 				}
@@ -269,7 +276,7 @@ func TestExplainMatchesRouting(t *testing.T) {
 				if d.NumGroups() != before+1 {
 					t.Fatalf("predicted split, group count %d -> %d", before, d.NumGroups())
 				}
-				if _, ok := d.GroupByID(beforeID); ok {
+				if _, ok := releaseOf(d).GroupByID(beforeID); ok {
 					t.Fatalf("predicted split of %d, but it survived", beforeID)
 				}
 			default:
@@ -295,11 +302,12 @@ func TestExplainFoundOnEmpty(t *testing.T) {
 	}
 }
 
-// TestExplainSideEffectFree: hammering Explain, GroupInfos, and GroupByID
-// between checkpoint encodes must leave the bytes bit-identical — the
-// acceptance criterion for the dry-run. The sharded variant runs the
-// readers concurrently with ingest on the engine's own locks, so the race
-// detector also proves the read-lock contract.
+// TestExplainSideEffectFree: hammering Explain, and the GroupInfos and
+// GroupByID of releases cut from the engine, between checkpoint encodes
+// must leave the bytes bit-identical — the acceptance criterion for the
+// dry-run. The sharded variant runs the readers concurrently with ingest
+// on the engine's own locks, so the race detector also proves the
+// read-lock contract.
 func TestExplainSideEffectFree(t *testing.T) {
 	const k, dim = 5, 3
 	t.Run("dynamic", func(t *testing.T) {
@@ -316,9 +324,9 @@ func TestExplainSideEffectFree(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		d.GroupInfos(nil)
-		for _, gi := range d.GroupInfos(nil) {
-			d.GroupByID(gi.ID)
+		rel := releaseOf(d)
+		for _, gi := range rel.GroupInfos(nil) {
+			rel.GroupByID(gi.ID)
 		}
 		if !bytes.Equal(before, checkpointBytes(t, d)) {
 			t.Fatal("explainability reads changed checkpoint bytes")
@@ -375,8 +383,9 @@ func TestExplainSideEffectFree(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				for _, gi := range s.GroupInfos(nil) {
-					s.GroupByID(gi.ID)
+				rel := releaseOf(s)
+				for _, gi := range rel.GroupInfos(nil) {
+					rel.GroupByID(gi.ID)
 				}
 			}
 		}()
@@ -412,7 +421,7 @@ func TestGroupLineageDrift(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	infos := d.GroupInfos(nil)
+	infos := releaseOf(d).GroupInfos(nil)
 	children := 0
 	for _, gi := range infos {
 		if gi.Parent != 0 {
@@ -439,11 +448,11 @@ func TestDiagnosticsWithholdBelowK(t *testing.T) {
 	if err := d.Add(mat.Vector{0.3141592653589793, 0.2718281828459045}); err != nil {
 		t.Fatal(err)
 	}
-	if infos := d.GroupInfos(nil); len(infos) != 0 {
+	if infos := releaseOf(d).GroupInfos(nil); len(infos) != 0 {
 		t.Fatalf("GroupInfos summarized %d groups below k", len(infos))
 	}
 	id := d.Condensation().GroupIDs()[0]
-	if _, ok := d.GroupByID(id); ok {
+	if _, ok := releaseOf(d).GroupByID(id); ok {
 		t.Fatalf("GroupByID(%d) served a group below k", id)
 	}
 	ex, err := d.Explain(mat.Vector{0.5, 0.5}, 3)
@@ -459,10 +468,10 @@ func TestDiagnosticsWithholdBelowK(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if infos := d.GroupInfos(nil); len(infos) != 1 || infos[0].ID != id || infos[0].Size != k {
+	if infos := releaseOf(d).GroupInfos(nil); len(infos) != 1 || infos[0].ID != id || infos[0].Size != k {
 		t.Fatalf("GroupInfos at k records = %+v, want group %d of size %d", infos, id, k)
 	}
-	if det, ok := d.GroupByID(id); !ok || det.Size != k {
+	if det, ok := releaseOf(d).GroupByID(id); !ok || det.Size != k {
 		t.Fatalf("GroupByID(%d) at k records = %+v, %v", id, det, ok)
 	}
 	ex, err = d.Explain(mat.Vector{0.5, 0.5}, 3)

@@ -1,6 +1,9 @@
 package core
 
-import "condensation/internal/stats"
+import (
+	"condensation/internal/mat"
+	"condensation/internal/stats"
+)
 
 // Release is one immutable, k-gated cut of an engine's state at one
 // mutation generation: the only form in which condensed state leaves the
@@ -44,27 +47,24 @@ func NewRelease(gen uint64, cut *Condensation, shards int) *Release {
 	if r.withheldGroups > 0 {
 		kept := len(cut.groups) - r.withheldGroups
 		groups := make([]*stats.Group, 0, kept)
-		var ids []uint64
-		if cut.groupIDs != nil {
-			ids = make([]uint64, 0, kept)
-		}
+		var meta []*groupMeta
 		for i, g := range cut.groups {
 			if g.N() < cut.k {
 				continue
 			}
 			groups = append(groups, g)
-			if ids != nil {
-				ids = append(ids, cut.groupIDs[i])
+			if cut.meta != nil {
+				meta = append(meta, cut.meta[i])
 			}
 		}
-		r.cond = cut.derive(groups, ids)
+		r.cond = cut.derive(groups, meta)
 	}
 	r.sizes = make([]int, len(r.cond.groups))
 	for i, g := range r.cond.groups {
 		r.sizes[i] = g.N()
 		s := 0
-		if r.cond.groupIDs != nil {
-			s = min(int(r.cond.groupIDs[i]>>groupIDShardShift), shards-1)
+		if r.cond.meta != nil {
+			s = shardOfID(r.cond.meta[i].id, shards)
 		}
 		r.ends[s+1]++
 	}
@@ -85,11 +85,11 @@ func (r *Release) Condensation() *Condensation { return r.cond }
 // when i is out of range.
 func (r *Release) Shard(i int) *Condensation {
 	lo, hi := r.ends[i], r.ends[i+1]
-	var ids []uint64
-	if r.cond.groupIDs != nil {
-		ids = r.cond.groupIDs[lo:hi:hi]
+	var meta []*groupMeta
+	if r.cond.meta != nil {
+		meta = r.cond.meta[lo:hi:hi]
 	}
-	return r.cond.derive(r.cond.groups[lo:hi:hi], ids)
+	return r.cond.derive(r.cond.groups[lo:hi:hi], meta)
 }
 
 // Sizes returns the record count of every released group, in release
@@ -104,3 +104,112 @@ func (r *Release) ShardSizes(i int) []int { return r.sizes[r.ends[i]:r.ends[i+1]
 // Withheld returns the number of groups, and the records they condense,
 // that the cut held below k and the Release therefore leaves out.
 func (r *Release) Withheld() (groups, records int) { return r.withheldGroups, r.withheldRecords }
+
+// shardOfID returns the shard an id was allocated on, read from its shard
+// bits and clamped to the last of shards.
+func shardOfID(id uint64, shards int) int {
+	return int(min(id>>groupIDShardShift, uint64(shards-1)))
+}
+
+// GroupInfo is one released group's lifecycle summary, computed from its
+// moments and its observe-only birth annotation alone.
+type GroupInfo struct {
+	// ID is the group's stable engine-wide id (see groupIDShardShift).
+	ID uint64 `json:"id"`
+	// Shard is the engine shard holding the group.
+	Shard int `json:"shard"`
+	// Size is n(G), the number of condensed records.
+	Size int `json:"size"`
+	// BirthGeneration is the mutation generation the group was born at
+	// (0 for groups seeded from an initial condensation or checkpoint).
+	BirthGeneration uint64 `json:"birth_generation"`
+	// Parent is the id of the split parent the group was born from, or 0
+	// for founded and initial groups.
+	Parent uint64 `json:"parent,omitempty"`
+	// CentroidDrift is the Euclidean distance between the group's current
+	// centroid and its centroid at birth — how far absorbed records have
+	// dragged the group since it was created.
+	CentroidDrift float64 `json:"centroid_drift"`
+}
+
+// GroupDetail extends GroupInfo with the group's centroid and covariance
+// conditioning for the per-group diagnostics endpoint. The centroid at
+// birth is not reported: a founded group's birth centroid is its first
+// raw record. CentroidDrift summarizes it instead.
+type GroupDetail struct {
+	GroupInfo
+	// Centroid is the group's current centroid Y(G).
+	Centroid mat.Vector `json:"centroid"`
+	// CondNumber is the covariance condition number λmax/λmin, the same
+	// convention the audit uses; 0 when Degenerate.
+	CondNumber float64 `json:"condition_number,omitempty"`
+	// Degenerate reports a covariance with a non-positive extreme
+	// eigenvalue (singleton groups, collapsed attributes), for which the
+	// condition number is undefined.
+	Degenerate bool `json:"degenerate"`
+}
+
+// GroupInfos appends the lifecycle summary of every released group to buf
+// (resliced to zero length first, allocated when nil) in release order,
+// and returns it. A cut without ids has no summaries. Like every Release
+// read it is pure: the groups are shared clones no writer touches.
+func (r *Release) GroupInfos(buf []GroupInfo) []GroupInfo {
+	if buf == nil {
+		buf = make([]GroupInfo, 0, len(r.cond.meta))
+	}
+	buf = buf[:0]
+	c := make(mat.Vector, r.cond.dim)
+	for i := range r.cond.meta {
+		buf = append(buf, r.groupInfo(i, c))
+	}
+	return buf
+}
+
+// GroupByID returns the diagnostics detail of the released group with the
+// given stable id, or ok=false when the Release holds no such group
+// (withheld below k, retired by a split, never allocated, or a cut without
+// ids). Only the shard named by the id's shard bits is searched.
+func (r *Release) GroupByID(id uint64) (GroupDetail, bool) {
+	if r.cond.meta == nil {
+		return GroupDetail{}, false
+	}
+	s := shardOfID(id, len(r.ends)-1)
+	for i := r.ends[s]; i < r.ends[s+1]; i++ {
+		if r.cond.meta[i].id == id {
+			return r.groupDetail(i), true
+		}
+	}
+	return GroupDetail{}, false
+}
+
+// groupInfo summarizes released group i, computing its centroid into c.
+// The centroid is bit-identical to the engine's cached one: both scale Fs
+// by the same reciprocal.
+func (r *Release) groupInfo(i int, c mat.Vector) GroupInfo {
+	g, m := r.cond.groups[i], r.cond.meta[i]
+	_ = g.MeanInto(c) // released groups hold at least k ≥ 1 records
+	return GroupInfo{
+		ID:              m.id,
+		Shard:           shardOfID(m.id, len(r.ends)-1),
+		Size:            g.N(),
+		BirthGeneration: m.gen,
+		Parent:          m.parent,
+		CentroidDrift:   c.Dist(m.centroid),
+	}
+}
+
+// groupDetail builds the detail view of released group i. The eigensolve
+// works on fresh workspaces, so concurrent readers never share scratch.
+func (r *Release) groupDetail(i int) GroupDetail {
+	c := make(mat.Vector, r.cond.dim)
+	det := GroupDetail{GroupInfo: r.groupInfo(i, c), Centroid: c}
+	// The audit's convention: eigenvalues sorted descending, condition
+	// number defined only when both extremes are strictly positive.
+	eig, err := r.cond.groups[i].Eigen()
+	if err != nil || eig.Values[0] <= 0 || eig.Values[len(eig.Values)-1] <= 0 {
+		det.Degenerate = true
+		return det
+	}
+	det.CondNumber = eig.Values[0] / eig.Values[len(eig.Values)-1]
+	return det
+}

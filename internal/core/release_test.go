@@ -2,9 +2,12 @@ package core
 
 import (
 	"fmt"
+	"math"
+	"reflect"
 	"testing"
 
 	"condensation/internal/mat"
+	"condensation/internal/rng"
 )
 
 // TestReleaseShardSizes: in steady state nothing is withheld, so a
@@ -125,5 +128,66 @@ func TestReleaseWithholdsBelowK(t *testing.T) {
 				t.Fatalf("released condensation carries %d ids for %d groups", got, len(rel.Sizes()))
 			}
 		})
+	}
+}
+
+// TestReleaseGroupDiagnostics: a Release's group summaries follow its
+// groups in release order, each id resolves to the same summary with the
+// group's exact centroid, and the cut stays frozen while the engine moves
+// on. A cut without ids has no summaries.
+func TestReleaseGroupDiagnostics(t *testing.T) {
+	const k, dim, shards = 5, 3, 3
+	c, err := NewCondenser(k, WithSeed(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := c.Sharded(dim, shards)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.AddBatch(gaussianRecords(29, 600, dim)); err != nil {
+		t.Fatal(err)
+	}
+	rel := NewRelease(s.Generation(), s.Condensation(), shards)
+	infos := rel.GroupInfos(nil)
+	ids := rel.Condensation().GroupIDs()
+	cents, err := rel.Condensation().Centroids()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(infos) != len(rel.Sizes()) || len(ids) != len(infos) {
+		t.Fatalf("%d summaries, %d ids for %d released groups", len(infos), len(ids), len(rel.Sizes()))
+	}
+	for i, gi := range infos {
+		if gi.ID != ids[i] || gi.Size != rel.Sizes()[i] || gi.Shard != int(gi.ID>>groupIDShardShift) {
+			t.Fatalf("summary %d = %+v, want id %d of size %d", i, gi, ids[i], rel.Sizes()[i])
+		}
+		det, ok := rel.GroupByID(gi.ID)
+		if !ok || det.GroupInfo != gi {
+			t.Fatalf("GroupByID(%d) = %+v, %v; want %+v", gi.ID, det.GroupInfo, ok, gi)
+		}
+		for j := range cents[i] {
+			if math.Float64bits(det.Centroid[j]) != math.Float64bits(cents[i][j]) {
+				t.Fatalf("group %d centroid %v, want %v", gi.ID, det.Centroid, cents[i])
+			}
+		}
+	}
+	if err := s.AddBatch(gaussianRecords(30, 300, dim)); err != nil {
+		t.Fatal(err)
+	}
+	if got := rel.GroupInfos(make([]GroupInfo, 3)); !reflect.DeepEqual(got, infos) {
+		t.Fatal("a release's summaries changed after the engine moved")
+	}
+
+	static, err := condense(gaussianRecords(31, 60, dim), k, rng.New(1), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bare := NewRelease(0, static, 1)
+	if infos := bare.GroupInfos(nil); infos == nil || len(infos) != 0 {
+		t.Fatalf("a cut without ids summarized %v", infos)
+	}
+	if _, ok := bare.GroupByID(1); ok {
+		t.Fatal("a cut without ids resolved group 1")
 	}
 }

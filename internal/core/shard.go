@@ -58,15 +58,14 @@ type shard struct {
 	eig     mat.EigenScratch // reusable split eigensolve workspaces
 
 	// Stable group identity and lineage, maintained in parallel with
-	// groups/centroids: ids[i] is slot i's stable group id and births[i]
-	// its birth annotation. Ids are allocated monotonically under idBase —
-	// this shard's partition of the id space (see groupIDShardShift) — so
-	// ids are unique engine-wide and never reused after a split retires
-	// them. All of it is observe-only: ids never influence routing,
-	// splits, or the rng stream, and they are not serialized into
-	// checkpoints (a resumed engine renumbers from scratch).
-	ids    []uint64
-	births []groupBirth
+	// groups/centroids: meta[i] is slot i's id and birth annotation. Ids
+	// are allocated monotonically under idBase — this shard's partition of
+	// the id space (see groupIDShardShift) — so ids are unique engine-wide
+	// and never reused after a split retires them. All of it is
+	// observe-only: ids never influence routing, splits, or the rng
+	// stream, and they are not serialized into checkpoints (a resumed
+	// engine renumbers from scratch).
+	meta   []*groupMeta
 	idBase uint64
 	idSeq  uint64
 
@@ -93,7 +92,7 @@ type shard struct {
 	// snapGen. Writers never touch it (they only advance the generation —
 	// copy on write-invalidate, not copy on read); concurrent readers
 	// racing to rebuild it under the read lock serialize on snapMu.
-	// snapIDs is the ids slice frozen with the clones, annotated onto
+	// snapMeta is the meta slice frozen with the clones, annotated onto
 	// snapshots. dirty has one bit per slot, set by every write that
 	// changes the slot's group in place (ingest, which also covers the
 	// split's first half), so a miss re-clones only those slots and the
@@ -104,15 +103,18 @@ type shard struct {
 	snapMu     sync.Mutex
 	snapGen    uint64
 	snapGroups []*stats.Group
-	snapIDs    []uint64
+	snapMeta   []*groupMeta
 	dirty      []uint64
 }
 
-// groupBirth is one group slot's observe-only birth annotation: the
-// mutation generation it was created at, the id of the split parent it was
-// born from (0 for founded or initial groups), and its centroid at birth —
-// the reference point per-group drift diagnostics measure against.
-type groupBirth struct {
+// groupMeta is one group's observe-only identity and birth annotation:
+// its stable id, the mutation generation it was created at, the id of the
+// split parent it was born from (0 for founded or initial groups), and its
+// centroid at birth — the reference point per-group drift diagnostics
+// measure against. A value is immutable once stored: a split stores a new
+// one for the slot, so snapshots share the pointers with the live shard.
+type groupMeta struct {
+	id       uint64
 	gen      uint64
 	parent   uint64
 	centroid mat.Vector
@@ -124,21 +126,21 @@ type groupBirth struct {
 // shard outlasts any realistic stream; 2^16 shards outlasts any machine.
 const groupIDShardShift = 48
 
-// allocID hands out the next stable group id under this shard's base.
-// Ids are 1-based within the shard so 0 stays the "no parent" sentinel.
-func (sh *shard) allocID() uint64 {
+// newMeta annotates a group born now: the next stable id under this
+// shard's base (1-based, so 0 stays the "no parent" sentinel), the current
+// mutation generation, the given split parent (0 when founded), and a
+// clone of the group's centroid.
+func (sh *shard) newMeta(parent uint64, centroid mat.Vector) *groupMeta {
 	sh.idSeq++
-	return sh.idBase | sh.idSeq
+	return &groupMeta{id: sh.idBase | sh.idSeq, gen: sh.lastMut, parent: parent, centroid: centroid.Clone()}
 }
 
 // annotate registers identity and birth for a group slot just appended to
-// groups: a fresh id, the current mutation generation, the given split
-// parent (0 when founded), and a clone of the group's centroid.
+// groups and returns its id.
 func (sh *shard) annotate(parent uint64, centroid mat.Vector) uint64 {
-	id := sh.allocID()
-	sh.ids = append(sh.ids, id)
-	sh.births = append(sh.births, groupBirth{gen: sh.lastMut, parent: parent, centroid: centroid.Clone()})
-	return id
+	m := sh.newMeta(parent, centroid)
+	sh.meta = append(sh.meta, m)
+	return m.id
 }
 
 // markDirty records that slot i's group changed since the last snapshot
@@ -279,7 +281,7 @@ func (sh *shard) ingest(best int, x mat.Vector, sp *telemetry.Span) error {
 		if err != nil {
 			return fmt.Errorf("core: splitting group %d: %w", best, err)
 		}
-		parentID := sh.ids[best]
+		parentID := sh.meta[best].id
 		sh.groups[best] = m1
 		if err := m1.MeanInto(sh.centroids[best]); err != nil {
 			return err
@@ -293,9 +295,8 @@ func (sh *shard) ingest(best int, x mat.Vector, sp *telemetry.Span) error {
 		sh.centroids = append(sh.centroids, c2)
 		// The parent id retires with the split; both halves are new groups
 		// with fresh ids and lineage back to the parent.
-		id1 := sh.allocID()
-		sh.ids[best] = id1
-		sh.births[best] = groupBirth{gen: sh.lastMut, parent: parentID, centroid: sh.centroids[best].Clone()}
+		sh.meta[best] = sh.newMeta(parentID, sh.centroids[best])
+		id1 := sh.meta[best].id
 		id2 := sh.annotate(parentID, c2)
 		sh.router.add(len(sh.groups) - 1)
 		sh.maybePromote()
@@ -348,17 +349,17 @@ func (sh *shard) condensation() *Condensation {
 		}
 		clear(sh.dirty)
 		sh.snapGroups = groups
-		sh.snapIDs = append([]uint64(nil), sh.ids...)
+		sh.snapMeta = append([]*groupMeta(nil), sh.meta...)
 		sh.snapGen = sh.lastMut
 		sh.met.snapMisses.Inc()
 	} else {
 		sh.met.snapHits.Inc()
 	}
 	groups := sh.snapGroups
-	ids := sh.snapIDs
+	meta := sh.snapMeta
 	sh.snapMu.Unlock()
 	cond := newCondensation(sh.dim, sh.k, sh.opts, groups)
-	cond.groupIDs = ids
+	cond.meta = meta
 	cond.met = sh.met
 	cond.tr = sh.tr
 	return cond

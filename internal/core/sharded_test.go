@@ -530,11 +530,12 @@ func TestDynamicConcurrentSingleShard(t *testing.T) {
 	for _, read := range []func(){
 		func() { _ = d.Condensation().TotalCount() },
 		func() {
-			for _, info := range d.GroupInfos(nil) {
-				// A group may split between the two reads; a live one
-				// must come back under its own id.
-				if det, ok := d.GroupByID(info.ID); ok && det.ID != info.ID {
-					t.Errorf("GroupByID(%d) returned group %d", info.ID, det.ID)
+			// Writers move the engine, never a cut: every group the
+			// release summarizes comes back under its own id.
+			rel := releaseOf(d)
+			for _, info := range rel.GroupInfos(nil) {
+				if det, ok := rel.GroupByID(info.ID); !ok || det.GroupInfo != info {
+					t.Errorf("GroupByID(%d) = %+v, %v; want %+v", info.ID, det.GroupInfo, ok, info)
 				}
 			}
 		},

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -15,9 +16,13 @@ import (
 
 // This file serves the explainability layer: the group-lifecycle journal
 // (/v1/events), per-group diagnostics (/v1/groups, /v1/groups/{id}), and
-// the routing dry-run (/v1/explain). All of it is read-only against the
-// engine — explain in particular is proven side-effect-free, so operators
-// can probe a live daemon under ingest without perturbing its state.
+// the routing dry-run (/v1/explain). The group diagnostics are derived
+// from the current release, like every other read of condensed state, so
+// they only ever describe groups of at least k records. Explain is the
+// one read of the live engine — it answers what ingesting a record would
+// do now, which no release can know — and it is proven side-effect-free,
+// so operators can probe a live daemon under ingest without perturbing
+// its state.
 
 // eventsResponse is the GET /v1/events body: the journal tail oldest
 // first, plus the ring geometry so clients know the retention horizon.
@@ -88,12 +93,8 @@ type groupsResponse struct {
 }
 
 func (s *Server) handleGroups(w http.ResponseWriter, r *http.Request) {
-	gen := s.eng.Generation()
-	infos := s.eng.GroupInfos(nil)
-	if infos == nil {
-		infos = []core.GroupInfo{}
-	}
-	writeJSON(w, http.StatusOK, groupsResponse{Generation: gen, Groups: infos})
+	rel := s.release()
+	writeJSON(w, http.StatusOK, groupsResponse{Generation: rel.Generation(), Groups: rel.GroupInfos(nil)})
 }
 
 func (s *Server) handleGroupByID(w http.ResponseWriter, r *http.Request) {
@@ -103,7 +104,7 @@ func (s *Server) handleGroupByID(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("bad group id %q", raw))
 		return
 	}
-	det, ok := s.eng.GroupByID(id)
+	det, ok := s.release().GroupByID(id)
 	if !ok {
 		writeError(w, http.StatusNotFound,
 			fmt.Errorf("no live group with id %d of at least k records (below k, retired by a split, or never allocated)", id))
@@ -122,8 +123,14 @@ type explainRequest struct {
 }
 
 func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
+	// The body bound /v1/records derives for a one-record batch.
+	body, status, err := readBody(w, r, recordsBodyLimit(1, s.dim))
+	if err != nil {
+		writeError(w, status, err)
+		return
+	}
 	var req explainRequest
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(bytes.NewReader(body))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("decoding body: %w", err))

@@ -186,6 +186,67 @@ func TestExplainEndpoint(t *testing.T) {
 	}
 }
 
+// countingReader counts the bytes read through it.
+type countingReader struct {
+	r io.Reader
+	n int
+}
+
+func (c *countingReader) Read(p []byte) (int, error) {
+	n, err := c.r.Read(p)
+	c.n += n
+	return n, err
+}
+
+// TestExplainBodyLimit: /v1/explain reads at most the body /v1/records
+// allows a one-record batch. An oversized body is refused 413 without
+// being read when its Content-Length declares it, and after at most
+// limit+1 bytes when it is chunked; a body at the limit still decodes.
+func TestExplainBodyLimit(t *testing.T) {
+	const dim = 2
+	ts, _ := newExplainServer(t, 1, nil)
+	s := testServers[ts.URL]
+	postRecords(t, ts, genRecords(79, 100))
+	limit := int(recordsBodyLimit(1, dim))
+	huge := `{"record":[` + strings.Repeat("0.5,", 1<<16) + `0.5]}`
+	valid := `{"record":[0.25,-0.5]}`
+	cases := []struct {
+		name   string
+		body   string
+		length int64 // -1 sends the body chunked
+		want   int
+		read   int // bytes the handler may read at most
+	}{
+		{"over limit", huge, int64(len(huge)), http.StatusRequestEntityTooLarge, 0},
+		{"chunked over limit", huge, -1, http.StatusRequestEntityTooLarge, limit + 1},
+		{"at limit", valid + strings.Repeat(" ", limit-len(valid)), int64(limit), http.StatusOK, limit},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			body := &countingReader{r: strings.NewReader(tc.body)}
+			req := httptest.NewRequest(http.MethodPost, "/v1/explain", body)
+			req.ContentLength = tc.length
+			rec := httptest.NewRecorder()
+			s.ServeHTTP(rec, req)
+			if rec.Code != tc.want {
+				t.Fatalf("status %d, want %d: %s", rec.Code, tc.want, rec.Body)
+			}
+			if tc.want == http.StatusRequestEntityTooLarge {
+				var e errorResponse
+				if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil {
+					t.Fatal(err)
+				}
+				if want := fmt.Sprintf("body exceeds %d bytes", limit); e.Error != want {
+					t.Fatalf("error %q, want %q", e.Error, want)
+				}
+			}
+			if body.n > tc.read {
+				t.Fatalf("handler read %d body bytes, want at most %d", body.n, tc.read)
+			}
+		})
+	}
+}
+
 func TestRequestIDEchoAndMint(t *testing.T) {
 	ts, _ := newExplainServer(t, 1, nil)
 

@@ -50,20 +50,30 @@ func recordsBodyLimit(maxBatch, dim int) int64 {
 
 // readBody reads a request body of at most limit bytes into a buffer sized
 // for it: exactly Content-Length when the client declared one, grown as
-// needed otherwise. A body over the limit yields an *http.MaxBytesError.
-func readBody(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, error) {
+// needed otherwise. On failure it returns the HTTP status to answer with
+// and the error to report: 413 for a body over the limit — before reading
+// anything when Content-Length declares it — and 400 when reading fails.
+func readBody(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, int, error) {
 	if r.ContentLength > limit {
-		return nil, &http.MaxBytesError{Limit: limit}
+		return nil, http.StatusRequestEntityTooLarge, fmt.Errorf("body exceeds %d bytes", limit)
 	}
-	body := http.MaxBytesReader(w, r.Body, limit)
+	rd := http.MaxBytesReader(w, r.Body, limit)
+	var body []byte
+	var err error
 	if r.ContentLength < 0 {
-		return io.ReadAll(body)
+		body, err = io.ReadAll(rd)
+	} else {
+		body = make([]byte, r.ContentLength)
+		_, err = io.ReadFull(rd, body)
 	}
-	buf := make([]byte, r.ContentLength)
-	if _, err := io.ReadFull(body, buf); err != nil {
-		return nil, err
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		return nil, http.StatusRequestEntityTooLarge, fmt.Errorf("body exceeds %d bytes", limit)
 	}
-	return buf, nil
+	if err != nil {
+		return nil, http.StatusBadRequest, fmt.Errorf("reading body: %w", err)
+	}
+	return body, 0, nil
 }
 
 // decodeRecords parses and validates a POST /v1/records body for an engine

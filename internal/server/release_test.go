@@ -105,9 +105,9 @@ func TestReleaseInstallNeverRegresses(t *testing.T) {
 
 // TestReleaseCoherentUnderWriters runs writers against readers that each
 // take one release and derive every artifact from it: the checkpoint,
-// the stats, the audit and the snapshot of one release must agree on its
-// groups and records, however the engine moves meanwhile. Run it under
-// -race.
+// the stats, the audit, the group summaries and the snapshot of one
+// release must agree on its groups and records, however the engine moves
+// meanwhile. Run it under -race.
 func TestReleaseCoherentUnderWriters(t *testing.T) {
 	for _, shards := range []int{1, 3} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
@@ -157,7 +157,8 @@ func TestReleaseCoherentUnderWriters(t *testing.T) {
 }
 
 // checkCoherent derives every artifact of r and checks that each reports
-// r's released groups and records.
+// r's released groups and records, and that every group summary holds at
+// least k records and resolves by id to itself.
 func checkCoherent(s *Server, r *release) error {
 	groups, records := len(r.Sizes()), r.Condensation().TotalCount()
 	ckpt, err := s.checkpoint(r)
@@ -196,6 +197,21 @@ func checkCoherent(s *Server, r *release) error {
 	if rep.Groups != groups || rep.Records != records {
 		return fmt.Errorf("generation %d: audit reports %d groups / %d records, release %d / %d",
 			r.Generation(), rep.Groups, rep.Records, groups, records)
+	}
+	infos, infoRecords := r.GroupInfos(nil), 0
+	for _, gi := range infos {
+		if gi.Size < s.eng.K() {
+			return fmt.Errorf("generation %d: group %d of %d records summarized below k", r.Generation(), gi.ID, gi.Size)
+		}
+		if det, ok := r.GroupByID(gi.ID); !ok || det.GroupInfo != gi {
+			return fmt.Errorf("generation %d: group %d resolves to %+v, %v; summary %+v",
+				r.Generation(), gi.ID, det.GroupInfo, ok, gi)
+		}
+		infoRecords += gi.Size
+	}
+	if len(infos) != groups || infoRecords != records {
+		return fmt.Errorf("generation %d: group summaries cover %d groups / %d records, release %d / %d",
+			r.Generation(), len(infos), infoRecords, groups, records)
 	}
 	snap, err := r.snapshot(1, s.cmSnapshot)
 	if groups == 0 {

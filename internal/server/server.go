@@ -9,7 +9,7 @@
 //
 //	POST /v1/records    {"records": [[...], ...]}     add stream records
 //	GET  /v1/snapshot   ?seed=N                       synthesize anonymized records
-//	GET  /v1/stats                                    condensation statistics + audit
+//	GET  /v1/stats                                    condensation statistics
 //	GET  /v1/audit                                    anonymization-quality report
 //	GET  /v1/checkpoint                               binary condensation state (octet-stream)
 //	GET  /v1/history    ?last=N&series=a,b            flight-recorder windows (when recording on)
@@ -30,9 +30,10 @@
 // attached to trace spans, and stamped into error envelopes. Error
 // responses use one JSON envelope: {"error": "...", "request_id": "..."}.
 //
-// Snapshot, stats, audit and checkpoint are derived from one k-gated
-// core.Release per engine generation (release.go): no group of fewer than
-// k records is ever served.
+// Snapshot, stats, audit, checkpoint and both group routes are derived
+// from one k-gated core.Release per engine generation (release.go): no
+// group of fewer than k records is ever served. Explain is the one read
+// of the live engine; it offers no group below k as a candidate.
 package server
 
 import (
@@ -469,15 +470,9 @@ func writeError(w http.ResponseWriter, status int, err error) {
 }
 
 func (s *Server) handleRecords(w http.ResponseWriter, r *http.Request) {
-	body, err := readBody(w, r, recordsBodyLimit(s.maxBatch, s.dim))
+	body, status, err := readBody(w, r, recordsBodyLimit(s.maxBatch, s.dim))
 	if err != nil {
-		var tooLarge *http.MaxBytesError
-		if errors.As(err, &tooLarge) {
-			writeError(w, http.StatusRequestEntityTooLarge,
-				fmt.Errorf("body exceeds %d bytes", tooLarge.Limit))
-			return
-		}
-		writeError(w, http.StatusBadRequest, fmt.Errorf("reading body: %w", err))
+		writeError(w, status, err)
 		return
 	}
 	// Validate the whole batch before admitting any of it, so a bad row
