@@ -211,13 +211,24 @@ func (c *Condensation) SynthesizeGroupedExcept(r *rng.Source, skip []bool) ([][]
 	sp := c.tr.StartChild(nil, "synthesize")
 	sp.SetAttrInt("groups", len(c.groups))
 	defer sp.End()
-	srcs := make([]*rng.Source, len(c.groups))
-	todo := make([]int, 0, len(c.groups))
-	for gi := range srcs {
-		srcs[gi] = r.Split()
-		if skip == nil || !skip[gi] {
-			todo = append(todo, gi)
+	// A skipped group's stream is split off and dropped, so the parent
+	// advances past it exactly as it would for a synthesized group; only
+	// the synthesized groups' streams are kept, by value, in one slice.
+	n := len(c.groups)
+	for _, s := range skip {
+		if s {
+			n--
 		}
+	}
+	todo := make([]int, 0, n)
+	srcs := make([]rng.Source, 0, n)
+	for gi := range c.groups {
+		if skip != nil && skip[gi] {
+			r.SplitValue()
+			continue
+		}
+		todo = append(todo, gi)
+		srcs = append(srcs, r.SplitValue())
 	}
 	sp.SetAttrInt("synthesized", len(todo))
 	workers := par.Workers(c.par)
@@ -260,7 +271,7 @@ func (c *Condensation) SynthesizeGroupedExcept(r *rng.Source, skip []bool) ([][]
 	out := make([][]mat.Vector, len(c.groups))
 	err = par.Run(len(todo), workers, func(t int) error {
 		gi := todo[t]
-		pts, err := synthesizeGroup(c.groups[gi], means[t], eigs[t].ClampPSD(), c.opts.Synthesis, srcs[gi], c.met)
+		pts, err := synthesizeGroup(c.groups[gi], means[t], eigs[t].ClampPSD(), c.opts.Synthesis, &srcs[t], c.met)
 		if err != nil {
 			return fmt.Errorf("core: group %d: %w", gi, err)
 		}

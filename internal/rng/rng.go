@@ -67,12 +67,21 @@ func (r *Source) Uint64() uint64 {
 // parent's next four outputs through SplitMix64, so parent and child never
 // share state.
 func (r *Source) Split() *Source {
+	child := r.SplitValue()
+	return &child
+}
+
+// SplitValue is Split returning the child by value, so a caller that
+// keeps many children in one slice, or splits a child only to advance the
+// parent past it, allocates nothing per child. It leaves the parent in
+// exactly the state Split does.
+func (r *Source) SplitValue() Source {
 	var child Source
 	for i := range child.s {
 		sm := r.Uint64()
 		child.s[i] = splitMix64(&sm)
 	}
-	return &child
+	return child
 }
 
 // Float64 returns a uniform float64 in [0, 1) with 53 random bits.

@@ -221,6 +221,30 @@ func TestSplitDeterminism(t *testing.T) {
 	}
 }
 
+// TestSplitValueMatchesSplit pins SplitValue to Split: the same child,
+// the parent left in the same state (a cached Norm variate included), and
+// no allocation.
+func TestSplitValueMatchesSplit(t *testing.T) {
+	a, b := New(23), New(23)
+	a.Norm() // leave a spare variate cached on both parents
+	b.Norm()
+	for i := 0; i < 5; i++ {
+		child := a.Split()
+		if got := b.SplitValue(); got != *child {
+			t.Fatalf("split %d: SplitValue child %+v, Split child %+v", i, got, *child)
+		}
+		if *a != *b {
+			t.Fatalf("split %d: parent after SplitValue %+v, after Split %+v", i, *b, *a)
+		}
+	}
+	if a.Norm() != b.Norm() || a.Uint64() != b.Uint64() {
+		t.Fatal("parents diverged after the splits")
+	}
+	if n := testing.AllocsPerRun(100, func() { b.SplitValue() }); n != 0 {
+		t.Fatalf("SplitValue allocates %v times per call", n)
+	}
+}
+
 func TestPerm(t *testing.T) {
 	r := New(22)
 	p := r.Perm(10)

@@ -98,7 +98,7 @@ func TestIncrementalSnapshotDifferential(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if !bytes.Equal(got.data, fromScratch(t, s, seed)) {
+				if !bytes.Equal(bodyBytes(got), fromScratch(t, s, seed)) {
 					t.Fatalf("step %d seed %d: served body differs from a from-scratch build", step, seed)
 				}
 				rel := s.release()
@@ -174,7 +174,7 @@ func TestIncrementalSnapshotConcurrent(t *testing.T) {
 								return
 							}
 							var resp snapshotResponse
-							if err := json.Unmarshal(b.data, &resp); err != nil {
+							if err := json.Unmarshal(bodyBytes(b), &resp); err != nil {
 								t.Errorf("seed %d: served body is not JSON: %v", seed, err)
 								return
 							}
@@ -187,10 +187,95 @@ func TestIncrementalSnapshotConcurrent(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					if !bytes.Equal(got.data, fromScratch(t, s, seed)) {
+					if !bytes.Equal(bodyBytes(got), fromScratch(t, s, seed)) {
 						t.Fatalf("round %d seed %d: body after concurrent rebuilds differs from a from-scratch build", round, seed)
 					}
 				}
+			}
+		})
+	}
+}
+
+// TestSnapshotBlocksShared follows one seed's snapshot through
+// one-record POSTs at 1 and 3 shards. Each new entry must share every
+// block with its base except the blocks holding a group the write
+// changed, plus the last block when the group count changed; at 1 shard
+// a write changes at most two groups (the one it joined, and the one a
+// split appended). After a shard-0 split at 3 shards every block from the
+// first shifted group on must be rebuilt. Every served body must equal a
+// from-scratch build, and every block must be exactly sized.
+func TestSnapshotBlocksShared(t *testing.T) {
+	for _, shards := range []int{1, 3} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			s := newIncrementalServer(t, shards)
+			postBatch(t, s, genRecords(uint64(50+shards), 1000))
+			const seed = 9
+			if _, err := snapshotOf(s, seed); err != nil {
+				t.Fatal(err)
+			}
+			prev := snapshotEntryOf(s.release(), seed)
+			if len(prev.blocks) < 3 {
+				t.Fatalf("%d groups fill only %d blocks", prev.rel.Condensation().NumGroups(), len(prev.blocks))
+			}
+			r := rng.New(uint64(60 + shards))
+			shared, grown, shifted := 0, 0, 0
+			for step := 0; step < 120; step++ {
+				postBatch(t, s, [][]float64{{r.Norm(), r.Norm()}})
+				got, err := snapshotOf(s, seed)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(bodyBytes(got), fromScratch(t, s, seed)) {
+					t.Fatalf("step %d: served body differs from a from-scratch build", step)
+				}
+				e := snapshotEntryOf(s.release(), seed)
+				if e == nil || e.body != got {
+					t.Fatalf("step %d: the served body is not the seed's entry", step)
+				}
+				checkBlocksExact(t, e.blocks)
+
+				cond, pc := e.rel.Condensation(), prev.rel.Condensation()
+				rebuilt := make([]bool, len(e.blocks))
+				changed := 0
+				for gi := 0; gi < cond.NumGroups(); gi++ {
+					if !cond.SharesGroup(pc, gi) {
+						changed++
+						rebuilt[gi/snapshotBlockGroups] = true
+					}
+				}
+				if cond.NumGroups() != pc.NumGroups() {
+					grown++
+					rebuilt[len(rebuilt)-1] = true
+				}
+				if shards == 1 && changed > 2 {
+					t.Fatalf("step %d: one record changed %d groups", step, changed)
+				}
+				if g0, pg0 := len(e.rel.ShardSizes(0)), len(prev.rel.ShardSizes(0)); g0 > pg0 && cond.NumGroups() > g0 {
+					// Shard 0 split: its new group sits at pg0 and every
+					// group after it moved up one index.
+					shifted++
+					for bi := pg0 / snapshotBlockGroups; bi < len(rebuilt); bi++ {
+						if !rebuilt[bi] {
+							t.Fatalf("step %d: block %d follows a shard-0 split but holds no changed group", step, bi)
+						}
+					}
+				}
+				for bi, b := range e.blocks {
+					same := bi < len(prev.blocks) && b == prev.blocks[bi]
+					if same == rebuilt[bi] {
+						t.Fatalf("step %d: block %d shared with the base %v, want %v", step, bi, same, !rebuilt[bi])
+					}
+					if same {
+						shared++
+					}
+				}
+				prev = e
+			}
+			if shared == 0 || grown == 0 {
+				t.Fatalf("%d blocks shared, %d writes split a group: the test exercised neither", shared, grown)
+			}
+			if shards > 1 && shifted == 0 {
+				t.Fatal("no write split shard 0")
 			}
 		})
 	}

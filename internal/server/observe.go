@@ -39,6 +39,11 @@ const (
 	// series), so the whole read path shares one family.
 	MetricReadCacheHits   = "condense_read_cache_hits_total"
 	MetricReadCacheMisses = "condense_read_cache_misses_total"
+	// MetricReleaseMinGroupSize is the record count of the smallest group
+	// in the installed release, 0 while it holds none: every artifact the
+	// server serves derives from groups of at least this size, so it must
+	// never read between 1 and k−1. It is set when a release is installed.
+	MetricReleaseMinGroupSize = "condense_release_min_group_size"
 )
 
 // initObservability resolves the build-info, uptime, and per-shard load
@@ -55,6 +60,7 @@ func (s *Server) initObservability() {
 		"shards", strconv.Itoa(s.eng.NumShards()),
 	).Set(1)
 	s.uptime = s.reg.Gauge(MetricUptime)
+	s.releaseMinSize = s.reg.Gauge(MetricReleaseMinGroupSize)
 	if n := s.eng.NumShards(); n >= 2 {
 		s.shardRecords = make([]*telemetry.Gauge, n)
 		s.shardGroups = make([]*telemetry.Gauge, n)

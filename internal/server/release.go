@@ -30,9 +30,9 @@ import (
 // newer generation wins, so a slow cut can never replace a newer release.
 //
 // A new release inherits nothing but the previous release's snapshot
-// entries, as reuse bases: the next miss at the same seed copies the rows
-// of every group the two cuts share (see buildSnapshot). Every other
-// artifact of the old release dies with it.
+// entries, as reuse bases: the next miss at the same seed shares the base's
+// blocks, or copies the rows, of every group the two cuts share (see
+// buildSnapshot). Every other artifact of the old release dies with it.
 
 // respBody is a fully prepared response: the encoded bytes plus
 // header-ready values rendered once at build time, so serving a hit
@@ -40,15 +40,20 @@ import (
 // request. The slices are shared across responses and must never be
 // mutated.
 type respBody struct {
-	data  []byte
-	cl    []string // {"<len(data)>"} — Content-Length, preformatted
+	parts [][]byte // the body in write order; one part except for snapshots
+	cl    []string // {"<total length of parts>"} — Content-Length, preformatted
 	etag  string   // `"<generation>"`; checkpoints of installable cuts only
 	etagH []string // {etag} — ETag header value, preformatted
 }
 
-// newRespBody prepares an encoded body for serving.
-func newRespBody(data []byte) *respBody {
-	return &respBody{data: data, cl: []string{strconv.Itoa(len(data))}}
+// newRespBody prepares an encoded body, given as the parts to write in
+// order, for serving.
+func newRespBody(parts ...[]byte) *respBody {
+	n := 0
+	for _, p := range parts {
+		n += len(p)
+	}
+	return &respBody{parts: parts, cl: []string{strconv.Itoa(n)}}
 }
 
 // newCheckpointBody prepares an encoded checkpoint for serving under its
@@ -92,10 +97,12 @@ const maxSnapshotSeeds = 32
 // the same seed, never by generation, so any completed build is a valid
 // base.
 type snapshotEntry struct {
-	rel  *core.Release
-	body *respBody
-	// offs are the body's group row offsets (see encodeSnapshotFrom).
-	offs []int
+	rel *core.Release
+	// blocks are the body's rows (see snapshotBlock), shared by pointer
+	// with the entries built before and after this one wherever their
+	// groups are unchanged; body writes them between header and trailer.
+	blocks []*snapshotBlock
+	body   *respBody
 }
 
 // auditEntry is one memoized merged audit report. reservoirSeen extends
@@ -141,7 +148,8 @@ func (s *Server) release() *release {
 
 // install makes r the current release unless one of the same or a newer
 // generation is already installed, and returns the release to serve.
-// Replacing a release that served artifacts records one
+// Installing sets the release's smallest group size on its gauge;
+// replacing a release that served artifacts records one
 // cache_invalidation journal event.
 func (s *Server) install(r *release) *release {
 	for {
@@ -153,6 +161,10 @@ func (s *Server) install(r *release) *release {
 			return r
 		}
 		if s.cur.CompareAndSwap(cur, r) {
+			// Two racing installs may Set out of order, leaving the older
+			// release's value until the next install; like every release's,
+			// it is 0 or at least k.
+			s.releaseMinSize.Set(float64(r.Condensation().MinGroupSize()))
 			if s.jr != nil && cur != nil && cur.servedArtifacts() {
 				s.jr.Record(telemetry.JournalEvent{
 					Type:       telemetry.EventCacheInvalidation,
@@ -214,7 +226,7 @@ func memo[T any](r *release, slot **T, m cacheMetrics, build func() (*T, error))
 // snapshot returns the release's /v1/snapshot body for one synthesis
 // seed. A miss rebuilds the body from the seed's previous build
 // (buildSnapshot), synthesizing and encoding only the groups that changed
-// since.
+// since and allocating only the blocks that hold them.
 func (r *release) snapshot(seed uint64, m cacheMetrics) (*respBody, error) {
 	r.mu.Lock()
 	base := r.snapshots[seed]

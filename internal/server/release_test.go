@@ -165,7 +165,7 @@ func checkCoherent(s *Server, r *release) error {
 	if err != nil {
 		return err
 	}
-	cond, err := core.ReadCondensation(bytes.NewReader(ckpt.data))
+	cond, err := core.ReadCondensation(bytes.NewReader(bodyBytes(ckpt)))
 	if err != nil {
 		return err
 	}
@@ -178,7 +178,7 @@ func checkCoherent(s *Server, r *release) error {
 		return err
 	}
 	var st statsResponse
-	if err := json.Unmarshal(body.data, &st); err != nil {
+	if err := json.Unmarshal(bodyBytes(body), &st); err != nil {
 		return err
 	}
 	shardGroups, shardRecords := 0, 0
@@ -224,7 +224,7 @@ func checkCoherent(s *Server, r *release) error {
 		return err
 	}
 	var resp snapshotResponse
-	if err := json.Unmarshal(snap.data, &resp); err != nil {
+	if err := json.Unmarshal(bodyBytes(snap), &resp); err != nil {
 		return err
 	}
 	if resp.Groups != groups || len(resp.Records) != records {
@@ -239,4 +239,49 @@ func snapshotEntryOf(r *release, seed uint64) *snapshotEntry {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.snapshots[seed]
+}
+
+// TestReleaseMinGroupSizeGauge reads condense_release_min_group_size as
+// releases are installed: through a pure-stream bootstrap it is 0 while
+// nothing is releasable and then the smallest released group, at least
+// k; over a static base it is the base's smallest group.
+func TestReleaseMinGroupSizeGauge(t *testing.T) {
+	const k = 5
+	gauge := func(s *Server) float64 { return s.reg.Gauge(MetricReleaseMinGroupSize).Value() }
+
+	s, err := New(Config{Dim: 2, Condenser: newCondenser(t, k, 3)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := rng.New(19)
+	postBatch(t, s, [][]float64{{r.Norm(), r.Norm()}})
+	if rel := s.release(); rel.Condensation().NumGroups() != 0 || gauge(s) != 0 {
+		t.Fatalf("one record: %d groups released, gauge %v; want 0, 0", rel.Condensation().NumGroups(), gauge(s))
+	}
+	for i := 0; s.release().Condensation().NumGroups() == 0; i++ {
+		if i == 100*k {
+			t.Fatal("no group was ever released")
+		}
+		postBatch(t, s, [][]float64{{r.Norm(), r.Norm()}})
+	}
+	if got, want := gauge(s), s.release().Condensation().MinGroupSize(); got != float64(want) || want < k {
+		t.Fatalf("after the first release: gauge %v, smallest released group %d, k %d", got, want, k)
+	}
+
+	recs := make([]mat.Vector, 203)
+	for i := range recs {
+		recs[i] = mat.Vector{r.Norm(), r.Norm()}
+	}
+	base, err := newCondenser(t, k, 4).Static(recs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err = New(Config{Condenser: newCondenser(t, k, 4), Initial: base})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.release()
+	if got, want := gauge(s), base.MinGroupSize(); got != float64(want) || want < k {
+		t.Fatalf("static base: gauge %v, smallest group %d, k %d", got, want, k)
+	}
 }

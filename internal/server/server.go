@@ -155,6 +155,9 @@ type Server struct {
 	shardGroups  []*telemetry.Gauge
 	shardSplits  []*telemetry.Gauge
 	imbalance    *telemetry.Gauge
+	// releaseMinSize is the installed release's smallest group size, set
+	// by install.
+	releaseMinSize *telemetry.Gauge
 
 	// reservoir samples original records for the audit's KS comparison;
 	// auditSeed seeds the audit's private synthesis draw.
@@ -424,14 +427,18 @@ var (
 )
 
 // writePrepared serves a prepared body: headers come from the values
-// rendered at build time, the bytes are written as-is. With Content-Length
-// declared up front, a mid-stream write failure reaches the client as a
-// detectably short body, never a silently truncated stream.
+// rendered at build time, the parts are written as-is, in order. With
+// Content-Length declared up front, a mid-stream write failure reaches the
+// client as a detectably short body, never a silently truncated stream.
 func writePrepared(w http.ResponseWriter, contentType []string, b *respBody) {
 	h := w.Header()
 	h["Content-Type"] = contentType
 	h["Content-Length"] = b.cl
-	_, _ = w.Write(b.data)
+	for _, p := range b.parts {
+		if _, err := w.Write(p); err != nil {
+			return
+		}
+	}
 }
 
 // queryParams parses the URL query once per request, skipping the parse

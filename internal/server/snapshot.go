@@ -29,178 +29,241 @@ import (
 // (e-07 → e-7). NaN and ±Inf have no JSON form and fail the encode, as
 // encoding/json's UnsupportedValueError does.
 //
+// The rows are stored in blocks: a block holds the encoded rows of
+// snapshotBlockGroups consecutive groups (the last block may hold fewer),
+// every row followed by a comma, and the offset of each group's rows.
+// Blocks are immutable once built, so a release's snapshot entry can hold
+// blocks of its base's entry by pointer. Serving writes the header, the
+// blocks in order (the last row without its comma: the trailer's "]"
+// takes its place) and the trailer; the bytes are exactly the one-piece
+// encoding.
+//
 // strconv.AppendFloat is most of the cost and already the floor for one
-// goroutine, so the encoder splits the groups into contiguous ranges of
-// about equal record count and formats one range per worker into its own
-// scratch slice. The parts are then copied, behind the header and ahead
-// of the trailer, into one exactly sized body: the release keeps that
-// body, so it must carry no spare capacity.
+// goroutine, so the blocks to encode are spread over par.Workers(0)
+// workers, each formatting into one reused scratch slice and copying each
+// block out at its exact size: the release keeps the blocks, so they must
+// carry no spare capacity.
 //
 // After a write, most groups are unchanged, and so are their rows: a
 // group's synthesized records depend only on its moments and its rng
-// stream, the gi-th split of the seed. A rebuild therefore takes the rows
-// of every group the new condensation shares with the previous build at
-// the same seed (core.Condensation.SharesGroup: the same group object at
-// the same index) straight from the previous body, and synthesizes and
-// encodes only the rest. The body is byte for byte the from-scratch
-// encoding. When the release withholds nothing, its condensation is the
-// engine's cut itself, so group identity carries over exactly.
+// stream, the gi-th split of the seed. A rebuild therefore skips every
+// group the new condensation shares with the previous build at the same
+// seed (core.Condensation.SharesGroup: the same group object at the same
+// index). A block all of whose groups are shared, holding as many groups
+// as the previous build's block, is that block itself; any other block is
+// rebuilt from the previous block's rows of its shared groups and newly
+// synthesized and encoded rows of the rest. A one-record write thus
+// rebuilds one block, or two when a split appends a group; a split in an
+// earlier shard moves every later group to a new index, so every block
+// from there on is rebuilt. When the release withholds nothing, its
+// condensation is the engine's cut itself, so group identity carries over
+// exactly.
 
 // snapshotValueMax bounds the bytes one float64 takes in the encoding:
 // "-0.0000012345678901234567" ('f' form just above 1e-6) is the longest.
 const snapshotValueMax = 25
 
+// snapshotBlockGroups is the number of groups a snapshot block holds,
+// chosen by measurement (DESIGN.md §6h). At G = 800 groups of 25 dim-8
+// records a block is about 250 KB, so a one-record write copies and
+// allocates about 8% of the 3.15 MB body, and a cached read writes 15
+// parts instead of one. Smaller blocks make a miss cheaper but a hit
+// dearer (one write per block), and each large block wastes half a heap
+// page on average.
+const snapshotBlockGroups = 64
+
+// snapshotHeader opens every snapshot body; the bodies share it, so it is
+// never written.
+var snapshotHeader = []byte(`{"records":[`)
+
+// snapshotBlock is the encoded rows of one run of consecutive groups:
+// group i of the run is rows[offs[i]:offs[i+1]], each of its rows
+// followed by a comma. A block is shared between entries and never
+// written after it is built.
+type snapshotBlock struct {
+	rows []byte
+	offs []int
+}
+
+// groups returns the number of groups the block holds.
+func (b *snapshotBlock) groups() int { return len(b.offs) - 1 }
+
 // buildSnapshot synthesizes rel's groups under seed and encodes the body,
-// reusing base's rows for every group rel shares with base's release. A
-// nil base builds from scratch.
+// reusing base's blocks and rows for every group rel shares with base's
+// release. A nil base builds from scratch.
 func buildSnapshot(rel *core.Release, seed uint64, base *snapshotEntry) (*snapshotEntry, error) {
 	cond := rel.Condensation()
 	var reuse []bool
+	var baseBlocks []*snapshotBlock
 	if base != nil {
 		reuse = make([]bool, cond.NumGroups())
 		prev := base.rel.Condensation()
 		for gi := range reuse {
 			reuse[gi] = cond.SharesGroup(prev, gi)
 		}
+		baseBlocks = base.blocks
 	}
 	grouped, err := cond.SynthesizeGroupedExcept(rng.New(seed), reuse)
 	if err != nil {
 		return nil, err
 	}
-	data, offs, err := encodeSnapshotFrom(grouped, reuse, base, cond.NumGroups(), cond.K(), par.Workers(0))
+	blocks, err := buildBlocks(grouped, reuse, baseBlocks, par.Workers(0))
 	if err != nil {
 		return nil, err
 	}
-	return &snapshotEntry{rel: rel, body: newRespBody(data), offs: offs}, nil
+	return &snapshotEntry{rel: rel, blocks: blocks, body: snapshotBody(blocks, cond.NumGroups(), cond.K())}, nil
 }
 
-// encodeSnapshot renders the /v1/snapshot body for grouped synthesized
-// records on up to workers goroutines. The result is identical for every
-// worker count.
-func encodeSnapshot(grouped [][]mat.Vector, groups, k, workers int) ([]byte, error) {
-	data, _, err := encodeSnapshotFrom(grouped, nil, nil, groups, k, workers)
-	return data, err
-}
-
-// snapshotHeader opens every snapshot body.
-const snapshotHeader = `{"records":[`
-
-// encodeSnapshotFrom is encodeSnapshot for a body some of whose groups are
-// already encoded in base: where reuse[gi] is set, grouped[gi] must be
-// empty (SynthesizeGroupedExcept leaves it nil) and group gi's rows are
-// copied from base, which must hold group gi. A nil reuse encodes every
-// group. It also returns the body's group offsets: group gi's rows, each
-// followed by a comma, are bytes offs[gi]:offs[gi+1] of the rows that
-// start after the header. In the body the last row's comma is the
-// trailer's "]".
-func encodeSnapshotFrom(grouped [][]mat.Vector, reuse []bool, base *snapshotEntry, groups, k, workers int) ([]byte, []int, error) {
-	reused := func(gi int) bool { return reuse != nil && reuse[gi] }
-	bounds := splitByRecords(grouped, workers)
-	parts := make([][]byte, len(bounds)-1)
-	// offs[gi+1] holds group gi's length until the prefix sum below.
-	offs := make([]int, len(grouped)+1)
-	err := par.Run(len(parts), len(parts), func(p int) error {
-		lo, hi := bounds[p], bounds[p+1]
-		b, err := appendRows(grouped[lo:hi], offs[lo+1:hi+1])
-		parts[p] = b
-		return err
+// buildBlocks returns the blocks of a body of len(grouped) groups,
+// encoding on up to workers goroutines; the result is the same for every
+// worker count. Where reuse[gi] is set, grouped[gi] must be empty
+// (SynthesizeGroupedExcept leaves it nil) and group gi's rows are taken
+// from base, which must hold group gi. A block whose groups are all
+// reused and which holds as many groups as base's block at its index is
+// base's block itself; every other block is encoded anew. A nil reuse
+// encodes every group.
+func buildBlocks(grouped [][]mat.Vector, reuse []bool, base []*snapshotBlock, workers int) ([]*snapshotBlock, error) {
+	blocks := make([]*snapshotBlock, (len(grouped)+snapshotBlockGroups-1)/snapshotBlockGroups)
+	var todo []int
+	for bi := range blocks {
+		lo, hi := blockRange(bi, len(grouped))
+		if reuse != nil && bi < len(base) && base[bi].groups() == hi-lo && allSet(reuse[lo:hi]) {
+			blocks[bi] = base[bi]
+			continue
+		}
+		todo = append(todo, bi)
+	}
+	err := par.RunChunks(len(todo), workers, func(lo, hi int) error {
+		var scratch []byte
+		for _, bi := range todo[lo:hi] {
+			glo, ghi := blockRange(bi, len(grouped))
+			var used []bool
+			if reuse != nil {
+				used = reuse[glo:ghi]
+			}
+			var prev *snapshotBlock
+			if bi < len(base) {
+				prev = base[bi]
+			}
+			b, s, err := encodeBlock(scratch, grouped[glo:ghi], used, prev)
+			if err != nil {
+				return err
+			}
+			blocks[bi], scratch = b, s
+		}
+		return nil
 	})
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	for gi := range grouped {
-		if reused(gi) {
-			offs[gi+1] = base.offs[gi+1] - base.offs[gi]
-		}
-		offs[gi+1] += offs[gi]
-	}
+	return blocks, nil
+}
 
-	var tail [64]byte
-	trailer := append(tail[:0], `],"groups":`...)
+// blockRange returns the groups lo:hi of block bi of a body of n groups.
+func blockRange(bi, n int) (lo, hi int) {
+	lo = bi * snapshotBlockGroups
+	return lo, min(lo+snapshotBlockGroups, n)
+}
+
+// allSet reports whether every entry of m is set.
+func allSet(m []bool) bool {
+	for _, v := range m {
+		if !v {
+			return false
+		}
+	}
+	return true
+}
+
+// encodeBlock builds one block: the groups whose reuse entry is set are
+// copied from base's rows at the same position, the rest are encoded
+// into scratch first. Scratch is grown at most once, to the longest
+// possible encoding of those groups: a value and its separator per
+// coordinate, plus the brackets and trailing comma per row. The block is
+// allocated at its exact size once all lengths are known. encodeBlock
+// returns scratch for the next block.
+func encodeBlock(scratch []byte, groups [][]mat.Vector, reuse []bool, base *snapshotBlock) (*snapshotBlock, []byte, error) {
+	need := 0
+	for i, g := range groups {
+		if reuse == nil || !reuse[i] {
+			for _, x := range g {
+				need += len(x)*(snapshotValueMax+1) + len("[],")
+			}
+		}
+	}
+	if cap(scratch) < need {
+		scratch = make([]byte, 0, need)
+	}
+	// offs[i+1] holds group i's length until the prefix sum below.
+	offs := make([]int, len(groups)+1)
+	scratch = scratch[:0]
+	for i, g := range groups {
+		if reuse != nil && reuse[i] {
+			offs[i+1] = base.offs[i+1] - base.offs[i]
+			continue
+		}
+		start := len(scratch)
+		var err error
+		if scratch, err = appendRows(scratch, g); err != nil {
+			return nil, nil, err
+		}
+		offs[i+1] = len(scratch) - start
+	}
+	for i := range groups {
+		offs[i+1] += offs[i]
+	}
+	rows := make([]byte, offs[len(groups)])
+	fresh := scratch
+	for i := range groups {
+		dst := rows[offs[i]:offs[i+1]]
+		if reuse != nil && reuse[i] {
+			copy(dst, base.rows[base.offs[i]:base.offs[i+1]])
+		} else {
+			fresh = fresh[copy(dst, fresh):]
+		}
+	}
+	return &snapshotBlock{rows: rows, offs: offs}, scratch, nil
+}
+
+// snapshotBody prepares blocks for serving as the body of a snapshot of
+// the given group count and k: the header, every non-empty block, the
+// last of them without its final comma, and the trailer.
+func snapshotBody(blocks []*snapshotBlock, groups, k int) *respBody {
+	trailer := make([]byte, 0, 64)
+	trailer = append(trailer, `],"groups":`...)
 	trailer = strconv.AppendInt(trailer, int64(groups), 10)
 	trailer = append(trailer, `,"k":`...)
 	trailer = strconv.AppendInt(trailer, int64(k), 10)
 	trailer = append(trailer, "}\n"...)
 
-	// Every row ends with a comma; the trailer overwrites the last one.
-	h, n := len(snapshotHeader), offs[len(grouped)]
-	body := make([]byte, h+n, h+max(n-1, 0)+len(trailer))
-	copy(body, snapshotHeader)
-	rows := body[h:]
-	var baseRows []byte
-	if base != nil {
-		baseRows = base.body.data[h:]
-	}
-	for p, part := range parts {
-		for gi := bounds[p]; gi < bounds[p+1]; gi++ {
-			dst := rows[offs[gi]:offs[gi+1]]
-			if !reused(gi) {
-				part = part[copy(dst, part):]
-				continue
-			}
-			end := base.offs[gi+1]
-			copy(dst, baseRows[base.offs[gi]:end])
-			if len(dst) > 0 && end == base.offs[len(base.offs)-1] {
-				// The base's last row ended in the trailer's "]".
-				dst[len(dst)-1] = ','
-			}
+	parts := make([][]byte, 1, len(blocks)+2)
+	parts[0] = snapshotHeader
+	for _, b := range blocks {
+		if len(b.rows) > 0 {
+			parts = append(parts, b.rows)
 		}
 	}
-	body = append(body[:h+max(n-1, 0)], trailer...)
-	return body, offs, nil
+	if last := len(parts) - 1; last > 0 {
+		parts[last] = parts[last][:len(parts[last])-1]
+	}
+	return newRespBody(append(parts, trailer)...)
 }
 
-// splitByRecords cuts grouped into at most workers contiguous group
-// ranges of about equal record count, returned as boundaries
-// 0 = b[0] ≤ … ≤ b[len-1] = len(grouped). Ranges may be empty.
-func splitByRecords(grouped [][]mat.Vector, workers int) []int {
-	total := 0
-	for _, g := range grouped {
-		total += len(g)
-	}
-	n := max(min(workers, total), 1)
-	bounds := make([]int, 1, n+1)
-	seen, gi := 0, 0
-	for w := 1; w < n; w++ {
-		target := total * w / n
-		for gi < len(grouped) && seen+len(grouped[gi]) <= target {
-			seen += len(grouped[gi])
-			gi++
-		}
-		bounds = append(bounds, gi)
-	}
-	return append(bounds, len(grouped))
-}
-
-// appendRows encodes every record of groups, each as a JSON array
-// followed by a comma, into a scratch slice sized once for the longest
-// possible encoding: a value and its separator per coordinate, plus the
-// brackets and trailing comma per row. It stores the length of group i's
-// rows in lens[i].
-func appendRows(groups [][]mat.Vector, lens []int) ([]byte, error) {
-	need := 0
-	for _, g := range groups {
-		for _, x := range g {
-			need += len(x)*(snapshotValueMax+1) + len("[],")
-		}
-	}
-	b := make([]byte, 0, need)
-	for i, g := range groups {
-		start := len(b)
-		for _, x := range g {
-			b = append(b, '[')
-			for j, v := range x {
-				if j > 0 {
-					b = append(b, ',')
-				}
-				var err error
-				if b, err = appendFloat(b, v); err != nil {
-					return nil, err
-				}
+// appendRows appends every record of g to b, each as a JSON array
+// followed by a comma.
+func appendRows(b []byte, g []mat.Vector) ([]byte, error) {
+	for _, x := range g {
+		b = append(b, '[')
+		for j, v := range x {
+			if j > 0 {
+				b = append(b, ',')
 			}
-			b = append(b, ']', ',')
+			var err error
+			if b, err = appendFloat(b, v); err != nil {
+				return nil, err
+			}
 		}
-		lens[i] = len(b) - start
+		b = append(b, ']', ',')
 	}
 	return b, nil
 }

@@ -74,12 +74,52 @@ func floatWords(vs ...float64) []byte {
 	return b
 }
 
+// encodeSnapshot is the from-scratch snapshot body of grouped: every
+// block encoded on up to workers goroutines, joined behind the header and
+// ahead of the trailer.
+func encodeSnapshot(grouped [][]mat.Vector, groups, k, workers int) ([]byte, error) {
+	blocks, err := buildBlocks(grouped, nil, nil, workers)
+	if err != nil {
+		return nil, err
+	}
+	return bodyBytes(snapshotBody(blocks, groups, k)), nil
+}
+
+// bodyBytes joins a prepared body's parts into the bytes it serves.
+func bodyBytes(b *respBody) []byte { return bytes.Join(b.parts, nil) }
+
+// checkBlocksExact fails unless every block carries no spare capacity.
+func checkBlocksExact(t *testing.T, blocks []*snapshotBlock) {
+	t.Helper()
+	for bi, b := range blocks {
+		if cap(b.rows) != len(b.rows) {
+			t.Fatalf("block %d: rows cap %d, len %d", bi, cap(b.rows), len(b.rows))
+		}
+	}
+}
+
+// manyGroups is a fuzz shape of n groups, cycling through empty groups
+// and one to three rows of up to seven values, so the snapshot spans
+// several blocks.
+func manyGroups(n int) []byte {
+	shape := make([]byte, n)
+	for i := range shape {
+		shape[i] = byte(i*5+1) & 31
+	}
+	return shape
+}
+
 // FuzzEncodeSnapshot checks the fixed-shape encoder against encoding/json
 // over arbitrary float64 bit patterns, row shapes and worker counts: the
 // bodies must be byte-identical, and a non-finite value must fail both.
-// Bit gi%64 of reuse marks group gi as reused: the body is then encoded
-// again with those groups' rows copied from a base body whose other
-// groups have different rows, and must still equal encoding/json's.
+// Bit gi%64 of reuse marks group gi as reused: the body is then built
+// again from a base whose other groups have different rows, and which
+// holds extra groups more (or −extra fewer) than the body, so its last
+// blocks hold other group counts or do not exist. The rebuilt body must
+// still equal encoding/json's, every block must be exactly sized and hold
+// the from-scratch offsets, and a block must be the base's own block
+// exactly when all its groups are reused and the base's block holds as
+// many groups.
 func FuzzEncodeSnapshot(f *testing.F) {
 	row := []byte{2<<2 | 1} // one group of one two-value row
 	for _, v := range []float64{
@@ -94,66 +134,86 @@ func FuzzEncodeSnapshot(f *testing.F) {
 		math.NaN(),
 		math.Inf(-1),
 	} {
-		f.Add(floatWords(v, 1), row, uint8(1), uint64(0))
+		f.Add(floatWords(v, 1), row, uint8(1), uint64(0), int8(0))
 	}
 	shapes := []byte{0, 3<<2 | 3, 7 << 2, 1<<2 | 2, 0}
 	for _, reuse := range []uint64{0, 1<<1 | 1<<3, 1 << 3, 1<<5 - 1, 1<<1 | 1<<2} {
-		f.Add(floatWords(1e-6, -1e-6, 0.1, 123456789012345680000, 5e-324), shapes, uint8(3), reuse)
+		f.Add(floatWords(1e-6, -1e-6, 0.1, 123456789012345680000, 5e-324), shapes, uint8(3), reuse, int8(0))
 	}
-	f.Fuzz(func(t *testing.T, values, shape []byte, workers uint8, reuse uint64) {
+	// Three blocks and a part: groups appended to or removed from the base.
+	for _, extra := range []int8{-40, -1, 1, 40} {
+		f.Add(floatWords(0.5, -2.25, 1e-9, 7), manyGroups(100), uint8(2), ^uint64(0)>>1, extra)
+	}
+	f.Fuzz(func(t *testing.T, values, shape []byte, workers uint8, reuse uint64, extra int8) {
 		grouped := fuzzGroups(values, shape)
 		k := int(workers) - 100 // negative k values too
 		want, werr := referenceSnapshot(grouped, len(grouped), k)
-		got, gerr := encodeSnapshot(grouped, len(grouped), k, int(workers))
+		full, gerr := buildBlocks(grouped, nil, nil, int(workers))
 		if werr != nil || gerr != nil {
 			if (werr == nil) != (gerr == nil) {
 				t.Fatalf("encoder error %v, encoding/json error %v", gerr, werr)
 			}
 			return
 		}
-		if !bytes.Equal(got, want) {
+		if got := bodyBytes(snapshotBody(full, len(grouped), k)); !bytes.Equal(got, want) {
 			t.Fatalf("encoder and encoding/json differ:\n got %s\nwant %s", got, want)
 		}
+		checkBlocksExact(t, full)
 
-		// The base holds the reused groups as they are and every other
-		// group cut to its first half, so their offsets move.
+		// The base holds the reused groups as they are, every other group
+		// cut to its first half, so their offsets move, and past the
+		// body's groups (extra > 0) copies of its first groups.
+		nBase := max(len(grouped)+int(extra), 0)
+		baseGrouped := make([][]mat.Vector, nBase)
 		mask := make([]bool, len(grouped))
-		baseGrouped := make([][]mat.Vector, len(grouped))
 		partial := make([][]mat.Vector, len(grouped))
-		for gi, g := range grouped {
-			mask[gi] = reuse>>(gi%64)&1 == 1
-			baseGrouped[gi] = g[:len(g)/2]
+		for gi := range max(nBase, len(grouped)) {
+			if gi >= len(grouped) {
+				if len(grouped) > 0 {
+					baseGrouped[gi] = grouped[gi%len(grouped)]
+				}
+				continue
+			}
+			g := grouped[gi]
+			mask[gi] = gi < nBase && reuse>>(gi%64)&1 == 1
 			if mask[gi] {
 				baseGrouped[gi] = g
-			} else {
-				partial[gi] = g
+				continue
+			}
+			partial[gi] = g
+			if gi < nBase {
+				baseGrouped[gi] = g[:len(g)/2]
 			}
 		}
-		baseBody, baseOffs, err := encodeSnapshotFrom(baseGrouped, nil, nil, len(grouped), k, int(workers))
+		base, err := buildBlocks(baseGrouped, nil, nil, int(workers))
 		if err != nil {
 			t.Fatal(err)
 		}
-		base := &snapshotEntry{body: newRespBody(baseBody), offs: baseOffs}
-		inc, offs, err := encodeSnapshotFrom(partial, mask, base, len(grouped), k, int(workers))
+		blocks, err := buildBlocks(partial, mask, base, int(workers))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(inc, want) {
-			t.Fatalf("reuse mask %b: incremental and from-scratch encodings differ:\n got %s\nwant %s", reuse, inc, want)
+		if inc := bodyBytes(snapshotBody(blocks, len(grouped), k)); !bytes.Equal(inc, want) {
+			t.Fatalf("reuse mask %b, extra %d: incremental and from-scratch encodings differ:\n got %s\nwant %s", reuse, extra, inc, want)
 		}
-		if cap(inc) != len(inc) {
-			t.Fatalf("reuse mask %b: body cap %d, len %d", reuse, cap(inc), len(inc))
-		}
-		_, fullOffs, _ := encodeSnapshotFrom(grouped, nil, nil, len(grouped), k, int(workers))
-		if fmt.Sprint(offs) != fmt.Sprint(fullOffs) {
-			t.Fatalf("reuse mask %b: offsets %v, from scratch %v", reuse, offs, fullOffs)
+		checkBlocksExact(t, blocks)
+		for bi, b := range blocks {
+			lo, hi := blockRange(bi, len(grouped))
+			shared := bi < len(base) && base[bi].groups() == hi-lo && allSet(mask[lo:hi])
+			if got := bi < len(base) && b == base[bi]; got != shared {
+				t.Fatalf("reuse mask %b, extra %d: block %d shared with the base %v, want %v", reuse, extra, bi, got, shared)
+			}
+			if fmt.Sprint(b.offs) != fmt.Sprint(full[bi].offs) {
+				t.Fatalf("reuse mask %b, extra %d: block %d offsets %v, from scratch %v", reuse, extra, bi, b.offs, full[bi].offs)
+			}
 		}
 	})
 }
 
 // TestEncodeSnapshotWorkers pins the encoder to encoding/json at worker
-// counts below, at and above the group count, with empty groups where
-// the range boundaries fall.
+// counts below, at and above the group and block counts, with empty
+// groups where the worker and block boundaries fall, and requires every
+// block to be exactly sized.
 func TestEncodeSnapshotWorkers(t *testing.T) {
 	r := rng.New(3)
 	group := func(n int) []mat.Vector {
@@ -163,12 +223,27 @@ func TestEncodeSnapshotWorkers(t *testing.T) {
 		}
 		return g
 	}
+	blocks := make([][]mat.Vector, 3*snapshotBlockGroups+5)
+	for gi := range blocks {
+		blocks[gi] = group(gi % 3)
+		if gi%snapshotBlockGroups == 0 || gi == len(blocks)-1 {
+			blocks[gi] = group(0)
+		}
+	}
+	emptyLast := make([][]mat.Vector, snapshotBlockGroups+3)
+	for gi := range emptyLast {
+		if gi < snapshotBlockGroups {
+			emptyLast[gi] = group(1)
+		}
+	}
 	cases := map[string][][]mat.Vector{
-		"no groups":       {},
-		"empty groups":    {group(0), group(0)},
-		"one group":       {group(5)},
-		"empty at bounds": {group(0), group(4), group(0), group(0), group(6), group(1), group(0), group(5), group(0)},
-		"uneven":          {group(1), group(30), group(2), group(0), group(3)},
+		"no groups":        {},
+		"empty groups":     {group(0), group(0)},
+		"one group":        {group(5)},
+		"empty at bounds":  {group(0), group(4), group(0), group(0), group(6), group(1), group(0), group(5), group(0)},
+		"uneven":           {group(1), group(30), group(2), group(0), group(3)},
+		"several blocks":   blocks,
+		"empty last block": emptyLast,
 	}
 	for name, grouped := range cases {
 		want, err := referenceSnapshot(grouped, len(grouped), 4)
@@ -176,45 +251,14 @@ func TestEncodeSnapshotWorkers(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, workers := range []int{1, 2, 3, 7, len(grouped) + 5} {
-			got, err := encodeSnapshot(grouped, len(grouped), 4, workers)
+			bs, err := buildBlocks(grouped, nil, nil, workers)
 			if err != nil {
 				t.Fatalf("%s, %d workers: %v", name, workers, err)
 			}
-			if !bytes.Equal(got, want) {
+			if got := bodyBytes(snapshotBody(bs, len(grouped), 4)); !bytes.Equal(got, want) {
 				t.Fatalf("%s, %d workers: encoder and encoding/json differ:\n got %s\nwant %s", name, workers, got, want)
 			}
-			if cap(got) != len(got) {
-				t.Fatalf("%s, %d workers: body cap %d, len %d", name, workers, cap(got), len(got))
-			}
-		}
-	}
-}
-
-// TestSplitByRecords checks the worker ranges: contiguous, covering every
-// group, and balanced to within one group's records of an equal share.
-func TestSplitByRecords(t *testing.T) {
-	sizes := []int{0, 4, 0, 0, 6, 1, 0, 5, 0}
-	grouped := make([][]mat.Vector, len(sizes))
-	for i, n := range sizes {
-		grouped[i] = make([]mat.Vector, n)
-	}
-	for _, workers := range []int{0, 1, 2, 3, 7, 16, 100} {
-		b := splitByRecords(grouped, workers)
-		if b[0] != 0 || b[len(b)-1] != len(grouped) || len(b)-1 > max(workers, 1) {
-			t.Fatalf("%d workers: bounds %v", workers, b)
-		}
-		share := 16 / (len(b) - 1)
-		for p := 0; p+1 < len(b); p++ {
-			if b[p] > b[p+1] {
-				t.Fatalf("%d workers: bounds %v not monotone", workers, b)
-			}
-			n := 0
-			for _, g := range grouped[b[p]:b[p+1]] {
-				n += len(g)
-			}
-			if n > share+6 {
-				t.Fatalf("%d workers: range %d holds %d records, share %d: bounds %v", workers, p, n, share, b)
-			}
+			checkBlocksExact(t, bs)
 		}
 	}
 }
@@ -271,8 +315,17 @@ func TestSnapshotCachedBodyExact(t *testing.T) {
 	if e == nil {
 		t.Fatal("snapshot not kept on the release")
 	}
-	if slack := cap(e.body.data) - len(e.body.data); slack > 64 {
-		t.Fatalf("cached body holds %d bytes of spare capacity (len %d)", slack, len(e.body.data))
+	if len(e.blocks) < 2 {
+		t.Fatalf("snapshot of %d groups stored in %d blocks", s.release().Condensation().NumGroups(), len(e.blocks))
+	}
+	checkBlocksExact(t, e.blocks)
+	slack, n := 0, 0
+	for _, p := range e.body.parts {
+		slack += cap(p) - len(p)
+		n += len(p)
+	}
+	if slack > 64 {
+		t.Fatalf("cached body holds %d bytes of spare capacity (len %d)", slack, n)
 	}
 }
 
@@ -371,9 +424,11 @@ func BenchmarkEncodeSnapshot(b *testing.B) {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			b.SetBytes(int64(len(want)))
 			for i := 0; i < b.N; i++ {
-				if _, err := encodeSnapshot(grouped, cond.NumGroups(), k, workers); err != nil {
+				blocks, err := buildBlocks(grouped, nil, nil, workers)
+				if err != nil {
 					b.Fatal(err)
 				}
+				snapshotBody(blocks, cond.NumGroups(), k)
 			}
 		})
 	}
