@@ -323,7 +323,7 @@ func (d *Dynamic) AddBatchContext(ctx context.Context, records []mat.Vector) err
 		return d.shards[0].lockedAddBatch(ctx, records)
 	}
 
-	ctx, sp := d.tr.Start(ctx, "sharded.add_batch")
+	ctx, sp := d.tr.Start(ctx, "dynamic.fan_out")
 	sp.SetAttrInt("records", len(records))
 	sp.SetAttrInt("shards", len(d.shards))
 	defer sp.End()
@@ -359,7 +359,7 @@ func (d *Dynamic) AddBatchContext(ctx context.Context, records []mat.Vector) err
 			shCtx := ctx
 			if sp != nil {
 				var shSpan *telemetry.Span
-				shCtx, shSpan = d.tr.Start(ctx, "sharded.shard")
+				shCtx, shSpan = d.tr.Start(ctx, "dynamic.shard")
 				shSpan.SetAttrInt("shard", i)
 				shSpan.SetAttrInt("records", len(part))
 				defer shSpan.End()

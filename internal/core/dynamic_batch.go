@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"time"
 
 	"condensation/internal/kernel"
@@ -35,17 +36,18 @@ func (s *batchScratch) routes(n int) ([]int, []float64) {
 	return s.cand[:n], s.candD[:n]
 }
 
-// posMap returns the group → changed-row map over n groups, all cleared
-// to -1, reusing storage.
+// posMap returns the group → changed-row map over n groups, every entry
+// -1. Entries stay -1 between batches — addBatch clears the ones it set
+// before it returns, on every path — so only the entries of groups born
+// since the last batch are filled here, not all n.
 func (s *batchScratch) posMap(n int) []int32 {
-	if cap(s.pos) < n {
-		s.pos = make([]int32, n)
+	if old := len(s.pos); old < n {
+		s.pos = slices.Grow(s.pos, n-old)[:n]
+		for i := old; i < n; i++ {
+			s.pos[i] = -1
+		}
 	}
-	p := s.pos[:n]
-	for i := range p {
-		p[i] = -1
-	}
-	return p
+	return s.pos[:n]
 }
 
 // lockedAddBatch runs addBatch under the shard's write lock, released by
@@ -129,8 +131,13 @@ func (sh *shard) addBatch(ctx context.Context, records []mat.Vector) error {
 	fallbacks := 0
 	var searchDur time.Duration
 	defer func() {
-		// Splits may have grown the slices past their scratch capacity;
-		// keep the grown backing arrays for the next batch.
+		// Leave every pos entry -1 for the next batch: earlier windows
+		// cleared theirs, so only the last window's changed groups remain,
+		// however the batch ended. Splits may have grown the slices past
+		// their scratch capacity; keep the grown backing arrays.
+		for _, g := range changed {
+			pos[g] = -1
+		}
 		sh.scratch.pos = pos
 		sh.scratch.changed = changed
 		sh.scratch.changedFlat = changedFlat

@@ -249,6 +249,78 @@ func TestAddBatchCancelled(t *testing.T) {
 	}
 }
 
+// cancelAfter is a context whose Err reports cancellation from its n-th
+// call on: addBatch checks Err once per applied record, so the batch
+// stops mid-window after a known number of applies.
+type cancelAfter struct {
+	context.Context
+	n int
+}
+
+func (c *cancelAfter) Err() error {
+	if c.n--; c.n < 0 {
+		return context.Canceled
+	}
+	return nil
+}
+
+// Between batches every entry of the changed-row map is -1, whether the
+// batch completed or was cancelled mid-window, so the next batch only
+// fills the entries of new groups — and ingest stays bit-identical to a
+// sequential Add loop over the records actually applied.
+func TestAddBatchLeavesPosMapCleared(t *testing.T) {
+	const k, dim = 3, 2
+	stream := gaussianRecords(47, 3*speculationWindow+40, dim)
+	d, err := NewDynamicEmpty(dim, k, Options{}, rng.New(48))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cleared := func(when string) {
+		t.Helper()
+		sh := d.shards[0]
+		if len(sh.scratch.pos) < len(sh.groups) {
+			t.Fatalf("%s: pos covers %d of %d groups", when, len(sh.scratch.pos), len(sh.groups))
+		}
+		for g, p := range sh.scratch.pos {
+			if p != -1 {
+				t.Fatalf("%s: pos[%d] = %d, want -1", when, g, p)
+			}
+		}
+	}
+	first, rest := stream[:speculationWindow], stream[speculationWindow:]
+	if err := d.AddBatch(first); err != nil {
+		t.Fatal(err)
+	}
+	cleared("after a full batch")
+	// Cancel partway through the batch's second window.
+	ctx := &cancelAfter{Context: context.Background(), n: speculationWindow + 37}
+	if err := d.AddBatchContext(ctx, rest); err == nil {
+		t.Fatal("cancelled batch reported success")
+	}
+	applied := d.TotalCount() - len(first)
+	if applied != speculationWindow+37 {
+		t.Fatalf("cancelled batch applied %d records, want %d", applied, speculationWindow+37)
+	}
+	cleared("after a cancelled batch")
+	if err := d.AddBatch(rest[applied:]); err != nil {
+		t.Fatal(err)
+	}
+	cleared("after the batch that followed")
+
+	ref, err := NewDynamicEmpty(dim, k, Options{}, rng.New(48))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, x := range stream {
+		if err := ref.Add(x); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !bytes.Equal(dynamicFingerprint(t, ref), dynamicFingerprint(t, d)) {
+		t.Error("batches around a cancellation diverged from the sequential Add loop")
+	}
+}
+
 // The auto backend promotes to the centroid kd-index once the group count
 // crosses the cutoff, and the promotion is visible in the telemetry
 // backend label without disturbing the condensation.

@@ -87,9 +87,10 @@ func (s *scanRouter) add(id int) {
 
 func (*scanRouter) label() string { return "centroid-scan" }
 
-// kdRouter answers queries from a knn.CentroidIndex: a kd-tree over a
-// centroid snapshot plus a linear "drifted since snapshot" list, rebuilt
-// when the list outgrows its threshold. Exactness and the (distance, id)
+// kdRouter answers queries from a knn.CentroidIndex: a box tree over the
+// centroids whose boxes grow to contain every updated position, plus a
+// linear list of centroids appended since the last rebuild, rebuilt when
+// the list or the update count outgrows its threshold. Exactness and the (distance, id)
 // tie-break are the index's contract, proven against the scan by
 // TestCentroidIndexMatchesScan and TestAddBatchEquivalence.
 type kdRouter struct {

@@ -126,6 +126,40 @@ func TestTracingObserveOnly(t *testing.T) {
 	}
 }
 
+// TestTracingShardFanOut: at two or more shards a batch runs under one
+// dynamic.fan_out span, with one dynamic.shard span per shard that
+// received records.
+func TestTracingShardFanOut(t *testing.T) {
+	const k, dim = 5, 3
+	stream := gaussianRecords(31, 900, dim)
+	c, err := NewCondenser(k, WithSeed(7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sharded, err := c.Sharded(dim, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := telemetry.NewTracer(256, 1)
+	sharded.SetTracer(tr)
+	ctx, root := tr.Start(context.Background(), "request")
+	if err := sharded.AddBatchContext(ctx, stream); err != nil {
+		t.Fatal(err)
+	}
+	root.End()
+	shardSpans := 0
+	names := map[string]bool{}
+	for _, ev := range tr.Events(0) {
+		names[ev.Name] = true
+		if ev.Name == "dynamic.shard" {
+			shardSpans++
+		}
+	}
+	if !names["dynamic.fan_out"] || shardSpans != 2 || !names["dynamic.add_batch"] {
+		t.Errorf("sharded batch trace: want dynamic.fan_out, two dynamic.shard and dynamic.add_batch spans, got %d shard spans in %v", shardSpans, names)
+	}
+}
+
 // TestTracingDisabledNoSpans: the default nil tracer records nothing and
 // ingest still works (the hot-path guard).
 func TestTracingDisabledNoSpans(t *testing.T) {

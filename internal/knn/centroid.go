@@ -14,23 +14,21 @@ import (
 // record drifts one group mean) and new points appear (every split adds a
 // group), so the index combines three mechanisms:
 //
-//   - a bounding-box tree whose leaf coordinates are kept CURRENT: an
-//     in-tree update writes the moved point's coordinates straight into
-//     its leaf slot, so candidate distances are always exact. Only the
-//     node bounding boxes go stale; the search compensates by pruning
-//     with a drift-inflated radius — a subtree is skipped only when even
-//     a point that drifted the maximum accumulated ε outside its box
-//     could not beat the current best. Drift loosens pruning, never
-//     correctness.
-//   - a tombstone for any point that moved far (a group split relocates
-//     its centroid by a large jump): the point leaves the tree by having
-//     its leaf slot overwritten with +Inf coordinates — it then loses
-//     every distance comparison without the scan loop ever branching on
-//     a liveness flag — and joins a small "dirty" list answered by linear
-//     scan, so one big jump cannot blow up ε for everyone else. Points
-//     born after the last rebuild live on the same dirty list.
+//   - a bounding-box tree whose leaf coordinates and node boxes are both
+//     kept EXACT: an update writes the moved point's coordinates straight
+//     into its leaf slot and grows its leaf's box, then each ancestor's,
+//     to contain the new position, stopping at the first box that already
+//     does. Every box therefore bounds the current positions of its
+//     subtree, and the search prunes against the plain best distance.
+//     Boxes only grow between rebuilds (a point that moves away leaves its
+//     old extent behind), which loosens pruning a little, never
+//     correctness. A split's jump grows boxes like any other move: on
+//     splitting streams, taking such jumps out of the tree saved under
+//     0.5% of leaf sweeps, too little to pay for a second path.
+//   - a "dirty" list of the points born since the last rebuild, answered
+//     by linear scan.
 //   - a threshold rebuild that re-files every point into reused buffers,
-//     emptying the dirty list and resetting ε.
+//     emptying the dirty list and shrinking every box back to tight.
 //
 // Every query returns the lexicographic (distance, id) minimum — precisely
 // the answer a single linear scan in id order produces — which is what
@@ -50,30 +48,36 @@ import (
 // goroutines may call Nearest concurrently between mutations — queries
 // are read-only.
 type CentroidIndex struct {
-	dim    int
-	points []mat.Vector // current positions, owned copies
-	dirty  []int        // ids not answerable from the tree, scanned linearly
-	inTree []bool       // id -> answerable from the tree
+	dim     int
+	points  []mat.Vector // current positions, owned copies
+	dirty   []int        // ids added since the last rebuild, scanned linearly
+	updates int          // in-tree updates since the last rebuild
 
-	drift   []float64 // id -> position drift accumulated since it was filed
-	eps     float64   // max drift over in-tree points (search inflation)
-	budget  float64   // per-point drift cap before tombstoning, from box scale
-	updates int       // in-tree updates since the last rebuild
-
-	// The tree, all storage reused across rebuilds.
+	// The tree over ids [0, len(perm)), the points filed at the last
+	// rebuild; all storage reused across rebuilds.
 	nodes []ctNode  // arena, built depth-first
 	boxes []float64 // per node: dim mins then dim maxes, 2*dim*arena-index
 	flat  []float64 // leaf coordinates, contiguous in build order, kept current
 	perm  []int     // point ids in build order: leaf i covers perm[lo:hi]
 	slot  []int     // id -> build-order position in perm/flat
+	leaf  []int32   // build-order position -> arena index of its leaf
 	root  int       // arena index of the root, -1 when no tree
+
+	effort *ctEffort // search effort tally for the pruning tests; nil otherwise
 }
 
 // ctNode is one arena node of the tree: a leaf owns the points perm[lo:hi]
 // (coordinates flat[lo*dim:hi*dim]); an internal node owns two children.
 type ctNode struct {
 	left, right int // arena indices, -1 on a leaf
+	parent      int // arena index, -1 at the root
 	lo, hi      int // leaf bucket bounds in perm
+}
+
+// ctEffort counts what searches cost: leaves swept and boxes tested.
+// Only tests set it, and only on an index they query from one goroutine.
+type ctEffort struct {
+	queries, leaves, boxes int
 }
 
 // centroidRebuildMin is the dirty-list length below which a dirty-driven
@@ -87,11 +91,6 @@ const centroidRebuildMin = 16
 // kernel's pruned leaf sweep runs at a few cycles per row, which moves
 // the balance point up to fat 64-row leaves.
 const ctLeafSize = 64
-
-// ctBudgetShrink divides the root box diagonal to set the per-point drift
-// budget: drifts up to diagonal/ctBudgetShrink ride in the tree (inflating
-// search radii by at most that much), larger jumps tombstone.
-const ctBudgetShrink = 128
 
 // NewCentroidIndex builds an index over copies of the given centroids
 // (later in-place mutation of the caller's vectors does not corrupt it).
@@ -107,8 +106,6 @@ func NewCentroidIndex(dim int, centroids []mat.Vector) (*CentroidIndex, error) {
 		}
 		c.points = append(c.points, p.Clone())
 		c.dirty = append(c.dirty, i)
-		c.inTree = append(c.inTree, false)
-		c.drift = append(c.drift, 0)
 	}
 	c.maybeRebuild()
 	return c, nil
@@ -128,19 +125,15 @@ func (c *CentroidIndex) Add(p mat.Vector) (int, error) {
 	}
 	id := len(c.points)
 	c.points = append(c.points, p.Clone())
-	c.inTree = append(c.inTree, false)
 	c.dirty = append(c.dirty, id)
-	c.drift = append(c.drift, 0)
 	c.maybeRebuild()
 	return id, nil
 }
 
-// Update records that centroid id has moved to p (copied). A move within
-// the drift budget keeps the point in its tree leaf with its coordinates
-// rewritten in place — distances stay exact, only its node boxes go stale
-// by at most the accumulated drift, which searches inflate pruning by —
-// while a large jump tombstones it onto the linear-scanned dirty list
-// until the next rebuild.
+// Update records that centroid id has moved to p (copied). A point in
+// the tree has its leaf coordinates rewritten in place and its boxes grown
+// to contain the new position, so distances and boxes stay exact; a point
+// on the dirty list is scanned at its current position anyway.
 func (c *CentroidIndex) Update(id int, p mat.Vector) error {
 	if id < 0 || id >= len(c.points) {
 		return fmt.Errorf("knn: centroid id %d out of range [0,%d)", id, len(c.points))
@@ -148,23 +141,10 @@ func (c *CentroidIndex) Update(id int, p mat.Vector) error {
 	if len(p) != c.dim {
 		return fmt.Errorf("knn: centroid has dimension %d, want %d", len(p), c.dim)
 	}
-	if c.inTree[id] {
-		fp := c.flat[c.slot[id]*c.dim:]
-		fp = fp[:c.dim]
-		moved := c.drift[id] + math.Sqrt(p.DistSq(fp))
-		if moved > c.budget {
-			c.inTree[id] = false
-			c.dirty = append(c.dirty, id)
-			for j := range fp {
-				fp[j] = math.Inf(1) // loses every comparison from now on
-			}
-		} else {
-			c.drift[id] = moved
-			if moved > c.eps {
-				c.eps = moved
-			}
-			copy(fp, p)
-		}
+	if id < len(c.perm) {
+		i := c.slot[id]
+		copy(c.flat[i*c.dim:(i+1)*c.dim], p)
+		c.grow(int(c.leaf[i]), p)
 		c.updates++
 	}
 	copy(c.points[id], p)
@@ -172,15 +152,37 @@ func (c *CentroidIndex) Update(id int, p mat.Vector) error {
 	return nil
 }
 
+// grow widens node ni's box to contain p, then each ancestor's, stopping
+// at the first box that already contains p. A parent's box contains its
+// children's, so once one box holds p every box above it holds the grown
+// child box too: every box keeps bounding its subtree's current points.
+func (c *CentroidIndex) grow(ni int, p mat.Vector) {
+	for ; ni >= 0; ni = c.nodes[ni].parent {
+		box := c.boxes[ni*2*c.dim : (ni+1)*2*c.dim]
+		lo, hi := box[:c.dim], box[c.dim:]
+		grew := false
+		for j, v := range p {
+			if v < lo[j] {
+				lo[j], grew = v, true
+			} else if v > hi[j] {
+				hi[j], grew = v, true
+			}
+		}
+		if !grew {
+			return
+		}
+	}
+}
+
 // maybeRebuild rebuilds the tree over current positions when enough has
 // changed to matter: the dirty list has outgrown an eighth of the point
 // set, or two updates per point have accumulated, enough that
-// re-tightening the boxes (and resetting the drift inflation ε) pays for
-// the build — centroid moves shrink as groups fill, so the boxes stay
-// nearly tight for a long time and rebuilding more eagerly costs more in
-// builds than it saves in pruning. Both triggers are floored so tiny
-// indexes, where the linear scan wins anyway, never rebuild. Rebuilding
-// re-files every point into reused buffers.
+// re-tightening the grown boxes pays for the build — centroid moves
+// shrink as groups fill, so the boxes stay nearly tight for a long time
+// and rebuilding more eagerly costs more in builds than it saves in
+// pruning. Both triggers are floored so tiny indexes, where the linear
+// scan wins anyway, never rebuild. Rebuilding re-files every point into
+// reused buffers.
 func (c *CentroidIndex) maybeRebuild() {
 	n := len(c.points)
 	dirtyTrigger := len(c.dirty) >= centroidRebuildMin && 8*len(c.dirty) >= n
@@ -191,15 +193,16 @@ func (c *CentroidIndex) maybeRebuild() {
 	if cap(c.perm) < n {
 		c.perm = make([]int, n)
 		c.slot = make([]int, n)
+		c.leaf = make([]int32, n)
 		c.flat = make([]float64, n*c.dim)
 	}
-	c.perm, c.slot, c.flat = c.perm[:n], c.slot[:n], c.flat[:n*c.dim]
+	c.perm, c.slot, c.leaf, c.flat = c.perm[:n], c.slot[:n], c.leaf[:n], c.flat[:n*c.dim]
 	for i := range c.perm {
 		c.perm[i] = i
 	}
 	c.nodes = c.nodes[:0]
 	c.boxes = c.boxes[:0]
-	c.root = c.buildTree(0, n)
+	c.root = c.buildTree(0, n, -1)
 	// buildTree partitioned perm into leaf buckets; lay the coordinates
 	// out contiguously in that order so leaf scans sweep flat memory.
 	for i, id := range c.perm {
@@ -207,31 +210,16 @@ func (c *CentroidIndex) maybeRebuild() {
 		copy(c.flat[i*c.dim:], c.points[id])
 	}
 	c.dirty = c.dirty[:0]
-	for i := range c.inTree {
-		c.inTree[i] = true
-	}
-	for i := range c.drift {
-		c.drift[i] = 0
-	}
-	c.eps = 0
 	c.updates = 0
-	// Drift budget from the data's own scale: the root box diagonal.
-	var diagSq float64
-	rootBox := c.boxes[:2*c.dim]
-	for j := 0; j < c.dim; j++ {
-		e := rootBox[c.dim+j] - rootBox[j]
-		diagSq += e * e
-	}
-	c.budget = math.Sqrt(diagSq) / ctBudgetShrink
 }
 
-// buildTree appends the subtree over perm[lo:hi] to the arena and returns
-// its root's arena index: the node's bounding box is computed over its
-// points' current positions, and the box's longest extent is median-split
-// until buckets fit in a leaf.
-func (c *CentroidIndex) buildTree(lo, hi int) int {
+// buildTree appends the subtree over perm[lo:hi] under parent to the arena
+// and returns its root's arena index: the node's bounding box is computed
+// over its points' current positions, and the box's longest extent is
+// median-split until buckets fit in a leaf.
+func (c *CentroidIndex) buildTree(lo, hi, parent int) int {
 	ni := len(c.nodes)
-	c.nodes = append(c.nodes, ctNode{left: -1, right: -1, lo: lo, hi: hi})
+	c.nodes = append(c.nodes, ctNode{left: -1, right: -1, parent: parent, lo: lo, hi: hi})
 	// Bounding box over the bucket: dim mins, then dim maxes.
 	b := len(c.boxes)
 	first := c.points[c.perm[lo]]
@@ -249,6 +237,9 @@ func (c *CentroidIndex) buildTree(lo, hi int) int {
 		}
 	}
 	if hi-lo <= ctLeafSize {
+		for i := lo; i < hi; i++ {
+			c.leaf[i] = int32(ni)
+		}
 		return ni
 	}
 	axis, extent := 0, box[c.dim]-box[0]
@@ -259,8 +250,8 @@ func (c *CentroidIndex) buildTree(lo, hi int) int {
 	}
 	mid := (lo + hi) / 2
 	c.selectByAxis(c.perm[lo:hi], mid-lo, axis)
-	left := c.buildTree(lo, mid)
-	right := c.buildTree(mid, hi)
+	left := c.buildTree(lo, mid, ni)
+	right := c.buildTree(mid, hi, ni)
 	c.nodes[ni].left, c.nodes[ni].right = left, right
 	return ni
 }
@@ -308,31 +299,12 @@ func (c *CentroidIndex) selectByAxis(perm []int, want, axis int) {
 	}
 }
 
-// ctQuery is the running state of one Nearest search: the lexicographic
-// best so far, plus the drift-inflated pruning bound (sqrt(bestD)+ε)²,
-// recomputed only when the best improves.
+// ctQuery is the running state of one Nearest search: the query and the
+// lexicographic best so far.
 type ctQuery struct {
-	q        mat.Vector
-	best     int
-	bestD    float64
-	eps      float64
-	inflated float64 // subtrees with boxDist above this cannot win
-}
-
-// improve folds candidate (id, d) into the lexicographic best; callers
-// may pre-filter on d <= bestD since anything above cannot win.
-func (s *ctQuery) improve(id int, d float64) {
-	if d < s.bestD {
-		s.bestD, s.best = d, id
-		if s.eps > 0 {
-			r := math.Sqrt(d) + s.eps
-			s.inflated = r * r
-		} else {
-			s.inflated = d
-		}
-	} else if d == s.bestD && id < s.best {
-		s.best = id
-	}
+	q     mat.Vector
+	best  int
+	bestD float64
 }
 
 // Nearest returns the id of the centroid nearest to q and its squared
@@ -340,8 +312,11 @@ func (s *ctQuery) improve(id int, d float64) {
 // answer a linear scan in id order gives. It returns id −1 on an empty
 // index.
 func (c *CentroidIndex) Nearest(q mat.Vector) (int, float64) {
-	s := ctQuery{q: q, best: -1, bestD: math.Inf(1), eps: c.eps, inflated: math.Inf(1)}
+	s := ctQuery{q: q, best: -1, bestD: math.Inf(1)}
 	if c.root >= 0 {
+		if c.effort != nil {
+			c.effort.queries++
+		}
 		c.treeSearch(c.root, &s)
 	}
 	// Dirty points live outside the tree until the next rebuild; fold
@@ -352,11 +327,10 @@ func (c *CentroidIndex) Nearest(q mat.Vector) (int, float64) {
 }
 
 // boxDist returns the squared distance from q to node ni's bounding box
-// (zero inside the box) — a lower bound on the build-time distance to any
-// point of the subtree; points may since have drifted up to ε closer,
-// which the caller's inflated bound accounts for. The loop runs straight
-// through all dims: an early bound exit costs more in per-dim branches
-// than the few saved flops for the handful of dims a box has.
+// (zero inside the box) — a lower bound on the distance to any current
+// point of the subtree. The loop runs straight through all dims: an early
+// bound exit costs more in per-dim branches than the few saved flops for
+// the handful of dims a box has.
 func (c *CentroidIndex) boxDist(ni int, q mat.Vector) float64 {
 	box := c.boxes[ni*2*c.dim:]
 	lo, hi := box[:len(q)], box[c.dim:c.dim+len(q)]
@@ -373,44 +347,40 @@ func (c *CentroidIndex) boxDist(ni int, q mat.Vector) float64 {
 	return s
 }
 
-// treeSearch descends the tree for the live point minimizing the
-// lexicographic (squared distance, id) key, nearer child first, pruning
-// subtrees whose box cannot hold a point within the drift-inflated best
-// radius. Leaf coordinates are current (and +Inf for tombstones), so
-// candidate distances are exact with no liveness branch. A subtree is
-// still visited when its box bound exactly equals the inflated bound
-// (≤, not <): an equal-distance lower-id point may sit exactly on the
-// boundary, and routing equivalence needs the lowest id.
+// treeSearch descends the tree for the point minimizing the lexicographic
+// (squared distance, id) key, nearer child first, pruning subtrees whose
+// exact box lies farther than the best distance. Leaf coordinates are
+// current, so candidate distances are exact. A subtree is still visited
+// when its box bound exactly equals the best distance (≤, not <): an
+// equal-distance lower-id point may sit exactly on the box face, and
+// routing equivalence needs the lowest id.
 func (c *CentroidIndex) treeSearch(ni int, s *ctQuery) {
 	node := &c.nodes[ni]
 	if node.left < 0 {
-		// One fused kernel sweep over the leaf's contiguous arena rows,
-		// with perm carrying each row's centroid id. Tombstone rows are
-		// +Inf coordinates, so their distances are +Inf and never win —
-		// exactly as in the scalar loop this replaces. The drift-inflated
-		// bound is only consulted at internal nodes, so refreshing it once
-		// after the leaf (instead of per improvement) changes nothing.
-		id, d := kernel.ArgminFlatIDs(s.q, c.flat[node.lo*c.dim:node.hi*c.dim], c.perm[node.lo:node.hi], s.best, s.bestD)
-		if d < s.bestD {
-			s.improve(id, d)
-		} else {
-			s.best = id // equal distance, lower id
+		if c.effort != nil {
+			c.effort.leaves++
 		}
+		// One fused kernel sweep over the leaf's contiguous arena rows,
+		// with perm carrying each row's centroid id.
+		s.best, s.bestD = kernel.ArgminFlatIDs(s.q, c.flat[node.lo*c.dim:node.hi*c.dim], c.perm[node.lo:node.hi], s.best, s.bestD)
 		return
+	}
+	if c.effort != nil {
+		c.effort.boxes += 2
 	}
 	dl, dr := c.boxDist(node.left, s.q), c.boxDist(node.right, s.q)
 	if dl <= dr {
-		if dl <= s.inflated {
+		if dl <= s.bestD {
 			c.treeSearch(node.left, s)
 		}
-		if dr <= s.inflated {
+		if dr <= s.bestD {
 			c.treeSearch(node.right, s)
 		}
 	} else {
-		if dr <= s.inflated {
+		if dr <= s.bestD {
 			c.treeSearch(node.right, s)
 		}
-		if dl <= s.inflated {
+		if dl <= s.bestD {
 			c.treeSearch(node.left, s)
 		}
 	}

@@ -1,6 +1,7 @@
 package knn
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -24,12 +25,22 @@ func scanNearestLex(points []mat.Vector, q mat.Vector) (int, float64) {
 // Property: under arbitrary interleavings of Add, Update, and Nearest the
 // index answers every query exactly as the id-order linear scan does,
 // including distance ties (coordinates are drawn from a small integer grid
-// so exact ties are common).
+// so exact ties are common). Most runs start from hundreds of points at
+// dims 1–8, building trees at least three levels deep, so ties are broken
+// across pruned subtrees; a quarter start from at most 60, below the
+// first build;
+// the updates mix one-step moves, moves anywhere on the grid (most leave
+// their leaf's box, and many its parent's) and split-sized jumps off the
+// grid, and every box must keep bounding its subtree after each one.
 func TestCentroidIndexMatchesScan(t *testing.T) {
+	climbs := 0 // in-tree moves that left both their leaf's and its parent's box
 	f := func(seed uint64) bool {
 		r := rng.New(seed)
-		dim := 1 + r.IntN(4)
-		n := 1 + r.IntN(60)
+		dim := 1 + r.IntN(8)
+		n := 300 + r.IntN(400)
+		if r.IntN(4) == 0 {
+			n = 1 + r.IntN(60) // no tree until appends trigger the first build
+		}
 		mirror := make([]mat.Vector, 0, n)
 		grid := func() mat.Vector {
 			x := make(mat.Vector, dim)
@@ -45,8 +56,14 @@ func TestCentroidIndexMatchesScan(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		for step := 0; step < 150; step++ {
-			switch r.IntN(3) {
+		if n >= 300 {
+			if depth := idx.depth(idx.root); depth < 3 {
+				t.Logf("seed %d: %d points built a tree of depth %d, want ≥ 3", seed, n, depth)
+				return false
+			}
+		}
+		for step := 0; step < 1500; step++ {
+			switch r.IntN(4) {
 			case 0: // add
 				p := grid()
 				mirror = append(mirror, p.Clone())
@@ -54,9 +71,25 @@ func TestCentroidIndexMatchesScan(t *testing.T) {
 				if err != nil || id != len(mirror)-1 {
 					return false
 				}
-			case 1: // update
+			case 1, 2: // update
 				id := r.IntN(len(mirror))
-				p := grid()
+				p := mirror[id].Clone()
+				switch r.IntN(3) {
+				case 0: // one grid step along one axis
+					p[r.IntN(dim)] += float64(r.IntN(3) - 1)
+				case 1: // anywhere on the grid
+					p = grid()
+				default: // a split-sized jump off the grid
+					for j := range p {
+						p[j] = float64(r.IntN(13) - 4)
+					}
+				}
+				if id < len(idx.perm) {
+					leaf := int(idx.leaf[idx.slot[id]])
+					if !idx.boxHolds(leaf, p) && !idx.boxHolds(idx.nodes[leaf].parent, p) {
+						climbs++
+					}
+				}
 				copy(mirror[id], p)
 				if len(p) != dim {
 					return false
@@ -64,8 +97,13 @@ func TestCentroidIndexMatchesScan(t *testing.T) {
 				if err := idx.Update(id, p); err != nil {
 					return false
 				}
-			default: // query
+				if err := idx.checkBoxes(); err != nil {
+					t.Logf("seed %d step %d: %v", seed, step, err)
+					return false
+				}
+			default: // query, on and just off the grid
 				q := grid()
+				q[r.IntN(dim)] += float64(r.IntN(3)-1) * 0.5
 				wantID, wantD := scanNearestLex(mirror, q)
 				gotID, gotD := idx.Nearest(q)
 				if gotID != wantID || gotD != wantD {
@@ -78,6 +116,70 @@ func TestCentroidIndexMatchesScan(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
 	}
+	if climbs == 0 {
+		t.Error("no update left both its leaf's and its parent's box: growing never climbed past a leaf")
+	}
+}
+
+// depth returns the number of edges on the longest root-to-leaf path
+// below arena node ni.
+func (c *CentroidIndex) depth(ni int) int {
+	nd := c.nodes[ni]
+	if nd.left < 0 {
+		return 0
+	}
+	return 1 + max(c.depth(nd.left), c.depth(nd.right))
+}
+
+// boxHolds reports whether node ni's box contains p (false for ni = -1).
+func (c *CentroidIndex) boxHolds(ni int, p mat.Vector) bool {
+	if ni < 0 {
+		return false
+	}
+	box := c.boxes[ni*2*c.dim : (ni+1)*2*c.dim]
+	for j, v := range p {
+		if v < box[j] || v > box[c.dim+j] {
+			return false
+		}
+	}
+	return true
+}
+
+// checkBoxes verifies the invariant exact pruning rests on: every leaf
+// slot holds its point's current coordinates, every leaf box contains its
+// slots, and every internal box contains both children's boxes.
+func (c *CentroidIndex) checkBoxes() error {
+	for ni, nd := range c.nodes {
+		box := c.boxes[ni*2*c.dim : (ni+1)*2*c.dim]
+		if nd.left >= 0 {
+			for _, ch := range []int{nd.left, nd.right} {
+				if c.nodes[ch].parent != ni {
+					return fmt.Errorf("node %d: child %d has parent %d", ni, ch, c.nodes[ch].parent)
+				}
+				cb := c.boxes[ch*2*c.dim : (ch+1)*2*c.dim]
+				for j := 0; j < c.dim; j++ {
+					if cb[j] < box[j] || cb[c.dim+j] > box[c.dim+j] {
+						return fmt.Errorf("node %d: box does not contain child %d's on axis %d", ni, ch, j)
+					}
+				}
+			}
+			continue
+		}
+		for i := nd.lo; i < nd.hi; i++ {
+			id := c.perm[i]
+			row := mat.Vector(c.flat[i*c.dim : (i+1)*c.dim])
+			if int(c.leaf[i]) != ni || c.slot[id] != i {
+				return fmt.Errorf("leaf %d: slot %d (id %d) filed under leaf %d, slot %d", ni, i, id, c.leaf[i], c.slot[id])
+			}
+			if row.DistSq(c.points[id]) != 0 {
+				return fmt.Errorf("leaf %d: id %d has stale coordinates", ni, id)
+			}
+			if !c.boxHolds(ni, row) {
+				return fmt.Errorf("leaf %d: box does not contain id %d", ni, id)
+			}
+		}
+	}
+	return nil
 }
 
 func TestCentroidIndexEmpty(t *testing.T) {
@@ -180,5 +282,122 @@ func TestCentroidIndexRebuild(t *testing.T) {
 	}
 	if len(idx.dirty) >= len(mirror) {
 		t.Error("dirty list never compacted by rebuilds")
+	}
+}
+
+// corrStream draws n records of a rank-3 correlated dim-8 stream,
+// x = Az + 0.1ε with z ∈ R³: records lie near a 3-dimensional subspace,
+// the regime of the dynamic engine's ingest benchmarks.
+func corrStream(r *rng.Source, a []float64, n int) []mat.Vector {
+	const dim, intrinsic = 8, 3
+	out := make([]mat.Vector, n)
+	for i := range out {
+		var z [intrinsic]float64
+		for j := range z {
+			z[j] = r.Norm()
+		}
+		x := make(mat.Vector, dim)
+		for j := range x {
+			s := 0.1 * r.Norm()
+			for l, zv := range z {
+				s += a[j*intrinsic+l] * zv
+			}
+			x[j] = s
+		}
+		out[i] = x
+	}
+	return out
+}
+
+// driftedIndex builds g centroids from a correlated stream, each standing
+// for a group of 25 records, then routes `routed` further records through
+// Nearest and moves each winner to its group's new mean with Update, as
+// the dynamic engine does between splits. routed stays below the 2g
+// update-rebuild trigger, so the boxes are the build's, grown by the
+// drift. It returns the index, the centroids' current positions and
+// `queries` further records of the stream.
+func driftedIndex(tb testing.TB, g, routed, queries int) (*CentroidIndex, []mat.Vector, []mat.Vector) {
+	tb.Helper()
+	r := rng.New(7)
+	a := make([]float64, 8*3)
+	for i := range a {
+		a[i] = r.Norm()
+	}
+	cents := corrStream(r, a, g)
+	idx, err := NewCentroidIndex(8, cents)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	sizes := make([]float64, g)
+	for i := range sizes {
+		sizes[i] = 25
+	}
+	for _, x := range corrStream(r, a, routed) {
+		id, _ := idx.Nearest(x)
+		sizes[id]++
+		c := cents[id]
+		for j := range c {
+			c[j] += (x[j] - c[j]) / sizes[id]
+		}
+		if err := idx.Update(id, c); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	if idx.updates != routed {
+		tb.Fatalf("index rebuilt during the drift (%d updates since, want %d)", idx.updates, routed)
+	}
+	return idx, cents, corrStream(r, a, queries)
+}
+
+// Pruning effort: an index whose centroids drifted under routed records
+// must sweep about as few leaves per query as one freshly built over the
+// same positions. Inflating every search by the largest drift since the
+// build cost 1.5× the fresh leaf visits here; exact grown boxes stay
+// within 1.15×.
+func TestCentroidIndexPruningEffort(t *testing.T) {
+	drifted, cents, qs := driftedIndex(t, 4000, 6000, 2000)
+	fresh, err := NewCentroidIndex(8, cents)
+	if err != nil {
+		t.Fatal(err)
+	}
+	drifted.effort, fresh.effort = &ctEffort{}, &ctEffort{}
+	for _, q := range qs {
+		dID, dD := drifted.Nearest(q)
+		fID, fD := fresh.Nearest(q)
+		if dID != fID || dD != fD {
+			t.Fatalf("drifted index answered (%d, %g), fresh (%d, %g)", dID, dD, fID, fD)
+		}
+	}
+	perQuery := func(e *ctEffort) (float64, float64) {
+		return float64(e.leaves) / float64(e.queries), float64(e.boxes) / float64(e.queries)
+	}
+	dl, db := perQuery(drifted.effort)
+	fl, fb := perQuery(fresh.effort)
+	t.Logf("leaves/query: drifted %.2f, fresh %.2f (%.3f×); boxes/query: drifted %.1f, fresh %.1f", dl, fl, dl/fl, db, fb)
+	if dl > 1.15*fl {
+		t.Errorf("drifted index sweeps %.2f leaves per query, %.2f× the fresh index's %.2f (bound 1.15×)", dl, dl/fl, fl)
+	}
+}
+
+// nearestSink keeps benchmarked queries from being optimized away.
+var nearestSink int
+
+// BenchmarkCentroidIndexNearest times one query against a freshly built
+// index and against one whose centroids drifted under routed records.
+func BenchmarkCentroidIndexNearest(b *testing.B) {
+	drifted, cents, qs := driftedIndex(b, 4000, 6000, 2000)
+	fresh, err := NewCentroidIndex(8, cents)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, bc := range []struct {
+		name string
+		idx  *CentroidIndex
+	}{{"fresh", fresh}, {"drifted", drifted}} {
+		b.Run(bc.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				nearestSink, _ = bc.idx.Nearest(qs[i%len(qs)])
+			}
+		})
 	}
 }

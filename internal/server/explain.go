@@ -80,7 +80,7 @@ func validEventType(t string) bool {
 	switch t {
 	case telemetry.EventGroupCreated, telemetry.EventSplit,
 		telemetry.EventIndexRebuild, telemetry.EventSpecFallback,
-		telemetry.EventCacheInvalidation, telemetry.EventWatchdogTransition:
+		telemetry.EventReleaseReplaced, telemetry.EventWatchdogTransition:
 		return true
 	}
 	return false

@@ -73,6 +73,20 @@ func TestEventsEndpoint(t *testing.T) {
 		}
 	}
 
+	// A read builds an artifact on the current release; after a write the
+	// next read replaces that release, which the journal records.
+	getJSON(t, ts.URL+"/v1/stats", nil)
+	postRecords(t, ts, genRecords(72, 5))
+	getJSON(t, ts.URL+"/v1/stats", nil)
+	var replaced eventsResponse
+	resp := getJSON(t, ts.URL+"/v1/events?type=release_replaced", &replaced)
+	if resp.StatusCode != http.StatusOK || len(replaced.Events) == 0 {
+		t.Fatalf("release_replaced filter: status %d, %d events", resp.StatusCode, len(replaced.Events))
+	}
+	if e := replaced.Events[len(replaced.Events)-1]; e.Type != telemetry.EventReleaseReplaced || e.Shard != telemetry.JournalShardNone {
+		t.Fatalf("release_replaced event %+v", e)
+	}
+
 	for path, want := range map[string]int{
 		"/v1/events?type=splitz":  http.StatusBadRequest,
 		"/v1/events?last=-1":      http.StatusBadRequest,

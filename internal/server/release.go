@@ -150,7 +150,7 @@ func (s *Server) release() *release {
 // generation is already installed, and returns the release to serve.
 // Installing sets the release's smallest group size on its gauge;
 // replacing a release that served artifacts records one
-// cache_invalidation journal event.
+// release_replaced journal event.
 func (s *Server) install(r *release) *release {
 	for {
 		cur := s.cur.Load()
@@ -167,11 +167,11 @@ func (s *Server) install(r *release) *release {
 			s.releaseMinSize.Set(float64(r.Condensation().MinGroupSize()))
 			if s.jr != nil && cur != nil && cur.servedArtifacts() {
 				s.jr.Record(telemetry.JournalEvent{
-					Type:       telemetry.EventCacheInvalidation,
+					Type:       telemetry.EventReleaseReplaced,
 					Shard:      telemetry.JournalShardNone,
 					Generation: r.Generation(),
-					Detail: fmt.Sprintf("read cache dropped generation %d artifacts (engine at %d)",
-						cur.Generation(), r.Generation()),
+					Detail: fmt.Sprintf("release of generation %d replaced the one of generation %d and its served artifacts",
+						r.Generation(), cur.Generation()),
 				})
 			}
 			return r
@@ -179,8 +179,8 @@ func (s *Server) install(r *release) *release {
 	}
 }
 
-// servedArtifacts reports whether the release built any artifact — an
-// invalidation that drops nothing is not worth a journal entry. Inherited
+// servedArtifacts reports whether the release built any artifact — a
+// replacement that drops nothing is not worth a journal entry. Inherited
 // snapshot bases do not count.
 func (r *release) servedArtifacts() bool {
 	r.mu.Lock()

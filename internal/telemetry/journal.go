@@ -22,15 +22,16 @@ const (
 	// EventSpecFallback marks a batch whose speculation windows re-routed
 	// records live because their candidate group changed mid-window.
 	EventSpecFallback = "spec_fallback"
-	// EventCacheInvalidation marks the server's read cache dropping a
-	// generation's prepared artifacts because the engine moved on.
-	EventCacheInvalidation = "cache_invalidation"
+	// EventReleaseReplaced marks the server installing a new release in
+	// place of one that had served read artifacts, which are dropped with
+	// it.
+	EventReleaseReplaced = "release_replaced"
 	// EventWatchdogTransition marks a health rule changing state.
 	EventWatchdogTransition = "watchdog_transition"
 )
 
 // JournalShardNone is the Shard stamp of events that are not tied to one
-// engine shard (server read cache, watchdog).
+// engine shard (server release, watchdog).
 const JournalShardNone = -1
 
 // JournalEvent is one recorded lifecycle event. Seq and Time are stamped
