@@ -367,7 +367,7 @@ func BenchmarkServerIngestRecorded(b *testing.B) {
 				if recorded {
 					reg := telemetry.NewRegistry()
 					rec := telemetry.NewRecorder(reg, 360)
-					wd := telemetry.NewWatchdog(reg, nil, server.HealthRules(1)...)
+					wd := telemetry.NewWatchdog(reg, nil, server.HealthRules(k, 1)...)
 					cfg.Telemetry, cfg.Recorder, cfg.Watchdog = reg, rec, wd
 					ctx, cancel := context.WithCancel(context.Background())
 					b.Cleanup(cancel)

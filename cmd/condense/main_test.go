@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -148,13 +150,29 @@ func TestRunAuditFlag(t *testing.T) {
 		t.Fatalf("want 2 per-class audit reports, got %d:\n%s", n, got)
 	}
 	for _, want := range []string{
-		`"k_violations": 0`,
-		`"k_satisfied": true`,
 		`"ks"`,
 		`"original_sample": 40`,
 	} {
 		if !strings.Contains(got, want) {
 			t.Errorf("audit output missing %q:\n%s", want, got)
+		}
+	}
+	// Every class's groups hold between k and 2k−1 records.
+	for _, bound := range []struct {
+		field string
+		ok    func(n int) bool
+	}{
+		{"min_group_size", func(n int) bool { return n >= 5 }},
+		{"max_group_size", func(n int) bool { return n <= 9 }},
+	} {
+		m := regexp.MustCompile(`"`+bound.field+`": (\d+)`).FindAllStringSubmatch(got, -1)
+		if len(m) != 2 {
+			t.Fatalf("want %s in 2 reports, found %d:\n%s", bound.field, len(m), got)
+		}
+		for _, sub := range m {
+			if n, _ := strconv.Atoi(sub[1]); !bound.ok(n) {
+				t.Errorf("%s = %d, outside [k, 2k−1] = [5, 9]", bound.field, n)
+			}
 		}
 	}
 }

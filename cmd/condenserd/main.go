@@ -8,7 +8,7 @@
 //	condenserd -addr :8080 -dim 7 -k 25
 //	condenserd -addr :8080 -dim 7 -k 25 -par 8
 //	condenserd -addr :8080 -dim 7 -k 25 -shards 4
-//	condenserd -addr :8080 -resume checkpoint.bin
+//	condenserd -addr :8080 -resume checkpoint.bin   (an explicit -k must match the checkpoint's)
 //	condenserd -addr :8080 -dim 7 -debug-addr localhost:6060
 //	condenserd -addr :8080 -dim 7 -trace-sample 100 -trace-out trace.json
 //
@@ -31,7 +31,7 @@
 // condense_read_cache_{hits,misses}_total{cache=...} on /metrics.
 //
 // A background auditor recomputes the privacy-audit report (group-size
-// invariant, SSE ratio, KS distances — see internal/audit) every
+// distribution, SSE ratio, KS distances — see internal/audit) every
 // -audit-every and publishes it to /metrics; -audit-every 0 disables it.
 // With -trace-sample N > 0, 1 in N requests records a pipeline span tree,
 // exported live on /debug/trace and written as a Chrome trace-event file
@@ -42,12 +42,12 @@
 // (default 10s) on its own goroutine, keeping the last -history windows
 // of counter deltas, gauge values, and windowed latency quantiles in a
 // ring served from /v1/history. After each scrape a health watchdog
-// evaluates trend rules (k-violations, KS drift, SSE degradation, ingest
-// latency regression, shard imbalance) and drives /healthz and
-// /v1/health/rules through ok → degraded → failing, logging every
-// transition and counting escalations in condense_alerts_total{rule}. On
-// shutdown, -history-out writes the buffered windows plus final rule
-// states and a closing audit as JSON.
+// evaluates its rules (a released group below k, KS drift, SSE
+// degradation, ingest latency regression, shard imbalance) and drives
+// /healthz and /v1/health/rules through ok → degraded → failing, logging
+// every transition and counting escalations in
+// condense_alerts_total{rule}. On shutdown, -history-out writes the
+// buffered windows plus final rule states and a closing audit as JSON.
 //
 // A group-lifecycle journal (ring capacity -journal, default 4096; 0
 // disables it) records structured explainability events — group creation,
@@ -55,8 +55,8 @@
 // fallbacks, read-cache invalidations, watchdog transitions — served from
 // /v1/events. Per-group diagnostics (size, birth generation, lineage,
 // centroid drift, covariance condition number) are on /v1/groups and
-// /v1/groups/{id}; POST /v1/explain dry-runs routing for a record without
-// ingesting it. Every response carries an X-Request-Id (accepted from the
+// /v1/groups/{id}; POST /v1/explain dry-runs routing for a record against
+// the current release without ingesting it. Every response carries an X-Request-Id (accepted from the
 // client or minted), echoed in error envelopes and ingest log lines.
 // GET /debug/bundle streams a one-shot tar.gz diagnostics snapshot;
 // -bundle-out writes the same bundle on shutdown, through the same
@@ -164,12 +164,6 @@ func run(args []string, stderr io.Writer, serve func(ctx context.Context, addr s
 		// Asking for a history file means asking for scrapes.
 		*scrapeEvery = 10 * time.Second
 	}
-	var rec *telemetry.Recorder
-	var wd *telemetry.Watchdog
-	if *scrapeEvery > 0 {
-		rec = telemetry.NewRecorder(reg, *historyCap)
-		wd = telemetry.NewWatchdog(reg, log, server.HealthRules(*shards)...)
-	}
 	var jr *telemetry.Journal
 	if *journalCap > 0 {
 		jr = telemetry.NewJournal(*journalCap)
@@ -180,8 +174,6 @@ func run(args []string, stderr io.Writer, serve func(ctx context.Context, addr s
 		Tracer:      tracer,
 		AuditSample: *auditSample,
 		AuditSeed:   *seed,
-		Recorder:    rec,
-		Watchdog:    wd,
 		Journal:     jr,
 	}
 	condenserK, condenserOpts := *k, core.Options{}
@@ -196,7 +188,11 @@ func run(args []string, stderr io.Writer, serve func(ctx context.Context, addr s
 			return fmt.Errorf("restoring %s: %w", *resume, err)
 		}
 		cfg.Initial = cond
-		// The checkpoint's k and options are authoritative when resuming.
+		// The checkpoint's k and options are authoritative when resuming;
+		// an explicit -k must agree with it.
+		if flagSet(fs, "k") && *k != cond.K() {
+			return fmt.Errorf("-k %d differs from the k = %d of checkpoint %s", *k, cond.K(), *resume)
+		}
 		condenserK, condenserOpts = cond.K(), cond.Options()
 		log.Info("restored checkpoint",
 			slog.String("file", *resume),
@@ -217,6 +213,13 @@ func run(args []string, stderr io.Writer, serve func(ctx context.Context, addr s
 		return err
 	}
 	cfg.Condenser = condenser
+	var rec *telemetry.Recorder
+	var wd *telemetry.Watchdog
+	if *scrapeEvery > 0 {
+		rec = telemetry.NewRecorder(reg, *historyCap)
+		wd = telemetry.NewWatchdog(reg, log, server.HealthRules(condenserK, *shards)...)
+		cfg.Recorder, cfg.Watchdog = rec, wd
+	}
 
 	s, err := server.New(cfg)
 	if err != nil {
@@ -346,7 +349,6 @@ func auditLoop(ctx context.Context, s *server.Server, every time.Duration, log *
 			log.Info("privacy audit",
 				slog.Int("records", rep.Records),
 				slog.Int("groups", rep.Groups),
-				slog.Int("k_violations", rep.KViolations),
 				slog.Float64("sse_ratio", rep.SSERatio),
 				slog.Int("degenerate_groups", rep.DegenerateGroups))
 		}
@@ -407,4 +409,11 @@ func serveDebug(addr string, log *slog.Logger) {
 	if err := srv.ListenAndServe(); err != nil {
 		log.Error("pprof server stopped", slog.String("error", err.Error()))
 	}
+}
+
+// flagSet reports whether the named flag was set on the command line.
+func flagSet(fs *flag.FlagSet, name string) bool {
+	set := false
+	fs.Visit(func(f *flag.Flag) { set = set || f.Name == name })
+	return set
 }

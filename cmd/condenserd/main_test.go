@@ -64,8 +64,10 @@ func TestRunFresh(t *testing.T) {
 	}
 }
 
-func TestRunResume(t *testing.T) {
-	// Build and persist a condensation, then resume from it.
+// writeCheckpoint persists a static k=5 condensation of 30 records and
+// returns its path.
+func writeCheckpoint(t *testing.T) string {
+	t.Helper()
 	r := rng.New(1)
 	recs := make([]mat.Vector, 30)
 	for i := range recs {
@@ -87,9 +89,14 @@ func TestRunResume(t *testing.T) {
 	if _, err := cond.WriteTo(f); err != nil {
 		t.Fatal(err)
 	}
-	f.Close()
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
 
-	h, err := capture(t, []string{"-resume", path})
+func TestRunResume(t *testing.T) {
+	h, err := capture(t, []string{"-resume", writeCheckpoint(t)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,6 +116,20 @@ func TestRunResume(t *testing.T) {
 	}
 	if stats.Records != 30 || stats.K != 5 {
 		t.Errorf("resumed stats %+v", stats)
+	}
+}
+
+// TestRunResumeK: the checkpoint's k is authoritative on -resume. An
+// explicit -k equal to it is accepted; a different one is refused rather
+// than silently replaced.
+func TestRunResumeK(t *testing.T) {
+	path := writeCheckpoint(t)
+	if _, err := capture(t, []string{"-resume", path, "-k", "5", "-log-level", "off"}); err != nil {
+		t.Fatalf("-k equal to the checkpoint's refused: %v", err)
+	}
+	_, err := capture(t, []string{"-resume", path, "-k", "7", "-log-level", "off"})
+	if err == nil || !strings.Contains(err.Error(), "k = 5") {
+		t.Fatalf("-k 7 against a k = 5 checkpoint: err = %v, want a refusal naming k = 5", err)
 	}
 }
 
@@ -202,7 +223,7 @@ func TestRunAuditLoop(t *testing.T) {
 				body, _ := io.ReadAll(resp.Body)
 				resp.Body.Close()
 				if strings.Contains(string(body), "condense_audit_runs_total") &&
-					strings.Contains(string(body), "condense_audit_k_violations_total 0") {
+					strings.Contains(string(body), "condense_audit_records 8") {
 					return
 				}
 				if time.Now().After(deadline) {
@@ -292,9 +313,9 @@ func TestRunSearchFlag(t *testing.T) {
 }
 
 // TestRunShards covers the -shards flag: a sharded daemon reports its
-// shard count on /healthz, advances every shard's stream counter, holds
-// k_violations at 0, and rejects nonsensical shard counts before
-// listening.
+// shard count on /healthz, advances every shard's stream counter, releases
+// only groups of k to 2k−1 records, and rejects nonsensical shard counts
+// before listening.
 func TestRunShards(t *testing.T) {
 	h, err := capture(t, []string{"-dim", "2", "-k", "4", "-shards", "4", "-log-level", "off"})
 	if err != nil {
@@ -338,20 +359,21 @@ func TestRunShards(t *testing.T) {
 		t.Fatalf("healthz %+v", health)
 	}
 
-	resp, err = http.Get(ts.URL + "/v1/audit")
+	resp, err = http.Get(ts.URL + "/v1/stats")
 	if err != nil {
 		t.Fatal(err)
 	}
-	var rep struct {
-		KViolations int `json:"k_violations"`
+	var stats struct {
+		MinGroupSize int `json:"min_group_size"`
+		MaxGroupSize int `json:"max_group_size"`
 	}
-	err = json.NewDecoder(resp.Body).Decode(&rep)
+	err = json.NewDecoder(resp.Body).Decode(&stats)
 	resp.Body.Close()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.KViolations != 0 {
-		t.Fatalf("k_violations = %d", rep.KViolations)
+	if stats.MinGroupSize < 4 || stats.MaxGroupSize > 7 {
+		t.Fatalf("released group sizes [%d, %d], want within [k, 2k−1] = [4, 7]", stats.MinGroupSize, stats.MaxGroupSize)
 	}
 
 	resp, err = http.Get(ts.URL + "/metrics")
@@ -426,8 +448,8 @@ func TestRunScraper(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if rules.Status != "ok" || len(rules.Rules) == 0 {
-				t.Errorf("health rules = %q with %d rules, want ok with rules", rules.Status, len(rules.Rules))
+			if rules.Status != "ok" || len(rules.Rules) == 0 || rules.Rules[0].Name != "release_below_k" {
+				t.Errorf("health rules = %q with %+v, want ok led by release_below_k", rules.Status, rules.Rules)
 			}
 		})
 	if err != nil {

@@ -3,17 +3,17 @@
 // are folded into the nearest group's statistics, with groups splitting
 // along their principal eigenvector whenever they reach 2k records. The
 // example prints periodic snapshots showing the group population growing
-// while every group stays within [k, 2k), then verifies the privacy
-// guarantee with an audit.
+// while every group stays within [k, 2k), then reads the group sizes of
+// the final Release — the k-gated cut every served artifact derives from.
 package main
 
 import (
 	"fmt"
 	"log"
+	"slices"
 
 	"condensation/internal/core"
 	"condensation/internal/datagen"
-	"condensation/internal/privacy"
 	"condensation/internal/rng"
 	"condensation/internal/stream"
 )
@@ -56,15 +56,15 @@ func main() {
 			snap.Seen, snap.Groups, snap.AvgGroupSize)
 	}
 
-	// Audit the end state: every group must hold at least k records and
-	// fewer than 2k (the split threshold).
+	// Release the end state: NewRelease withholds any group below k, so
+	// nothing withheld and a largest group below 2k (the split threshold)
+	// mean every group held between k and 2k−1 records.
 	final := driver.Condensation()
-	audit, err := privacy.AuditGroups(final.Groups(), k)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("final: %d groups over %d records, sizes in [%d, %d], k-anonymity satisfied: %v\n",
-		audit.Groups, audit.Records, audit.MinSize, audit.MaxSize, audit.Satisfied())
+	rel := core.NewRelease(dyn.Generation(), final, dyn.NumShards())
+	sizes := rel.Sizes()
+	withheld, _ := rel.Withheld()
+	fmt.Printf("final: %d groups over %d records, sizes in [%d, %d], groups withheld below k: %d\n",
+		len(sizes), final.TotalCount(), slices.Min(sizes), slices.Max(sizes), withheld)
 
 	// The stream never stored a raw record beyond the statistics — yet we
 	// can synthesize a full anonymized data set at any time.

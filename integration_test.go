@@ -13,7 +13,6 @@ import (
 	"condensation/internal/knn"
 	"condensation/internal/mat"
 	"condensation/internal/metrics"
-	"condensation/internal/privacy"
 	"condensation/internal/rng"
 	"condensation/internal/stream"
 	"condensation/internal/tree"
@@ -193,16 +192,7 @@ func TestPipelineDynamicStream(t *testing.T) {
 			t.Fatal(err)
 		}
 		cond := driver.Condensation()
-		audit, err := privacy.AuditGroups(cond.Groups(), k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !audit.Satisfied() {
-			t.Fatalf("class %d: audit violated: %+v", label, audit)
-		}
-		if audit.MaxSize >= 2*k {
-			t.Fatalf("class %d: group of size %d ≥ 2k survived", label, audit.MaxSize)
-		}
+		checkSizeBand(t, cond, k)
 		synth, err := cond.Synthesize(r.Split())
 		if err != nil {
 			t.Fatal(err)
@@ -395,21 +385,9 @@ func TestPipelineShardedStream(t *testing.T) {
 	}
 
 	eng, cond := run(t)
-	audit, err := privacy.AuditGroups(cond.Groups(), k)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !audit.Satisfied() || audit.MaxSize >= 2*k {
-		t.Fatalf("merged audit violated: %+v", audit)
-	}
+	checkSizeBand(t, cond, k)
 	for i := 0; i < eng.NumShards(); i++ {
-		sa, err := privacy.AuditGroups(eng.Shard(i).Groups(), k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !sa.Satisfied() {
-			t.Fatalf("shard %d audit violated: %+v", i, sa)
-		}
+		checkSizeBand(t, eng.Shard(i), k)
 	}
 
 	_, cond2 := run(t)
@@ -437,5 +415,21 @@ func TestPipelineShardedStream(t *testing.T) {
 	}
 	if mu < 0.95 {
 		t.Errorf("µ = %.4f after sharded streaming, want ≥ 0.95", mu)
+	}
+}
+
+// checkSizeBand fails the test unless every group of cond holds between k
+// and 2k−1 records: its Release withholds nothing, and the largest
+// released group is below the split threshold.
+func checkSizeBand(t *testing.T, cond *core.Condensation, k int) {
+	t.Helper()
+	rel := core.NewRelease(0, cond, 1)
+	if groups, records := rel.Withheld(); groups > 0 {
+		t.Fatalf("%d groups below k = %d hold %d records", groups, k, records)
+	}
+	for _, n := range rel.Sizes() {
+		if n >= 2*k {
+			t.Fatalf("a group of %d records (≥ 2k = %d) survived", n, 2*k)
+		}
 	}
 }

@@ -1,8 +1,10 @@
 // Package audit computes paper-grounded anonymization-quality metrics from
 // a condensation — the group-level measures the microaggregation
-// literature evaluates anonymizers by (group-size distribution, k-invariant
-// violations, within-group SSE information loss, covariance conditioning,
-// marginal distance) — as a live, observe-only monitor.
+// literature evaluates anonymizers by (group-size distribution,
+// within-group SSE information loss, covariance conditioning, marginal
+// distance) — as a live, observe-only monitor. It does not check k: the
+// server audits a core.Release, which holds no group below k by
+// construction.
 //
 // The auditor only ever reads deep-copied group statistics (for the
 // dynamic engine, a snapshot taken under the shards' read locks) and never
@@ -85,11 +87,6 @@ type Report struct {
 	Groups  int `json:"groups"`
 	Records int `json:"records"`
 
-	// KViolations counts groups breaking the paper's size invariant
-	// k ≤ n(G) ≤ 2k−1. It must be 0 for a healthy engine.
-	KViolations int  `json:"k_violations"`
-	KSatisfied  bool `json:"k_satisfied"`
-
 	MinGroupSize  int          `json:"min_group_size"`
 	MaxGroupSize  int          `json:"max_group_size"`
 	MeanGroupSize float64      `json:"mean_group_size"`
@@ -121,7 +118,7 @@ type Report struct {
 // condensation yields an empty (but valid) report, so the monitor works
 // before any record arrives. The condensation is only read.
 func Compute(c *core.Condensation, cfg Config) (*Report, error) {
-	r := &Report{KSatisfied: true, LeftoverRecords: cfg.Leftovers}
+	r := &Report{LeftoverRecords: cfg.Leftovers}
 	if c == nil || c.NumGroups() == 0 {
 		return r, nil
 	}
@@ -130,7 +127,7 @@ func Compute(c *core.Condensation, cfg Config) (*Report, error) {
 	groups := c.Groups()
 	r.Groups = len(groups)
 
-	// Group sizes and the k-invariant k ≤ n ≤ 2k−1.
+	// The group-size distribution.
 	sizeCount := make(map[int]int)
 	r.MinGroupSize = groups[0].N()
 	for _, g := range groups {
@@ -143,11 +140,7 @@ func Compute(c *core.Condensation, cfg Config) (*Report, error) {
 		if n > r.MaxGroupSize {
 			r.MaxGroupSize = n
 		}
-		if n < r.K || n > 2*r.K-1 {
-			r.KViolations++
-		}
 	}
-	r.KSatisfied = r.KViolations == 0
 	r.MeanGroupSize = float64(r.Records) / float64(r.Groups)
 	sizes := make([]int, 0, len(sizeCount))
 	for s := range sizeCount {
@@ -285,12 +278,9 @@ func groupSSE(g interface {
 	return sse, nil
 }
 
-// Metric names published by Report.Publish. The k-violation counter is the
-// alerting surface: it only ever advances when an audit pass observes a
-// group breaking k ≤ n ≤ 2k−1, so any increase is a contract breach.
+// Metric names published by Report.Publish.
 const (
 	MetricRuns             = "condense_audit_runs_total"
-	MetricKViolations      = "condense_audit_k_violations_total"
 	MetricGroups           = "condense_audit_groups"
 	MetricRecords          = "condense_audit_records"
 	MetricMinGroupSize     = "condense_audit_min_group_size"
@@ -305,9 +295,9 @@ const (
 	MetricCondNumber       = "condense_audit_cond_number"
 )
 
-// groupSizeBuckets spans the legal size band [k, 2k−1] with a bucket
-// boundary just below k (so violations land in a distinct bucket) and one
-// at 2k (so oversized groups do too).
+// groupSizeBuckets spans the size band [k, 2k−1] with a bucket boundary
+// just below k and one at 2k, so a group outside the band lands in a
+// distinct bucket.
 func groupSizeBuckets(k int) []float64 {
 	if k < 1 {
 		k = 1
@@ -327,15 +317,13 @@ var condNumberBuckets = []float64{1, 10, 100, 1e3, 1e4, 1e6, 1e8, 1e10, 1e12}
 
 // Publish exports the report into a telemetry registry as the
 // condense_audit_* family: gauges carry the latest pass's values,
-// histograms accumulate the group-size and condition-number distributions
-// across passes, and the k-violation counter advances by the number of
-// violating groups observed. A nil registry is a no-op.
+// and histograms accumulate the group-size and condition-number
+// distributions across passes. A nil registry is a no-op.
 func (r *Report) Publish(reg *telemetry.Registry) {
 	if reg == nil || r == nil {
 		return
 	}
 	reg.Counter(MetricRuns).Inc()
-	reg.Counter(MetricKViolations).Add(r.KViolations)
 	reg.Gauge(MetricGroups).Set(float64(r.Groups))
 	reg.Gauge(MetricRecords).Set(float64(r.Records))
 	reg.Gauge(MetricMinGroupSize).Set(float64(r.MinGroupSize))
@@ -370,7 +358,7 @@ func (r *Report) Publish(reg *telemetry.Registry) {
 // labels — the per-shard view the watchdog's imbalance rules and
 // dashboards drill into when the merged gauges start moving. Only the
 // privacy-critical subset is republished (k-minimum, leftover ratio,
-// group/record counts, k-violation counter); distribution histograms and
+// group/record counts); distribution histograms and
 // KS stay merged-only, matching how PR 6 labels engine series. Callers
 // gate on NumShards ≥ 2 so single-shard deployments keep the exact
 // unlabeled series set. A nil registry is a no-op.
@@ -379,7 +367,6 @@ func (r *Report) PublishShard(reg *telemetry.Registry, shard int) {
 		return
 	}
 	s := fmt.Sprint(shard)
-	reg.Counter(MetricKViolations, "shard", s).Add(r.KViolations)
 	reg.Gauge(MetricGroups, "shard", s).Set(float64(r.Groups))
 	reg.Gauge(MetricRecords, "shard", s).Set(float64(r.Records))
 	reg.Gauge(MetricMinGroupSize, "shard", s).Set(float64(r.MinGroupSize))

@@ -103,7 +103,8 @@ func NewDynamicEmpty(dim, k int, opts Options, r *rng.Source) (*Dynamic, error) 
 // newDynamic builds an engine with one shard per rng stream. The groups —
 // owned by the engine from here on — are dealt round-robin, group j to
 // shard j mod N: stable, so resuming at a fixed shard count is
-// reproducible. A shard dealt no group starts empty.
+// reproducible. A shard dealt no group starts empty. A group of 2k or
+// more records is refused.
 func newDynamic(dim, k int, opts Options, search searchConfig, groups []*stats.Group, srcs []*rng.Source) (*Dynamic, error) {
 	if dim < 1 {
 		return nil, fmt.Errorf("core: dimension %d, must be ≥ 1", dim)
@@ -126,6 +127,11 @@ func newDynamic(dim, k int, opts Options, search searchConfig, groups []*stats.G
 		}
 	}
 	for j, g := range groups {
+		// A group splits when an absorb brings it to exactly 2k records,
+		// so one that already holds 2k or more would grow without bound.
+		if g.N() >= 2*k {
+			return nil, fmt.Errorf("core: initial group %d holds %d records, at least 2k = %d, and would never split", j, g.N(), 2*k)
+		}
 		sh := d.shards[j%n]
 		m, err := g.Mean()
 		if err != nil {
@@ -196,18 +202,18 @@ func hashFloat(h uint64, v float64) uint64 {
 	return h
 }
 
-// shardOf routes a record: FNV-1a over the record's float64 bytes (or the
-// routing attribute's bytes alone), reduced modulo the shard count. The
-// hash depends only on the record values, so routing is stable across
-// runs, processes, and architectures.
-func (d *Dynamic) shardOf(x mat.Vector) int {
-	n := len(d.shards)
+// recordShard routes a record to one of n shards: FNV-1a over the record's
+// float64 bytes (or, when attr ≥ 0, attribute attr's bytes alone), reduced
+// modulo n. The hash depends only on the record values, so routing is
+// stable across runs, processes, and architectures — and a Release, which
+// carries its engine's routing attribute, resolves the same shard.
+func recordShard(x mat.Vector, attr, n int) int {
 	if n == 1 {
 		return 0
 	}
 	h := uint64(fnvOffset64)
-	if d.routeAttr >= 0 {
-		h = hashFloat(h, x[d.routeAttr])
+	if attr >= 0 {
+		h = hashFloat(h, x[attr])
 	} else {
 		for _, v := range x {
 			h = hashFloat(h, v)
@@ -215,6 +221,9 @@ func (d *Dynamic) shardOf(x mat.Vector) int {
 	}
 	return int(h % uint64(n))
 }
+
+// shardOf routes a record to its shard under the engine's routing.
+func (d *Dynamic) shardOf(x mat.Vector) int { return recordShard(x, d.routeAttr, len(d.shards)) }
 
 // K returns the indistinguishability level.
 func (d *Dynamic) K() int { return d.k }
@@ -266,11 +275,11 @@ func CheckRecordMagnitude(x mat.Vector) error {
 	return nil
 }
 
-// validateRecord rejects records the engine cannot condense, before any
-// shard is touched.
-func (d *Dynamic) validateRecord(x mat.Vector) error {
-	if len(x) != d.dim {
-		return fmt.Errorf("core: stream record dimension %d, want %d", len(x), d.dim)
+// validateRecord rejects records an engine of dimension dim cannot
+// condense, before any shard is touched.
+func validateRecord(x mat.Vector, dim int) error {
+	if len(x) != dim {
+		return fmt.Errorf("core: stream record dimension %d, want %d", len(x), dim)
 	}
 	if !x.IsFinite() {
 		return errors.New("core: stream record has non-finite values")
@@ -282,7 +291,7 @@ func (d *Dynamic) validateRecord(x mat.Vector) error {
 // to the group with the nearest centroid, splitting that group if it
 // reaches 2k records.
 func (d *Dynamic) Add(x mat.Vector) error {
-	if err := d.validateRecord(x); err != nil {
+	if err := validateRecord(x, d.dim); err != nil {
 		return err
 	}
 	sh := d.shards[d.shardOf(x)]
@@ -312,7 +321,7 @@ func (d *Dynamic) AddBatch(records []mat.Vector) error {
 // lowest-shard-index failure, so error reporting is deterministic too.
 func (d *Dynamic) AddBatchContext(ctx context.Context, records []mat.Vector) error {
 	for i, x := range records {
-		if err := d.validateRecord(x); err != nil {
+		if err := validateRecord(x, d.dim); err != nil {
 			return fmt.Errorf("core: batch record %d: %w", i, err)
 		}
 	}
@@ -399,6 +408,7 @@ func (d *Dynamic) Condensation() *Condensation {
 	merged.meta = meta
 	merged.met = d.met
 	merged.tr = d.tr
+	merged.routeAttr = d.routeAttr
 	return merged
 }
 
@@ -410,6 +420,7 @@ func (d *Dynamic) Shard(i int) *Condensation {
 	sh.mu.RUnlock()
 	cond.met = d.met
 	cond.tr = d.tr
+	cond.routeAttr = d.routeAttr
 	return cond
 }
 

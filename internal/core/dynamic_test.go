@@ -1,8 +1,10 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"condensation/internal/mat"
@@ -151,6 +153,58 @@ func TestDynamicConstructorErrors(t *testing.T) {
 	}
 	if _, err := NewDynamicEmpty(2, 2, Options{SplitAxis: SplitAxis(9)}, rng.New(1)); err == nil {
 		t.Error("bad options accepted")
+	}
+}
+
+// TestDynamicRefusesGroupOf2k: a group splits when an absorb brings it to
+// exactly 2k records, so an initial group of 2k or more would never split
+// and would grow without bound. Merging a k=3 and a k=5 condensation
+// keeps k=3 and a 6-record group; every way of seeding an engine from it
+// — directly, sharded, and resumed from its checkpoint — must refuse it.
+func TestDynamicRefusesGroupOf2k(t *testing.T) {
+	const dim = 2
+	small, err := condense(gaussianRecords(81, 9, dim), 3, rng.New(82), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Six records at k = 5: one group of five plus one folded leftover.
+	big, err := condense(gaussianRecords(83, 6, dim), 5, rng.New(84), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	merged, err := Merge(small, big)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if merged.K() != 3 || merged.groups[len(merged.groups)-1].N() != 6 {
+		t.Fatalf("merged k = %d, last group %d records; want k = 3 and a group of 6",
+			merged.K(), merged.groups[len(merged.groups)-1].N())
+	}
+	var buf bytes.Buffer
+	if _, err := merged.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	resumed, err := ReadCondensation(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := NewCondenser(3, WithSeed(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, build := range map[string]func() (*Dynamic, error){
+		"NewDynamic":  func() (*Dynamic, error) { return NewDynamic(merged, rng.New(1)) },
+		"DynamicFrom": func() (*Dynamic, error) { return c.DynamicFrom(merged) },
+		"ShardedFrom": func() (*Dynamic, error) { return c.ShardedFrom(merged, 4) },
+		"resume":      func() (*Dynamic, error) { return c.DynamicFrom(resumed) },
+	} {
+		if _, err := build(); err == nil || !strings.Contains(err.Error(), "never split") {
+			t.Errorf("%s accepted an initial group of 2k records (err = %v)", name, err)
+		}
+	}
+	// Groups within [k, 2k−1] are still accepted.
+	if _, err := c.DynamicFrom(small); err != nil {
+		t.Fatalf("a condensation within [k, 2k−1] was refused: %v", err)
 	}
 }
 

@@ -20,10 +20,9 @@ import (
 // bit for bit.
 //
 // Condensed state leaves the process only through Condensation: NewRelease
-// gates a cut to its groups of at least k records, and every read artifact
-// — snapshot, checkpoint, stats, audit, group diagnostics — is derived
-// from that Release. Explain is the one read of live state, because it
-// answers what Add would do now.
+// gates a cut to its groups of at least k records, and every read — the
+// snapshot, checkpoint, stats, audit, group diagnostics and routing
+// dry-run — is derived from that Release.
 type Engine interface {
 	// Add routes one stream record to the group with the nearest centroid
 	// (within the record's shard) and splits that group if it reaches 2k
@@ -65,13 +64,6 @@ type Engine interface {
 	// value is a complete version key for read-side caches and HTTP ETags.
 	// The read is one atomic load and never blocks on engine locks.
 	Generation() uint64
-
-	// Explain dry-runs routing one record without ingesting it: the shard
-	// it would route to, the top candidate groups of at least k records in
-	// exact (distance, id) order, and the absorb/split/found outcome.
-	// Strictly side-effect-free — engine state, rng stream, and checkpoint
-	// bytes are bit-identical whether Explain ran or not. Pure read.
-	Explain(x mat.Vector, top int) (*Explanation, error)
 
 	// SetTelemetry attaches a metrics registry (nil disables recording).
 	SetTelemetry(reg *telemetry.Registry)

@@ -1,22 +1,24 @@
 package core
 
 import (
-	"sort"
+	"fmt"
 
 	"condensation/internal/mat"
 )
 
-// This file is the engine's routing dry-run (Explain): where a record
-// would go and what ingesting it would do, computed against the live
-// shard. It is the one diagnostic that reads the engine rather than a
-// Release — its outcome describes what Add would do now, which a Release
-// cannot know (during a pure-stream bootstrap the Release is empty while
-// Add would absorb) — so its candidate filter is the one k check outside
-// NewRelease: a group below k is never offered as a candidate, since its
-// centroid is the mean of fewer than k raw records. The dry-run is
-// strictly read-only — it mutates no group, centroid, router, rng stream,
-// counter, or shared scratch — so it is safe under a read lock concurrent
-// with other readers and leaves checkpoint bytes untouched.
+// This file is the routing dry-run (Explain): where a record would go and
+// what ingesting it would do, answered from a Release like every other
+// read of condensed state. The record's shard comes from the hash
+// ingestion uses, and its candidates are that shard's released groups, so
+// every distance and size it reports describes published state, and a
+// group below k is never a candidate because no Release holds one.
+//
+// The outcome is a prediction made against that state. It equals what Add
+// would do on the engine the Release was cut from whenever the shard holds
+// no group below k. A group splits into two children of k records, so the
+// only live group below k is a pure-stream shard's first group while it
+// holds fewer than k records; during that window the shard's Release is
+// empty and Explain answers found with no candidates.
 
 // Explain outcomes: what ingesting the explained record would do.
 const (
@@ -25,14 +27,19 @@ const (
 	// ExplainSplit: absorbing the record would bring the nearest group to
 	// 2k records and trigger the paper's split.
 	ExplainSplit = "split"
-	// ExplainFound: the engine (or the record's shard) holds no groups yet,
-	// so the record would found the first one.
+	// ExplainFound: the record's shard releases no groups, so as far as
+	// the published state shows, the record would found the first one.
 	ExplainFound = "found"
 )
 
-// explainDefaultTop is the candidate count Explain reports when the caller
-// does not ask for a specific one.
-const explainDefaultTop = 5
+const (
+	// explainDefaultTop is the candidate count Explain reports when the
+	// caller does not ask for a specific one.
+	explainDefaultTop = 5
+	// ExplainMaxTop caps the candidates one Explain may ask for, so a
+	// one-record request cannot read back every group.
+	ExplainMaxTop = 64
+)
 
 // ExplainCandidate is one nearest-centroid candidate of a routing dry-run.
 type ExplainCandidate struct {
@@ -42,7 +49,7 @@ type ExplainCandidate struct {
 	// explained record to the candidate's centroid — the quantity routing
 	// minimizes.
 	DistanceSq float64 `json:"distance_sq"`
-	// Size is the candidate's current record count.
+	// Size is the candidate's released record count.
 	Size int `json:"size"`
 }
 
@@ -51,98 +58,75 @@ type ExplainCandidate struct {
 type Explanation struct {
 	// Shard is the shard the record routes to (0 on a 1-shard engine).
 	Shard int `json:"shard"`
-	// Generation is the mutation generation the dry-run observed; the
-	// explanation is exact for this state.
+	// Generation is the generation of the Release the dry-run read.
 	Generation uint64 `json:"generation"`
-	// Groups is the group count of the routed shard.
+	// Groups is the released group count of the routed shard.
 	Groups int `json:"groups"`
 	// Outcome is one of the Explain* constants.
 	Outcome string `json:"outcome"`
-	// Routed is the winning candidate — the exact lexicographic
-	// (distance, id) minimum every router backend agrees on. Nil when the
-	// outcome is ExplainFound, or when the winner holds fewer than k
-	// records.
+	// Routed is the winning candidate, Candidates[0]. Nil when the
+	// outcome is ExplainFound.
 	Routed *ExplainCandidate `json:"routed,omitempty"`
-	// Candidates are the top-M nearest groups of at least k records in
-	// exact (distance, id) order; Candidates[0] equals *Routed when Routed
-	// is set.
+	// Candidates are the shard's top nearest released groups in the exact
+	// (squared distance, slot) order every router backend produces.
 	Candidates []ExplainCandidate `json:"candidates,omitempty"`
 }
 
-// explain dry-runs routing one validated record within the shard: it
-// reports the top candidate groups of at least k records in the exact
-// (squared distance, id) order every router backend produces, and the
-// outcome ingesting the record would have — absorb, split (the nearest
-// group sits at 2k−1), or found (no groups yet). top ≤ 0 asks for the
-// default candidate count.
-//
-// The dry-run is strictly side-effect-free: it scans the shard's centroid
-// cache directly instead of going through the router (whose sampled stage
-// timing advances a counter), mutates nothing, and draws nothing from the
-// rng stream — so checkpoint bytes and condensed output are bit-identical
-// whether Explain was called or not. A read lock suffices.
-func (sh *shard) explain(x mat.Vector, top int) *Explanation {
+// Explain dry-runs routing one record against the Release: it validates
+// the record as ingestion does, resolves its shard, and reports up to top
+// of that shard's released groups (top ≤ 0 asks for the default; above
+// ExplainMaxTop is an error) and the outcome their sizes imply — absorb,
+// split (the nearest group holds 2k−1 records), or found (the shard
+// releases no group). Like every Release read it is pure.
+func (r *Release) Explain(x mat.Vector, top int) (*Explanation, error) {
+	if err := validateRecord(x, r.cond.dim); err != nil {
+		return nil, err
+	}
+	if top > ExplainMaxTop {
+		return nil, fmt.Errorf("core: explain top %d is above the cap of %d", top, ExplainMaxTop)
+	}
 	if top <= 0 {
 		top = explainDefaultTop
 	}
-	ex := &Explanation{Shard: sh.index, Generation: sh.lastMut, Groups: len(sh.groups)}
-	if len(sh.groups) == 0 {
-		ex.Outcome = ExplainFound
-		return ex
+	s := recordShard(x, r.cond.routeAttr, len(r.ends)-1)
+	lo, hi := r.ends[s], r.ends[s+1]
+	ex := &Explanation{Shard: s, Generation: r.gen, Groups: hi - lo, Outcome: ExplainFound}
+	if lo == hi {
+		return ex, nil
 	}
-
-	type slotDist struct {
-		slot int
-		d2   float64
-	}
-	order := make([]slotDist, len(sh.centroids))
-	for i, c := range sh.centroids {
-		order[i] = slotDist{slot: i, d2: x.DistSq(c)}
-	}
-	// The routers' lexicographic (squared distance, slot) minimum, extended
-	// to a total order so Candidates[0] is exactly where Add would route.
-	sort.Slice(order, func(a, b int) bool {
-		if order[a].d2 != order[b].d2 {
-			return order[a].d2 < order[b].d2
+	// Keep the top nearest in a sorted buffer. A shard's released groups
+	// are in its slot order, and a later group displaces an earlier one
+	// only when strictly nearer: the routers' tie rule.
+	c := make(mat.Vector, r.cond.dim)
+	best := make([]ExplainCandidate, 0, min(top, hi-lo))
+	for i := lo; i < hi; i++ {
+		_ = r.cond.groups[i].MeanInto(c) // released groups hold at least k ≥ 1 records
+		d2 := x.DistSq(c)
+		if len(best) == top {
+			if d2 >= best[top-1].DistanceSq {
+				continue
+			}
+			best = best[:top-1]
 		}
-		return order[a].slot < order[b].slot
-	})
-	ex.Candidates = make([]ExplainCandidate, 0, min(top, len(order)))
-	for _, s := range order {
-		if len(ex.Candidates) == top {
-			break
+		j := len(best)
+		for j > 0 && best[j-1].DistanceSq > d2 {
+			j--
 		}
-		if n := sh.groups[s.slot].N(); n >= sh.k {
-			ex.Candidates = append(ex.Candidates, ExplainCandidate{
-				ID:         sh.meta[s.slot].id,
-				DistanceSq: s.d2,
-				Size:       n,
-			})
+		var id uint64
+		if r.cond.meta != nil {
+			id = r.cond.meta[i].id
 		}
+		best = append(best, ExplainCandidate{})
+		copy(best[j+1:], best[j:])
+		best[j] = ExplainCandidate{ID: id, DistanceSq: d2, Size: r.sizes[i]}
 	}
-	if len(ex.Candidates) > 0 && ex.Candidates[0].ID == sh.meta[order[0].slot].id {
-		routed := ex.Candidates[0]
-		ex.Routed = &routed
-	}
-	if sh.groups[order[0].slot].N()+1 == 2*sh.k {
+	ex.Candidates = best
+	routed := best[0]
+	ex.Routed = &routed
+	if routed.Size+1 == 2*r.cond.k {
 		ex.Outcome = ExplainSplit
 	} else {
 		ex.Outcome = ExplainAbsorb
 	}
-	return ex
-}
-
-// Explain dry-runs routing one record without ingesting it: the record's
-// shard is resolved by the same stable hash ingestion uses, and the
-// dry-run runs under that shard's read lock — strictly side-effect-free,
-// concurrent with ingest on every other shard. See shard.explain.
-func (d *Dynamic) Explain(x mat.Vector, top int) (*Explanation, error) {
-	if err := d.validateRecord(x); err != nil {
-		return nil, err
-	}
-	sh := d.shards[d.shardOf(x)]
-	sh.mu.RLock()
-	ex := sh.explain(x, top)
-	sh.mu.RUnlock()
 	return ex, nil
 }

@@ -2,6 +2,10 @@ package core
 
 import (
 	"bytes"
+	"cmp"
+	"fmt"
+	"math"
+	"slices"
 	"sync"
 	"testing"
 
@@ -221,93 +225,179 @@ func TestGroupIDsNotSerialized(t *testing.T) {
 	}
 }
 
-// TestExplainMatchesRouting: for a spread of probe records, the dry-run's
-// routed group must be exactly where Add sends the record, and the
-// predicted outcome must match what actually happens.
+// TestExplainMatchesRouting: for a spread of probe records, the dry-run
+// read from a Release names the shard and group Add then sends the record
+// to, its candidates are the shard's nearest released groups in (distance,
+// slot) order, and the predicted outcome is what happens — at 1 and 4
+// shards, under whole-record and single-attribute routing.
 func TestExplainMatchesRouting(t *testing.T) {
 	const k, dim = 5, 3
 	// Routing runs on the float64 index; the subtest is named for it.
 	t.Run("precision=float64", func(t *testing.T) {
-		d := buildDynamic(t, k, dim)
-		warm := gaussianRecords(31, 250, dim)
-		probes := gaussianRecords(32, 60, dim)
-		for _, x := range warm {
-			if err := d.Add(x); err != nil {
-				t.Fatal(err)
-			}
-		}
-		for _, x := range probes {
-			ex, err := d.Explain(x, 3)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if ex.Generation != d.Generation() {
-				t.Fatalf("explanation generation %d, engine at %d", ex.Generation, d.Generation())
-			}
-			if ex.Routed == nil || len(ex.Candidates) == 0 {
-				t.Fatalf("no routed candidate on a populated engine: %+v", ex)
-			}
-			if *ex.Routed != ex.Candidates[0] {
-				t.Fatal("Routed differs from Candidates[0]")
-			}
-			for i := 1; i < len(ex.Candidates); i++ {
-				if ex.Candidates[i].DistanceSq < ex.Candidates[i-1].DistanceSq {
-					t.Fatal("candidates out of distance order")
-				}
-			}
-
-			before, beforeID := d.NumGroups(), ex.Routed.ID
-			if err := d.Add(x); err != nil {
-				t.Fatal(err)
-			}
-			switch ex.Outcome {
-			case ExplainAbsorb:
-				if d.NumGroups() != before {
-					t.Fatalf("predicted absorb, group count %d -> %d", before, d.NumGroups())
-				}
-				det, ok := releaseOf(d).GroupByID(beforeID)
-				if !ok {
-					t.Fatalf("predicted absorb into %d, but it is gone", beforeID)
-				}
-				if det.Size != ex.Routed.Size+1 {
-					t.Fatalf("group %d grew %d -> %d, want +1", beforeID, ex.Routed.Size, det.Size)
-				}
-			case ExplainSplit:
-				if d.NumGroups() != before+1 {
-					t.Fatalf("predicted split, group count %d -> %d", before, d.NumGroups())
-				}
-				if _, ok := releaseOf(d).GroupByID(beforeID); ok {
-					t.Fatalf("predicted split of %d, but it survived", beforeID)
-				}
-			default:
-				t.Fatalf("unexpected outcome %q on a populated engine", ex.Outcome)
+		for _, shards := range []int{1, 4} {
+			for _, attr := range []int{-1, 1} {
+				t.Run(fmt.Sprintf("shards=%d/attr=%d", shards, attr), func(t *testing.T) {
+					checkExplainRouting(t, k, dim, shards, attr)
+				})
 			}
 		}
 	})
 }
 
-// TestExplainFoundOnEmpty: an empty engine explains every record as a
-// founding ingest.
-func TestExplainFoundOnEmpty(t *testing.T) {
-	d := buildDynamic(t, 5, 3)
-	ex, err := d.Explain(mat.Vector{1, 2, 3}, 0)
+func checkExplainRouting(t *testing.T, k, dim, shards, attr int) {
+	c, err := NewCondenser(k, WithSeed(5))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ex.Outcome != ExplainFound || ex.Routed != nil || ex.Candidates != nil {
-		t.Fatalf("empty engine explanation = %+v, want bare found", ex)
+	d, err := c.Sharded(dim, shards)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := d.Explain(mat.Vector{1, 2}, 0); err == nil {
-		t.Fatal("Explain accepted a record of the wrong dimension")
+	if attr >= 0 {
+		if err := d.SetRoutingAttribute(attr); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := d.AddBatch(gaussianRecords(31, 250*shards, dim)); err != nil {
+		t.Fatal(err)
+	}
+	outcomes := map[string]int{}
+	for pi, x := range gaussianRecords(32, 60, dim) {
+		top := 3
+		if pi%10 == 0 {
+			top = ExplainMaxTop
+		}
+		rel := releaseOf(d)
+		ex, err := rel.Explain(x, top)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ex.Generation != d.Generation() {
+			t.Fatalf("explanation generation %d, engine at %d", ex.Generation, d.Generation())
+		}
+		if ex.Shard != d.shardOf(x) {
+			t.Fatalf("explained shard %d, ingestion routes to %d", ex.Shard, d.shardOf(x))
+		}
+		if ex.Routed == nil || *ex.Routed != ex.Candidates[0] {
+			t.Fatalf("routed is not the first candidate: %+v", ex)
+		}
+		if want := nearestReleased(t, rel, ex.Shard, x, top); !slices.Equal(ex.Candidates, want) {
+			t.Fatalf("candidates %+v, want %+v", ex.Candidates, want)
+		}
+
+		before, beforeID := d.NumGroups(), ex.Routed.ID
+		records, _, _ := d.ShardCounts(ex.Shard)
+		if err := d.Add(x); err != nil {
+			t.Fatal(err)
+		}
+		if got, _, _ := d.ShardCounts(ex.Shard); got != records+1 {
+			t.Fatalf("explained shard %d went %d -> %d records", ex.Shard, records, got)
+		}
+		outcomes[ex.Outcome]++
+		switch ex.Outcome {
+		case ExplainAbsorb:
+			if d.NumGroups() != before {
+				t.Fatalf("predicted absorb, group count %d -> %d", before, d.NumGroups())
+			}
+			det, ok := releaseOf(d).GroupByID(beforeID)
+			if !ok {
+				t.Fatalf("predicted absorb into %d, but it is gone", beforeID)
+			}
+			if det.Size != ex.Routed.Size+1 {
+				t.Fatalf("group %d grew %d -> %d, want +1", beforeID, ex.Routed.Size, det.Size)
+			}
+		case ExplainSplit:
+			if d.NumGroups() != before+1 {
+				t.Fatalf("predicted split, group count %d -> %d", before, d.NumGroups())
+			}
+			if _, ok := releaseOf(d).GroupByID(beforeID); ok {
+				t.Fatalf("predicted split of %d, but it survived", beforeID)
+			}
+		default:
+			t.Fatalf("unexpected outcome %q on a populated engine", ex.Outcome)
+		}
+	}
+	if outcomes[ExplainAbsorb] == 0 {
+		t.Fatalf("no probe was absorbed: %v", outcomes)
 	}
 }
 
-// TestExplainSideEffectFree: hammering Explain, and the GroupInfos and
-// GroupByID of releases cut from the engine, between checkpoint encodes
-// must leave the bytes bit-identical — the acceptance criterion for the
-// dry-run. The sharded variant runs the readers concurrently with ingest
-// on the engine's own locks, so the race detector also proves the
-// read-lock contract.
+// TestExplainTieMatchesRouting: splitting a group of identical records
+// yields two children with one centroid, so every record is equidistant
+// from both. The routers take the lower slot; Explain must route there
+// too.
+func TestExplainTieMatchesRouting(t *testing.T) {
+	const k = 2
+	d := buildDynamic(t, k, 2)
+	for i := 0; i < 2*k; i++ {
+		if err := d.Add(mat.Vector{1, 1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	x := mat.Vector{0, 0}
+	ex, err := releaseOf(d).Explain(x, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ex.Candidates) != 2 || ex.Candidates[0].DistanceSq != ex.Candidates[1].DistanceSq {
+		t.Fatalf("want two equidistant candidates: %+v", ex)
+	}
+	if err := d.Add(x); err != nil {
+		t.Fatal(err)
+	}
+	if det, ok := releaseOf(d).GroupByID(ex.Routed.ID); !ok || det.Size != k+1 {
+		t.Fatalf("explained group %d = %+v after the absorb, want %d records", ex.Routed.ID, det, k+1)
+	}
+}
+
+// nearestReleased is the brute-force reference for Explain's candidates:
+// every released group of shard s sorted by (squared distance, release
+// position), cut to top.
+func nearestReleased(t *testing.T, rel *Release, s int, x mat.Vector, top int) []ExplainCandidate {
+	t.Helper()
+	shard := rel.Shard(s)
+	cents, err := shard.Centroids()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids := shard.GroupIDs()
+	var all []ExplainCandidate
+	for i, c := range cents {
+		all = append(all, ExplainCandidate{ID: ids[i], DistanceSq: x.DistSq(c), Size: rel.ShardSizes(s)[i]})
+	}
+	slices.SortStableFunc(all, func(a, b ExplainCandidate) int { return cmp.Compare(a.DistanceSq, b.DistanceSq) })
+	return all[:min(top, len(all))]
+}
+
+// TestExplainFoundOnEmpty: an empty engine's Release explains every record
+// as a founding ingest; a malformed record or a top above the cap is an
+// error.
+func TestExplainFoundOnEmpty(t *testing.T) {
+	d := buildDynamic(t, 5, 3)
+	rel := releaseOf(d)
+	ex, err := rel.Explain(mat.Vector{1, 2, 3}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ex.Outcome != ExplainFound || ex.Routed != nil || ex.Candidates != nil || ex.Groups != 0 {
+		t.Fatalf("empty engine explanation = %+v, want bare found", ex)
+	}
+	if _, err := rel.Explain(mat.Vector{1, 2}, 0); err == nil {
+		t.Fatal("Explain accepted a record of the wrong dimension")
+	}
+	if _, err := rel.Explain(mat.Vector{1, 2, math.NaN()}, 0); err == nil {
+		t.Fatal("Explain accepted a non-finite record")
+	}
+	if _, err := rel.Explain(mat.Vector{1, 2, 3}, ExplainMaxTop+1); err == nil {
+		t.Fatalf("Explain accepted top = %d above the cap", ExplainMaxTop+1)
+	}
+}
+
+// TestExplainSideEffectFree: hammering the Explain, GroupInfos and
+// GroupByID of releases cut from the engine between checkpoint encodes
+// must leave the bytes bit-identical. The sharded variant cuts and reads
+// the releases concurrently with ingest on the engine's own locks, so the
+// race detector also proves the read-lock contract.
 func TestExplainSideEffectFree(t *testing.T) {
 	const k, dim = 5, 3
 	t.Run("dynamic", func(t *testing.T) {
@@ -319,12 +409,12 @@ func TestExplainSideEffectFree(t *testing.T) {
 		}
 		before := checkpointBytes(t, d)
 		probes := gaussianRecords(42, 50, dim)
+		rel := releaseOf(d)
 		for _, x := range probes {
-			if _, err := d.Explain(x, 10); err != nil {
+			if _, err := rel.Explain(x, 10); err != nil {
 				t.Fatal(err)
 			}
 		}
-		rel := releaseOf(d)
 		for _, gi := range rel.GroupInfos(nil) {
 			rel.GroupByID(gi.ID)
 		}
@@ -379,11 +469,11 @@ func TestExplainSideEffectFree(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for _, x := range probes {
-				if _, err := s.Explain(x, 5); err != nil {
+				rel := releaseOf(s)
+				if _, err := rel.Explain(x, 5); err != nil {
 					t.Error(err)
 					return
 				}
-				rel := releaseOf(s)
 				for _, gi := range rel.GroupInfos(nil) {
 					rel.GroupByID(gi.ID)
 				}
@@ -441,7 +531,8 @@ func TestGroupLineageDrift(t *testing.T) {
 
 // TestDiagnosticsWithholdBelowK: a pure-stream engine's first group is one
 // raw record, so until it holds k records no diagnostic may summarize it,
-// look it up, or offer it as a routing candidate.
+// look it up, or offer it as a routing candidate: Explain answers found,
+// as the empty Release implies.
 func TestDiagnosticsWithholdBelowK(t *testing.T) {
 	const k, dim = 10, 2
 	d := buildDynamic(t, k, dim)
@@ -455,11 +546,11 @@ func TestDiagnosticsWithholdBelowK(t *testing.T) {
 	if _, ok := releaseOf(d).GroupByID(id); ok {
 		t.Fatalf("GroupByID(%d) served a group below k", id)
 	}
-	ex, err := d.Explain(mat.Vector{0.5, 0.5}, 3)
+	ex, err := releaseOf(d).Explain(mat.Vector{0.5, 0.5}, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ex.Routed != nil || len(ex.Candidates) != 0 || ex.Outcome != ExplainAbsorb {
+	if ex.Routed != nil || len(ex.Candidates) != 0 || ex.Groups != 0 || ex.Outcome != ExplainFound {
 		t.Fatalf("explain over a group below k: %+v", ex)
 	}
 
@@ -474,11 +565,11 @@ func TestDiagnosticsWithholdBelowK(t *testing.T) {
 	if det, ok := releaseOf(d).GroupByID(id); !ok || det.Size != k {
 		t.Fatalf("GroupByID(%d) at k records = %+v, %v", id, det, ok)
 	}
-	ex, err = d.Explain(mat.Vector{0.5, 0.5}, 3)
+	ex, err = releaseOf(d).Explain(mat.Vector{0.5, 0.5}, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ex.Routed == nil || ex.Routed.ID != id || len(ex.Candidates) != 1 {
+	if ex.Routed == nil || ex.Routed.ID != id || len(ex.Candidates) != 1 || ex.Outcome != ExplainAbsorb {
 		t.Fatalf("explain at k records: %+v", ex)
 	}
 }

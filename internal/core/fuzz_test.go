@@ -13,7 +13,8 @@ import (
 // over-allocate catastrophically. An accepted checkpoint must also survive
 // what a resuming server does with it: DynamicFrom, AddBatch, then
 // synthesis (bounded here to 1<<16 records and dimension 256, so one
-// input stays cheap).
+// input stays cheap). DynamicFrom refuses a checkpoint exactly when one
+// of its groups holds 2k or more records, which would never split.
 func FuzzReadCondensation(f *testing.F) {
 	cond, err := condense(clusteredRecords(200, 8, 8), 4, rng.New(201), Options{})
 	if err != nil {
@@ -28,6 +29,22 @@ func FuzzReadCondensation(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(seed[:10])
 	f.Add(bytes.Repeat([]byte{0xff}, 80))
+	// Merged with a k=5 condensation of nine records, one group of nine,
+	// the k=4 seed holds a group of 2k or more: the one refusal resume
+	// may make.
+	big, err := condense(clusteredRecords(202, 9, 0), 5, rng.New(203), Options{})
+	if err != nil {
+		f.Fatal(err)
+	}
+	merged, err := Merge(cond, big)
+	if err != nil {
+		f.Fatal(err)
+	}
+	buf.Reset()
+	if _, err := merged.WriteTo(&buf); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(bytes.Clone(buf.Bytes()))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		got, err := ReadCondensation(bytes.NewReader(data))
@@ -57,9 +74,16 @@ func FuzzReadCondensation(f *testing.F) {
 		if err != nil {
 			t.Fatalf("checkpoint's own k and options refused: %v", err)
 		}
+		oversized := false
+		for _, g := range got.groups {
+			oversized = oversized || g.N() >= 2*got.K()
+		}
 		d, err := c.DynamicFrom(got)
+		if oversized != (err != nil) {
+			t.Fatalf("resume of a checkpoint with a group of 2k or more records: %v = %v", oversized, err)
+		}
 		if err != nil {
-			t.Fatalf("resume failed: %v", err)
+			return
 		}
 		r := rng.New(uint64(len(data)))
 		batch := make([]mat.Vector, 8)

@@ -540,7 +540,7 @@ func TestDynamicConcurrentSingleShard(t *testing.T) {
 			}
 		},
 		func() {
-			if _, err := d.Explain(probe, 3); err != nil {
+			if _, err := releaseOf(d).Explain(probe, 3); err != nil {
 				t.Error(err)
 			}
 		},

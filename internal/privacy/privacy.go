@@ -1,8 +1,10 @@
 // Package privacy quantifies the privacy side of the condensation
-// trade-off: auditing the k-indistinguishability guarantee, measuring an
-// adversary's re-identification success with a nearest-neighbour linkage
-// attack, and computing the entropy-based privacy volume of condensed
-// groups in the style of the Agrawal–Aggarwal quantification framework.
+// trade-off: measuring an adversary's re-identification success with a
+// nearest-neighbour linkage attack, and computing the entropy-based
+// privacy volume of condensed groups in the style of the
+// Agrawal–Aggarwal quantification framework. It does not check the
+// k-indistinguishability guarantee itself: core.NewRelease enforces that
+// at the one boundary condensed state leaves through.
 package privacy
 
 import (
@@ -13,55 +15,6 @@ import (
 	"condensation/internal/mat"
 	"condensation/internal/stats"
 )
-
-// Audit summarizes the group-size distribution of a condensation against
-// a required indistinguishability level k.
-type Audit struct {
-	// K is the required minimum group size.
-	K int
-	// Groups is the number of groups audited.
-	Groups int
-	// Records is the total record count across groups.
-	Records int
-	// MinSize and MaxSize bound the observed group sizes.
-	MinSize, MaxSize int
-	// MeanSize is the average group size.
-	MeanSize float64
-	// Violations counts groups smaller than K.
-	Violations int
-}
-
-// Satisfied reports whether every group meets the indistinguishability
-// level.
-func (a Audit) Satisfied() bool { return a.Violations == 0 }
-
-// AuditGroups checks the k-indistinguishability of a set of condensed
-// groups: every record must be statistically indistinguishable from at
-// least k−1 others, i.e. every group must hold at least k records.
-func AuditGroups(groups []*stats.Group, k int) (Audit, error) {
-	if len(groups) == 0 {
-		return Audit{}, errors.New("privacy: no groups to audit")
-	}
-	if k < 1 {
-		return Audit{}, fmt.Errorf("privacy: k = %d, must be ≥ 1", k)
-	}
-	a := Audit{K: k, Groups: len(groups), MinSize: groups[0].N(), MaxSize: groups[0].N()}
-	for _, g := range groups {
-		n := g.N()
-		a.Records += n
-		if n < a.MinSize {
-			a.MinSize = n
-		}
-		if n > a.MaxSize {
-			a.MaxSize = n
-		}
-		if n < k {
-			a.Violations++
-		}
-	}
-	a.MeanSize = float64(a.Records) / float64(a.Groups)
-	return a, nil
-}
 
 // ExpectedReidentification returns the in-group re-identification
 // probability: an adversary who has narrowed a target down to its group

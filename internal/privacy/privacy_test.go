@@ -18,44 +18,6 @@ func groupOf(t *testing.T, pts ...mat.Vector) *stats.Group {
 	return g
 }
 
-func TestAuditGroups(t *testing.T) {
-	groups := []*stats.Group{
-		groupOf(t, mat.Vector{0, 0}, mat.Vector{1, 1}, mat.Vector{2, 2}),
-		groupOf(t, mat.Vector{5, 5}, mat.Vector{6, 6}),
-	}
-	a, err := AuditGroups(groups, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !a.Satisfied() || a.Violations != 0 {
-		t.Errorf("audit %+v should be satisfied", a)
-	}
-	if a.MinSize != 2 || a.MaxSize != 3 || a.Records != 5 || a.Groups != 2 {
-		t.Errorf("audit stats wrong: %+v", a)
-	}
-	if math.Abs(a.MeanSize-2.5) > 1e-12 {
-		t.Errorf("MeanSize = %g", a.MeanSize)
-	}
-
-	a, err = AuditGroups(groups, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Satisfied() || a.Violations != 1 {
-		t.Errorf("audit %+v should report one violation", a)
-	}
-}
-
-func TestAuditGroupsErrors(t *testing.T) {
-	if _, err := AuditGroups(nil, 2); err == nil {
-		t.Error("empty groups accepted")
-	}
-	g := groupOf(t, mat.Vector{1})
-	if _, err := AuditGroups([]*stats.Group{g}, 0); err == nil {
-		t.Error("k=0 accepted")
-	}
-}
-
 func TestExpectedReidentification(t *testing.T) {
 	// Two groups of 4: probability 1/4.
 	groups := []*stats.Group{}

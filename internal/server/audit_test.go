@@ -34,7 +34,7 @@ func TestAuditEmpty(t *testing.T) {
 		t.Fatal(err)
 	}
 	rep := auditBody(t, resp)
-	if rep.Groups != 0 || rep.Records != 0 || !rep.KSatisfied {
+	if rep.Groups != 0 || rep.Records != 0 || rep.MinGroupSize != 0 {
 		t.Fatalf("pre-ingest audit = %+v", rep)
 	}
 }
@@ -61,8 +61,8 @@ func TestAuditAfterIngest(t *testing.T) {
 	if rep.Records != 400 {
 		t.Errorf("audited %d records, want 400", rep.Records)
 	}
-	if rep.KViolations != 0 || !rep.KSatisfied {
-		t.Errorf("k-violations = %d on a healthy stream", rep.KViolations)
+	if rep.MinGroupSize < 5 || rep.MaxGroupSize > 9 {
+		t.Errorf("group sizes [%d, %d] outside [k, 2k−1] on a healthy stream", rep.MinGroupSize, rep.MaxGroupSize)
 	}
 	if len(rep.GroupSizeHist) == 0 {
 		t.Error("group-size histogram empty")
@@ -90,7 +90,7 @@ func TestAuditAfterIngest(t *testing.T) {
 	metrics := string(body)
 	for _, want := range []string{
 		"condense_audit_runs_total 1",
-		"condense_audit_k_violations_total 0",
+		"condense_audit_min_group_size ",
 		"condense_audit_records 400",
 		"condense_audit_sse_ratio ",
 		"condense_audit_group_size_count ",

@@ -16,13 +16,9 @@ import (
 
 // This file serves the explainability layer: the group-lifecycle journal
 // (/v1/events), per-group diagnostics (/v1/groups, /v1/groups/{id}), and
-// the routing dry-run (/v1/explain). The group diagnostics are derived
-// from the current release, like every other read of condensed state, so
-// they only ever describe groups of at least k records. Explain is the
-// one read of the live engine — it answers what ingesting a record would
-// do now, which no release can know — and it is proven side-effect-free,
-// so operators can probe a live daemon under ingest without perturbing
-// its state.
+// the routing dry-run (/v1/explain). Both are derived from the current
+// release, like every other read of condensed state, so they only ever
+// describe groups of at least k records, and neither touches the engine.
 
 // eventsResponse is the GET /v1/events body: the journal tail oldest
 // first, plus the ring geometry so clients know the retention horizon.
@@ -118,7 +114,8 @@ type explainRequest struct {
 	// Record is the stream record to dry-run routing for; it is never
 	// ingested.
 	Record []float64 `json:"record"`
-	// Top bounds the reported candidate list (0 means the default).
+	// Top bounds the reported candidate list (0 means the default; above
+	// core.ExplainMaxTop is refused).
 	Top int `json:"top"`
 }
 
@@ -140,7 +137,7 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, errors.New("no record in request"))
 		return
 	}
-	ex, err := s.eng.Explain(mat.Vector(req.Record), req.Top)
+	ex, err := s.release().Explain(mat.Vector(req.Record), req.Top)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return

@@ -183,6 +183,20 @@ func TestExplainEndpoint(t *testing.T) {
 	if ex.Routed.ID != ex.Candidates[0].ID {
 		t.Fatal("routed is not the first candidate")
 	}
+	// top at the cap is served, and reads the same release: no more
+	// candidates than the routed shard releases groups.
+	resp, body = post(fmt.Sprintf(`{"record": [0.25, -0.5], "top": %d}`, core.ExplainMaxTop))
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("POST /v1/explain at the top cap: %d\n%s", resp.StatusCode, body)
+	}
+	var full core.Explanation
+	if err := json.Unmarshal(body, &full); err != nil {
+		t.Fatal(err)
+	}
+	if want := min(full.Groups, core.ExplainMaxTop); len(full.Candidates) != want || full.Generation != ex.Generation {
+		t.Fatalf("top=%d returned %d candidates of %d groups at generation %d, want %d at %d",
+			core.ExplainMaxTop, len(full.Candidates), full.Groups, full.Generation, want, ex.Generation)
+	}
 
 	for body, want := range map[string]int{
 		`{"record": [1.0]}`:                  http.StatusBadRequest, // wrong dim
@@ -190,6 +204,7 @@ func TestExplainEndpoint(t *testing.T) {
 		`{"record": [1, 2], "extra": true}`:  http.StatusBadRequest, // unknown field
 		`not json`:                           http.StatusBadRequest,
 		`{"record": [1e308, 1e308], "x":[]}`: http.StatusBadRequest,
+		`{"record": [1, 2], "top": 65}`:      http.StatusBadRequest, // above core.ExplainMaxTop
 	} {
 		if resp, b := post(body); resp.StatusCode != want {
 			t.Errorf("POST %s: status %d, want %d\n%s", body, resp.StatusCode, want, b)
@@ -318,7 +333,7 @@ func TestRequestIDEchoAndMint(t *testing.T) {
 func TestBundleEndpoint(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	rec := telemetry.NewRecorder(reg, 16)
-	wd := telemetry.NewWatchdog(reg, nil, HealthRules(1)...)
+	wd := telemetry.NewWatchdog(reg, nil, HealthRules(5, 1)...)
 	tr := telemetry.NewTracer(0, 1)
 	ts, _ := newExplainServer(t, 1, func(cfg *Config) {
 		cfg.Telemetry = reg

@@ -67,7 +67,7 @@ func checkExposure(t *testing.T, seed uint64, shards, k, n, maxBatch int) {
 
 	reg := telemetry.NewRegistry()
 	rec := telemetry.NewRecorder(reg, 16)
-	wd := telemetry.NewWatchdog(reg, telemetry.Nop(), HealthRules(shards)...)
+	wd := telemetry.NewWatchdog(reg, telemetry.Nop(), HealthRules(k, shards)...)
 	s, err := New(Config{
 		Dim: 2, Condenser: newCondenser(t, k, seed), Shards: shards,
 		Telemetry: reg, Recorder: rec, Watchdog: wd,

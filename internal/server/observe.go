@@ -106,13 +106,13 @@ func (s *Server) collect() {
 }
 
 // HealthRules is the standard watchdog rule set for a condensation server
-// with the given shard count — the rules condenserd installs. Thresholds
-// are intentionally generous: the watchdog is a trend detector for silent
-// privacy/performance erosion, not a latency SLO enforcer.
-func HealthRules(shards int) []telemetry.Rule {
+// with the given k and shard count — the rules condenserd installs.
+// Thresholds are intentionally generous: the watchdog is a trend detector
+// for silent privacy/performance erosion, not a latency SLO enforcer.
+func HealthRules(k, shards int) []telemetry.Rule {
 	rules := []telemetry.Rule{
-		telemetry.CounterNonzeroRule("k_violations", audit.MetricKViolations,
-			"any audited group below k records breaks the paper's indistinguishability contract"),
+		telemetry.GaugeFloorRule("release_below_k", MetricReleaseMinGroupSize, float64(k),
+			"a released group below k records breaks the paper's indistinguishability contract (0 means nothing is released yet)"),
 		telemetry.TrendRule("ks_drift", audit.MetricKSMean, 12, 0.10, 0.05,
 			"mean marginal KS distance between original and synthesized data trending up — stream drift the condensation is not absorbing"),
 		telemetry.TrendRule("sse_degradation", audit.MetricSSERatio, 12, 0.15, 0.02,

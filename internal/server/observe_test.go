@@ -42,7 +42,7 @@ func newObservedServer(t *testing.T, shards int) observed {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wd := telemetry.NewWatchdog(reg, logger, HealthRules(shards)...)
+	wd := telemetry.NewWatchdog(reg, logger, HealthRules(5, shards)...)
 	condenser, err := core.NewCondenser(5, core.WithSeed(1))
 	if err != nil {
 		t.Fatal(err)
@@ -74,6 +74,59 @@ type historyBody struct {
 type rulesBody struct {
 	Status string                 `json:"status"`
 	Rules  []telemetry.RuleStatus `json:"rules"`
+}
+
+// TestReleaseBelowKRule: the standard rule set watches the installed
+// release's smallest group through condense_release_min_group_size: ok at
+// 0 (nothing released yet) and at k or more, failing from 1 to k−1. No
+// release can hold a group below k, so the failing range is driven by
+// setting the gauge directly.
+func TestReleaseBelowKRule(t *testing.T) {
+	const k = 5 // newObservedServer's k
+	o := newObservedServer(t, 1)
+	state := func() telemetry.Severity {
+		t.Helper()
+		o.rec.Scrape()
+		o.wd.Evaluate(o.rec)
+		_, rules := o.wd.Status()
+		for _, r := range rules {
+			if r.Name == "release_below_k" {
+				return r.State
+			}
+		}
+		t.Fatal("the standard rule set has no release_below_k rule")
+		return 0
+	}
+	gauge := o.reg.Gauge(MetricReleaseMinGroupSize)
+
+	// The pure-stream bootstrap releases nothing: the gauge reads 0.
+	postRecords(t, o.ts, genRecords(1, k-1))
+	getJSON(t, o.ts.URL+"/v1/stats", nil)
+	if v := gauge.Value(); v != 0 {
+		t.Fatalf("release gauge %v during the bootstrap, want 0", v)
+	}
+	if got := state(); got != telemetry.SevOK {
+		t.Fatalf("release_below_k %v with nothing released, want ok", got)
+	}
+	postRecords(t, o.ts, genRecords(2, 200))
+	getJSON(t, o.ts.URL+"/v1/stats", nil)
+	if v := gauge.Value(); v < k {
+		t.Fatalf("release gauge %v after 200 records, want at least k = %d", v, k)
+	}
+	if got := state(); got != telemetry.SevOK {
+		t.Fatalf("release_below_k %v on a served release, want ok", got)
+	}
+
+	for v := 0; v <= 2*k; v++ {
+		gauge.Set(float64(v))
+		want := telemetry.SevOK
+		if v > 0 && v < k {
+			want = telemetry.SevFailing
+		}
+		if got := state(); got != want {
+			t.Errorf("release_below_k at %d: %v, want %v", v, got, want)
+		}
+	}
 }
 
 func TestHistoryEndpoint(t *testing.T) {

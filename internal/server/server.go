@@ -30,10 +30,9 @@
 // attached to trace spans, and stamped into error envelopes. Error
 // responses use one JSON envelope: {"error": "...", "request_id": "..."}.
 //
-// Snapshot, stats, audit, checkpoint and both group routes are derived
-// from one k-gated core.Release per engine generation (release.go): no
-// group of fewer than k records is ever served. Explain is the one read
-// of the live engine; it offers no group below k as a candidate.
+// Snapshot, stats, audit, checkpoint, both group routes and explain are
+// derived from one k-gated core.Release per engine generation
+// (release.go): no group of fewer than k records is ever served.
 package server
 
 import (

@@ -109,14 +109,14 @@ func TestShardedServerEndpoints(t *testing.T) {
 
 	var ar auditByShardResponse
 	getJSON(t, ts.URL+"/v1/audit?by_shard", &ar)
-	if ar.Report == nil || ar.KViolations != 0 || ar.Records != 800 {
+	if ar.Report == nil || ar.MinGroupSize < k || ar.MaxGroupSize > 2*k-1 || ar.Records != 800 {
 		t.Fatalf("merged audit %+v", ar.Report)
 	}
 	if len(ar.ByShard) != shards {
 		t.Fatalf("audit by_shard has %d entries, want %d", len(ar.ByShard), shards)
 	}
 	for i, sa := range ar.ByShard {
-		if sa.Shard != i || sa.KViolations != 0 || sa.Records == 0 {
+		if sa.Shard != i || sa.MinGroupSize < k || sa.MaxGroupSize > 2*k-1 || sa.Records == 0 {
 			t.Fatalf("shard audit %d: %+v", i, sa.Report)
 		}
 		if sa.KS != nil {
@@ -192,8 +192,9 @@ func TestShardedServerDeterministic(t *testing.T) {
 	wg.Wait()
 	var rep audit.Report
 	getJSON(t, c.URL+"/v1/audit", &rep)
-	if rep.Records != 4*5*80 || rep.KViolations != 0 {
-		t.Fatalf("after concurrent ingest: %d records, %d k-violations", rep.Records, rep.KViolations)
+	if rep.Records != 4*5*80 || rep.MinGroupSize < 4 || rep.MaxGroupSize > 7 {
+		t.Fatalf("after concurrent ingest: %d records, group sizes [%d, %d], want [4, 7]",
+			rep.Records, rep.MinGroupSize, rep.MaxGroupSize)
 	}
 }
 

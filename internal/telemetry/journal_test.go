@@ -150,9 +150,9 @@ func TestJournalConcurrentRecord(t *testing.T) {
 
 func TestWatchdogJournalTransitions(t *testing.T) {
 	reg := NewRegistry()
-	c := reg.Counter("boom_total")
+	g := reg.Gauge("boom_min")
 	wd := NewWatchdog(reg, nil,
-		CounterNonzeroRule("boom", "boom_total", "test rule"))
+		GaugeFloorRule("boom", "boom_min", 5, "test rule"))
 	j := NewJournal(16)
 	gen := uint64(7)
 	wd.SetJournal(j, func() uint64 { return gen })
@@ -163,7 +163,7 @@ func TestWatchdogJournalTransitions(t *testing.T) {
 	if j.Len() != 0 {
 		t.Fatalf("healthy evaluate recorded %d events", j.Len())
 	}
-	c.Add(3)
+	g.Set(3)
 	rec.Scrape()
 	wd.Evaluate(rec) // ok -> failing
 	events := j.Events(0, EventWatchdogTransition)

@@ -263,11 +263,12 @@ func (w *Watchdog) Status() (Severity, []RuleStatus) {
 	return overall, out
 }
 
-// CounterNonzeroRule builds a rule that fails as soon as the named
-// counter's cumulative value is above zero in the latest window — the
-// shape for invariant-violation counters (condense_audit_k_violations_total)
-// where a single occurrence is already a contract breach.
-func CounterNonzeroRule(name, series, description string) Rule {
+// GaugeFloorRule builds a rule that fails when the named gauge's latest
+// value is positive but below floor. Zero is exempt: the rule watches a
+// minimum over a set that may still be empty — the smallest released
+// group (condense_release_min_group_size) reads 0 while nothing is
+// released and must otherwise hold at least k records.
+func GaugeFloorRule(name, series string, floor float64, description string) Rule {
 	return Rule{
 		Name:        name,
 		Description: description,
@@ -276,14 +277,15 @@ func CounterNonzeroRule(name, series, description string) Rule {
 			if !ok {
 				return SevOK, "no windows recorded yet"
 			}
-			c, ok := w.Counters[series]
+			v, ok := w.Gauges[series]
 			if !ok {
 				return SevOK, series + " not yet registered"
 			}
-			if c.Value > 0 {
-				return SevFailing, fmt.Sprintf("%s = %d (must be 0)", series, c.Value)
+			detail := fmt.Sprintf("%s = %g (must be 0 or at least %g)", series, float64(v), floor)
+			if v > 0 && float64(v) < floor {
+				return SevFailing, detail
 			}
-			return SevOK, series + " = 0"
+			return SevOK, detail
 		},
 	}
 }

@@ -99,9 +99,13 @@ func TestWatchdogNil(t *testing.T) {
 	}
 }
 
-func TestCounterNonzeroRule(t *testing.T) {
+// TestGaugeFloorRule: a floor rule over the smallest released group size
+// is ok before any window and before the gauge exists, ok at 0 (nothing
+// released) and at or above the floor, and failing anywhere in between.
+func TestGaugeFloorRule(t *testing.T) {
+	const k = 5
 	reg, rec, wd, _ := wdFixture(t,
-		CounterNonzeroRule("kviol", "bad_total", "k violations"))
+		GaugeFloorRule("release_below_k", "min_size", k, "released group below k"))
 	// No windows yet, then a window without the series: both ok.
 	if wd.Evaluate(rec) != SevOK {
 		t.Error("rule judged before any window existed")
@@ -110,15 +114,17 @@ func TestCounterNonzeroRule(t *testing.T) {
 	if wd.Evaluate(rec) != SevOK {
 		t.Error("rule judged an unregistered series")
 	}
-	c := reg.Counter("bad_total")
-	rec.Scrape()
-	if wd.Evaluate(rec) != SevOK {
-		t.Error("zero counter flagged")
-	}
-	c.Inc()
-	rec.Scrape()
-	if got := wd.Evaluate(rec); got != SevFailing {
-		t.Errorf("nonzero counter = %v, want failing", got)
+	g := reg.Gauge("min_size")
+	for v := 0; v <= 2*k; v++ {
+		g.Set(float64(v))
+		rec.Scrape()
+		want := SevOK
+		if v > 0 && v < k {
+			want = SevFailing
+		}
+		if got := wd.Evaluate(rec); got != want {
+			t.Errorf("gauge at %d: %v, want %v", v, got, want)
+		}
 	}
 }
 
