@@ -81,18 +81,14 @@ func benchBase(b *testing.B, pool []mat.Vector, groups, k int) *core.Condensatio
 	return base
 }
 
-// benchFresh seeds a dynamic condenser from base with the given routing
-// backend. Ingest benchmarks re-seed every benchResetEvery records (off
-// the clock) so the group count — the variable that determines routing
-// cost — stays pinned near the sub-benchmark's G instead of growing with
-// b.N.
-func benchFresh(b *testing.B, base *core.Condensation, search core.NeighborSearch) *core.Dynamic {
+// benchFresh seeds a dynamic condenser from base. Ingest benchmarks
+// re-seed every benchResetEvery records (off the clock) so the group
+// count — the variable that determines routing cost — stays pinned near
+// the sub-benchmark's G instead of growing with b.N.
+func benchFresh(b *testing.B, base *core.Condensation) *core.Dynamic {
 	b.Helper()
 	dyn, err := core.NewDynamic(base, rng.New(13))
 	if err != nil {
-		b.Fatal(err)
-	}
-	if err := dyn.SetNeighborSearch(search); err != nil {
 		b.Fatal(err)
 	}
 	return dyn
@@ -103,11 +99,11 @@ func benchFresh(b *testing.B, base *core.Condensation, search core.NeighborSearc
 const benchResetEvery = 4096
 
 // BenchmarkDynamicAddAll measures steady-state per-record ingest cost at
-// fixed group counts, for the linear-scan and centroid kd-index routers,
-// through both the per-record Add loop and the speculative AddBatch engine
-// (1024-record batches), over two stream shapes: isotropic i.i.d. noise
-// (worst case for spatial pruning) and a correlated rank-3 factor stream
-// (the attribute-correlated regime the paper targets). All cells of one
+// fixed group counts through both the per-record Add loop and the
+// speculative AddBatch engine (1024-record batches), over two stream
+// shapes: isotropic i.i.d. noise (worst case for the centroid index's
+// spatial pruning) and a correlated rank-3 factor stream (the
+// attribute-correlated regime the paper targets). Both cells of one
 // stream × G produce bit-identical condensations (TestAddBatchEquivalence);
 // only the clock and the allocation counters move. ns/op is per record in
 // every cell.
@@ -126,50 +122,48 @@ func BenchmarkDynamicAddAll(b *testing.B) {
 		pool := full[maxBase:]
 		for _, G := range []int{200, 800} {
 			base := benchBase(b, full, G, k)
-			for _, search := range []core.NeighborSearch{core.SearchScanSort, core.SearchKDTree} {
-				b.Run(fmt.Sprintf("%s/G=%d/%s/add", str.name, G, search), func(b *testing.B) {
-					dyn := benchFresh(b, base, search)
-					fed := 0
-					b.ReportAllocs()
-					b.ResetTimer()
-					for i := 0; i < b.N; i++ {
-						if fed == benchResetEvery {
-							b.StopTimer()
-							dyn = benchFresh(b, base, search)
-							fed = 0
-							b.StartTimer()
-						}
-						if err := dyn.Add(pool[i%len(pool)]); err != nil {
-							b.Fatal(err)
-						}
-						fed++
+			b.Run(fmt.Sprintf("%s/G=%d/add", str.name, G), func(b *testing.B) {
+				dyn := benchFresh(b, base)
+				fed := 0
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if fed == benchResetEvery {
+						b.StopTimer()
+						dyn = benchFresh(b, base)
+						fed = 0
+						b.StartTimer()
 					}
-				})
-				b.Run(fmt.Sprintf("%s/G=%d/%s/batch", str.name, G, search), func(b *testing.B) {
-					dyn := benchFresh(b, base, search)
-					fed := 0
-					b.ReportAllocs()
-					b.ResetTimer()
-					for done := 0; done < b.N; {
-						if fed >= benchResetEvery {
-							b.StopTimer()
-							dyn = benchFresh(b, base, search)
-							fed = 0
-							b.StartTimer()
-						}
-						n := batchSize
-						if b.N-done < n {
-							n = b.N - done
-						}
-						lo := done % (len(pool) - batchSize)
-						if err := dyn.AddBatch(pool[lo : lo+n]); err != nil {
-							b.Fatal(err)
-						}
-						done += n
-						fed += n
+					if err := dyn.Add(pool[i%len(pool)]); err != nil {
+						b.Fatal(err)
 					}
-				})
-			}
+					fed++
+				}
+			})
+			b.Run(fmt.Sprintf("%s/G=%d/batch", str.name, G), func(b *testing.B) {
+				dyn := benchFresh(b, base)
+				fed := 0
+				b.ReportAllocs()
+				b.ResetTimer()
+				for done := 0; done < b.N; {
+					if fed >= benchResetEvery {
+						b.StopTimer()
+						dyn = benchFresh(b, base)
+						fed = 0
+						b.StartTimer()
+					}
+					n := batchSize
+					if b.N-done < n {
+						n = b.N - done
+					}
+					lo := done % (len(pool) - batchSize)
+					if err := dyn.AddBatch(pool[lo : lo+n]); err != nil {
+						b.Fatal(err)
+					}
+					done += n
+					fed += n
+				}
+			})
 		}
 	}
 }
@@ -190,9 +184,9 @@ func BenchmarkDynamicIngestJournal(b *testing.B) {
 		if journal {
 			name = "journal=on"
 		}
-		b.Run(fmt.Sprintf("corr/G=%d/scan/%s/add", G, name), func(b *testing.B) {
+		b.Run(fmt.Sprintf("corr/G=%d/%s/add", G, name), func(b *testing.B) {
 			fresh := func() *core.Dynamic {
-				dyn := benchFresh(b, base, core.SearchScanSort)
+				dyn := benchFresh(b, base)
 				if journal {
 					dyn.SetJournal(telemetry.NewJournal(4096))
 				}
@@ -222,7 +216,7 @@ func BenchmarkDynamicIngestJournal(b *testing.B) {
 // gauges, snapshot cadence, and the condenser underneath — per record, with
 // per-record feeding versus the batched path, over the correlated stream at
 // G = 800 (the steady-state regime the batch engine and centroid index
-// target; SearchAuto promotes to the index here).
+// target).
 func BenchmarkStreamFeed(b *testing.B) {
 	const dim, k, G = 8, 25, 800
 	full := benchStreamCorr(14, G*k+1<<16, dim)
@@ -235,7 +229,7 @@ func BenchmarkStreamFeed(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			base := benchBase(b, full, G, k)
 			fresh := func() *stream.Driver {
-				d, err := stream.NewDriver(benchFresh(b, base, core.SearchAuto))
+				d, err := stream.NewDriver(benchFresh(b, base))
 				if err != nil {
 					b.Fatal(err)
 				}

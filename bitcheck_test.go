@@ -12,9 +12,9 @@ import (
 )
 
 // TestBitcheckFingerprint prints a fingerprint of the full default
-// pipeline: static condensation, dynamic ingest through Add and AddBatch
-// on both routing backends, and seeded synthesis. Run at two commits, the
-// logged hashes must match byte for byte.
+// pipeline: static condensation, two passes of dynamic ingest through Add
+// and AddBatch (at speculation parallelism 1 and 8), and seeded synthesis.
+// Run at two commits, the logged hashes must match byte for byte.
 func TestBitcheckFingerprint(t *testing.T) {
 	const dim, k, G = 8, 25, 300
 	full := benchStreamCorr(14, G*k+10000, dim)
@@ -36,14 +36,12 @@ func TestBitcheckFingerprint(t *testing.T) {
 	hashCond(base)
 
 	pool := full[G*k:]
-	for _, search := range []core.NeighborSearch{core.SearchScanSort, core.SearchKDTree} {
+	for _, par := range []int{1, 8} {
 		dyn, err := core.NewDynamic(base, rng.New(13))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := dyn.SetNeighborSearch(search); err != nil {
-			t.Fatal(err)
-		}
+		dyn.SetParallelism(par)
 		for _, x := range pool[:2000] {
 			if err := dyn.Add(x); err != nil {
 				t.Fatal(err)

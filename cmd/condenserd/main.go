@@ -51,12 +51,12 @@
 //
 // A group-lifecycle journal (ring capacity -journal, default 4096; 0
 // disables it) records structured explainability events — group creation,
-// splits with parent→child lineage, router rebuilds, speculation
-// fallbacks, read-cache invalidations, watchdog transitions — served from
-// /v1/events. Per-group diagnostics (size, birth generation, lineage,
-// centroid drift, covariance condition number) are on /v1/groups and
-// /v1/groups/{id}; POST /v1/explain dry-runs routing for a record against
-// the current release without ingesting it. Every response carries an X-Request-Id (accepted from the
+// splits with parent→child lineage, speculation fallbacks, read-cache
+// invalidations, watchdog transitions — served from /v1/events. Per-group
+// diagnostics (size, birth generation, lineage, centroid drift, covariance
+// condition number) are on /v1/groups and /v1/groups/{id}; POST /v1/explain
+// dry-runs routing for a record against the current release without
+// ingesting it. Every response carries an X-Request-Id (accepted from the
 // client or minted), echoed in error envelopes and ingest log lines.
 // GET /debug/bundle streams a one-shot tar.gz diagnostics snapshot;
 // -bundle-out writes the same bundle on shutdown, through the same

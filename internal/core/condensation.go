@@ -31,11 +31,6 @@ type Condensation struct {
 	// tr records synthesis trace spans; nil disables tracing. Observe-only
 	// like met.
 	tr *telemetry.Tracer
-	// routeAttr is the record→shard routing attribute of the engine the
-	// condensation was cut from (< 0 hashes the whole record), so a
-	// Release resolves an explained record's shard exactly as ingestion
-	// does. Observe-only like met.
-	routeAttr int
 	// meta, when set, annotates groups[i] with its stable engine group id
 	// and birth (see groupMeta). Observe-only diagnostics metadata: it is
 	// not serialized into checkpoints and never influences synthesis.
@@ -47,7 +42,7 @@ type Condensation struct {
 // newCondensation wraps a set of groups. The groups are owned by the
 // Condensation afterwards.
 func newCondensation(dim, k int, opts Options, groups []*stats.Group) *Condensation {
-	return &Condensation{dim: dim, k: k, opts: opts, groups: groups, routeAttr: -1}
+	return &Condensation{dim: dim, k: k, opts: opts, groups: groups}
 }
 
 // derive wraps groups, a subset of c's groups shared rather than copied,
@@ -55,7 +50,7 @@ func newCondensation(dim, k int, opts Options, groups []*stats.Group) *Condensat
 // attachments.
 func (c *Condensation) derive(groups []*stats.Group, meta []*groupMeta) *Condensation {
 	d := newCondensation(c.dim, c.k, c.opts, groups)
-	d.meta, d.par, d.met, d.tr, d.routeAttr = meta, c.par, c.met, c.tr, c.routeAttr
+	d.meta, d.par, d.met, d.tr = meta, c.par, c.met, c.tr
 	return d
 }
 

@@ -24,7 +24,10 @@ import (
 // the paper exactly: uniform synthesis, principal-axis splits, leftovers
 // merged into their nearest groups, seed 1, and the exact quickselect
 // neighbour search (which forms the same groups as the paper's full
-// scan-and-sort whenever pairwise distances are distinct).
+// scan-and-sort whenever pairwise distances are distinct). Dynamic
+// engines route each record to its shard by a hash of the whole record
+// and, within the shard, through an exact centroid index that picks the
+// group the paper's linear scan picks.
 //
 // Unless WithRandomSource overrides it, every call derives a fresh rng
 // stream from the configured seed, so calls are independently reproducible
@@ -85,16 +88,16 @@ func WithOptions(o Options) CondenserOption {
 	return func(c *Condenser) { c.opts = o }
 }
 
-// WithNeighborSearch selects the neighbour-search backend (default
-// SearchAuto). Static construction runs the quickselect scan under every
-// value except SearchScanSort, the full-sort reference; dynamic routing
-// scans, or pins the kd-index under SearchKDTree (see initRouter).
+// WithNeighborSearch selects the static neighbour search (default
+// SearchAuto, the quickselect scan; SearchScanSort is the full-sort
+// reference). Dynamic routing always runs each shard's centroid index.
 func WithNeighborSearch(s NeighborSearch) CondenserOption {
 	return func(c *Condenser) { c.search.Search = s }
 }
 
 // WithParallelism bounds the worker goroutines of the static distance
-// sweep; values < 1 (the default) mean runtime.NumCPU().
+// sweep and, divided among the shards, of AddBatch speculation; values
+// < 1 (the default) mean runtime.NumCPU().
 func WithParallelism(p int) CondenserOption {
 	return func(c *Condenser) { c.search.Parallelism = p }
 }
@@ -122,10 +125,10 @@ func WithTracer(tr *telemetry.Tracer) CondenserOption {
 
 // WithJournal attaches a group-lifecycle journal: dynamic engines built by
 // this Condenser then record structured foundings, splits (with
-// parent→child lineage), router rebuilds, and speculation fallbacks into
-// its ring. A nil journal (the default) disables recording. Like the
-// tracer, the journal is observe-only — it never touches the rng stream,
-// so condensed output is bit-identical either way.
+// parent→child lineage) and speculation fallbacks into its ring. A nil
+// journal (the default) disables recording. Like the tracer, the journal
+// is observe-only — it never touches the rng stream, so condensed output
+// is bit-identical either way.
 func WithJournal(j *telemetry.Journal) CondenserOption {
 	return func(c *Condenser) { c.journal = j }
 }
@@ -198,8 +201,7 @@ func (c *Condenser) StaticWithMembers(records []mat.Vector) (*Condensation, [][]
 
 // Dynamic returns an empty one-shard dynamic condenser (Figure 2) over
 // records of the given dimensionality, for pure-stream deployments with no
-// initial database: Sharded(dim, 1). The Condenser's neighbour-search
-// backend and parallelism configure the stream's centroid routing and
+// initial database: Sharded(dim, 1). The Condenser's parallelism bounds
 // AddBatch speculation.
 func (c *Condenser) Dynamic(dim int) (*Dynamic, error) { return c.Sharded(dim, 1) }
 
@@ -220,7 +222,7 @@ func (c *Condenser) Sharded(dim, shards int) (*Dynamic, error) {
 	if err != nil {
 		return nil, err
 	}
-	return c.wire(newDynamic(dim, c.k, c.opts, c.search, nil, srcs))
+	return c.wire(newDynamic(dim, c.k, c.opts, nil, srcs))
 }
 
 // ShardedFrom returns a dynamic condenser with the given number of shards
@@ -241,7 +243,7 @@ func (c *Condenser) ShardedFrom(initial *Condensation, shards int) (*Dynamic, er
 	if err != nil {
 		return nil, err
 	}
-	return c.wire(newDynamic(initial.dim, c.k, c.opts, c.search, initial.Groups(), srcs))
+	return c.wire(newDynamic(initial.dim, c.k, c.opts, initial.Groups(), srcs))
 }
 
 // Bootstrap condenses an initial database statically and returns a
@@ -254,7 +256,7 @@ func (c *Condenser) Bootstrap(initial []mat.Vector) (*Dynamic, error) {
 		return nil, err
 	}
 	// cond never leaves this call, so the engine takes its groups as-is.
-	return c.wire(newDynamic(cond.dim, c.k, c.opts, c.search, cond.groups, []*rng.Source{r}))
+	return c.wire(newDynamic(cond.dim, c.k, c.opts, cond.groups, []*rng.Source{r}))
 }
 
 // shardSources derives one rng stream per shard: shard 0 takes the master

@@ -32,10 +32,10 @@ func groupKey(g *stats.Group) string {
 }
 
 // TestSearchBackendEquivalence is the fast-path cross-check: under the
-// same rng seed, the quickselect and kd-tree backends must produce groups
-// with aggregate statistics identical (bit for bit — members are added in
-// the same ascending-distance order) to the reference scan-sort path. The
-// reference draws from an injected rng.New(9), the others from WithSeed(9),
+// same rng seed, the quickselect backend must produce groups with
+// aggregate statistics identical (bit for bit — members are added in the
+// same ascending-distance order) to the reference scan-sort path. The
+// reference draws from an injected rng.New(9), the other from WithSeed(9),
 // so this also pins that the two give one stream.
 func TestSearchBackendEquivalence(t *testing.T) {
 	for _, tc := range []struct {
@@ -57,40 +57,38 @@ func TestSearchBackendEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, search := range []NeighborSearch{SearchAuto, SearchKDTree} {
-			c, err := NewCondenser(tc.k, WithSeed(9), WithNeighborSearch(search))
-			if err != nil {
-				t.Fatal(err)
+		c, err := NewCondenser(tc.k, WithSeed(9), WithNeighborSearch(SearchAuto))
+		if err != nil {
+			t.Fatal(err)
+		}
+		cond, members, err := c.StaticWithMembers(records)
+		if err != nil {
+			t.Fatalf("n=%d k=%d: %v", tc.n, tc.k, err)
+		}
+		if cond.NumGroups() != reference.NumGroups() {
+			t.Fatalf("n=%d k=%d: %d groups, reference has %d",
+				tc.n, tc.k, cond.NumGroups(), reference.NumGroups())
+		}
+		refGroups := reference.Groups()
+		gotGroups := cond.Groups()
+		for gi := range refGroups {
+			want, got := groupKey(refGroups[gi]), groupKey(gotGroups[gi])
+			if got != want {
+				t.Errorf("n=%d k=%d group %d:\n got %s\nwant %s",
+					tc.n, tc.k, gi, got, want)
 			}
-			cond, members, err := c.StaticWithMembers(records)
-			if err != nil {
-				t.Fatalf("n=%d k=%d %v: %v", tc.n, tc.k, search, err)
+		}
+		for gi := range refMembers {
+			if len(members[gi]) != len(refMembers[gi]) {
+				t.Errorf("n=%d k=%d group %d: %d members, reference %d",
+					tc.n, tc.k, gi, len(members[gi]), len(refMembers[gi]))
+				continue
 			}
-			if cond.NumGroups() != reference.NumGroups() {
-				t.Fatalf("n=%d k=%d %v: %d groups, reference has %d",
-					tc.n, tc.k, search, cond.NumGroups(), reference.NumGroups())
-			}
-			refGroups := reference.Groups()
-			gotGroups := cond.Groups()
-			for gi := range refGroups {
-				want, got := groupKey(refGroups[gi]), groupKey(gotGroups[gi])
-				if got != want {
-					t.Errorf("n=%d k=%d %v group %d:\n got %s\nwant %s",
-						tc.n, tc.k, search, gi, got, want)
-				}
-			}
-			for gi := range refMembers {
-				if len(members[gi]) != len(refMembers[gi]) {
-					t.Errorf("n=%d k=%d %v group %d: %d members, reference %d",
-						tc.n, tc.k, search, gi, len(members[gi]), len(refMembers[gi]))
-					continue
-				}
-				for mi := range refMembers[gi] {
-					if members[gi][mi] != refMembers[gi][mi] {
-						t.Errorf("n=%d k=%d %v group %d member %d: %d, reference %d",
-							tc.n, tc.k, search, gi, mi, members[gi][mi], refMembers[gi][mi])
-						break
-					}
+			for mi := range refMembers[gi] {
+				if members[gi][mi] != refMembers[gi][mi] {
+					t.Errorf("n=%d k=%d group %d member %d: %d, reference %d",
+						tc.n, tc.k, gi, mi, members[gi][mi], refMembers[gi][mi])
+					break
 				}
 			}
 		}

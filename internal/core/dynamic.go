@@ -9,6 +9,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"condensation/internal/knn"
 	"condensation/internal/mat"
 	"condensation/internal/par"
 	"condensation/internal/rng"
@@ -25,13 +26,12 @@ import (
 // stream records.
 //
 // The engine holds N ≥ 1 independent shards, each owning its groups, lock,
-// centroid router, rng stream, and telemetry labels. Records are routed to
-// shards deterministically — by a stable hash of the record bytes, or by
-// one designated attribute (SetRoutingAttribute) — so the same stream
-// always lands on the same shards in the same order and the condensed
-// state is reproducible bit for bit at any fixed shard count. Sharding
-// preserves the paper's privacy contract: each shard maintains the
-// k ≤ n(G) ≤ 2k−1 group-size invariant independently, and the merged
+// centroid index, rng stream, and telemetry labels. Records are routed to
+// shards deterministically by a stable hash of the record bytes, so the
+// same stream always lands on the same shards in the same order and the
+// condensed state is reproducible bit for bit at any fixed shard count.
+// Sharding preserves the paper's privacy contract: each shard maintains
+// the k ≤ n(G) ≤ 2k−1 group-size invariant independently, and the merged
 // state is simply the union of per-shard group sets — exactly the
 // composition argument behind Merge (and behind microaggregation
 // partitioning generally), so every merged group still condenses at least
@@ -49,10 +49,6 @@ type Dynamic struct {
 
 	shards []*shard
 
-	// routeAttr < 0 hashes the whole record; otherwise only attribute
-	// routeAttr is hashed, so records sharing that value share a shard.
-	routeAttr int
-
 	// met carries the unlabeled engine metrics attached to snapshots
 	// (synthesis stage timings); tr is the span tracer.
 	met engineMetrics
@@ -69,8 +65,7 @@ type Dynamic struct {
 // NewDynamic creates a one-shard dynamic condenser seeded from a static
 // condensation of an initial database, per the paper's
 // H = CreateCondensedGroups(k, D) initialization, with the condensation's
-// k and options and the default routing backend. The Condensation's
-// groups are copied.
+// k and options. The Condensation's groups are copied.
 func NewDynamic(initial *Condensation, r *rng.Source) (*Dynamic, error) {
 	if initial == nil {
 		return nil, errors.New("core: nil initial condensation")
@@ -78,7 +73,7 @@ func NewDynamic(initial *Condensation, r *rng.Source) (*Dynamic, error) {
 	if r == nil {
 		return nil, errors.New("core: nil random source")
 	}
-	return newDynamic(initial.dim, initial.k, initial.opts, searchConfig{}, initial.Groups(), []*rng.Source{r})
+	return newDynamic(initial.dim, initial.k, initial.opts, initial.Groups(), []*rng.Source{r})
 }
 
 // NewDynamicEmpty creates a one-shard dynamic condenser with no initial
@@ -97,7 +92,7 @@ func NewDynamicEmpty(dim, k int, opts Options, r *rng.Source) (*Dynamic, error) 
 	if r == nil {
 		return nil, errors.New("core: nil random source")
 	}
-	return newDynamic(dim, k, opts, searchConfig{}, nil, []*rng.Source{r})
+	return newDynamic(dim, k, opts, nil, []*rng.Source{r})
 }
 
 // newDynamic builds an engine with one shard per rng stream. The groups —
@@ -105,16 +100,16 @@ func NewDynamicEmpty(dim, k int, opts Options, r *rng.Source) (*Dynamic, error) 
 // shard j mod N: stable, so resuming at a fixed shard count is
 // reproducible. A shard dealt no group starts empty. A group of 2k or
 // more records is refused.
-func newDynamic(dim, k int, opts Options, search searchConfig, groups []*stats.Group, srcs []*rng.Source) (*Dynamic, error) {
+func newDynamic(dim, k int, opts Options, groups []*stats.Group, srcs []*rng.Source) (*Dynamic, error) {
 	if dim < 1 {
 		return nil, fmt.Errorf("core: dimension %d, must be ≥ 1", dim)
 	}
 	n := len(srcs)
-	d := &Dynamic{k: k, dim: dim, opts: opts, routeAttr: -1, shards: make([]*shard, n)}
+	d := &Dynamic{k: k, dim: dim, opts: opts, shards: make([]*shard, n)}
 	for i, r := range srcs {
 		dealt := (len(groups) - i + n - 1) / n
 		d.shards[i] = &shard{
-			k: k, dim: dim, opts: opts, r: r, search: search,
+			k: k, dim: dim, opts: opts, r: r,
 			groups:    make([]*stats.Group, 0, dealt),
 			centroids: make([]mat.Vector, 0, dealt),
 			meta:      make([]*groupMeta, 0, dealt),
@@ -143,7 +138,11 @@ func newDynamic(dim, k int, opts Options, search searchConfig, groups []*stats.G
 		sh.annotate(0, m)
 	}
 	for _, sh := range d.shards {
-		sh.initRouter()
+		idx, err := knn.NewCentroidIndex(dim, sh.centroids)
+		if err != nil {
+			return nil, fmt.Errorf("core: indexing shard %d centroids: %w", sh.index, err)
+		}
+		sh.router = idx
 	}
 	return d, nil
 }
@@ -169,22 +168,6 @@ func (d *Dynamic) sum(f func(sh *shard) int) int {
 	return n
 }
 
-// SetRoutingAttribute switches record→shard routing from whole-record
-// hashing to hashing one attribute alone, so records agreeing on that
-// attribute (a class label, a tenant id) always share a shard — the
-// class-partitioned serving shape. It must be called before any record is
-// ingested: re-routing a live engine would break reproducibility.
-func (d *Dynamic) SetRoutingAttribute(attr int) error {
-	if attr < 0 || attr >= d.dim {
-		return fmt.Errorf("core: routing attribute %d out of range [0,%d)", attr, d.dim)
-	}
-	if d.TotalCount() > 0 {
-		return errors.New("core: routing cannot change after records were ingested")
-	}
-	d.routeAttr = attr
-	return nil
-}
-
 // FNV-1a parameters for the stable record→shard hash.
 const (
 	fnvOffset64 = 14695981039346656037
@@ -203,27 +186,22 @@ func hashFloat(h uint64, v float64) uint64 {
 }
 
 // recordShard routes a record to one of n shards: FNV-1a over the record's
-// float64 bytes (or, when attr ≥ 0, attribute attr's bytes alone), reduced
-// modulo n. The hash depends only on the record values, so routing is
-// stable across runs, processes, and architectures — and a Release, which
-// carries its engine's routing attribute, resolves the same shard.
-func recordShard(x mat.Vector, attr, n int) int {
+// float64 bytes, reduced modulo n. The hash depends only on the record
+// values, so routing is stable across runs, processes, and architectures,
+// and a Release resolves the same shard ingestion does.
+func recordShard(x mat.Vector, n int) int {
 	if n == 1 {
 		return 0
 	}
 	h := uint64(fnvOffset64)
-	if attr >= 0 {
-		h = hashFloat(h, x[attr])
-	} else {
-		for _, v := range x {
-			h = hashFloat(h, v)
-		}
+	for _, v := range x {
+		h = hashFloat(h, v)
 	}
 	return int(h % uint64(n))
 }
 
-// shardOf routes a record to its shard under the engine's routing.
-func (d *Dynamic) shardOf(x mat.Vector) int { return recordShard(x, d.routeAttr, len(d.shards)) }
+// shardOf routes a record to its shard.
+func (d *Dynamic) shardOf(x mat.Vector) int { return recordShard(x, len(d.shards)) }
 
 // K returns the indistinguishability level.
 func (d *Dynamic) K() int { return d.k }
@@ -408,7 +386,6 @@ func (d *Dynamic) Condensation() *Condensation {
 	merged.meta = meta
 	merged.met = d.met
 	merged.tr = d.tr
-	merged.routeAttr = d.routeAttr
 	return merged
 }
 
@@ -420,7 +397,6 @@ func (d *Dynamic) Shard(i int) *Condensation {
 	sh.mu.RUnlock()
 	cond.met = d.met
 	cond.tr = d.tr
-	cond.routeAttr = d.routeAttr
 	return cond
 }
 
@@ -477,12 +453,12 @@ func (d *Dynamic) SetTracer(tr *telemetry.Tracer) {
 }
 
 // SetJournal attaches a group-lifecycle journal: group foundings, splits
-// (with parent→child lineage), router rebuilds, and speculation fallbacks
-// are then recorded as structured events stamped with the emitting
-// shard's index and the triggering mutation generation. A nil journal
-// (the default) disables recording at one nil check per event site. The
-// journal is observe-only — it never touches the rng stream or the group
-// moments, so condensed output is bit-identical with it on or off.
+// (with parent→child lineage) and speculation fallbacks are then recorded
+// as structured events stamped with the emitting shard's index and the
+// triggering mutation generation. A nil journal (the default) disables
+// recording at one nil check per event site. The journal is observe-only
+// — it never touches the rng stream or the group moments, so condensed
+// output is bit-identical with it on or off.
 func (d *Dynamic) SetJournal(j *telemetry.Journal) {
 	d.eachShard(func(sh *shard) { sh.jr = j })
 }
@@ -494,5 +470,5 @@ func (d *Dynamic) SetJournal(j *telemetry.Journal) {
 // changes output.
 func (d *Dynamic) SetParallelism(p int) {
 	per := max(par.Workers(p)/len(d.shards), 1)
-	d.eachShard(func(sh *shard) { sh.search.Parallelism = per })
+	d.eachShard(func(sh *shard) { sh.parallelism = per })
 }

@@ -76,14 +76,14 @@ func (sh *shard) lockedAddBatch(ctx context.Context, records []mat.Vector) error
 //     the groups that changed during the window (moved centroids and
 //     split-created groups), a set the loop tracks incrementally as a
 //     flat centroid arena. A record whose candidate group itself changed
-//     is re-routed against the live router.
+//     is re-routed against the live centroid index.
 //
 // The apply phases perform the same group updates, in the same order,
 // drawing from the same rng stream as a sequential add loop, so the
-// result is bit-identical by construction at any parallelism, window
-// size, and routing backend (TestAddBatchEquivalence proves it byte for
-// byte). Cancellation is checked between applies; records applied before
-// cancellation stay condensed.
+// result is bit-identical by construction at any parallelism and window
+// size (TestAddBatchEquivalence proves it byte for byte). Cancellation is
+// checked between applies; records applied before cancellation stay
+// condensed.
 func (sh *shard) addBatch(ctx context.Context, records []mat.Vector) error {
 	head := 0
 	if len(sh.groups) == 0 {
@@ -120,7 +120,7 @@ func (sh *shard) addBatch(ctx context.Context, records []mat.Vector) error {
 	// changed set can grow, keeping the fold O(window) instead of
 	// O(batch).
 	cand, candD := sh.scratch.routes(len(batch))
-	workers := par.Workers(sh.search.Parallelism)
+	workers := par.Workers(sh.parallelism)
 	specSpan := childSpan(sh.tr, sp, "dynamic.speculate")
 	specSpan.SetAttrInt("workers", workers)
 	applySpan := childSpan(sh.tr, sp, "dynamic.apply")
@@ -166,10 +166,6 @@ func (sh *shard) addBatch(ctx context.Context, records []mat.Vector) error {
 		}
 		window := batch[wlo:whi]
 		wcand, wcandD := cand[wlo:whi], candD[wlo:whi]
-		// The router is re-read per window: an apply may replace it (the
-		// SearchAuto promotion at the group cutoff), and the abandoned one
-		// no longer tracks centroid updates.
-		br, hasBatchRouter := sh.router.(batchRouter)
 
 		// Speculative routing against the state frozen at window start.
 		// Workers only read centroids and write disjoint candidate slots.
@@ -178,14 +174,8 @@ func (sh *shard) addBatch(ctx context.Context, records []mat.Vector) error {
 			t0 = time.Now()
 		}
 		_ = par.RunChunks(len(window), workers, func(lo, hi int) error {
-			if hasBatchRouter {
-				// Cache-blocked block-vs-block sweep: identical answers
-				// to the per-record scan, one arena tile at a time.
-				br.nearestBatch(window[lo:hi], wcand[lo:hi], wcandD[lo:hi])
-				return nil
-			}
 			for i := lo; i < hi; i++ {
-				wcand[i], wcandD[i] = sh.router.nearest(window[i])
+				wcand[i], wcandD[i] = sh.router.Nearest(window[i])
 			}
 			return nil
 		})
@@ -209,7 +199,7 @@ func (sh *shard) addBatch(ctx context.Context, records []mat.Vector) error {
 			if pos[best] >= 0 {
 				// The candidate group moved or split since speculation;
 				// its stored distance is stale, so re-route live.
-				best, _ = sh.router.nearest(x)
+				best, _ = sh.router.Nearest(x)
 				fallbacks++
 			} else {
 				// The candidate still holds the lexicographic minimum

@@ -6,6 +6,7 @@ import (
 	"math"
 	"testing"
 
+	"condensation/internal/kernel"
 	"condensation/internal/mat"
 	"condensation/internal/rng"
 	"condensation/internal/telemetry"
@@ -53,54 +54,72 @@ func dynamicFingerprint(t *testing.T, d *Dynamic) []byte {
 	return buf.Bytes()
 }
 
+// addCheckingScan is the reference ingest loop: before each Add it checks
+// that the record's shard's centroid index picks the group the paper's
+// linear scan picks — kernel.ArgminFlat over the shard's centroids, ties
+// to the lower slot — at the same squared distance.
+func addCheckingScan(t *testing.T, d *Dynamic, stream []mat.Vector) {
+	t.Helper()
+	var arena []float64
+	for i, x := range stream {
+		sh := d.shards[d.shardOf(x)]
+		if len(sh.groups) > 0 {
+			arena = arena[:0]
+			for _, c := range sh.centroids {
+				arena = append(arena, c...)
+			}
+			wantID, wantD := kernel.ArgminFlat(x, arena)
+			if gotID, gotD := sh.router.Nearest(x); gotID != wantID || gotD != wantD {
+				t.Fatalf("record %d: index routed to group %d at %v, the scan to %d at %v", i, gotID, gotD, wantID, wantD)
+			}
+		}
+		if err := d.Add(x); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 // TestAddBatchEquivalence is the determinism contract of the batch ingest
-// engine: AddBatch with any routing backend, any speculation parallelism,
-// and any batch slicing produces bit-identical groups, centroids, and
-// synthesized output to the sequential scan-backend Add loop on the same
-// seed — both from an empty condenser and from a static bootstrap.
+// engine: AddBatch at any speculation parallelism and any batch slicing
+// produces bit-identical groups, centroids, and synthesized output to the
+// sequential Add loop on the same seed, whose every routing decision is
+// checked against the linear scan — at 1 and 4 shards, both from an empty
+// condenser and from a static bootstrap.
 func TestAddBatchEquivalence(t *testing.T) {
 	const k, dim = 6, 4
 	stream := gaussianRecords(21, 1200, dim)
-
-	build := func(boot bool) *Dynamic {
-		t.Helper()
-		var d *Dynamic
-		var err error
-		if boot {
-			cond, serr := condense(gaussianRecords(22, 80, dim), k, rng.New(23), Options{})
-			if serr != nil {
-				t.Fatal(serr)
-			}
-			d, err = NewDynamic(cond, rng.New(24))
-		} else {
-			d, err = NewDynamicEmpty(dim, k, Options{}, rng.New(24))
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		return d
+	c, err := NewCondenser(k, WithSeed(24))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cond, err := condense(gaussianRecords(22, 80, dim), k, rng.New(23), Options{})
+	if err != nil {
+		t.Fatal(err)
 	}
 
-	for _, boot := range []bool{false, true} {
-		// Reference: sequential Add loop on the scan backend.
-		ref := build(boot)
-		if err := ref.SetNeighborSearch(SearchScanSort); err != nil {
-			t.Fatal(err)
-		}
-		for _, x := range stream {
-			if err := ref.Add(x); err != nil {
-				t.Fatal(err)
+	for _, shards := range []int{1, 4} {
+		for _, boot := range []bool{false, true} {
+			build := func() *Dynamic {
+				t.Helper()
+				var d *Dynamic
+				var err error
+				if boot {
+					d, err = c.ShardedFrom(cond, shards)
+				} else {
+					d, err = c.Sharded(dim, shards)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				return d
 			}
-		}
-		want := dynamicFingerprint(t, ref)
+			ref := build()
+			addCheckingScan(t, ref, stream)
+			want := dynamicFingerprint(t, ref)
 
-		for _, search := range []NeighborSearch{SearchAuto, SearchScanSort, SearchKDTree} {
 			for _, par := range []int{1, 2, 8} {
 				for _, batch := range []int{1, 7, 256, len(stream)} {
-					d := build(boot)
-					if err := d.SetNeighborSearch(search); err != nil {
-						t.Fatal(err)
-					}
+					d := build()
 					d.SetParallelism(par)
 					for lo := 0; lo < len(stream); lo += batch {
 						hi := lo + batch
@@ -112,31 +131,18 @@ func TestAddBatchEquivalence(t *testing.T) {
 						}
 					}
 					if got := dynamicFingerprint(t, d); !bytes.Equal(got, want) {
-						t.Fatalf("boot=%v search=%v par=%d batch=%d: AddBatch diverged from sequential Add loop",
-							boot, search, par, batch)
+						t.Fatalf("shards=%d boot=%v par=%d batch=%d: AddBatch diverged from sequential Add loop",
+							shards, boot, par, batch)
 					}
 				}
 			}
 		}
-
-		// The single-record Add path must also agree across backends.
-		for _, search := range []NeighborSearch{SearchAuto, SearchKDTree} {
-			d := build(boot)
-			if err := d.SetNeighborSearch(search); err != nil {
-				t.Fatal(err)
-			}
-			if err := addEach(d, stream); err != nil {
-				t.Fatal(err)
-			}
-			if got := dynamicFingerprint(t, d); !bytes.Equal(got, want) {
-				t.Fatalf("boot=%v search=%v: Add diverged from scan backend", boot, search)
-			}
-		}
 	}
 
-	// SearchAuto promotes a shard's scan router to the kd-index once the
-	// shard crosses the group cutoff; a batch that crosses it mid-window
-	// must speculate against the promoted router from the next window on.
+	// A pure stream from empty grows its one shard past 256 groups: the
+	// index starts with no points, answers from its dirty list, then builds
+	// and rebuilds its tree mid-batch, and every batch must still match the
+	// Add loop.
 	t.Run("auto-promotion-mid-batch", func(t *testing.T) {
 		stream := gaussianRecords(7, 3000, dim)
 		build := func() *Dynamic {
@@ -147,8 +153,9 @@ func TestAddBatchEquivalence(t *testing.T) {
 			return d
 		}
 		ref := build()
-		if err := addEach(ref, stream); err != nil {
-			t.Fatal(err)
+		addCheckingScan(t, ref, stream)
+		if ref.NumGroups() <= 256 {
+			t.Fatalf("the stream formed %d groups, want more than 256", ref.NumGroups())
 		}
 		d := build()
 		for lo := 0; lo < len(stream); lo += 500 {
@@ -160,7 +167,7 @@ func TestAddBatchEquivalence(t *testing.T) {
 			t.Fatalf("AddBatch ended with %d groups, Add loop with %d", got, want)
 		}
 		if !bytes.Equal(dynamicFingerprint(t, d), dynamicFingerprint(t, ref)) {
-			t.Fatal("AddBatch diverged from the Add loop across the SearchAuto promotion")
+			t.Fatal("AddBatch diverged from the Add loop on a stream growing past 256 groups")
 		}
 	})
 }
@@ -318,49 +325,5 @@ func TestAddBatchLeavesPosMapCleared(t *testing.T) {
 	}
 	if !bytes.Equal(dynamicFingerprint(t, ref), dynamicFingerprint(t, d)) {
 		t.Error("batches around a cancellation diverged from the sequential Add loop")
-	}
-}
-
-// The auto backend promotes to the centroid kd-index once the group count
-// crosses the cutoff, and the promotion is visible in the telemetry
-// backend label without disturbing the condensation.
-func TestDynamicAutoPromotion(t *testing.T) {
-	const k = 2
-	reg := telemetry.NewRegistry()
-	d, err := NewDynamicEmpty(3, k, Options{}, rng.New(44))
-	if err != nil {
-		t.Fatal(err)
-	}
-	d.SetTelemetry(reg)
-	if _, isScan := d.shards[0].router.(*scanRouter); !isScan {
-		t.Fatal("auto backend did not start on the scan router")
-	}
-	// Enough records to push the group count past the cutoff: groups hold
-	// at most 2k−1 = 3 records, so 4·cutoff records guarantee promotion.
-	if err := d.AddBatch(gaussianRecords(45, 4*dynamicIndexCutoff, 3)); err != nil {
-		t.Fatal(err)
-	}
-	if d.NumGroups() < dynamicIndexCutoff {
-		t.Fatalf("only %d groups formed, wanted ≥ %d", d.NumGroups(), dynamicIndexCutoff)
-	}
-	if _, isKD := d.shards[0].router.(*kdRouter); !isKD {
-		t.Error("auto backend did not promote to the kd router")
-	}
-	var buf bytes.Buffer
-	if err := reg.WritePrometheus(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Contains(buf.Bytes(), []byte(`backend="centroid-kdtree"`)) {
-		t.Error("exposition missing centroid-kdtree neighbor_search series after promotion")
-	}
-}
-
-func TestSetNeighborSearchInvalid(t *testing.T) {
-	d, err := NewDynamicEmpty(2, 2, Options{}, rng.New(46))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := d.SetNeighborSearch(NeighborSearch(99)); err == nil {
-		t.Error("unknown backend accepted")
 	}
 }

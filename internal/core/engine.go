@@ -70,9 +70,9 @@ type Engine interface {
 	// SetTracer attaches a span tracer (nil disables tracing).
 	SetTracer(tr *telemetry.Tracer)
 	// SetJournal attaches a group-lifecycle journal recording structured
-	// events (foundings, splits with lineage, router rebuilds, speculation
-	// fallbacks) stamped with shard and generation. Nil (the default)
-	// disables recording at one nil check per event site; the journal is
+	// events (foundings, splits with lineage, speculation fallbacks)
+	// stamped with shard and generation. Nil (the default) disables
+	// recording at one nil check per event site; the journal is
 	// observe-only, so condensed output is bit-identical either way.
 	SetJournal(j *telemetry.Journal)
 }

@@ -68,7 +68,7 @@ type Explanation struct {
 	// outcome is ExplainFound.
 	Routed *ExplainCandidate `json:"routed,omitempty"`
 	// Candidates are the shard's top nearest released groups in the exact
-	// (squared distance, slot) order every router backend produces.
+	// (squared distance, slot) order ingestion routes by.
 	Candidates []ExplainCandidate `json:"candidates,omitempty"`
 }
 
@@ -88,7 +88,7 @@ func (r *Release) Explain(x mat.Vector, top int) (*Explanation, error) {
 	if top <= 0 {
 		top = explainDefaultTop
 	}
-	s := recordShard(x, r.cond.routeAttr, len(r.ends)-1)
+	s := recordShard(x, len(r.ends)-1)
 	lo, hi := r.ends[s], r.ends[s+1]
 	ex := &Explanation{Shard: s, Generation: r.gen, Groups: hi - lo, Outcome: ExplainFound}
 	if lo == hi {
@@ -96,7 +96,7 @@ func (r *Release) Explain(x mat.Vector, top int) (*Explanation, error) {
 	}
 	// Keep the top nearest in a sorted buffer. A shard's released groups
 	// are in its slot order, and a later group displaces an earlier one
-	// only when strictly nearer: the routers' tie rule.
+	// only when strictly nearer: the centroid index's tie rule.
 	c := make(mat.Vector, r.cond.dim)
 	best := make([]ExplainCandidate, 0, min(top, hi-lo))
 	for i := lo; i < hi; i++ {

@@ -93,7 +93,7 @@ func TestDynamicInvariantsProperty(t *testing.T) {
 }
 
 // Property: under arbitrary interleavings of Add and AddBatch — random
-// batch sizes, random routing backends, random speculation parallelism —
+// batch sizes, random speculation parallelism —
 // a dynamic condenser bootstrapped from a static condensation keeps every
 // group inside the paper's steady-state band k ≤ n(G) ≤ 2k−1 and never
 // loses a record. (Splits interleave implicitly: any group reaching 2k is
@@ -110,10 +110,6 @@ func TestDynamicInterleavingInvariantProperty(t *testing.T) {
 		}
 		dyn, err := NewDynamic(cond, r.Split())
 		if err != nil {
-			return false
-		}
-		backends := []NeighborSearch{SearchAuto, SearchScanSort, SearchKDTree}
-		if err := dyn.SetNeighborSearch(backends[r.IntN(len(backends))]); err != nil {
 			return false
 		}
 		dyn.SetParallelism(1 + r.IntN(8))

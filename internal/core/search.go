@@ -8,29 +8,20 @@ import (
 	"condensation/internal/kernel"
 )
 
-// NeighborSearch pins the nearest-neighbour searches of the two
-// constructions. Every choice is exact, so it changes speed only
-// (TestSearchBackendEquivalence, TestAddBatchEquivalence). Ties fall to
-// the lower record or group index, except in the static full sort, whose
-// tie order is whatever the sort produces.
-//
-// Static construction (the k−1 nearest records of a sampled seed) runs
-// the quickselect scan, except under SearchScanSort. Dynamic routing (the
-// nearest centroid) scans the centroids, promoting to the kd-index at
-// dynamicIndexCutoff groups under SearchAuto.
+// NeighborSearch pins the nearest-neighbour search of static
+// construction: the k−1 nearest records of a sampled seed. Both choices
+// are exact, so it changes speed only (TestSearchBackendEquivalence). Ties
+// fall to the lower record index, except in the full sort, whose tie
+// order is whatever the sort produces. Dynamic routing (the nearest
+// centroid) always runs the shard's knn.CentroidIndex, whatever the value.
 type NeighborSearch int
 
 const (
-	// SearchAuto is the default: the quickselect scan for static
-	// construction, and the scan router promoted to the kd-index once a
-	// shard holds dynamicIndexCutoff groups.
+	// SearchAuto is the default: the quickselect scan.
 	SearchAuto NeighborSearch = iota
 	// SearchScanSort is the reference: a full distance scan and full sort
-	// per static group, and a router pinned to the centroid scan.
+	// per static group.
 	SearchScanSort
-	// SearchKDTree pins the dynamic router to the kd-index from the first
-	// group; static construction runs the SearchAuto scan.
-	SearchKDTree
 )
 
 // String returns the search-backend name.
@@ -40,8 +31,6 @@ func (s NeighborSearch) String() string {
 		return "auto"
 	case SearchScanSort:
 		return "scan-sort"
-	case SearchKDTree:
-		return "kdtree"
 	default:
 		return fmt.Sprintf("NeighborSearch(%d)", int(s))
 	}
@@ -49,22 +38,22 @@ func (s NeighborSearch) String() string {
 
 func (s NeighborSearch) validate() error {
 	switch s {
-	case SearchAuto, SearchScanSort, SearchKDTree:
+	case SearchAuto, SearchScanSort:
 		return nil
 	default:
 		return fmt.Errorf("core: unknown neighbour search %d", int(s))
 	}
 }
 
-// searchConfig carries the performance knobs of both constructions. They
-// deliberately live outside Options: they never change the condensed
-// statistics, only how fast they are computed, so they are not part of
-// the persisted condensation state.
+// searchConfig carries a Condenser's performance knobs. They deliberately
+// live outside Options: they never change the condensed statistics, only
+// how fast they are computed, so they are not part of the persisted
+// condensation state.
 type searchConfig struct {
-	// Search selects the neighbour-search backend (default SearchAuto).
+	// Search selects the static neighbour search (default SearchAuto).
 	Search NeighborSearch
-	// Parallelism bounds the worker goroutines of the distance sweep;
-	// values < 1 mean runtime.NumCPU().
+	// Parallelism bounds the worker goroutines of the static distance
+	// sweep and of AddBatch speculation; values < 1 mean runtime.NumCPU().
 	Parallelism int
 }
 

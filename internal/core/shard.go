@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"condensation/internal/knn"
 	"condensation/internal/mat"
 	"condensation/internal/rng"
 	"condensation/internal/stats"
@@ -28,12 +29,14 @@ const searchSampleEvery = 64
 // 2k−1 records in steady state. Only aggregate statistics are retained —
 // never the raw stream records.
 //
-// Records are routed through a pluggable nearest-centroid router: the
-// paper's linear scan, or a maintained kd-index that stays exact under
-// centroid drift and splits. Every field is guarded by mu, which the
-// owning Dynamic takes around each call: the write lock for ingest and
-// configuration, the read lock for snapshots and diagnostics. Records
-// reaching a shard have already been validated by the engine.
+// Records are routed through a knn.CentroidIndex over the group
+// centroids: it scans linearly while it is small and answers from a box
+// tree that stays exact under centroid drift and splits as it grows,
+// returning the paper's linear-scan answer either way. Every field is
+// guarded by mu, which the owning Dynamic takes around each call: the
+// write lock for ingest and configuration, the read lock for snapshots
+// and diagnostics. Records reaching a shard have already been validated
+// by the engine.
 type shard struct {
 	mu sync.RWMutex
 
@@ -47,15 +50,13 @@ type shard struct {
 	total     int          // cached running record count (Σ g.N()), updated on ingest
 	splits    int          // group splits performed so far
 	met       engineMetrics
-	tel       *telemetry.Registry
-	telLabels []string // label pairs applied to every engine series (shard="i" at N ≥ 2)
 	tr        *telemetry.Tracer
 
-	search  searchConfig     // routing backend + batch speculation parallelism
-	router  centroidRouter   // maintained nearest-centroid structure
-	routed  int              // records routed, for sampled stage timing
-	scratch batchScratch     // reusable AddBatch buffers
-	eig     mat.EigenScratch // reusable split eigensolve workspaces
+	parallelism int                // AddBatch speculation workers; < 1 means runtime.NumCPU()
+	router      *knn.CentroidIndex // exact nearest-centroid index, kept in sync with centroids
+	routed      int                // records routed, for sampled stage timing
+	scratch     batchScratch       // reusable AddBatch buffers
+	eig         mat.EigenScratch   // reusable split eigensolve workspaces
 
 	// Stable group identity and lineage, maintained in parallel with
 	// groups/centroids: meta[i] is slot i's id and birth annotation. Ids
@@ -165,13 +166,10 @@ func (sh *shard) isDirty(i int) bool {
 func (sh *shard) bump() { sh.lastMut = sh.gen.Add(1) }
 
 // setTelemetry attaches a metrics registry, stamping the given label
-// pairs onto every engine series. The labels are retained so a later
-// routing-backend change re-registers the search series with them intact.
+// pairs onto every engine series.
 func (sh *shard) setTelemetry(reg *telemetry.Registry, labels ...string) {
-	sh.tel = reg
-	sh.telLabels = labels
 	sh.met = newEngineMetrics(reg, labels...)
-	sh.met.withSearchBackend(reg, sh.router.label(), labels...)
+	sh.met.withSearchBackend(reg, "centroid-kdtree", labels...)
 	sh.met.groups.Set(float64(len(sh.groups)))
 }
 
@@ -220,7 +218,9 @@ func (sh *shard) found(x mat.Vector) error {
 	}
 	sh.centroids = append(sh.centroids, m)
 	id := sh.annotate(0, m)
-	sh.router.add(len(sh.groups) - 1)
+	if _, err := sh.router.Add(m); err != nil {
+		return err
+	}
 	sh.total++
 	sh.met.streamRecords.Inc()
 	sh.met.groupsFormed.Inc()
@@ -237,17 +237,17 @@ func (sh *shard) found(x mat.Vector) error {
 	return nil
 }
 
-// route finds the nearest centroid in H to x through the configured
-// router, timing one record in searchSampleEvery.
+// route finds the nearest centroid in H to x through the centroid index,
+// timing one record in searchSampleEvery.
 func (sh *shard) route(x mat.Vector) int {
 	sh.routed++
 	if sh.met.enabled && sh.routed%searchSampleEvery == 1 {
 		t0 := time.Now()
-		best, _ := sh.router.nearest(x)
+		best, _ := sh.router.Nearest(x)
 		sh.met.search.ObserveSince(t0)
 		return best
 	}
-	best, _ := sh.router.nearest(x)
+	best, _ := sh.router.Nearest(x)
 	return best
 }
 
@@ -268,7 +268,9 @@ func (sh *shard) ingest(best int, x mat.Vector, sp *telemetry.Span) error {
 	if err := g.MeanInto(sh.centroids[best]); err != nil {
 		return err
 	}
-	sh.router.update(best)
+	if err := sh.router.Update(best, sh.centroids[best]); err != nil {
+		return err
+	}
 
 	if g.N() == 2*sh.k {
 		var t0 time.Time
@@ -286,7 +288,9 @@ func (sh *shard) ingest(best int, x mat.Vector, sp *telemetry.Span) error {
 		if err := m1.MeanInto(sh.centroids[best]); err != nil {
 			return err
 		}
-		sh.router.update(best)
+		if err := sh.router.Update(best, sh.centroids[best]); err != nil {
+			return err
+		}
 		c2, err := m2.Mean()
 		if err != nil {
 			return err
@@ -298,8 +302,9 @@ func (sh *shard) ingest(best int, x mat.Vector, sp *telemetry.Span) error {
 		sh.meta[best] = sh.newMeta(parentID, sh.centroids[best])
 		id1 := sh.meta[best].id
 		id2 := sh.annotate(parentID, c2)
-		sh.router.add(len(sh.groups) - 1)
-		sh.maybePromote()
+		if _, err := sh.router.Add(c2); err != nil {
+			return err
+		}
 		if sh.jr != nil {
 			sh.jr.Record(telemetry.JournalEvent{
 				Type:       telemetry.EventSplit,

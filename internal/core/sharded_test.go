@@ -197,9 +197,8 @@ func TestShardedMergedSnapshotDeterministic(t *testing.T) {
 }
 
 // TestShardedRoutingDeterministic pins the routing rule: the hash depends
-// only on record values (and the optional routing attribute), so identical
-// records route identically on independent engines, and records agreeing
-// on the routing attribute always share a shard.
+// only on record values, so identical records route identically on
+// independent engines.
 func TestShardedRoutingDeterministic(t *testing.T) {
 	const dim = 5
 	c, err := NewCondenser(4)
@@ -218,38 +217,6 @@ func TestShardedRoutingDeterministic(t *testing.T) {
 		if a.shardOf(x) != b.shardOf(x) {
 			t.Fatal("identical records routed to different shards on independent engines")
 		}
-	}
-
-	if err := a.SetRoutingAttribute(0); err != nil {
-		t.Fatal(err)
-	}
-	r := rng.New(17)
-	for class := 0; class < 6; class++ {
-		x := make(mat.Vector, dim)
-		x[0] = float64(class)
-		for j := 1; j < dim; j++ {
-			x[j] = r.Norm()
-		}
-		want := a.shardOf(x)
-		for trial := 0; trial < 20; trial++ {
-			y := x.Clone()
-			for j := 1; j < dim; j++ {
-				y[j] = r.Norm()
-			}
-			if got := a.shardOf(y); got != want {
-				t.Fatalf("class %d routed to shard %d and %d", class, want, got)
-			}
-		}
-	}
-
-	if err := a.SetRoutingAttribute(dim); err == nil {
-		t.Fatal("routing attribute out of range accepted")
-	}
-	if err := a.Add(make(mat.Vector, dim)); err != nil {
-		t.Fatal(err)
-	}
-	if err := a.SetRoutingAttribute(1); err == nil {
-		t.Fatal("routing change after ingest accepted")
 	}
 }
 

@@ -79,8 +79,8 @@ func newEngineMetrics(reg *telemetry.Registry, labels ...string) engineMetrics {
 
 // withSearchBackend attaches the neighbor_search stage series for the
 // named backend (the static "quickselect" or "scan-sort", or the dynamic
-// "centroid-scan" or "centroid-kdtree"), carrying the same extra labels as the other
-// engine series.
+// "centroid-kdtree"), carrying the same extra labels as the other engine
+// series.
 func (m *engineMetrics) withSearchBackend(reg *telemetry.Registry, backend string, labels ...string) {
 	if reg == nil {
 		return

@@ -127,7 +127,7 @@ func TestTelemetryDynamicCounters(t *testing.T) {
 	if err := reg.WritePrometheus(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(buf.String(), `backend="centroid-scan"`) {
-		t.Error("exposition missing centroid-scan neighbor_search series")
+	if !strings.Contains(buf.String(), `backend="centroid-kdtree"`) {
+		t.Error("exposition missing centroid-kdtree neighbor_search series")
 	}
 }

@@ -34,21 +34,3 @@ func BenchmarkKernelArgminFlat(b *testing.B) {
 		ArgminFlat(q, flat)
 	}
 }
-
-func BenchmarkKernelArgminBatch(b *testing.B) {
-	flat, _ := benchArena(800, 8)
-	r := rand.New(rand.NewPCG(23, 24))
-	qs := make([][]float64, 1024)
-	for i := range qs {
-		qs[i] = make([]float64, 8)
-		for j := range qs[i] {
-			qs[i][j] = r.NormFloat64()
-		}
-	}
-	ids := make([]int, len(qs))
-	ds := make([]float64, len(qs))
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		ArgminBatch(ids, ds, qs, flat, 8)
-	}
-}

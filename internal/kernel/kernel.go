@@ -1,9 +1,8 @@
-// Package kernel holds the cache-blocked, bounds-check-eliminated distance
-// kernels behind the condensation hot loops: one-query-vs-block and
-// block-vs-block squared-distance sweeps over a flat row-major []float64
-// coordinate arena (the knn.CentroidIndex arena layout), and the argmin /
-// top-k reductions that every caller's lexicographic (distance, id)
-// tie-break contract rests on.
+// Package kernel holds the bounds-check-eliminated distance kernels behind
+// the condensation hot loops: one-query-vs-block squared-distance sweeps
+// over a flat row-major []float64 coordinate arena (the knn.CentroidIndex
+// arena layout), and the argmin / top-k reductions that every caller's
+// lexicographic (distance, id) tie-break contract rests on.
 //
 // Bit-identity contract: every float64 kernel accumulates each squared
 // distance with a SINGLE accumulator in ascending index order — the exact
@@ -291,37 +290,6 @@ func argminFlatFrom[Q ~[]float64](q Q, block []float64, base, bestID int, bestD 
 		}
 	}
 	return bestID, bestD
-}
-
-// argminBatchTileRows bounds how many arena rows a block-vs-block tile
-// spans: 256 rows × 8 dims × 8 bytes = 16 KiB, small enough that the tile
-// stays cache-resident while every query in the batch sweeps it.
-const argminBatchTileRows = 256
-
-// ArgminBatch is the block-vs-block sweep: for each query qs[i] it writes
-// the (row, distance) of the nearest arena row into bestIDs[i] /
-// bestDs[i], with ties toward the lower row. The arena is walked in
-// row-major tiles so a tile is reused across all queries while cache-hot;
-// because tiles are folded in ascending row order, each query's answer is
-// bit-identical to an independent ArgminFlat scan.
-func ArgminBatch[S ~[]float64](bestIDs []int, bestDs []float64, qs []S, block []float64, dim int) {
-	rows := len(block) / dim
-	if len(block) != rows*dim {
-		panic("kernel: arena size mismatch")
-	}
-	for i := range bestIDs {
-		bestIDs[i], bestDs[i] = -1, inf()
-	}
-	for lo := 0; lo < rows; lo += argminBatchTileRows {
-		hi := lo + argminBatchTileRows
-		if hi > rows {
-			hi = rows
-		}
-		tile := block[lo*dim : hi*dim]
-		for i, q := range qs {
-			bestIDs[i], bestDs[i] = argminFlatFrom(q, tile, lo, bestIDs[i], bestDs[i])
-		}
-	}
 }
 
 // TopK arranges order so that its first k entries are the positions of

@@ -151,28 +151,6 @@ func TestArgminIndexedMatchesFold(t *testing.T) {
 	}
 }
 
-func TestArgminBatchMatchesPerQuery(t *testing.T) {
-	r := rand.New(rand.NewPCG(11, 12))
-	for _, rows := range []int{1, 7, 255, 256, 257, 700} {
-		flat, _ := randBlock(r, rows, 8)
-		qs := make([][]float64, 33)
-		for i := range qs {
-			qs[i] = randVec(r, 8)
-		}
-		// Some queries equal to arena rows for exact ties.
-		copy(qs[0], flat[:8])
-		ids := make([]int, len(qs))
-		ds := make([]float64, len(qs))
-		ArgminBatch(ids, ds, qs, flat, 8)
-		for i, q := range qs {
-			wantID, wantD := ArgminFlat(q, flat)
-			if ids[i] != wantID || math.Float64bits(ds[i]) != math.Float64bits(wantD) {
-				t.Fatalf("rows=%d q=%d: got (%d,%v) want (%d,%v)", rows, i, ids[i], ds[i], wantID, wantD)
-			}
-		}
-	}
-}
-
 func TestTopKMatchesSort(t *testing.T) {
 	r := rand.New(rand.NewPCG(13, 14))
 	for trial := 0; trial < 50; trial++ {

@@ -32,8 +32,8 @@ import (
 //
 // Every query returns the lexicographic (distance, id) minimum — precisely
 // the answer a single linear scan in id order produces — which is what
-// lets the dynamic engine swap this index in without changing a single
-// routed record.
+// lets the dynamic engine route every record through it, at any group
+// count, exactly as the paper's linear scan would.
 //
 // The tree splits each node's longest box extent at the median and stores
 // points in leaf buckets laid out contiguously in build order, so a leaf

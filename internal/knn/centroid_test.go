@@ -2,6 +2,7 @@ package knn
 
 import (
 	"fmt"
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -13,9 +14,9 @@ import (
 // scan in id order keeping the strictly-smaller distance, whose winner is
 // the lexicographic (distance, id) minimum.
 func scanNearestLex(points []mat.Vector, q mat.Vector) (int, float64) {
-	best, bestD := -1, 0.0
+	best, bestD := -1, math.Inf(1)
 	for i, p := range points {
-		if d := q.DistSq(p); best == -1 || d < bestD {
+		if d := q.DistSq(p); d < bestD {
 			best, bestD = i, d
 		}
 	}
@@ -25,21 +26,25 @@ func scanNearestLex(points []mat.Vector, q mat.Vector) (int, float64) {
 // Property: under arbitrary interleavings of Add, Update, and Nearest the
 // index answers every query exactly as the id-order linear scan does,
 // including distance ties (coordinates are drawn from a small integer grid
-// so exact ties are common). Most runs start from hundreds of points at
+// so exact ties are common). Half the runs start from hundreds of points at
 // dims 1–8, building trees at least three levels deep, so ties are broken
-// across pruned subtrees; a quarter start from at most 60, below the
-// first build;
-// the updates mix one-step moves, moves anywhere on the grid (most leave
-// their leaf's box, and many its parent's) and split-sized jumps off the
-// grid, and every box must keep bounding its subtree after each one.
+// across pruned subtrees. A quarter start from no points, as a pure-stream
+// shard's index does, and a quarter from 1 to 60, where below 16 points no
+// tree exists until appends trigger the first build. The updates mix
+// one-step moves, moves anywhere on the grid (most leave their leaf's box,
+// and many its parent's) and split-sized jumps off the grid, and every box
+// must keep bounding its subtree after each one.
 func TestCentroidIndexMatchesScan(t *testing.T) {
 	climbs := 0 // in-tree moves that left both their leaf's and its parent's box
 	f := func(seed uint64) bool {
 		r := rng.New(seed)
 		dim := 1 + r.IntN(8)
 		n := 300 + r.IntN(400)
-		if r.IntN(4) == 0 {
-			n = 1 + r.IntN(60) // no tree until appends trigger the first build
+		switch r.IntN(4) {
+		case 0:
+			n = 0 // a pure-stream shard's index starts with no points
+		case 1:
+			n = 1 + r.IntN(60)
 		}
 		mirror := make([]mat.Vector, 0, n)
 		grid := func() mat.Vector {
@@ -72,6 +77,9 @@ func TestCentroidIndexMatchesScan(t *testing.T) {
 					return false
 				}
 			case 1, 2: // update
+				if len(mirror) == 0 {
+					continue // nothing to move yet
+				}
 				id := r.IntN(len(mirror))
 				p := mirror[id].Clone()
 				switch r.IntN(3) {

@@ -74,8 +74,7 @@ func (s *Server) events(last int, types ...string) eventsResponse {
 // history selector validation closes.
 func validEventType(t string) bool {
 	switch t {
-	case telemetry.EventGroupCreated, telemetry.EventSplit,
-		telemetry.EventIndexRebuild, telemetry.EventSpecFallback,
+	case telemetry.EventGroupCreated, telemetry.EventSplit, telemetry.EventSpecFallback,
 		telemetry.EventReleaseReplaced, telemetry.EventWatchdogTransition:
 		return true
 	}

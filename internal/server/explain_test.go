@@ -88,10 +88,11 @@ func TestEventsEndpoint(t *testing.T) {
 	}
 
 	for path, want := range map[string]int{
-		"/v1/events?type=splitz":  http.StatusBadRequest,
-		"/v1/events?last=-1":      http.StatusBadRequest,
-		"/v1/events?last=bogus":   http.StatusBadRequest,
-		"/v1/events?type=split,x": http.StatusBadRequest,
+		"/v1/events?type=splitz":        http.StatusBadRequest,
+		"/v1/events?type=index_rebuild": http.StatusBadRequest,
+		"/v1/events?last=-1":            http.StatusBadRequest,
+		"/v1/events?last=bogus":         http.StatusBadRequest,
+		"/v1/events?type=split,x":       http.StatusBadRequest,
 	} {
 		if resp := getJSON(t, ts.URL+path, nil); resp.StatusCode != want {
 			t.Errorf("GET %s: status %d, want %d", path, resp.StatusCode, want)

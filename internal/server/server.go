@@ -110,10 +110,10 @@ type Config struct {
 	// disables the endpoint and leaves /healthz always "ok".
 	Watchdog *telemetry.Watchdog
 	// Journal optionally attaches a group-lifecycle journal: the engine
-	// records foundings/splits/rebuilds into it, the server records
-	// read-cache invalidations, the watchdog records rule transitions, and
-	// the server serves the ring from /v1/events. Nil disables the endpoint (404) and
-	// all recording, like a nil Tracer does /debug/trace.
+	// records foundings, splits and speculation fallbacks into it, the server
+	// records read-cache invalidations, the watchdog records rule transitions,
+	// and the server serves the ring from /v1/events. Nil disables the
+	// endpoint (404) and all recording, like a nil Tracer does /debug/trace.
 	Journal *telemetry.Journal
 }
 

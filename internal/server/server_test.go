@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"condensation/internal/core"
+	"condensation/internal/kernel"
 	"condensation/internal/mat"
 	"condensation/internal/rng"
 )
@@ -427,7 +428,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		`http_request_seconds_bucket{path="/v1/records",le="+Inf"}`,
 		`http_requests_total{path="/v1/records",code="2xx"} 1`,
 		`# TYPE condense_stage_seconds histogram`,
-		`condense_stage_seconds_count{stage="neighbor_search",backend="centroid-scan"}`,
+		`condense_stage_seconds_count{stage="neighbor_search",backend="centroid-kdtree"}`,
 		`condense_stage_seconds_count{stage="eigen"}`,
 		`condense_stage_seconds_count{stage="synthesis"}`,
 		`condense_groups_formed_total`,
@@ -594,7 +595,8 @@ func TestConfigCondenser(t *testing.T) {
 
 // TestBatchIngestMatchesSequential pins the server's batch ingest to the
 // engine's determinism contract: the checkpoint after a POSTed batch is
-// byte-identical to a local condenser fed the same records one at a time.
+// byte-identical to a local condenser fed the same records one at a time,
+// each routed to the group the paper's linear scan picks.
 func TestBatchIngestMatchesSequential(t *testing.T) {
 	ts := newTestServer(t, 5)
 	records := genRecords(77, 400)
@@ -619,20 +621,47 @@ func TestBatchIngestMatchesSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ref.SetNeighborSearch(core.SearchScanSort); err != nil {
-		t.Fatal(err)
-	}
-	for _, row := range records {
-		if err := ref.Add(mat.Vector(row)); err != nil {
-			t.Fatal(err)
-		}
-	}
+	addCheckingScan(t, ref, records)
 	var want bytes.Buffer
 	if _, err := ref.Condensation().WriteTo(&want); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got, want.Bytes()) {
 		t.Error("server batch-ingested checkpoint differs from sequential Add loop")
+	}
+}
+
+// addCheckingScan feeds records to a one-shard engine one Add at a time.
+// Before each Add it finds the nearest group centroid by kernel.ArgminFlat,
+// the paper's linear scan with ties to the lower slot, and after it checks
+// that this group took the record: it grew by one, or it reached 2k and
+// split into itself and one new group.
+func addCheckingScan(t *testing.T, d *core.Dynamic, records [][]float64) {
+	t.Helper()
+	var arena []float64
+	for i, row := range records {
+		before := d.Condensation().Groups()
+		arena = arena[:0]
+		for _, g := range before {
+			m, err := g.Mean()
+			if err != nil {
+				t.Fatal(err)
+			}
+			arena = append(arena, m...)
+		}
+		want, _ := kernel.ArgminFlat(row, arena)
+		if err := d.Add(mat.Vector(row)); err != nil {
+			t.Fatal(err)
+		}
+		if want < 0 {
+			continue // the record founded the first group
+		}
+		after := d.Condensation().Groups()
+		grew := len(after) == len(before) && after[want].N() == before[want].N()+1
+		split := len(after) == len(before)+1 && after[want].N()+after[len(before)].N() == before[want].N()+1
+		if !grew && !split {
+			t.Fatalf("record %d: the scan picks group %d, but the engine put it elsewhere", i, want)
+		}
 	}
 }
 

@@ -16,9 +16,6 @@ const (
 	// EventSplit marks a group reaching 2k records and splitting: the
 	// parent id retires and two children are born (paper §3.2).
 	EventSplit = "split"
-	// EventIndexRebuild marks a centroid-router (re)build: the SearchAuto
-	// scan→kd promotion, or an explicit backend change.
-	EventIndexRebuild = "index_rebuild"
 	// EventSpecFallback marks a batch whose speculation windows re-routed
 	// records live because their candidate group changed mid-window.
 	EventSpecFallback = "spec_fallback"
@@ -66,7 +63,7 @@ type JournalEvent struct {
 // records feeds back into condensation), and bounded (the ring keeps the
 // most recent Capacity events; older ones are overwritten, never grown).
 // Unlike the sampled tracer it records every event offered — lifecycle
-// events are rare (splits, rebuilds, transitions), so completeness is
+// events are rare (foundings, splits, transitions), so completeness is
 // affordable and is what makes lineage reconstruction trustworthy.
 type Journal struct {
 	events *ring[JournalEvent]

@@ -55,7 +55,7 @@ func TestJournalRingOverwrite(t *testing.T) {
 func TestJournalLastBound(t *testing.T) {
 	j := NewJournal(16)
 	for i := 1; i <= 9; i++ {
-		j.Record(JournalEvent{Type: EventIndexRebuild})
+		j.Record(JournalEvent{Type: EventSpecFallback})
 	}
 	got := j.Events(3)
 	if len(got) != 3 {
@@ -71,7 +71,7 @@ func TestJournalLastBound(t *testing.T) {
 
 func TestJournalTypeFilter(t *testing.T) {
 	j := NewJournal(32)
-	kinds := []string{EventGroupCreated, EventSplit, EventGroupCreated, EventIndexRebuild, EventSplit}
+	kinds := []string{EventGroupCreated, EventSplit, EventGroupCreated, EventSpecFallback, EventSplit}
 	for _, k := range kinds {
 		j.Record(JournalEvent{Type: k})
 	}
@@ -90,7 +90,7 @@ func TestJournalTypeFilter(t *testing.T) {
 	if len(one) != 1 || one[0].Seq != 3 {
 		t.Fatalf("Events(1, group_created) = %+v, want the seq-3 event", one)
 	}
-	both := j.Events(0, EventSplit, EventIndexRebuild)
+	both := j.Events(0, EventSplit, EventSpecFallback)
 	if len(both) != 3 {
 		t.Fatalf("two-type filter returned %d events, want 3", len(both))
 	}
