@@ -87,7 +87,11 @@ func benchBase(b *testing.B, pool []mat.Vector, groups, k int) *core.Condensatio
 // the sub-benchmark's G instead of growing with b.N.
 func benchFresh(b *testing.B, base *core.Condensation) *core.Dynamic {
 	b.Helper()
-	dyn, err := core.NewDynamic(base, rng.New(13))
+	c, err := core.NewCondenser(base.K(), core.WithSeed(13))
+	if err != nil {
+		b.Fatal(err)
+	}
+	dyn, err := c.DynamicFrom(base)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -213,52 +217,42 @@ func BenchmarkDynamicIngestJournal(b *testing.B) {
 }
 
 // BenchmarkStreamFeed measures the stream driver end to end — telemetry
-// gauges, snapshot cadence, and the condenser underneath — per record, with
-// per-record feeding versus the batched path, over the correlated stream at
-// G = 800 (the steady-state regime the batch engine and centroid index
-// target).
+// gauges, snapshot cadence, and the condenser underneath — per record,
+// over the correlated stream at G = 800 (the steady-state regime the
+// centroid index targets).
 func BenchmarkStreamFeed(b *testing.B) {
 	const dim, k, G = 8, 25, 800
 	full := benchStreamCorr(14, G*k+1<<16, dim)
 	pool := full[G*k:]
-	for _, batch := range []int{0, 1024} {
-		name := "record"
-		if batch > 0 {
-			name = fmt.Sprintf("batch=%d", batch)
+	base := benchBase(b, full, G, k)
+	fresh := func() *stream.Driver {
+		d, err := stream.NewDriver(benchFresh(b, base))
+		if err != nil {
+			b.Fatal(err)
 		}
-		b.Run(name, func(b *testing.B) {
-			base := benchBase(b, full, G, k)
-			fresh := func() *stream.Driver {
-				d, err := stream.NewDriver(benchFresh(b, base))
-				if err != nil {
-					b.Fatal(err)
-				}
-				d.BatchSize = batch
-				return d
-			}
-			d := fresh()
-			fed := 0
-			b.ReportAllocs()
-			b.ResetTimer()
-			for done := 0; done < b.N; {
-				if fed >= benchResetEvery {
-					b.StopTimer()
-					d = fresh()
-					fed = 0
-					b.StartTimer()
-				}
-				n := 1 << 10
-				if b.N-done < n {
-					n = b.N - done
-				}
-				lo := done % (len(pool) - 1<<10)
-				if err := d.Feed(pool[lo : lo+n]); err != nil {
-					b.Fatal(err)
-				}
-				done += n
-				fed += n
-			}
-		})
+		return d
+	}
+	d := fresh()
+	fed := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for done := 0; done < b.N; {
+		if fed >= benchResetEvery {
+			b.StopTimer()
+			d = fresh()
+			fed = 0
+			b.StartTimer()
+		}
+		n := 1 << 10
+		if b.N-done < n {
+			n = b.N - done
+		}
+		lo := done % (len(pool) - 1<<10)
+		if err := d.Feed(pool[lo : lo+n]); err != nil {
+			b.Fatal(err)
+		}
+		done += n
+		fed += n
 	}
 }
 
@@ -277,7 +271,11 @@ func BenchmarkServerIngest(b *testing.B) {
 		b.Fatal(err)
 	}
 	fresh := func() *server.Server {
-		s, err := server.New(server.Config{Dim: dim, Condenser: c, Initial: base})
+		eng, err := c.ShardedFrom(base, 1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		s, err := server.New(server.Config{Engine: eng})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -357,7 +355,11 @@ func BenchmarkServerIngestRecorded(b *testing.B) {
 		}
 		b.Run(name, func(b *testing.B) {
 			fresh := func() *server.Server {
-				cfg := server.Config{Dim: dim, Condenser: c, Initial: base}
+				eng, err := c.ShardedFrom(base, 1)
+				if err != nil {
+					b.Fatal(err)
+				}
+				cfg := server.Config{Engine: eng}
 				if recorded {
 					reg := telemetry.NewRegistry()
 					rec := telemetry.NewRecorder(reg, 360)

@@ -90,7 +90,11 @@ func benchServerRead(b *testing.B, path string) func() *server.Server {
 		b.Fatal(err)
 	}
 	fresh := func() *server.Server {
-		s, err := server.New(server.Config{Dim: dim, Condenser: c, Initial: base})
+		eng, err := c.ShardedFrom(base, 1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		s, err := server.New(server.Config{Engine: eng})
 		if err != nil {
 			b.Fatal(err)
 		}

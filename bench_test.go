@@ -242,7 +242,11 @@ func BenchmarkCoreDynamicAdd(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	dyn, err := core.NewDynamic(base, rng.New(3))
+	c, err := core.NewCondenser(base.K(), core.WithSeed(3))
+	if err != nil {
+		b.Fatal(err)
+	}
+	dyn, err := c.DynamicFrom(base)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"condensation/internal/core"
+	"condensation/internal/datagen"
 	"condensation/internal/rng"
 )
 
@@ -36,8 +37,12 @@ func TestBitcheckFingerprint(t *testing.T) {
 	hashCond(base)
 
 	pool := full[G*k:]
+	c, err := core.NewCondenser(k, core.WithSeed(13))
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, par := range []int{1, 8} {
-		dyn, err := core.NewDynamic(base, rng.New(13))
+		dyn, err := c.DynamicFrom(base)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -69,4 +74,35 @@ func TestBitcheckFingerprint(t *testing.T) {
 		}
 	}
 	t.Logf("pipeline fingerprint: %x", h.Sum(nil))
+}
+
+// TestAnonymizeDynamicFingerprint pins dynamic-mode Anonymize — the static
+// pass over each class's initial fraction and the stream maintaining it —
+// by the SHA-256 of every class's condensation checkpoint bytes, over a
+// classification and a regression data set.
+func TestAnonymizeDynamicFingerprint(t *testing.T) {
+	const want = "bf353d74f65ab467df6cb4f252c59fac90696da738a2b08269c376780577538c"
+	c, err := core.NewCondenser(10, core.WithSeed(22), core.WithMode(core.ModeDynamic))
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := sha256.New()
+	for _, name := range []string{"pima", "abalone"} {
+		ds, err := datagen.ByName(name, 21)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, rep, err := c.Anonymize(ds)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, cr := range rep.Classes {
+			if _, err := cr.Cond.WriteTo(h); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if got := fmt.Sprintf("%x", h.Sum(nil)); got != want {
+		t.Errorf("dynamic Anonymize fingerprint %s, want %s", got, want)
+	}
 }

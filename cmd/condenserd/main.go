@@ -8,7 +8,7 @@
 //	condenserd -addr :8080 -dim 7 -k 25
 //	condenserd -addr :8080 -dim 7 -k 25 -par 8
 //	condenserd -addr :8080 -dim 7 -k 25 -shards 4
-//	condenserd -addr :8080 -resume checkpoint.bin   (an explicit -k must match the checkpoint's)
+//	condenserd -addr :8080 -resume checkpoint.bin   (an explicit -k or -dim must match the checkpoint's)
 //	condenserd -addr :8080 -dim 7 -debug-addr localhost:6060
 //	condenserd -addr :8080 -dim 7 -trace-sample 100 -trace-out trace.json
 //
@@ -169,13 +169,14 @@ func run(args []string, stderr io.Writer, serve func(ctx context.Context, addr s
 		jr = telemetry.NewJournal(*journalCap)
 	}
 	cfg := server.Config{
-		Dim: *dim, Shards: *shards, MaxBatch: *batch,
+		MaxBatch:  *batch,
 		Telemetry: reg, Logger: log,
 		Tracer:      tracer,
 		AuditSample: *auditSample,
 		AuditSeed:   *seed,
 		Journal:     jr,
 	}
+	var initial *core.Condensation
 	condenserK, condenserOpts := *k, core.Options{}
 	if *resume != "" {
 		f, err := os.Open(*resume)
@@ -187,13 +188,15 @@ func run(args []string, stderr io.Writer, serve func(ctx context.Context, addr s
 		if err != nil {
 			return fmt.Errorf("restoring %s: %w", *resume, err)
 		}
-		cfg.Initial = cond
-		// The checkpoint's k and options are authoritative when resuming;
-		// an explicit -k must agree with it.
+		// The checkpoint's k, dim and options are authoritative when
+		// resuming; an explicit -k or -dim must agree with them.
 		if flagSet(fs, "k") && *k != cond.K() {
 			return fmt.Errorf("-k %d differs from the k = %d of checkpoint %s", *k, cond.K(), *resume)
 		}
-		condenserK, condenserOpts = cond.K(), cond.Options()
+		if flagSet(fs, "dim") && *dim != cond.Dim() {
+			return fmt.Errorf("-dim %d differs from the dim = %d of checkpoint %s", *dim, cond.Dim(), *resume)
+		}
+		initial, condenserK, condenserOpts = cond, cond.K(), cond.Options()
 		log.Info("restored checkpoint",
 			slog.String("file", *resume),
 			slog.Int("records", cond.TotalCount()),
@@ -204,15 +207,24 @@ func run(args []string, stderr io.Writer, serve func(ctx context.Context, addr s
 		fs.Usage()
 		return fmt.Errorf("-dim is required when not resuming from a checkpoint")
 	}
+	// The server attaches the registry, tracer and journal to the engine
+	// it serves, so the Condenser carries only the condensation settings.
 	condenser, err := core.NewCondenser(condenserK,
 		core.WithSeed(*seed), core.WithOptions(condenserOpts),
-		core.WithParallelism(*parallel),
-		core.WithTelemetry(reg),
-		core.WithTracer(tracer))
+		core.WithParallelism(*parallel))
 	if err != nil {
 		return err
 	}
-	cfg.Condenser = condenser
+	var eng *core.Dynamic
+	if initial != nil {
+		eng, err = condenser.ShardedFrom(initial, *shards)
+	} else {
+		eng, err = condenser.Sharded(*dim, *shards)
+	}
+	if err != nil {
+		return err
+	}
+	cfg.Engine = eng
 	var rec *telemetry.Recorder
 	var wd *telemetry.Watchdog
 	if *scrapeEvery > 0 {

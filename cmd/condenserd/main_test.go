@@ -133,6 +133,20 @@ func TestRunResumeK(t *testing.T) {
 	}
 }
 
+// TestRunResumeDim: the checkpoint's dim is authoritative on -resume, like
+// its k. An explicit -dim equal to it is accepted; a different one is
+// refused rather than silently replaced.
+func TestRunResumeDim(t *testing.T) {
+	path := writeCheckpoint(t)
+	if _, err := capture(t, []string{"-resume", path, "-dim", "2", "-log-level", "off"}); err != nil {
+		t.Fatalf("-dim equal to the checkpoint's refused: %v", err)
+	}
+	_, err := capture(t, []string{"-resume", path, "-dim", "7", "-log-level", "off"})
+	if err == nil || !strings.Contains(err.Error(), "dim = 2") {
+		t.Fatalf("-dim 7 against a dim = 2 checkpoint: err = %v, want a refusal naming dim = 2", err)
+	}
+}
+
 func TestRunErrors(t *testing.T) {
 	cases := [][]string{
 		{},                          // no dim, no resume

@@ -1,10 +1,10 @@
 // Server: the condensation approach as a running data-collection service.
-// The example starts the condensation HTTP server on a loopback port with a
-// sharded engine (four independent condenser shards behind deterministic
-// record routing), plays the roles of data contributors (posting batches of
-// records) and of an analyst (fetching merged and per-shard privacy
-// statistics and an anonymized snapshot), then checkpoints the server
-// state — all over the same HTTP API that cmd/condenserd serves in
+// The example builds a sharded engine (four independent condenser shards
+// behind deterministic record routing) with the Condenser, serves it over
+// HTTP on a loopback port, plays the roles of data contributors (posting
+// batches of records) and of an analyst (fetching merged and per-shard
+// privacy statistics and an anonymized snapshot), then checkpoints the
+// server state — all over the same HTTP API that cmd/condenserd serves in
 // production with -shards 4.
 package main
 
@@ -28,7 +28,11 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	srv, err := server.New(server.Config{Dim: 7, Condenser: condenser, Shards: 4})
+	eng, err := condenser.Sharded(7, 4)
+	if err != nil {
+		log.Fatal(err)
+	}
+	srv, err := server.New(server.Config{Engine: eng})
 	if err != nil {
 		log.Fatal(err)
 	}

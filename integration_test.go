@@ -180,7 +180,11 @@ func TestPipelineDynamicStream(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		dyn, err := core.NewDynamic(base, r.Split())
+		c, err := core.NewCondenser(k, core.WithRandomSource(r.Split()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		dyn, err := c.DynamicFrom(base)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -374,7 +378,6 @@ func TestPipelineShardedStream(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		driver.BatchSize = 64
 		if err := driver.Feed(stream.Shuffled(ds.X, rng.New(117))); err != nil {
 			t.Fatal(err)
 		}

@@ -207,16 +207,10 @@ func (c *Condenser) condenseRecords(recs []mat.Vector, r *rng.Source) (*Condensa
 	if initial > len(recs) {
 		initial = len(recs)
 	}
-	base, _, err := c.staticCondense(recs[:initial], r)
+	dyn, err := c.bootstrap(recs[:initial], r)
 	if err != nil {
 		return nil, err
 	}
-	dyn, err := NewDynamic(base, r)
-	if err != nil {
-		return nil, err
-	}
-	dyn.SetTelemetry(c.tel)
-	dyn.SetTracer(c.trace)
 	for i, x := range recs[initial:] {
 		if err := dyn.Add(x); err != nil {
 			return nil, fmt.Errorf("core: stream record %d: %w", i, err)

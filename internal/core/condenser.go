@@ -199,12 +199,6 @@ func (c *Condenser) StaticWithMembers(records []mat.Vector) (*Condensation, [][]
 	return c.staticCondense(records, c.rng())
 }
 
-// Dynamic returns an empty one-shard dynamic condenser (Figure 2) over
-// records of the given dimensionality, for pure-stream deployments with no
-// initial database: Sharded(dim, 1). The Condenser's parallelism bounds
-// AddBatch speculation.
-func (c *Condenser) Dynamic(dim int) (*Dynamic, error) { return c.Sharded(dim, 1) }
-
 // DynamicFrom returns a one-shard dynamic condenser seeded from an
 // existing condensation — the paper's H = CreateCondensedGroups(k, D)
 // initialization: ShardedFrom(initial, 1).
@@ -215,8 +209,10 @@ func (c *Condenser) DynamicFrom(initial *Condensation) (*Dynamic, error) {
 // Sharded returns an empty dynamic condenser with the given number of
 // independent shards over records of the given dimensionality. Shard 0
 // draws from the Condenser's master rng stream itself — so a 1-shard
-// engine is exactly Condenser.Dynamic — and every further shard draws
-// from an independent child stream derived from it at construction.
+// engine is the paper's algorithm unpartitioned — and every further shard
+// draws from an independent child stream derived from it at construction.
+// With no initial database the first arriving record founds the first
+// group, and until a group reaches k records no cut can be released.
 func (c *Condenser) Sharded(dim, shards int) (*Dynamic, error) {
 	srcs, err := shardSources(c, shards)
 	if err != nil {
@@ -250,7 +246,12 @@ func (c *Condenser) ShardedFrom(initial *Condensation, shards int) (*Dynamic, er
 // one-shard dynamic condenser maintaining it — the paper's full dynamic
 // setting in one call.
 func (c *Condenser) Bootstrap(initial []mat.Vector) (*Dynamic, error) {
-	r := c.rng()
+	return c.bootstrap(initial, c.rng())
+}
+
+// bootstrap is Bootstrap drawing from r: the static pass and the engine
+// maintaining its groups share the one stream.
+func (c *Condenser) bootstrap(initial []mat.Vector, r *rng.Source) (*Dynamic, error) {
 	cond, _, err := c.staticCondense(initial, r)
 	if err != nil {
 		return nil, err

@@ -166,7 +166,7 @@ func TestCondenserDynamic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dyn, err := c.Dynamic(2)
+	dyn, err := c.Sharded(2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -62,39 +62,6 @@ type Dynamic struct {
 	gen atomic.Uint64
 }
 
-// NewDynamic creates a one-shard dynamic condenser seeded from a static
-// condensation of an initial database, per the paper's
-// H = CreateCondensedGroups(k, D) initialization, with the condensation's
-// k and options. The Condensation's groups are copied.
-func NewDynamic(initial *Condensation, r *rng.Source) (*Dynamic, error) {
-	if initial == nil {
-		return nil, errors.New("core: nil initial condensation")
-	}
-	if r == nil {
-		return nil, errors.New("core: nil random source")
-	}
-	return newDynamic(initial.dim, initial.k, initial.opts, initial.Groups(), []*rng.Source{r})
-}
-
-// NewDynamicEmpty creates a one-shard dynamic condenser with no initial
-// database. The first arriving record founds the first group. Until the
-// first group reaches k records the structure cannot guarantee
-// k-indistinguishability; the paper's setting always provides an initial
-// database, so this constructor exists for pure-stream deployments and
-// tests.
-func NewDynamicEmpty(dim, k int, opts Options, r *rng.Source) (*Dynamic, error) {
-	if err := opts.validate(); err != nil {
-		return nil, err
-	}
-	if k < 1 {
-		return nil, fmt.Errorf("core: indistinguishability level k = %d, must be ≥ 1", k)
-	}
-	if r == nil {
-		return nil, errors.New("core: nil random source")
-	}
-	return newDynamic(dim, k, opts, nil, []*rng.Source{r})
-}
-
 // newDynamic builds an engine with one shard per rng stream. The groups —
 // owned by the engine from here on — are dealt round-robin, group j to
 // shard j mod N: stable, so resuming at a fixed shard count is

@@ -146,7 +146,7 @@ func TestAddBatchEquivalence(t *testing.T) {
 	t.Run("auto-promotion-mid-batch", func(t *testing.T) {
 		stream := gaussianRecords(7, 3000, dim)
 		build := func() *Dynamic {
-			d, err := NewDynamicEmpty(dim, k, Options{}, rng.New(5))
+			d, err := emptyDynamic(dim, k, rng.New(5))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -179,7 +179,7 @@ func TestAddBatchTelemetryObserveOnly(t *testing.T) {
 	const k, dim = 5, 3
 	stream := gaussianRecords(31, 500, dim)
 
-	plain, err := NewDynamicEmpty(dim, k, Options{}, rng.New(32))
+	plain, err := emptyDynamic(dim, k, rng.New(32))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +189,7 @@ func TestAddBatchTelemetryObserveOnly(t *testing.T) {
 	want := dynamicFingerprint(t, plain)
 
 	reg := telemetry.NewRegistry()
-	instr, err := NewDynamicEmpty(dim, k, Options{}, rng.New(32))
+	instr, err := emptyDynamic(dim, k, rng.New(32))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +215,7 @@ func TestAddBatchTelemetryObserveOnly(t *testing.T) {
 }
 
 func TestAddBatchValidatesUpFront(t *testing.T) {
-	d, err := NewDynamicEmpty(2, 3, Options{}, rng.New(41))
+	d, err := emptyDynamic(2, 3, rng.New(41))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,7 +235,7 @@ func TestAddBatchValidatesUpFront(t *testing.T) {
 }
 
 func TestAddBatchCancelled(t *testing.T) {
-	d, err := NewDynamicEmpty(2, 3, Options{}, rng.New(42))
+	d, err := emptyDynamic(2, 3, rng.New(42))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,7 +278,7 @@ func (c *cancelAfter) Err() error {
 func TestAddBatchLeavesPosMapCleared(t *testing.T) {
 	const k, dim = 3, 2
 	stream := gaussianRecords(47, 3*speculationWindow+40, dim)
-	d, err := NewDynamicEmpty(dim, k, Options{}, rng.New(48))
+	d, err := emptyDynamic(dim, k, rng.New(48))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -314,7 +314,7 @@ func TestAddBatchLeavesPosMapCleared(t *testing.T) {
 	}
 	cleared("after the batch that followed")
 
-	ref, err := NewDynamicEmpty(dim, k, Options{}, rng.New(48))
+	ref, err := emptyDynamic(dim, k, rng.New(48))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -22,6 +22,26 @@ func addEach(eng Engine, records []mat.Vector) error {
 	return nil
 }
 
+// emptyDynamic builds a one-shard engine with no initial database over
+// records of dimension dim at level k and default options, drawing from r.
+func emptyDynamic(dim, k int, r *rng.Source) (*Dynamic, error) {
+	c, err := NewCondenser(k, WithRandomSource(r))
+	if err != nil {
+		return nil, err
+	}
+	return c.Sharded(dim, 1)
+}
+
+// dynamicFrom builds a one-shard engine seeded from initial, at its k and
+// options, drawing from r.
+func dynamicFrom(initial *Condensation, r *rng.Source) (*Dynamic, error) {
+	c, err := NewCondenser(initial.K(), WithRandomSource(r), WithOptions(initial.Options()))
+	if err != nil {
+		return nil, err
+	}
+	return c.DynamicFrom(initial)
+}
+
 func TestDynamicSteadyStateGroupSizes(t *testing.T) {
 	base := clusteredRecords(31, 20, 20)
 	stream := clusteredRecords(32, 100, 100)
@@ -31,7 +51,7 @@ func TestDynamicSteadyStateGroupSizes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dyn, err := NewDynamic(cond, rng.New(34))
+	dyn, err := dynamicFrom(cond, rng.New(34))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +77,7 @@ func TestDynamicSplitsHappen(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := cond.NumGroups()
-	dyn, err := NewDynamic(cond, rng.New(37))
+	dyn, err := dynamicFrom(cond, rng.New(37))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +98,7 @@ func TestDynamicRoutesToNearestCluster(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dyn, err := NewDynamic(cond, rng.New(41))
+	dyn, err := dynamicFrom(cond, rng.New(41))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +123,7 @@ func TestDynamicRoutesToNearestCluster(t *testing.T) {
 }
 
 func TestDynamicEmptyStart(t *testing.T) {
-	dyn, err := NewDynamicEmpty(2, 3, Options{}, rng.New(43))
+	dyn, err := emptyDynamic(2, 3, rng.New(43))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +139,7 @@ func TestDynamicEmptyStart(t *testing.T) {
 }
 
 func TestDynamicAddErrors(t *testing.T) {
-	dyn, err := NewDynamicEmpty(2, 2, Options{}, rng.New(45))
+	dyn, err := emptyDynamic(2, 2, rng.New(45))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,27 +151,28 @@ func TestDynamicAddErrors(t *testing.T) {
 	}
 }
 
+// TestDynamicConstructorErrors: the one-shard builders refuse what no
+// engine can maintain — a dimension below 1, a nil initial condensation,
+// an empty initial database — and the Condenser refuses k < 1 and unknown
+// options before any engine exists.
 func TestDynamicConstructorErrors(t *testing.T) {
-	if _, err := NewDynamic(nil, rng.New(1)); err == nil {
-		t.Error("nil condensation accepted")
-	}
-	cond, err := condense(clusteredRecords(46, 5, 0), 2, rng.New(2), Options{})
+	c, err := NewCondenser(2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewDynamic(cond, nil); err == nil {
-		t.Error("nil source accepted")
-	}
-	if _, err := NewDynamicEmpty(0, 2, Options{}, rng.New(1)); err == nil {
+	if _, err := c.Sharded(0, 1); err == nil {
 		t.Error("dim=0 accepted")
 	}
-	if _, err := NewDynamicEmpty(2, 0, Options{}, rng.New(1)); err == nil {
+	if _, err := c.DynamicFrom(nil); err == nil {
+		t.Error("nil condensation accepted")
+	}
+	if _, err := c.Bootstrap(nil); err == nil {
+		t.Error("empty initial database accepted")
+	}
+	if _, err := NewCondenser(0); err == nil {
 		t.Error("k=0 accepted")
 	}
-	if _, err := NewDynamicEmpty(2, 2, Options{}, nil); err == nil {
-		t.Error("nil source accepted")
-	}
-	if _, err := NewDynamicEmpty(2, 2, Options{SplitAxis: SplitAxis(9)}, rng.New(1)); err == nil {
+	if _, err := NewCondenser(2, WithSplitAxis(SplitAxis(9))); err == nil {
 		t.Error("bad options accepted")
 	}
 }
@@ -159,8 +180,10 @@ func TestDynamicConstructorErrors(t *testing.T) {
 // TestDynamicRefusesGroupOf2k: a group splits when an absorb brings it to
 // exactly 2k records, so an initial group of 2k or more would never split
 // and would grow without bound. Merging a k=3 and a k=5 condensation
-// keeps k=3 and a 6-record group; every way of seeding an engine from it
-// — directly, sharded, and resumed from its checkpoint — must refuse it.
+// keeps k=3 and a 6-record group; every builder that seeds an engine from
+// a condensation — one-shard, sharded, and resumed from its checkpoint —
+// must refuse it. (Bootstrap condenses its own records, and a static
+// pass folds at most k−1 leftovers into a group, so it never forms one.)
 func TestDynamicRefusesGroupOf2k(t *testing.T) {
 	const dim = 2
 	small, err := condense(gaussianRecords(81, 9, dim), 3, rng.New(82), Options{})
@@ -193,7 +216,6 @@ func TestDynamicRefusesGroupOf2k(t *testing.T) {
 		t.Fatal(err)
 	}
 	for name, build := range map[string]func() (*Dynamic, error){
-		"NewDynamic":  func() (*Dynamic, error) { return NewDynamic(merged, rng.New(1)) },
 		"DynamicFrom": func() (*Dynamic, error) { return c.DynamicFrom(merged) },
 		"ShardedFrom": func() (*Dynamic, error) { return c.ShardedFrom(merged, 4) },
 		"resume":      func() (*Dynamic, error) { return c.DynamicFrom(resumed) },
@@ -209,7 +231,7 @@ func TestDynamicRefusesGroupOf2k(t *testing.T) {
 }
 
 func TestDynamicAccessors(t *testing.T) {
-	dyn, err := NewDynamicEmpty(3, 4, Options{}, rng.New(47))
+	dyn, err := emptyDynamic(3, 4, rng.New(47))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +241,7 @@ func TestDynamicAccessors(t *testing.T) {
 }
 
 func TestDynamicCondensationSnapshotIsolated(t *testing.T) {
-	dyn, err := NewDynamicEmpty(2, 2, Options{}, rng.New(48))
+	dyn, err := emptyDynamic(2, 2, rng.New(48))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +262,7 @@ func TestDynamicK1(t *testing.T) {
 	// The paper notes dynamic condensation with group size 1 does not
 	// reproduce the original data (splits at size 2 use the uniform
 	// approximation); it must still preserve counts and stay at size 1.
-	dyn, err := NewDynamicEmpty(2, 1, Options{}, rng.New(51))
+	dyn, err := emptyDynamic(2, 1, rng.New(51))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,8 +11,9 @@ import (
 // set the HTTP server, the stream driver, and the daemon depend on. Its
 // implementation is *Dynamic — N ≥ 1 shards behind deterministic
 // record→shard routing, each guarded by its own lock, so every method is
-// safe for concurrent use — and the interface lets callers substitute a
-// decorator (a timing or tracing wrapper) around it.
+// safe for concurrent use — which only the Condenser builds (Sharded,
+// ShardedFrom, DynamicFrom, Bootstrap). The interface lets callers
+// substitute a decorator (a timing or tracing wrapper) around it.
 //
 // The engine preserves the paper's invariants: groups hold between k and
 // 2k−1 records in steady state, only aggregate statistics are retained,
@@ -28,10 +29,9 @@ type Engine interface {
 	// (within the record's shard) and splits that group if it reaches 2k
 	// records.
 	Add(x mat.Vector) error
-	// AddBatch ingests a batch through the high-throughput path,
-	// bit-identical to an Add loop over the same records.
-	AddBatch(records []mat.Vector) error
-	// AddBatchContext is AddBatch with cancellation at record boundaries.
+	// AddBatchContext ingests a batch through the high-throughput path,
+	// bit-identical to an Add loop over the same records, with
+	// cancellation at record boundaries.
 	AddBatchContext(ctx context.Context, records []mat.Vector) error
 
 	// Condensation snapshots the current groups as an immutable
@@ -59,7 +59,7 @@ type Engine interface {
 
 	// Generation returns the engine's mutation generation: a monotone
 	// counter advanced on every state-changing apply (Add, each applied
-	// record of AddBatch — splits ride along) and stable across pure
+	// record of AddBatchContext — splits ride along) and stable across pure
 	// reads. Equal generations imply bit-identical condensed state, so the
 	// value is a complete version key for read-side caches and HTTP ETags.
 	// The read is one atomic load and never blocks on engine locks.

@@ -19,7 +19,7 @@ func buildDynamic(t *testing.T, k, dim int, opts ...CondenserOption) *Dynamic {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := c.Dynamic(dim)
+	d, err := c.Sharded(dim, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

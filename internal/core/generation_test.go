@@ -27,7 +27,7 @@ func TestGenerationMonotoneAndReadStable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := c.Dynamic(2)
+	d, err := c.Sharded(2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +112,7 @@ func TestSnapshotCacheReuseAndInvalidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := c.Dynamic(2)
+	d, err := c.Sharded(2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -66,7 +66,7 @@ func TestDynamicInvariantsProperty(t *testing.T) {
 		d := 1 + r.IntN(4)
 		k := 1 + r.IntN(10)
 		streamLen := 1 + r.IntN(200)
-		dyn, err := NewDynamicEmpty(d, k, Options{}, r.Split())
+		dyn, err := emptyDynamic(d, k, r.Split())
 		if err != nil {
 			return false
 		}
@@ -108,7 +108,7 @@ func TestDynamicInterleavingInvariantProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		dyn, err := NewDynamic(cond, r.Split())
+		dyn, err := dynamicFrom(cond, r.Split())
 		if err != nil {
 			return false
 		}

@@ -25,88 +25,105 @@ func checkpointBytes(t *testing.T, eng Engine) []byte {
 }
 
 // TestEngineInterfaceEquivalence is the compatibility contract of the
-// 1-shard engine: every way of building one — Condenser.Dynamic and
-// DynamicFrom, Sharded and ShardedFrom at N = 1, and the bare
-// NewDynamicEmpty/NewDynamic constructors — yields the same groups, rng
-// stream, counters, and serialized snapshot as a sequential Add loop,
-// through both the Add loop and the batch path, from empty and from a
-// static bootstrap.
+// 1-shard engine: every Condenser builder — Sharded from empty,
+// DynamicFrom and ShardedFrom from a static bootstrap, and Bootstrap over
+// raw records — yields the same groups, rng stream, counters, and
+// serialized snapshot as a reference built by the bare constructor over
+// one rng stream and fed by a sequential Add loop, through both the Add
+// loop and the batch path.
 func TestEngineInterfaceEquivalence(t *testing.T) {
 	const k, dim, seed = 6, 4, 5
 	stream := gaussianRecords(7, 900, dim)
-	initial, err := condense(gaussianRecords(8, 120, dim), k, rng.New(9), Options{})
+	raw := gaussianRecords(8, 120, dim)
+	initial, err := condense(raw, k, rng.New(9), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	builders := map[string]func(c *Condenser, fromInitial bool) (*Dynamic, error){
-		"Dynamic": func(c *Condenser, fromInitial bool) (*Dynamic, error) {
-			if fromInitial {
-				return c.DynamicFrom(initial)
-			}
-			return c.Dynamic(dim)
+	type builder func(c *Condenser) (*Dynamic, error)
+	starts := map[string]struct {
+		// ref builds the reference engine with the bare constructor.
+		ref      func() (*Dynamic, error)
+		builders map[string]builder
+	}{
+		"empty": {
+			ref: func() (*Dynamic, error) {
+				return newDynamic(dim, k, Options{}, nil, []*rng.Source{rng.New(seed)})
+			},
+			builders: map[string]builder{
+				"Sharded(1)": func(c *Condenser) (*Dynamic, error) { return c.Sharded(dim, 1) },
+			},
 		},
-		"Sharded(1)": func(c *Condenser, fromInitial bool) (*Dynamic, error) {
-			if fromInitial {
-				return c.ShardedFrom(initial, 1)
-			}
-			return c.Sharded(dim, 1)
+		"bootstrap": {
+			ref: func() (*Dynamic, error) {
+				return newDynamic(dim, k, Options{}, initial.Groups(), []*rng.Source{rng.New(seed)})
+			},
+			builders: map[string]builder{
+				"DynamicFrom":    func(c *Condenser) (*Dynamic, error) { return c.DynamicFrom(initial) },
+				"ShardedFrom(1)": func(c *Condenser) (*Dynamic, error) { return c.ShardedFrom(initial, 1) },
+			},
 		},
-		"NewDynamic": func(_ *Condenser, fromInitial bool) (*Dynamic, error) {
-			if fromInitial {
-				return NewDynamic(initial, rng.New(seed))
-			}
-			return NewDynamicEmpty(dim, k, Options{}, rng.New(seed))
+		// Bootstrap's static pass draws from the stream the engine then
+		// maintains its groups with.
+		"static": {
+			ref: func() (*Dynamic, error) {
+				r := rng.New(seed)
+				cond, err := condense(raw, k, r, Options{})
+				if err != nil {
+					return nil, err
+				}
+				return newDynamic(dim, k, Options{}, cond.Groups(), []*rng.Source{r})
+			},
+			builders: map[string]builder{
+				"Bootstrap": func(c *Condenser) (*Dynamic, error) { return c.Bootstrap(raw) },
+			},
 		},
 	}
 
-	for _, tc := range []struct {
-		name        string
-		fromInitial bool
-		batch       bool
-	}{
-		{"empty/add", false, false},
-		{"empty/batch", false, true},
-		{"bootstrap/add", true, false},
-		{"bootstrap/batch", true, true},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			c, err := NewCondenser(k, WithSeed(seed))
-			if err != nil {
-				t.Fatal(err)
+	for startName, st := range starts {
+		for _, batch := range []bool{false, true} {
+			name := startName + "/add"
+			if batch {
+				name = startName + "/batch"
 			}
-			ref, err := builders["NewDynamic"](c, tc.fromInitial)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := addEach(ref, stream); err != nil {
-				t.Fatal(err)
-			}
-			want := checkpointBytes(t, ref)
-			for name, build := range builders {
-				eng, err := build(c, tc.fromInitial)
+			t.Run(name, func(t *testing.T) {
+				c, err := NewCondenser(k, WithSeed(seed))
 				if err != nil {
 					t.Fatal(err)
 				}
-				if tc.batch {
-					err = eng.AddBatch(stream)
-				} else {
-					err = addEach(eng, stream)
-				}
+				ref, err := st.ref()
 				if err != nil {
 					t.Fatal(err)
 				}
-				if got := checkpointBytes(t, eng); !bytes.Equal(got, want) {
-					t.Fatalf("%s: snapshot differs from the Add-loop reference (%d vs %d bytes)", name, len(got), len(want))
+				if err := addEach(ref, stream); err != nil {
+					t.Fatal(err)
 				}
-				if eng.NumShards() != 1 || eng.TotalCount() != ref.TotalCount() ||
-					eng.NumGroups() != ref.NumGroups() || eng.Splits() != ref.Splits() {
-					t.Fatalf("%s: counters (shards=%d n=%d g=%d s=%d), reference (n=%d g=%d s=%d)",
-						name, eng.NumShards(), eng.TotalCount(), eng.NumGroups(), eng.Splits(),
-						ref.TotalCount(), ref.NumGroups(), ref.Splits())
+				want := checkpointBytes(t, ref)
+				for name, build := range st.builders {
+					eng, err := build(c)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if batch {
+						err = eng.AddBatch(stream)
+					} else {
+						err = addEach(eng, stream)
+					}
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got := checkpointBytes(t, eng); !bytes.Equal(got, want) {
+						t.Fatalf("%s: snapshot differs from the Add-loop reference (%d vs %d bytes)", name, len(got), len(want))
+					}
+					if eng.NumShards() != 1 || eng.TotalCount() != ref.TotalCount() ||
+						eng.NumGroups() != ref.NumGroups() || eng.Splits() != ref.Splits() {
+						t.Fatalf("%s: counters (shards=%d n=%d g=%d s=%d), reference (n=%d g=%d s=%d)",
+							name, eng.NumShards(), eng.TotalCount(), eng.NumGroups(), eng.Splits(),
+							ref.TotalCount(), ref.NumGroups(), ref.Splits())
+					}
 				}
-			}
-		})
+			})
+		}
 	}
 }
 
@@ -354,7 +371,7 @@ func TestDynamicTotalCountCached(t *testing.T) {
 		return n
 	}
 
-	d, err := NewDynamicEmpty(dim, k, Options{}, rng.New(31))
+	d, err := emptyDynamic(dim, k, rng.New(31))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -380,7 +397,7 @@ func TestDynamicTotalCountCached(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seeded, err := NewDynamic(initial, rng.New(41))
+	seeded, err := dynamicFrom(initial, rng.New(41))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -424,7 +441,7 @@ func TestShardCounts(t *testing.T) {
 			records, groups, splits, s.TotalCount(), s.NumGroups(), s.Splits())
 	}
 
-	d, err := c.Dynamic(dim)
+	d, err := c.Sharded(dim, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

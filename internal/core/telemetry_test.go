@@ -99,7 +99,7 @@ func TestTelemetryDynamicCounters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dyn, err := c.Dynamic(2)
+	dyn, err := c.Sharded(2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,7 +21,7 @@ func TestTracingObserveOnly(t *testing.T) {
 
 	build := func(tr *telemetry.Tracer, parallelism int) *Dynamic {
 		t.Helper()
-		d, err := NewDynamicEmpty(dim, k, Options{}, rng.New(7))
+		d, err := emptyDynamic(dim, k, rng.New(7))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -163,7 +163,7 @@ func TestTracingShardFanOut(t *testing.T) {
 // TestTracingDisabledNoSpans: the default nil tracer records nothing and
 // ingest still works (the hot-path guard).
 func TestTracingDisabledNoSpans(t *testing.T) {
-	d, err := NewDynamicEmpty(2, 3, Options{}, rng.New(1))
+	d, err := emptyDynamic(2, 3, rng.New(1))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -41,7 +41,7 @@ func TestAuditEmpty(t *testing.T) {
 
 func TestAuditAfterIngest(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	s, err := New(Config{Dim: 2, Condenser: newCondenser(t, 5, 1), Telemetry: reg})
+	s, err := New(Config{Engine: sharded(t, newCondenser(t, 5, 1), 2, 1), Telemetry: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,7 +144,7 @@ func TestAuditObserveOnly(t *testing.T) {
 }
 
 func TestAuditSampleDisabled(t *testing.T) {
-	s, err := New(Config{Dim: 2, Condenser: newCondenser(t, 4, 1), AuditSample: -1})
+	s, err := New(Config{Engine: sharded(t, newCondenser(t, 4, 1), 2, 1), AuditSample: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +180,7 @@ func TestTraceEndpoint(t *testing.T) {
 
 	// Enabled at 1-in-1: requests leave spans, exported as Chrome JSON.
 	tr := telemetry.NewTracer(256, 1)
-	s, err := New(Config{Dim: 2, Condenser: newCondenser(t, 4, 1), Tracer: tr})
+	s, err := New(Config{Engine: sharded(t, newCondenser(t, 4, 1), 2, 1), Tracer: tr})
 	if err != nil {
 		t.Fatal(err)
 	}

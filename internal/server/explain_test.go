@@ -26,7 +26,7 @@ func newExplainServer(t *testing.T, shards int, mutate func(*Config)) (*httptest
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := Config{Dim: 2, Condenser: condenser, Shards: shards, Journal: jr}
+	cfg := Config{Engine: sharded(t, condenser, 2, shards), Journal: jr}
 	if mutate != nil {
 		mutate(&cfg)
 	}

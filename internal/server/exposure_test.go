@@ -69,7 +69,7 @@ func checkExposure(t *testing.T, seed uint64, shards, k, n, maxBatch int) {
 	rec := telemetry.NewRecorder(reg, 16)
 	wd := telemetry.NewWatchdog(reg, telemetry.Nop(), HealthRules(k, shards)...)
 	s, err := New(Config{
-		Dim: 2, Condenser: newCondenser(t, k, seed), Shards: shards,
+		Engine:    sharded(t, newCondenser(t, k, seed), 2, shards),
 		Telemetry: reg, Recorder: rec, Watchdog: wd,
 		Journal: telemetry.NewJournal(256), Tracer: telemetry.NewTracer(256, 1),
 	})

@@ -23,7 +23,7 @@ func newIncrementalServer(t *testing.T, shards int) *Server {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := New(Config{Dim: 2, Condenser: c, Shards: shards})
+	s, err := New(Config{Engine: sharded(t, c, 2, shards)})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -48,7 +48,7 @@ func newObservedServer(t *testing.T, shards int) observed {
 		t.Fatal(err)
 	}
 	s, err := New(Config{
-		Dim: 2, Condenser: condenser, Shards: shards,
+		Engine:    sharded(t, condenser, 2, shards),
 		Telemetry: reg, Recorder: rec, Watchdog: wd,
 	})
 	if err != nil {

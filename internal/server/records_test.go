@@ -166,7 +166,7 @@ type onlyReader struct{ io.Reader }
 // client declares its length or streams it chunked.
 func TestRecordsBodyLimit(t *testing.T) {
 	const dim, maxBatch = 2, 3
-	s, err := New(Config{Dim: dim, Condenser: newCondenser(t, 2, 1), MaxBatch: maxBatch})
+	s, err := New(Config{Engine: sharded(t, newCondenser(t, 2, 1), dim, 1), MaxBatch: maxBatch})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,7 +235,7 @@ func TestRecordsHandlerAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := New(Config{Dim: dim, Condenser: c, AuditSample: -1})
+	s, err := New(Config{Engine: sharded(t, c, dim, 1), AuditSample: -1})
 	if err != nil {
 		t.Fatal(err)
 	}

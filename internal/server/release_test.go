@@ -23,7 +23,7 @@ func TestReleaseGateBootstrap(t *testing.T) {
 	const k = 10
 	for _, shards := range []int{1, 4} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			s, err := New(Config{Dim: 2, Condenser: newCondenser(t, k, 3), Shards: shards})
+			s, err := New(Config{Engine: sharded(t, newCondenser(t, k, 3), 2, shards)})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -249,7 +249,7 @@ func TestReleaseMinGroupSizeGauge(t *testing.T) {
 	const k = 5
 	gauge := func(s *Server) float64 { return s.reg.Gauge(MetricReleaseMinGroupSize).Value() }
 
-	s, err := New(Config{Dim: 2, Condenser: newCondenser(t, k, 3)})
+	s, err := New(Config{Engine: sharded(t, newCondenser(t, k, 3), 2, 1)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,7 +276,7 @@ func TestReleaseMinGroupSizeGauge(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err = New(Config{Condenser: newCondenser(t, k, 4), Initial: base})
+	s, err = New(Config{Engine: shardedFrom(t, newCondenser(t, k, 4), base, 1)})
 	if err != nil {
 		t.Fatal(err)
 	}

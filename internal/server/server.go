@@ -58,26 +58,13 @@ import (
 
 // Config configures a condensation server.
 type Config struct {
-	// Engine is the condenser engine to serve. When set it is used as-is
-	// (the server attaches its telemetry registry and tracer) and Dim,
-	// Condenser, Shards, and Initial are ignored. When nil, the server
-	// constructs an engine from the fields below.
+	// Engine is the condenser engine to serve; required. Build it with
+	// the core.Condenser (Sharded for an empty start, ShardedFrom to
+	// resume from a checkpoint). The server attaches Telemetry, Tracer and
+	// Journal to it, replacing whatever the engine was built with.
 	Engine core.Engine
-	// Dim is the record dimensionality.
-	Dim int
-	// Condenser supplies the condensation configuration (k, options,
-	// seed). Required unless Engine is set.
-	Condenser *core.Condenser
-	// Shards is the number of independent engine shards the server builds
-	// when Engine is nil; 0 means 1. Each shard has its own lock, so
-	// concurrent batches only contend when they route to the same shard.
-	Shards int
 	// MaxBatch bounds the records accepted per POST (default 10000).
 	MaxBatch int
-	// Initial optionally seeds the server with an existing condensation
-	// (e.g. loaded from a checkpoint); its dim takes precedence over Dim,
-	// and its k must match the Condenser's.
-	Initial *core.Condensation
 	// Telemetry receives the server's HTTP metrics and, through the
 	// dynamic condenser, the engine's stage timers and group counters. Nil
 	// means the server creates a private registry, so /metrics always
@@ -205,26 +192,14 @@ var routes = []struct {
 	{http.MethodGet, "/debug/bundle", (*Server).handleBundle},
 }
 
-// New builds a server over cfg.Engine, or over an engine it builds from
-// cfg.Condenser.
+// New builds a server over cfg.Engine.
 func New(cfg Config) (*Server, error) {
-	if cfg.MaxBatch <= 0 {
-		cfg.MaxBatch = 10000
-	}
 	eng := cfg.Engine
 	if eng == nil {
-		if cfg.Condenser == nil {
-			return nil, errors.New("server: Config needs an Engine or a Condenser")
-		}
-		var err error
-		if cfg.Initial != nil {
-			eng, err = cfg.Condenser.ShardedFrom(cfg.Initial, max(cfg.Shards, 1))
-		} else {
-			eng, err = cfg.Condenser.Sharded(cfg.Dim, max(cfg.Shards, 1))
-		}
-		if err != nil {
-			return nil, err
-		}
+		return nil, errors.New("server: Config.Engine is required")
+	}
+	if cfg.MaxBatch <= 0 {
+		cfg.MaxBatch = 10000
 	}
 	reg := cfg.Telemetry
 	if reg == nil {

@@ -27,9 +27,30 @@ func newCondenser(t testing.TB, k int, seed uint64) *core.Condenser {
 	return c
 }
 
+// sharded builds an empty engine of the given shard count from c.
+func sharded(t testing.TB, c *core.Condenser, dim, shards int) *core.Dynamic {
+	t.Helper()
+	eng, err := c.Sharded(dim, shards)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return eng
+}
+
+// shardedFrom builds an engine of the given shard count from c, seeded
+// from initial.
+func shardedFrom(t testing.TB, c *core.Condenser, initial *core.Condensation, shards int) *core.Dynamic {
+	t.Helper()
+	eng, err := c.ShardedFrom(initial, shards)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return eng
+}
+
 func newTestServer(t *testing.T, k int) *httptest.Server {
 	t.Helper()
-	s, err := New(Config{Dim: 2, Condenser: newCondenser(t, k, 1)})
+	s, err := New(Config{Engine: sharded(t, newCondenser(t, k, 1), 2, 1)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +220,7 @@ func TestBadRequests(t *testing.T) {
 }
 
 func TestBatchLimit(t *testing.T) {
-	s, err := New(Config{Dim: 2, Condenser: newCondenser(t, 2, 1), MaxBatch: 5})
+	s, err := New(Config{Engine: sharded(t, newCondenser(t, 2, 1), 2, 1), MaxBatch: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,7 +297,7 @@ func TestHealth(t *testing.T) {
 // before any "not enabled" 404, since this server runs no recorder,
 // journal or tracer.
 func TestWrongMethodEveryRoute(t *testing.T) {
-	s, err := New(Config{Dim: 2, Condenser: newCondenser(t, 3, 1)})
+	s, err := New(Config{Engine: sharded(t, newCondenser(t, 3, 1), 2, 1)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -464,7 +485,7 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	}
 
 	// A new server seeded from the checkpoint carries the state forward.
-	s2, err := New(Config{Condenser: newCondenser(t, cond.K(), 9), Initial: cond})
+	s2, err := New(Config{Engine: shardedFrom(t, newCondenser(t, cond.K(), 9), cond, 1)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -523,19 +544,18 @@ func TestConcurrentIngest(t *testing.T) {
 	}
 }
 
+// TestNewValidation: the engine is the one required field, and the
+// refusal names it.
 func TestNewValidation(t *testing.T) {
-	if _, err := New(Config{Dim: 0, Condenser: newCondenser(t, 2, 0)}); err == nil {
-		t.Error("dim=0 accepted")
-	}
-	if _, err := New(Config{Dim: 2}); err == nil {
-		t.Error("a Config with neither Engine nor Condenser accepted")
+	if _, err := New(Config{}); err == nil || !strings.Contains(err.Error(), "Engine") {
+		t.Errorf("a Config without an Engine: err = %v, want one naming Engine", err)
 	}
 }
 
 // TestIngestCancelledContext verifies the ingestion path honours the
 // request context: a pre-cancelled request admits no records.
 func TestIngestCancelledContext(t *testing.T) {
-	s, err := New(Config{Dim: 2, Condenser: newCondenser(t, 3, 0)})
+	s, err := New(Config{Engine: sharded(t, newCondenser(t, 3, 0), 2, 1)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -570,7 +590,7 @@ func TestConfigCondenser(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := New(Config{Dim: 2, Condenser: c})
+	s, err := New(Config{Engine: sharded(t, c, 2, 1)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -617,7 +637,7 @@ func TestBatchIngestMatchesSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := c.Dynamic(2)
+	ref, err := c.Sharded(2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

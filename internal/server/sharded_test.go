@@ -23,7 +23,7 @@ func newShardedServer(t *testing.T, k, shards int) *httptest.Server {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := New(Config{Dim: 2, Condenser: condenser, Shards: shards})
+	s, err := New(Config{Engine: sharded(t, condenser, 2, shards)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,8 +209,7 @@ func TestConfigEngine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Dim/Shards/K in the config must be ignored in favour of the engine.
-	s, err := New(Config{Engine: eng, Dim: 99, Shards: 7})
+	s, err := New(Config{Engine: eng})
 	if err != nil {
 		t.Fatal(err)
 	}

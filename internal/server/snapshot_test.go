@@ -359,7 +359,7 @@ func TestSnapshotNonFinite500(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := New(Config{Condenser: newCondenser(t, 4, 0), Initial: cond})
+	s, err := New(Config{Engine: shardedFrom(t, newCondenser(t, 4, 0), cond, 1)})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -29,18 +29,14 @@ type Snapshot struct {
 	AvgGroupSize float64
 }
 
-// Driver streams records into a condenser engine.
+// Driver streams records into a condenser engine, one Engine.Add per
+// record, so Seen and the snapshot cadence count the driver's own records
+// even when other writers share the engine.
 type Driver struct {
 	eng core.Engine
 	// Every n records, the driver records a Snapshot (0 disables).
 	SnapshotEvery int
-	// BatchSize > 1 feeds the condenser through its batch engine
-	// (core.Dynamic.AddBatch) in chunks of at most BatchSize records, each
-	// chunk cut at the next snapshot boundary so the snapshot cadence is
-	// exactly that of per-record feeding. The condensation produced is
-	// bit-identical either way; batching only raises throughput. Values
-	// ≤ 1 feed record by record.
-	BatchSize int
+
 	snapshots []Snapshot
 	seen      int
 
@@ -107,16 +103,13 @@ func (d *Driver) FeedContext(ctx context.Context, records []mat.Vector) error {
 	delivered := 0
 	defer func() {
 		// Gauges reflect the call that just finished, whether it completed
-		// or was cancelled mid-batch; delivered records stay counted.
+		// or was cancelled mid-stream; delivered records stay counted.
 		d.records.Add(delivered)
 		d.churn.Set(float64(d.eng.NumGroups() - groups0))
 		if elapsed := time.Since(t0).Seconds(); elapsed > 0 {
 			d.rate.Set(float64(delivered) / elapsed)
 		}
 	}()
-	if d.BatchSize > 1 {
-		return d.feedBatched(ctx, records, t0, &delivered, groups0)
-	}
 	for i, x := range records {
 		if err := ctx.Err(); err != nil {
 			return fmt.Errorf("stream: cancelled at record %d: %w", i, err)
@@ -129,38 +122,6 @@ func (d *Driver) FeedContext(ctx context.Context, records []mat.Vector) error {
 		if d.SnapshotEvery > 0 && d.seen%d.SnapshotEvery == 0 {
 			d.takeSnapshot(ctx, t0, delivered, groups0)
 		}
-	}
-	return nil
-}
-
-// feedBatched is the BatchSize > 1 body of FeedContext: it cuts the stream
-// into chunks that never cross a snapshot boundary and ingests each
-// through the condenser's batch engine.
-func (d *Driver) feedBatched(ctx context.Context, records []mat.Vector, t0 time.Time, delivered *int, groups0 int) error {
-	for lo := 0; lo < len(records); {
-		hi := lo + d.BatchSize
-		if hi > len(records) {
-			hi = len(records)
-		}
-		if d.SnapshotEvery > 0 {
-			// End the chunk at the next snapshot boundary so batching never
-			// skips or delays a snapshot.
-			if next := lo + d.SnapshotEvery - d.seen%d.SnapshotEvery; next < hi {
-				hi = next
-			}
-		}
-		before := d.eng.TotalCount()
-		err := d.eng.AddBatchContext(ctx, records[lo:hi])
-		applied := d.eng.TotalCount() - before
-		d.seen += applied
-		*delivered += applied
-		if err != nil {
-			return fmt.Errorf("stream: batch at record %d: %w", lo, err)
-		}
-		if d.SnapshotEvery > 0 && d.seen%d.SnapshotEvery == 0 {
-			d.takeSnapshot(ctx, t0, *delivered, groups0)
-		}
-		lo = hi
 	}
 	return nil
 }

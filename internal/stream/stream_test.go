@@ -24,7 +24,11 @@ func records(seed uint64, n int) []mat.Vector {
 
 func newDynamic(t *testing.T, k int) *core.Dynamic {
 	t.Helper()
-	dyn, err := core.NewDynamicEmpty(2, k, core.Options{}, rng.New(99))
+	c, err := core.NewCondenser(k, core.WithSeed(99))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dyn, err := c.Sharded(2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,68 +273,45 @@ func TestDriverLogger(t *testing.T) {
 	}
 }
 
-// TestDriverBatchedFeedEquivalence: feeding with any BatchSize produces the
-// identical condensation, seen count, and snapshot sequence as per-record
-// feeding — batching is a pure throughput knob.
-func TestDriverBatchedFeedEquivalence(t *testing.T) {
-	stream := records(7, 500)
-
-	feed := func(batch int) (*Driver, []byte) {
-		t.Helper()
-		d, err := NewDriver(newDynamic(t, 4))
-		if err != nil {
-			t.Fatal(err)
-		}
-		d.SnapshotEvery = 64
-		d.BatchSize = batch
-		if err := d.Feed(stream); err != nil {
-			t.Fatal(err)
-		}
-		var buf bytes.Buffer
-		if _, err := d.Condensation().WriteTo(&buf); err != nil {
-			t.Fatal(err)
-		}
-		return d, buf.Bytes()
-	}
-
-	ref, want := feed(0)
-	for _, batch := range []int{2, 50, 64, 100, 1000} {
-		d, got := feed(batch)
-		if !bytes.Equal(got, want) {
-			t.Errorf("BatchSize=%d: condensation differs from per-record feed", batch)
-		}
-		if d.Seen() != ref.Seen() {
-			t.Errorf("BatchSize=%d: seen %d, want %d", batch, d.Seen(), ref.Seen())
-		}
-		gotSnaps, wantSnaps := d.Snapshots(), ref.Snapshots()
-		if len(gotSnaps) != len(wantSnaps) {
-			t.Fatalf("BatchSize=%d: %d snapshots, want %d", batch, len(gotSnaps), len(wantSnaps))
-		}
-		for i := range gotSnaps {
-			if gotSnaps[i] != wantSnaps[i] {
-				t.Errorf("BatchSize=%d: snapshot %d = %+v, want %+v", batch, i, gotSnaps[i], wantSnaps[i])
-			}
-		}
-	}
-}
-
-// A cancelled context stops a batched feed at a record boundary and keeps
-// the delivered count honest.
-func TestDriverBatchedFeedCancelled(t *testing.T) {
-	d, err := NewDriver(newDynamic(t, 3))
+// TestDriverSeenIgnoresOtherWriters: records another writer adds to the
+// shared engine while the driver feeds count toward neither Seen nor the
+// snapshot cadence, which follow the driver's own records only.
+func TestDriverSeenIgnoresOtherWriters(t *testing.T) {
+	eng := newDynamic(t, 3)
+	d, err := NewDriver(eng)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d.BatchSize = 32
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if err := d.FeedContext(ctx, records(9, 100)); !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if d.Seen() != d.Condensation().TotalCount() {
-		t.Errorf("seen %d but condensed %d", d.Seen(), d.Condensation().TotalCount())
-	}
-	if err := d.Feed(records(9, 100)); err != nil {
+	d.SnapshotEvery = 50
+	other := records(11, 300)
+	done := make(chan error, 1)
+	go func() {
+		var err error
+		for lo := 0; lo < len(other) && err == nil; lo += 10 {
+			err = eng.AddBatch(other[lo : lo+10])
+		}
+		done <- err
+	}()
+	feedErr := d.Feed(records(12, 500))
+	if err := <-done; err != nil {
 		t.Fatal(err)
+	}
+	if feedErr != nil {
+		t.Fatal(feedErr)
+	}
+	if d.Seen() != 500 {
+		t.Errorf("Seen = %d, want the driver's 500", d.Seen())
+	}
+	snaps := d.Snapshots()
+	if len(snaps) != 10 {
+		t.Fatalf("%d snapshots, want 10 (every 50 of the driver's 500 records)", len(snaps))
+	}
+	for i, s := range snaps {
+		if s.Seen != (i+1)*50 {
+			t.Errorf("snapshot %d Seen = %d, want %d", i, s.Seen, (i+1)*50)
+		}
+	}
+	if got := eng.TotalCount(); got != 800 {
+		t.Errorf("engine holds %d records, want 800 from both writers", got)
 	}
 }
