@@ -124,7 +124,7 @@ func run(args []string, stderr io.Writer, serve func(ctx context.Context, addr s
 		shards      = fs.Int("shards", 1, "independent condenser shards (1 = single unsharded engine)")
 		seed        = fs.Uint64("seed", 1, "random seed for split-axis decisions")
 		batch       = fs.Int("batch", 10000, "maximum records per POST")
-		parallel    = fs.Int("par", 0, "worker goroutines for batch routing and static sweeps (≤ 0 means NumCPU)")
+		parallel    = fs.Int("par", 0, "worker goroutines for engine batch routing and static sweeps (≤ 0 means NumCPU); the server's body decode and snapshot encode use NumCPU workers")
 		resume      = fs.String("resume", "", "checkpoint file to restore state from")
 		logLevel    = fs.String("log-level", "info", "log level: debug, info, warn, error, or off")
 		logFormat   = fs.String("log-format", "text", "log format: text or json")

@@ -87,7 +87,8 @@ func RunProgress(n, workers int, progress func(done int), fn func(i int) error) 
 // RunChunks splits [0, n) into at most workers contiguous chunks and runs
 // fn(lo, hi) for each on its own goroutine — for sweeps whose per-item
 // cost is too small to schedule individually and whose workers carry
-// per-chunk scratch state. With workers <= 1 it is fn(0, n).
+// per-chunk scratch state. With workers <= 1 it is fn(0, n). A call
+// allocates the same two objects for any worker count.
 func RunChunks(n, workers int, fn func(lo, hi int) error) error {
 	if n <= 0 {
 		return nil
@@ -99,23 +100,40 @@ func RunChunks(n, workers int, fn func(lo, hi int) error) error {
 		return fn(0, n)
 	}
 	chunk := (n + workers - 1) / workers
-	errs := make([]error, workers)
-	var wg sync.WaitGroup
-	slot := 0
-	for lo := 0; lo < n; lo += chunk {
-		hi := lo + chunk
-		if hi > n {
-			hi = n
+	chunks := (n + chunk - 1) / chunk
+	s := &chunkState{failed: chunks}
+	// One closure for every goroutine, each taking the next chunk: a go
+	// statement with arguments would allocate once per goroutine. The
+	// caller only waits: a goroutine it started while running would sit in
+	// its processor's next-to-run slot, which an idle processor steals
+	// from only after a pause.
+	work := func() {
+		defer s.wg.Done()
+		c := int(s.next.Add(1)) - 1
+		lo := c * chunk
+		if err := fn(lo, min(lo+chunk, n)); err != nil {
+			s.mu.Lock()
+			if c < s.failed {
+				s.failed, s.err = c, err
+			}
+			s.mu.Unlock()
 		}
-		wg.Add(1)
-		go func(slot, lo, hi int) {
-			defer wg.Done()
-			errs[slot] = fn(lo, hi)
-		}(slot, lo, hi)
-		slot++
 	}
-	wg.Wait()
-	return first(errs)
+	s.wg.Add(chunks)
+	for range chunks {
+		go work()
+	}
+	s.wg.Wait()
+	return s.err
+}
+
+// chunkState is what one RunChunks call's goroutines share.
+type chunkState struct {
+	next   atomic.Int64 // chunks taken so far
+	wg     sync.WaitGroup
+	mu     sync.Mutex
+	failed int   // the lowest failed chunk, or the chunk count if none
+	err    error // that chunk's error
 }
 
 // first returns the lowest-index non-nil error.

@@ -129,3 +129,21 @@ func TestRunProgressSequentialStopsAtError(t *testing.T) {
 		t.Errorf("progress reached %d, want 3 (tasks before the failure)", last)
 	}
 }
+
+// TestRunChunksAllocs pins that a fan-out allocates the same for any
+// worker count, so callers that bound their allocations, like the
+// server's body decode, do not allocate more on machines with more cores.
+func TestRunChunksAllocs(t *testing.T) {
+	var sink [64]int
+	fn := func(lo, hi int) error {
+		for i := lo; i < hi; i++ {
+			sink[i]++
+		}
+		return nil
+	}
+	two := testing.AllocsPerRun(100, func() { _ = RunChunks(len(sink), 2, fn) })
+	many := testing.AllocsPerRun(100, func() { _ = RunChunks(len(sink), 16, fn) })
+	if two != many || two > 2 {
+		t.Errorf("%v allocations at 2 workers, %v at 16, want the same, at most 2", two, many)
+	}
+}

@@ -72,6 +72,17 @@ func FuzzDecodeRecords(f *testing.F) {
 	f.Add([]byte(" \t\n{ \"records\" :\r[ [ -0 , 1.5e-3 ] , [2E+2,-0.0] ] }\n"))
 	f.Add(harnessBody(f, 1, 1024, 8))
 	const maxBatch = 1024
+	// Bodies that probe the range split: a syntax error in the last range
+	// behind a wrong-dimension row in the first, a row's '[' exactly at
+	// the 2-range split offset, the records array closed just before it,
+	// an empty row in a middle range, CR/LF runs around the separators,
+	// and one row over the batch limit.
+	f.Add([]byte(`{"records":[[1],[1,2],[1,2],[1,2],[1,2],[1,2],[1,2],[1,2],[1,2],[1,2,]]}`))
+	f.Add(splitAtRow(`{"records":[[1,2],[3,4],[5,6],[7,8]]}`, 2, 2))
+	f.Add(splitAtRow(`{"records":[[1,2]][3,4]]}`, 1, 2))
+	f.Add([]byte(`{"records":[[1,2],[1,2],[1,2],[1,2],[],[1,2],[1,2],[1,2],[1,2]]}`))
+	f.Add([]byte("{\"records\":[\r\n[1,2]\r\n\r\n,\n\r[3,4]\n\n,\r\r[5,6]\r\n,\r\n[7,8]\r\n]\r\n}\r\n"))
+	f.Add([]byte(`{"records":[` + strings.Repeat(`[1,2],`, maxBatch) + `[1,2]]}`))
 	f.Fuzz(func(t *testing.T, body []byte) {
 		// Judge both decoders at the dimension the body's first row has,
 		// so well-formed bodies reach the acceptance path. The cap keeps
@@ -79,6 +90,18 @@ func FuzzDecodeRecords(f *testing.F) {
 		dim := 2
 		if rows, parsed, _ := referenceDecode(body, 1, math.MaxInt); parsed && len(rows) > 0 && len(rows[0]) > 0 {
 			dim = min(len(rows[0]), 16)
+		}
+		// Every range count decodes the body as one range does: the same
+		// records bit for bit, or the same status and error.
+		one, oneStatus, oneErr := decodeRecordsIn(body, dim, maxBatch, 1)
+		for _, ranges := range []int{0, 2, 3, 7} {
+			got, status, err := decodeRecordsIn(body, dim, maxBatch, ranges)
+			if status != oneStatus || fmt.Sprint(err) != fmt.Sprint(oneErr) {
+				t.Fatalf("%d ranges: %d %v, one range %d %v", ranges, status, err, oneStatus, oneErr)
+			}
+			if err := sameRecords(got, one); err != nil {
+				t.Fatalf("%d ranges: %v", ranges, err)
+			}
 		}
 		got, status, err := decodeRecords(body, dim, maxBatch)
 		want, _, ok := referenceDecode(body, dim, maxBatch)
@@ -112,9 +135,47 @@ func FuzzDecodeRecords(f *testing.F) {
 	})
 }
 
+// splitAtRow pads body with trailing whitespace so that the '[' opening
+// its row-th row sits exactly at the offset where a split into ranges
+// places its first range boundary.
+func splitAtRow(body string, row, ranges int) []byte {
+	at := strings.Index(body, "[[") + 1
+	for ; row > 0; row-- {
+		at += strings.Index(body[at+1:], "[") + 1
+	}
+	n := len(body)
+	for n/ranges < at {
+		n++
+	}
+	if n/ranges != at {
+		panic("no body length puts the split on the row")
+	}
+	return []byte(body + strings.Repeat(" ", n-len(body)))
+}
+
+// sameRecords reports how got differs from want, bit for bit, or nil.
+func sameRecords(got, want []mat.Vector) error {
+	if len(got) != len(want) {
+		return fmt.Errorf("%d records, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if len(got[i]) != len(want[i]) {
+			return fmt.Errorf("record %d has %d values, want %d", i, len(got[i]), len(want[i]))
+		}
+		for j := range want[i] {
+			if math.Float64bits(got[i][j]) != math.Float64bits(want[i][j]) {
+				return fmt.Errorf("record %d value %d: %v, want %v", i, j, got[i][j], want[i][j])
+			}
+		}
+	}
+	return nil
+}
+
 // TestDecodeRecordsPrecedence pins which refusal a body breaking several
 // rules gets: syntax, then empty, then batch size, then the first
-// wrong-dimension record, each with its message.
+// wrong-dimension record, then the first record beyond the magnitude
+// bound, each with its message, whether the body is decoded as one range
+// or split into four.
 func TestDecodeRecordsPrecedence(t *testing.T) {
 	cases := []struct {
 		name, body string
@@ -128,15 +189,19 @@ func TestDecodeRecordsPrecedence(t *testing.T) {
 		{"empty", ` { "records" : [ ] } `, http.StatusBadRequest, "no records in request"},
 		{"batch size beats dimension", `{"records": [[1],[1,2],[1,2],[1,2]]}`, http.StatusRequestEntityTooLarge, "batch of 4 exceeds limit 3"},
 		{"first wrong dimension", `{"records": [[1,2],[],[1,2,3]]}`, http.StatusBadRequest, "record 1 has dimension 0, want 2"},
+		{"wrong dimensions in two ranges", `{"records": [[1,2],        [1,2,3],        [1]]}`, http.StatusBadRequest, "record 1 has dimension 3, want 2"},
+		{"magnitude in a late range", `{"records": [[1,2],        [3,4],        [5,1e65]]}`, http.StatusBadRequest, "record 2: core: record value 1 (1e+65) is beyond"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			recs, status, err := decodeRecords([]byte(tc.body), 2, 3)
-			if err == nil {
-				t.Fatalf("accepted %d records", len(recs))
-			}
-			if status != tc.status || !strings.HasPrefix(err.Error(), tc.msg) {
-				t.Errorf("got %d %q, want %d %q…", status, err, tc.status, tc.msg)
+			for _, ranges := range []int{1, 4} {
+				recs, status, err := decodeRecordsIn([]byte(tc.body), 2, 3, ranges)
+				if err == nil {
+					t.Fatalf("%d ranges: accepted %d records", ranges, len(recs))
+				}
+				if status != tc.status || !strings.HasPrefix(err.Error(), tc.msg) {
+					t.Errorf("%d ranges: got %d %q, want %d %q…", ranges, status, err, tc.status, tc.msg)
+				}
 			}
 		})
 	}
@@ -223,12 +288,16 @@ func TestRecordsBodyLimit(t *testing.T) {
 // TestRecordsHandlerAllocs bounds the allocations of one 1024-record POST
 // through the whole handler, the request and recorder included.
 // encoding/json spent about four per record; the decoder spends a fixed
-// few per request. What is counted is the request path around the
-// engine's zero-allocation apply, so three engine costs that do not
-// belong to it are kept out: the audit reservoir is off (its sampled
-// copies are its own cost), k exceeds every batch so no split runs, and
-// routing runs on one worker, since the per-window fan-out allocates per
-// core and would make the count depend on the machine.
+// few per request. The body is decoded in up to decodeMaxRanges row
+// ranges whose bookkeeping is fixed arrays, and par.RunChunks allocates
+// the same two objects for any worker count, so the count does not grow
+// with the core count: a split decode costs three allocations more than a
+// one-range decode on any machine with more than one core. What is
+// counted is the request path around the engine's zero-allocation apply,
+// so three engine costs that do not belong to it are kept out: the audit
+// reservoir is off (its sampled copies are its own cost), k exceeds every
+// batch so no split runs, and routing runs on one worker, since its
+// per-window fan-out would add allocations per window of records.
 func TestRecordsHandlerAllocs(t *testing.T) {
 	const dim, n = 8, 1024
 	c, err := core.NewCondenser(1<<20, core.WithSeed(1), core.WithParallelism(1))
@@ -304,6 +373,21 @@ func TestRecordsOverflowRefused(t *testing.T) {
 		beyond := fmt.Sprintf(`{"records":[[1,1],[%s,1]]}`, strconv.FormatFloat(-above, 'g', -1, 64))
 		if got := post(ts, beyond); got != http.StatusBadRequest {
 			t.Fatalf("shards=%d: the next float beyond the bound status %d, want 400", shards, got)
+		}
+	}
+}
+
+// BenchmarkDecodeRecords decodes the benchmark harness's POST body, 1024
+// records of dimension 8, and reports the body bytes decoded per second.
+func BenchmarkDecodeRecords(b *testing.B) {
+	const dim, n = 8, 1024
+	body := harnessBody(b, 1, n, dim)
+	b.SetBytes(int64(len(body)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, status, err := decodeRecords(body, dim, n); err != nil {
+			b.Fatalf("status %d: %v", status, err)
 		}
 	}
 }
