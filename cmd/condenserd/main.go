@@ -53,7 +53,7 @@
 // disables it) records structured explainability events — group creation,
 // splits with parent→child lineage, speculation fallbacks, read-cache
 // invalidations, watchdog transitions — served from /v1/events. Per-group
-// diagnostics (size, birth generation, lineage, centroid drift, covariance
+// diagnostics (size, birth generation, lineage, centroid, covariance
 // condition number) are on /v1/groups and /v1/groups/{id}; POST /v1/explain
 // dry-runs routing for a record against the current release without
 // ingesting it. Every response carries an X-Request-Id (accepted from the

@@ -102,7 +102,7 @@ func newDynamic(dim, k int, opts Options, groups []*stats.Group, srcs []*rng.Sou
 		sh.groups = append(sh.groups, g)
 		sh.centroids = append(sh.centroids, m)
 		sh.total += g.N()
-		sh.annotate(0, m)
+		sh.annotate(0)
 	}
 	for _, sh := range d.shards {
 		idx, err := knn.NewCentroidIndex(dim, sh.centroids)

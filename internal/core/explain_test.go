@@ -219,9 +219,6 @@ func TestGroupIDsNotSerialized(t *testing.T) {
 		if gi.BirthGeneration != 0 {
 			t.Fatalf("restored group %d has birth generation %d, want 0", gi.ID, gi.BirthGeneration)
 		}
-		if gi.CentroidDrift != 0 {
-			t.Fatalf("freshly restored group %d already drifted %v", gi.ID, gi.CentroidDrift)
-		}
 	}
 }
 
@@ -495,9 +492,9 @@ func TestExplainSideEffectFree(t *testing.T) {
 	})
 }
 
-// TestGroupLineageDrift: a group's drift grows as it absorbs, and split
-// children record their parent and a fresh birth centroid.
-func TestGroupLineageDrift(t *testing.T) {
+// TestGroupLineage: split children record their parent and the
+// generation they were born at.
+func TestGroupLineage(t *testing.T) {
 	const k, dim = 5, 2
 	jr := telemetry.NewJournal(256)
 	d := buildDynamic(t, k, dim, WithJournal(jr))
@@ -514,9 +511,6 @@ func TestGroupLineageDrift(t *testing.T) {
 			if gi.BirthGeneration == 0 {
 				t.Fatalf("split child %d has birth generation 0", gi.ID)
 			}
-		}
-		if gi.CentroidDrift < 0 {
-			t.Fatalf("negative drift on group %d", gi.ID)
 		}
 	}
 	if children == 0 {

@@ -126,16 +126,14 @@ type GroupInfo struct {
 	// Parent is the id of the split parent the group was born from, or 0
 	// for founded and initial groups.
 	Parent uint64 `json:"parent,omitempty"`
-	// CentroidDrift is the Euclidean distance between the group's current
-	// centroid and its centroid at birth — how far absorbed records have
-	// dragged the group since it was created.
-	CentroidDrift float64 `json:"centroid_drift"`
 }
 
 // GroupDetail extends GroupInfo with the group's centroid and covariance
-// conditioning for the per-group diagnostics endpoint. The centroid at
-// birth is not reported: a founded group's birth centroid is its first
-// raw record. CentroidDrift summarizes it instead.
+// conditioning for the per-group diagnostics endpoint. Nothing about the
+// group's birth beyond its generation and parent is reported: a founded
+// group's birth centroid is its first raw record, and its distance from
+// the current centroid would give that record back. Drift between
+// released centroids stays computable from two releases.
 type GroupDetail struct {
 	GroupInfo
 	// Centroid is the group's current centroid Y(G).
@@ -158,9 +156,8 @@ func (r *Release) GroupInfos(buf []GroupInfo) []GroupInfo {
 		buf = make([]GroupInfo, 0, len(r.cond.meta))
 	}
 	buf = buf[:0]
-	c := make(mat.Vector, r.cond.dim)
 	for i := range r.cond.meta {
-		buf = append(buf, r.groupInfo(i, c))
+		buf = append(buf, r.groupInfo(i))
 	}
 	return buf
 }
@@ -182,27 +179,26 @@ func (r *Release) GroupByID(id uint64) (GroupDetail, bool) {
 	return GroupDetail{}, false
 }
 
-// groupInfo summarizes released group i, computing its centroid into c.
-// The centroid is bit-identical to the engine's cached one: both scale Fs
-// by the same reciprocal.
-func (r *Release) groupInfo(i int, c mat.Vector) GroupInfo {
-	g, m := r.cond.groups[i], r.cond.meta[i]
-	_ = g.MeanInto(c) // released groups hold at least k ≥ 1 records
+// groupInfo summarizes released group i.
+func (r *Release) groupInfo(i int) GroupInfo {
+	m := r.cond.meta[i]
 	return GroupInfo{
 		ID:              m.id,
 		Shard:           shardOfID(m.id, len(r.ends)-1),
-		Size:            g.N(),
+		Size:            r.cond.groups[i].N(),
 		BirthGeneration: m.gen,
 		Parent:          m.parent,
-		CentroidDrift:   c.Dist(m.centroid),
 	}
 }
 
-// groupDetail builds the detail view of released group i. The eigensolve
-// works on fresh workspaces, so concurrent readers never share scratch.
+// groupDetail builds the detail view of released group i. The centroid
+// is bit-identical to the engine's cached one: both scale Fs by the same
+// reciprocal. The eigensolve works on fresh workspaces, so concurrent
+// readers never share scratch.
 func (r *Release) groupDetail(i int) GroupDetail {
 	c := make(mat.Vector, r.cond.dim)
-	det := GroupDetail{GroupInfo: r.groupInfo(i, c), Centroid: c}
+	_ = r.cond.groups[i].MeanInto(c) // released groups hold at least k ≥ 1 records
+	det := GroupDetail{GroupInfo: r.groupInfo(i), Centroid: c}
 	// The audit's convention: eigenvalues sorted descending, condition
 	// number defined only when both extremes are strictly positive.
 	eig, err := r.cond.groups[i].Eigen()

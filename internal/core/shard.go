@@ -109,16 +109,16 @@ type shard struct {
 }
 
 // groupMeta is one group's observe-only identity and birth annotation:
-// its stable id, the mutation generation it was created at, the id of the
-// split parent it was born from (0 for founded or initial groups), and its
-// centroid at birth — the reference point per-group drift diagnostics
-// measure against. A value is immutable once stored: a split stores a new
-// one for the slot, so snapshots share the pointers with the live shard.
+// its stable id, the mutation generation it was created at, and the id of
+// the split parent it was born from (0 for founded or initial groups). It
+// keeps nothing computed from records: a founded group's birth centroid
+// would be its first raw record. A value is immutable once stored: a split
+// stores a new one for the slot, so snapshots share the pointers with the
+// live shard.
 type groupMeta struct {
-	id       uint64
-	gen      uint64
-	parent   uint64
-	centroid mat.Vector
+	id     uint64
+	gen    uint64
+	parent uint64
 }
 
 // groupIDShardShift partitions the 64-bit group-id space per shard: shard
@@ -129,17 +129,16 @@ const groupIDShardShift = 48
 
 // newMeta annotates a group born now: the next stable id under this
 // shard's base (1-based, so 0 stays the "no parent" sentinel), the current
-// mutation generation, the given split parent (0 when founded), and a
-// clone of the group's centroid.
-func (sh *shard) newMeta(parent uint64, centroid mat.Vector) *groupMeta {
+// mutation generation, and the given split parent (0 when founded).
+func (sh *shard) newMeta(parent uint64) *groupMeta {
 	sh.idSeq++
-	return &groupMeta{id: sh.idBase | sh.idSeq, gen: sh.lastMut, parent: parent, centroid: centroid.Clone()}
+	return &groupMeta{id: sh.idBase | sh.idSeq, gen: sh.lastMut, parent: parent}
 }
 
 // annotate registers identity and birth for a group slot just appended to
 // groups and returns its id.
-func (sh *shard) annotate(parent uint64, centroid mat.Vector) uint64 {
-	m := sh.newMeta(parent, centroid)
+func (sh *shard) annotate(parent uint64) uint64 {
+	m := sh.newMeta(parent)
 	sh.meta = append(sh.meta, m)
 	return m.id
 }
@@ -217,7 +216,7 @@ func (sh *shard) found(x mat.Vector) error {
 		return err
 	}
 	sh.centroids = append(sh.centroids, m)
-	id := sh.annotate(0, m)
+	id := sh.annotate(0)
 	if _, err := sh.router.Add(m); err != nil {
 		return err
 	}
@@ -299,9 +298,9 @@ func (sh *shard) ingest(best int, x mat.Vector, sp *telemetry.Span) error {
 		sh.centroids = append(sh.centroids, c2)
 		// The parent id retires with the split; both halves are new groups
 		// with fresh ids and lineage back to the parent.
-		sh.meta[best] = sh.newMeta(parentID, sh.centroids[best])
+		sh.meta[best] = sh.newMeta(parentID)
 		id1 := sh.meta[best].id
-		id2 := sh.annotate(parentID, c2)
+		id2 := sh.annotate(parentID)
 		if _, err := sh.router.Add(c2); err != nil {
 			return err
 		}

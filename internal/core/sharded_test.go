@@ -571,9 +571,9 @@ func TestDynamicConcurrentSingleShard(t *testing.T) {
 // to one copy of the initial groups at every shard count: the clones are
 // dealt straight into the shards, never copied a second time. At dim 16
 // a group's d×d second-order sums dominate every other per-group
-// allocation (centroid, birth centroid, router row: about a third of a
-// copy together), so a second clone would push the total past two copies;
-// the bound sits between the two at 1.75.
+// allocation (centroid and router row: about a quarter of a copy
+// together, 1.27 copies in all), so a second clone would push the total
+// past 2.25 copies; the bound sits between the two at 1.5.
 func TestShardedFromClonesOnce(t *testing.T) {
 	const k, dim = 4, 16
 	initial, err := condense(gaussianRecords(71, 2400, dim), k, rng.New(73), Options{})
@@ -606,8 +606,8 @@ func TestShardedFromClonesOnce(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
-		if got > clone*7/4 {
-			t.Errorf("%d shards: constructor allocated %d bytes, more than 1.75× one copy of the initial groups (%d bytes)", shards, got, clone)
+		if got > clone*3/2 {
+			t.Errorf("%d shards: constructor allocated %d bytes, more than 1.5× one copy of the initial groups (%d bytes)", shards, got, clone)
 		}
 	}
 }

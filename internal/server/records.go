@@ -23,9 +23,11 @@ import (
 //	row    = [ ws ] | [ ws number *( ws , ws number ) ws ]
 //	ws     = *( space | \t | \n | \r )
 //
-// with every number matching the RFC 8259 number grammar. A number is
-// handed to strconv.ParseFloat(s, 64) — the call encoding/json makes — so
-// accepted values are bit-identical to what encoding/json would produce.
+// with every number matching the RFC 8259 number grammar. Each number is
+// converted in the pass that checks its grammar (see atof.go), falling
+// back to strconv.ParseFloat(s, 64) — the call encoding/json makes — for
+// the rare number that pass cannot convert, so accepted values are
+// bit-identical to what encoding/json would produce.
 // Unlike encoding/json, the decoder refuses null values (which
 // encoding/json leaves as a fabricated 0), data after the object, and any
 // key spelled other than "records" exactly once (case-folded, escaped or
@@ -208,8 +210,8 @@ func (r *rangeResult) refusal(maxBatch, dim int) (int, error) {
 	case r.badRow >= 0:
 		return http.StatusBadRequest, fmt.Errorf("record %d has dimension %d, want %d", r.badRow, r.badLen, dim)
 	case r.nonFinite >= 0:
-		// ParseFloat already refuses overflow, so this cannot fire on a
-		// body that parsed; it stays as the last guard on outside input.
+		// number already refuses overflow, so this cannot fire on a body
+		// that parsed; it stays as the last guard on outside input.
 		return http.StatusBadRequest, fmt.Errorf("record %d has non-finite values", r.nonFinite)
 	case r.bigRow >= 0:
 		return http.StatusBadRequest, fmt.Errorf("record %d: %w", r.bigRow, r.bigErr)
@@ -359,21 +361,37 @@ func (p *recordsParser) key() {
 	p.i += len(name)
 }
 
-// number consumes one RFC 8259 number and parses it as a float64.
+// number consumes one RFC 8259 number and converts it to a float64 in
+// the same pass. While it checks the digits it appends them to a decimal
+// mantissa — zeros before the first significant digit only move the
+// power of ten — and decimalToFloat converts mantissa and power. A
+// mantissa of more than maxMantDigits significant digits is read again by
+// longMantissa, which keeps the first maxMantDigits; a truncated mantissa,
+// or a pair decimalToFloat cannot convert, is handed to
+// strconv.ParseFloat(s, 64), the call encoding/json makes. So every
+// accepted value is bit-identical to what encoding/json would produce,
+// and a value beyond float64 is refused.
 func (p *recordsParser) number() float64 {
 	if p.err != nil {
 		return 0
 	}
 	b, start := p.b, p.i
 	i := start
-	if i < len(b) && b[i] == '-' {
+	neg := i < len(b) && b[i] == '-'
+	if neg {
 		i++
 	}
+	mant := i
+	// man takes every significant digit and nd counts them; past
+	// maxMantDigits man has wrapped, and longMantissa redoes it.
+	var man uint64
+	nd, exp10 := 0, 0
 	switch {
 	case i < len(b) && b[i] == '0':
 		i++
 	case i < len(b) && '1' <= b[i] && b[i] <= '9':
-		i = digits(b, i+1)
+		i, man = appendDigits(b, i, 0)
+		nd = i - mant
 	default:
 		p.i = i
 		p.fail("want a number")
@@ -381,28 +399,60 @@ func (p *recordsParser) number() float64 {
 	}
 	if i < len(b) && b[i] == '.' {
 		i++
-		j := digits(b, i)
-		if j == i {
+		frac := i
+		if nd == 0 {
+			for i < len(b) && b[i] == '0' {
+				i++
+			}
+		}
+		sig := i
+		i, man = appendDigits(b, i, man)
+		if i == frac {
 			p.i = i
 			p.fail("want a digit after the decimal point")
 			return 0
 		}
-		i = j
+		nd += i - sig
+		exp10 = frac - i
 	}
-	if i < len(b) && (b[i] == 'e' || b[i] == 'E') {
+	mantEnd := i
+	e := 0 // the explicit exponent
+	if i < len(b) && b[i]|0x20 == 'e' {
 		i++
+		eneg := false
 		if i < len(b) && (b[i] == '+' || b[i] == '-') {
+			eneg = b[i] == '-'
 			i++
 		}
-		j := digits(b, i)
-		if j == i {
+		j := i
+		for ; i < len(b); i++ {
+			c := b[i] - '0'
+			if c > 9 {
+				break
+			}
+			if e < 10000 { // strconv's cap
+				e = e*10 + int(c)
+			}
+		}
+		if i == j {
 			p.i = i
 			p.fail("want a digit in the exponent")
 			return 0
 		}
-		i = j
+		if eneg {
+			e = -e
+		}
 	}
 	p.i = i
+	trunc := false
+	if nd > maxMantDigits {
+		man, exp10, trunc = longMantissa(b[mant:mantEnd])
+	}
+	if !trunc {
+		if v, ok := decimalToFloat(man, exp10+e, neg); ok {
+			return v
+		}
+	}
 	v, err := strconv.ParseFloat(string(b[start:i]), 64)
 	if err != nil {
 		p.i = start
@@ -410,12 +460,4 @@ func (p *recordsParser) number() float64 {
 		return 0
 	}
 	return v
-}
-
-// digits returns the index just past the run of ASCII digits at b[i:].
-func digits(b []byte, i int) int {
-	for i < len(b) && '0' <= b[i] && b[i] <= '9' {
-		i++
-	}
-	return i
 }
