@@ -73,13 +73,17 @@ func newDynamic(dim, k int, opts Options, groups []*stats.Group, srcs []*rng.Sou
 	}
 	n := len(srcs)
 	d := &Dynamic{k: k, dim: dim, opts: opts, shards: make([]*shard, n)}
+	// Each shard's initial centroids are written straight into the arena
+	// its router takes over: row r is the shard's r-th group's mean.
+	arenas := make([][]float64, n)
 	for i, r := range srcs {
 		dealt := (len(groups) - i + n - 1) / n
+		arenas[i] = make([]float64, dealt*dim)
 		d.shards[i] = &shard{
 			k: k, dim: dim, opts: opts, r: r,
-			groups:    make([]*stats.Group, 0, dealt),
-			centroids: make([]mat.Vector, 0, dealt),
-			meta:      make([]*groupMeta, 0, dealt),
+			groups: make([]*stats.Group, 0, dealt),
+			mean:   make(mat.Vector, dim),
+			meta:   make([]*groupMeta, 0, dealt),
 			// Shard i allocates stable group ids under base i<<48, so ids
 			// from different shards never collide and a Release recovers
 			// the owning shard from the id alone.
@@ -95,17 +99,16 @@ func newDynamic(dim, k int, opts Options, groups []*stats.Group, srcs []*rng.Sou
 			return nil, fmt.Errorf("core: initial group %d holds %d records, at least 2k = %d, and would never split", j, g.N(), 2*k)
 		}
 		sh := d.shards[j%n]
-		m, err := g.Mean()
-		if err != nil {
+		r := len(sh.groups)
+		if err := g.MeanInto(arenas[j%n][r*dim : (r+1)*dim]); err != nil {
 			return nil, fmt.Errorf("core: initial group %d: %w", j, err)
 		}
 		sh.groups = append(sh.groups, g)
-		sh.centroids = append(sh.centroids, m)
 		sh.total += g.N()
 		sh.annotate(0)
 	}
-	for _, sh := range d.shards {
-		idx, err := knn.NewCentroidIndex(dim, sh.centroids)
+	for i, sh := range d.shards {
+		idx, err := knn.NewCentroidIndex(dim, arenas[i])
 		if err != nil {
 			return nil, fmt.Errorf("core: indexing shard %d centroids: %w", sh.index, err)
 		}

@@ -89,7 +89,7 @@ func (sh *shard) addBatch(ctx context.Context, records []mat.Vector) error {
 	if len(sh.groups) == 0 {
 		// Found the first group sequentially; the remainder speculates
 		// against it.
-		if err := ctx.Err(); err != nil {
+		if err := cancelled(ctx); err != nil {
 			return fmt.Errorf("core: batch cancelled at record 0: %w", err)
 		}
 		if err := sh.found(records[0]); err != nil {
@@ -192,7 +192,7 @@ func (sh *shard) addBatch(ctx context.Context, records []mat.Vector) error {
 		changed = changed[:0]
 		changedFlat = changedFlat[:0]
 		for i, x := range window {
-			if err := ctx.Err(); err != nil {
+			if err := cancelled(ctx); err != nil {
 				return fmt.Errorf("core: batch cancelled at record %d: %w", head+wlo+i, err)
 			}
 			best, bestD := wcand[i], wcandD[i]
@@ -215,13 +215,13 @@ func (sh *shard) addBatch(ctx context.Context, records []mat.Vector) error {
 			}
 			applied++
 			// Refresh (or admit) the ingested group's arena row with its
-			// post-ingest centroid; on a split, centroids[best] is M1.
+			// post-ingest centroid; on a split, router point best is M1's.
 			if p := pos[best]; p >= 0 {
-				copy(changedFlat[int(p)*dim:(int(p)+1)*dim], sh.centroids[best])
+				copy(changedFlat[int(p)*dim:(int(p)+1)*dim], sh.router.Point(best))
 			} else {
 				pos[best] = int32(len(changed))
 				changed = append(changed, best)
-				changedFlat = append(changedFlat, sh.centroids[best]...)
+				changedFlat = append(changedFlat, sh.router.Point(best)...)
 			}
 			if len(sh.groups) > before {
 				// The split appended exactly one group, changed by
@@ -229,11 +229,23 @@ func (sh *shard) addBatch(ctx context.Context, records []mat.Vector) error {
 				g := len(sh.groups) - 1
 				pos = append(pos, int32(len(changed)))
 				changed = append(changed, g)
-				changedFlat = append(changedFlat, sh.centroids[g]...)
+				changedFlat = append(changedFlat, sh.router.Point(g)...)
 			}
 		}
 	}
 	return nil
+}
+
+// cancelled returns ctx's error once ctx is done, and nil before. It
+// polls Done without blocking rather than calling Err, which takes a
+// mutex on a cancelable context: the apply loop checks once per record.
+func cancelled(ctx context.Context) error {
+	select {
+	case <-ctx.Done():
+		return ctx.Err()
+	default:
+		return nil
+	}
 }
 
 // speculationWindow is how many records AddBatch routes per speculation

@@ -13,8 +13,8 @@ import (
 )
 
 // dynamicFingerprint captures everything the batch-equivalence contract
-// promises byte for byte: every group's exact moment encoding, the cached
-// centroids, and a synthesized sample.
+// promises byte for byte: every group's exact moment encoding, the
+// centroids the router holds, and a synthesized sample.
 func dynamicFingerprint(t *testing.T, d *Dynamic) []byte {
 	t.Helper()
 	var buf bytes.Buffer
@@ -26,8 +26,8 @@ func dynamicFingerprint(t *testing.T, d *Dynamic) []byte {
 			}
 			buf.Write(enc)
 		}
-		for _, c := range sh.centroids {
-			for _, v := range c {
+		for i := range sh.groups {
+			for _, v := range sh.router.Point(i) {
 				var b [8]byte
 				u := math.Float64bits(v)
 				for i := range b {
@@ -56,8 +56,9 @@ func dynamicFingerprint(t *testing.T, d *Dynamic) []byte {
 
 // addCheckingScan is the reference ingest loop: before each Add it checks
 // that the record's shard's centroid index picks the group the paper's
-// linear scan picks — kernel.ArgminFlat over the shard's centroids, ties
-// to the lower slot — at the same squared distance.
+// linear scan picks — kernel.ArgminFlat over the means of the shard's
+// groups, recomputed from their moments, ties to the lower slot — at the
+// same squared distance.
 func addCheckingScan(t *testing.T, d *Dynamic, stream []mat.Vector) {
 	t.Helper()
 	var arena []float64
@@ -65,7 +66,11 @@ func addCheckingScan(t *testing.T, d *Dynamic, stream []mat.Vector) {
 		sh := d.shards[d.shardOf(x)]
 		if len(sh.groups) > 0 {
 			arena = arena[:0]
-			for _, c := range sh.centroids {
+			for _, g := range sh.groups {
+				c, err := g.Mean()
+				if err != nil {
+					t.Fatal(err)
+				}
 				arena = append(arena, c...)
 			}
 			wantID, wantD := kernel.ArgminFlat(x, arena)
@@ -256,16 +261,31 @@ func TestAddBatchCancelled(t *testing.T) {
 	}
 }
 
-// cancelAfter is a context whose Err reports cancellation from its n-th
-// call on: addBatch checks Err once per applied record, so the batch
-// stops mid-window after a known number of applies.
+// cancelAfter is a context whose Done returns a closed channel from its
+// n-th call on, and whose Err reports cancellation from then: addBatch
+// polls Done once per applied record, so the batch stops mid-window
+// after a known number of applies.
 type cancelAfter struct {
 	context.Context
 	n int
 }
 
-func (c *cancelAfter) Err() error {
+// closedDone is the closed channel a fired cancelAfter returns.
+var closedDone = func() chan struct{} {
+	c := make(chan struct{})
+	close(c)
+	return c
+}()
+
+func (c *cancelAfter) Done() <-chan struct{} {
 	if c.n--; c.n < 0 {
+		return closedDone
+	}
+	return nil
+}
+
+func (c *cancelAfter) Err() error {
+	if c.n < 0 {
 		return context.Canceled
 	}
 	return nil

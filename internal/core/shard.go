@@ -32,10 +32,11 @@ const searchSampleEvery = 64
 // Records are routed through a knn.CentroidIndex over the group
 // centroids: it scans linearly while it is small and answers from a box
 // tree that stays exact under centroid drift and splits as it grows,
-// returning the paper's linear-scan answer either way. Every field is
-// guarded by mu, which the owning Dynamic takes around each call: the
-// write lock for ingest and configuration, the read lock for snapshots
-// and diagnostics. Records reaching a shard have already been validated
+// returning the paper's linear-scan answer either way. The index's arenas
+// are the only copy of the centroids: group i's centroid is router point
+// i. Every field is guarded by mu, which the owning Dynamic takes around
+// each call: the write lock for ingest and configuration, the read lock
+// for snapshots and diagnostics. Records reaching a shard have already been validated
 // by the engine.
 type shard struct {
 	mu sync.RWMutex
@@ -45,21 +46,21 @@ type shard struct {
 	opts Options
 	r    *rng.Source
 
-	groups    []*stats.Group
-	centroids []mat.Vector // cached, updated in place, kept in sync with groups
-	total     int          // cached running record count (Σ g.N()), updated on ingest
-	splits    int          // group splits performed so far
-	met       engineMetrics
-	tr        *telemetry.Tracer
+	groups []*stats.Group
+	total  int // cached running record count (Σ g.N()), updated on ingest
+	splits int // group splits performed so far
+	met    engineMetrics
+	tr     *telemetry.Tracer
 
 	parallelism int                // AddBatch speculation workers; < 1 means runtime.NumCPU()
-	router      *knn.CentroidIndex // exact nearest-centroid index, kept in sync with centroids
+	router      *knn.CentroidIndex // exact nearest-centroid index; point i is group i's centroid
+	mean        mat.Vector         // scratch for a changed group's new centroid, copied into router
 	routed      int                // records routed, for sampled stage timing
 	scratch     batchScratch       // reusable AddBatch buffers
 	eig         mat.EigenScratch   // reusable split eigensolve workspaces
 
 	// Stable group identity and lineage, maintained in parallel with
-	// groups/centroids: meta[i] is slot i's id and birth annotation. Ids
+	// groups: meta[i] is slot i's id and birth annotation. Ids
 	// are allocated monotonically under idBase — this shard's partition of
 	// the id space (see groupIDShardShift) — so ids are unique engine-wide
 	// and never reused after a split retires them. All of it is
@@ -211,13 +212,11 @@ func (sh *shard) found(x mat.Vector) error {
 		return err
 	}
 	sh.groups = append(sh.groups, g)
-	m, err := g.Mean()
-	if err != nil {
+	if err := g.MeanInto(sh.mean); err != nil {
 		return err
 	}
-	sh.centroids = append(sh.centroids, m)
 	id := sh.annotate(0)
-	if _, err := sh.router.Add(m); err != nil {
+	if _, err := sh.router.Add(sh.mean); err != nil {
 		return err
 	}
 	sh.total++
@@ -250,12 +249,12 @@ func (sh *shard) route(x mat.Vector) int {
 	return best
 }
 
-// ingest folds x into group best, refreshes the group's cached centroid in
-// place (no allocation), keeps the router in sync, and performs the
-// paper's split once the group reaches 2k records: delete M from H, add
-// M1 and M2 to H. sp, when non-nil, is the enclosing trace span (the
-// sampled per-record span for Add, the apply-phase span for AddBatch); a
-// split then records a child span under it.
+// ingest folds x into group best, writes the group's new centroid into
+// the router (no allocation), and performs the paper's split once the
+// group reaches 2k records: delete M from H, add M1 and M2 to H. sp,
+// when non-nil, is the enclosing trace span (the sampled per-record span
+// for Add, the apply-phase span for AddBatch); a split then records a
+// child span under it.
 func (sh *shard) ingest(best int, x mat.Vector, sp *telemetry.Span) error {
 	sh.bump()
 	sh.markDirty(best)
@@ -264,10 +263,10 @@ func (sh *shard) ingest(best int, x mat.Vector, sp *telemetry.Span) error {
 		return err
 	}
 	sh.total++
-	if err := g.MeanInto(sh.centroids[best]); err != nil {
+	if err := g.MeanInto(sh.mean); err != nil {
 		return err
 	}
-	if err := sh.router.Update(best, sh.centroids[best]); err != nil {
+	if err := sh.router.Update(best, sh.mean); err != nil {
 		return err
 	}
 
@@ -284,24 +283,22 @@ func (sh *shard) ingest(best int, x mat.Vector, sp *telemetry.Span) error {
 		}
 		parentID := sh.meta[best].id
 		sh.groups[best] = m1
-		if err := m1.MeanInto(sh.centroids[best]); err != nil {
+		if err := m1.MeanInto(sh.mean); err != nil {
 			return err
 		}
-		if err := sh.router.Update(best, sh.centroids[best]); err != nil {
+		if err := sh.router.Update(best, sh.mean); err != nil {
 			return err
 		}
-		c2, err := m2.Mean()
-		if err != nil {
+		if err := m2.MeanInto(sh.mean); err != nil {
 			return err
 		}
 		sh.groups = append(sh.groups, m2)
-		sh.centroids = append(sh.centroids, c2)
 		// The parent id retires with the split; both halves are new groups
 		// with fresh ids and lineage back to the parent.
 		sh.meta[best] = sh.newMeta(parentID)
 		id1 := sh.meta[best].id
 		id2 := sh.annotate(parentID)
-		if _, err := sh.router.Add(c2); err != nil {
+		if _, err := sh.router.Add(sh.mean); err != nil {
 			return err
 		}
 		if sh.jr != nil {

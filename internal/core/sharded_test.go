@@ -570,10 +570,13 @@ func TestDynamicConcurrentSingleShard(t *testing.T) {
 // TestShardedFromClonesOnce bounds the seeding constructor's allocations
 // to one copy of the initial groups at every shard count: the clones are
 // dealt straight into the shards, never copied a second time. At dim 16
-// a group's d×d second-order sums dominate every other per-group
-// allocation (centroid and router row: about a quarter of a copy
-// together, 1.27 copies in all), so a second clone would push the total
-// past 2.25 copies; the bound sits between the two at 1.5.
+// a group clone is its header and a 152-value moment block (Fs and the
+// upper triangle of Sc), about 1.3 KB. Everything else the constructor
+// allocates per group is smaller: the centroid's two router rows (the
+// id-order arena and the leaf arena, 128 bytes each), its tree slots and
+// its identity record. Together they come to 1.30 copies, so a second
+// clone would push the total past 2.3 copies; the bound sits between the
+// two at 1.5.
 func TestShardedFromClonesOnce(t *testing.T) {
 	const k, dim = 4, 16
 	initial, err := condense(gaussianRecords(71, 2400, dim), k, rng.New(73), Options{})

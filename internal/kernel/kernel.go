@@ -225,23 +225,6 @@ func ArgminFlatIDs[Q ~[]float64](q Q, block []float64, ids []int, bestID int, be
 	return bestID, bestD
 }
 
-// ArgminIndexed is the gather form of ArgminFlatIDs for point sets that
-// are not arena-backed (dirty lists, leftover centroids): it folds
-// points[ids[i]] with identity ids[i] into the incumbent under the same
-// lexicographic (distance, id) order.
-func ArgminIndexed[Q ~[]float64, S ~[]float64](q Q, points []S, ids []int, bestID int, bestD float64) (int, float64) {
-	for _, id := range ids {
-		dd, ok := distSqBound(points[id], q, bestD)
-		if !ok {
-			continue
-		}
-		if dd < bestD || (dd == bestD && id < bestID) {
-			bestID, bestD = id, dd
-		}
-	}
-	return bestID, bestD
-}
-
 // argminFlatFrom folds arena rows with identities base, base+1, ... into
 // the incumbent. Because row order IS id order here, an exact tie can
 // never displace the incumbent, so the strict bound prune is complete.

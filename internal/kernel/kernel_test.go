@@ -128,29 +128,6 @@ func TestArgminFlatIDsMatchesFold(t *testing.T) {
 	}
 }
 
-func TestArgminIndexedMatchesFold(t *testing.T) {
-	r := rand.New(rand.NewPCG(9, 10))
-	_, pts := randBlock(r, 50, 8)
-	for trial := 0; trial < 30; trial++ {
-		ids := make([]int, r.IntN(len(pts)))
-		for i := range ids {
-			ids[i] = r.IntN(len(pts))
-		}
-		q := randVec(r, 8)
-		wantID, wantD := -1, math.Inf(1)
-		for _, id := range ids {
-			dd := refDistSq(q, pts[id])
-			if dd < wantD || (dd == wantD && id < wantID) {
-				wantID, wantD = id, dd
-			}
-		}
-		gotID, gotD := ArgminIndexed(q, pts, ids, -1, math.Inf(1))
-		if gotID != wantID || math.Float64bits(gotD) != math.Float64bits(wantD) {
-			t.Fatalf("got (%d,%v) want (%d,%v)", gotID, gotD, wantID, wantD)
-		}
-	}
-}
-
 func TestTopKMatchesSort(t *testing.T) {
 	r := rand.New(rand.NewPCG(13, 14))
 	for trial := 0; trial < 50; trial++ {

@@ -26,7 +26,9 @@ import (
 //     splitting streams, taking such jumps out of the tree saved under
 //     0.5% of leaf sweeps, too little to pay for a second path.
 //   - a "dirty" list of the points born since the last rebuild, answered
-//     by linear scan.
+//     by linear scan. Those are always the ids the last rebuild did not
+//     file, so their coordinates are the tail of the id-order arena and
+//     the scan is one contiguous sweep.
 //   - a threshold rebuild that re-files every point into reused buffers,
 //     emptying the dirty list and shrinking every box back to tight.
 //
@@ -49,9 +51,9 @@ import (
 // are read-only.
 type CentroidIndex struct {
 	dim     int
-	points  []mat.Vector // current positions, owned copies
-	dirty   []int        // ids added since the last rebuild, scanned linearly
-	updates int          // in-tree updates since the last rebuild
+	points  []float64 // current positions, row id at points[id*dim:(id+1)*dim]
+	dirty   []int     // ids added since the last rebuild, exactly [len(perm), Len())
+	updates int       // in-tree updates since the last rebuild
 
 	// The tree over ids [0, len(perm)), the points filed at the last
 	// rebuild; all storage reused across rebuilds.
@@ -92,19 +94,19 @@ const centroidRebuildMin = 16
 // the balance point up to fat 64-row leaves.
 const ctLeafSize = 64
 
-// NewCentroidIndex builds an index over copies of the given centroids
-// (later in-place mutation of the caller's vectors does not corrupt it).
-// An empty initial set is allowed; points are then supplied via Add.
-func NewCentroidIndex(dim int, centroids []mat.Vector) (*CentroidIndex, error) {
+// NewCentroidIndex builds an index over the centroids of a flat arena in
+// id order: centroid id occupies points[id*dim:(id+1)*dim]. The index
+// takes ownership of the arena; the caller must not use it afterwards. An
+// empty (or nil) arena is allowed; points are then supplied via Add.
+func NewCentroidIndex(dim int, points []float64) (*CentroidIndex, error) {
 	if dim < 1 {
 		return nil, fmt.Errorf("knn: centroid dimension %d, must be ≥ 1", dim)
 	}
-	c := &CentroidIndex{dim: dim, root: -1}
-	for i, p := range centroids {
-		if len(p) != dim {
-			return nil, fmt.Errorf("knn: centroid %d has dimension %d, want %d", i, len(p), dim)
-		}
-		c.points = append(c.points, p.Clone())
+	if len(points)%dim != 0 {
+		return nil, fmt.Errorf("knn: centroid arena of %d values is not whole rows of dimension %d", len(points), dim)
+	}
+	c := &CentroidIndex{dim: dim, points: points, root: -1}
+	for i := range len(points) / dim {
 		c.dirty = append(c.dirty, i)
 	}
 	c.maybeRebuild()
@@ -112,7 +114,14 @@ func NewCentroidIndex(dim int, centroids []mat.Vector) (*CentroidIndex, error) {
 }
 
 // Len returns the number of indexed centroids.
-func (c *CentroidIndex) Len() int { return len(c.points) }
+func (c *CentroidIndex) Len() int { return len(c.points) / c.dim }
+
+// Point returns centroid id's current coordinates as a read-only view of
+// the index's arena. The view stays valid until the next Add, which may
+// move the arena.
+func (c *CentroidIndex) Point(id int) mat.Vector {
+	return c.points[id*c.dim : (id+1)*c.dim : (id+1)*c.dim]
+}
 
 // Dim returns the dimensionality of the indexed centroids.
 func (c *CentroidIndex) Dim() int { return c.dim }
@@ -123,8 +132,8 @@ func (c *CentroidIndex) Add(p mat.Vector) (int, error) {
 	if len(p) != c.dim {
 		return 0, fmt.Errorf("knn: centroid has dimension %d, want %d", len(p), c.dim)
 	}
-	id := len(c.points)
-	c.points = append(c.points, p.Clone())
+	id := c.Len()
+	c.points = append(c.points, p...)
 	c.dirty = append(c.dirty, id)
 	c.maybeRebuild()
 	return id, nil
@@ -135,8 +144,8 @@ func (c *CentroidIndex) Add(p mat.Vector) (int, error) {
 // to contain the new position, so distances and boxes stay exact; a point
 // on the dirty list is scanned at its current position anyway.
 func (c *CentroidIndex) Update(id int, p mat.Vector) error {
-	if id < 0 || id >= len(c.points) {
-		return fmt.Errorf("knn: centroid id %d out of range [0,%d)", id, len(c.points))
+	if id < 0 || id >= c.Len() {
+		return fmt.Errorf("knn: centroid id %d out of range [0,%d)", id, c.Len())
 	}
 	if len(p) != c.dim {
 		return fmt.Errorf("knn: centroid has dimension %d, want %d", len(p), c.dim)
@@ -147,7 +156,7 @@ func (c *CentroidIndex) Update(id int, p mat.Vector) error {
 		c.grow(int(c.leaf[i]), p)
 		c.updates++
 	}
-	copy(c.points[id], p)
+	copy(c.points[id*c.dim:(id+1)*c.dim], p)
 	c.maybeRebuild()
 	return nil
 }
@@ -184,7 +193,7 @@ func (c *CentroidIndex) grow(ni int, p mat.Vector) {
 // scan wins anyway, never rebuild. Rebuilding re-files every point into
 // reused buffers.
 func (c *CentroidIndex) maybeRebuild() {
-	n := len(c.points)
+	n := c.Len()
 	dirtyTrigger := len(c.dirty) >= centroidRebuildMin && 8*len(c.dirty) >= n
 	updateTrigger := c.updates >= 4*centroidRebuildMin && c.updates >= 2*n
 	if !dirtyTrigger && !updateTrigger {
@@ -207,7 +216,7 @@ func (c *CentroidIndex) maybeRebuild() {
 	// out contiguously in that order so leaf scans sweep flat memory.
 	for i, id := range c.perm {
 		c.slot[id] = i
-		copy(c.flat[i*c.dim:], c.points[id])
+		copy(c.flat[i*c.dim:], c.Point(id))
 	}
 	c.dirty = c.dirty[:0]
 	c.updates = 0
@@ -222,12 +231,12 @@ func (c *CentroidIndex) buildTree(lo, hi, parent int) int {
 	c.nodes = append(c.nodes, ctNode{left: -1, right: -1, parent: parent, lo: lo, hi: hi})
 	// Bounding box over the bucket: dim mins, then dim maxes.
 	b := len(c.boxes)
-	first := c.points[c.perm[lo]]
+	first := c.Point(c.perm[lo])
 	c.boxes = append(c.boxes, first...)
 	c.boxes = append(c.boxes, first...)
 	box := c.boxes[b : b+2*c.dim]
 	for _, id := range c.perm[lo+1 : hi] {
-		for j, v := range c.points[id] {
+		for j, v := range c.Point(id) {
 			if v < box[j] {
 				box[j] = v
 			}
@@ -260,7 +269,7 @@ func (c *CentroidIndex) buildTree(lo, hi, parent int) int {
 // rank want by current coordinate along axis (Hoare quickselect with
 // median-of-three pivots; expected O(len)).
 func (c *CentroidIndex) selectByAxis(perm []int, want, axis int) {
-	key := func(i int) float64 { return c.points[perm[i]][axis] }
+	key := func(i int) float64 { return c.points[perm[i]*c.dim+axis] }
 	lo, hi := 0, len(perm)-1
 	for lo < hi {
 		// Median-of-three pivot: order lo, mid, hi, then use the middle.
@@ -319,10 +328,11 @@ func (c *CentroidIndex) Nearest(q mat.Vector) (int, float64) {
 		}
 		c.treeSearch(c.root, &s)
 	}
-	// Dirty points live outside the tree until the next rebuild; fold
-	// them in with the gather argmin kernel under the same (distance, id)
-	// lexicographic order as the inline scan it replaced.
-	s.best, s.bestD = kernel.ArgminIndexed(q, c.points, c.dirty, s.best, s.bestD)
+	// Dirty points live outside the tree until the next rebuild. They are
+	// the ids past the tree's, so their rows are the arena's tail; fold
+	// them in with the flat argmin kernel under the same (distance, id)
+	// lexicographic order as the leaf sweeps.
+	s.best, s.bestD = kernel.ArgminFlatIDs(q, c.points[len(c.perm)*c.dim:], c.dirty, s.best, s.bestD)
 	return s.best, s.bestD
 }
 

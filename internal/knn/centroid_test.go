@@ -23,6 +23,16 @@ func scanNearestLex(points []mat.Vector, q mat.Vector) (int, float64) {
 	return best, bestD
 }
 
+// flatten copies points into a flat id-order arena, the form
+// NewCentroidIndex takes.
+func flatten(points []mat.Vector) []float64 {
+	var flat []float64
+	for _, p := range points {
+		flat = append(flat, p...)
+	}
+	return flat
+}
+
 // Property: under arbitrary interleavings of Add, Update, and Nearest the
 // index answers every query exactly as the id-order linear scan does,
 // including distance ties (coordinates are drawn from a small integer grid
@@ -57,7 +67,7 @@ func TestCentroidIndexMatchesScan(t *testing.T) {
 		for i := 0; i < n; i++ {
 			mirror = append(mirror, grid())
 		}
-		idx, err := NewCentroidIndex(dim, mirror)
+		idx, err := NewCentroidIndex(dim, flatten(mirror))
 		if err != nil {
 			return false
 		}
@@ -117,6 +127,11 @@ func TestCentroidIndexMatchesScan(t *testing.T) {
 				if gotID != wantID || gotD != wantD {
 					return false
 				}
+			}
+		}
+		for id, p := range mirror {
+			if idx.Point(id).DistSq(p) != 0 {
+				return false
 			}
 		}
 		return idx.Len() == len(mirror)
@@ -179,7 +194,7 @@ func (c *CentroidIndex) checkBoxes() error {
 			if int(c.leaf[i]) != ni || c.slot[id] != i {
 				return fmt.Errorf("leaf %d: slot %d (id %d) filed under leaf %d, slot %d", ni, i, id, c.leaf[i], c.slot[id])
 			}
-			if row.DistSq(c.points[id]) != 0 {
+			if row.DistSq(c.Point(id)) != 0 {
 				return fmt.Errorf("leaf %d: id %d has stale coordinates", ni, id)
 			}
 			if !c.boxHolds(ni, row) {
@@ -210,10 +225,10 @@ func TestCentroidIndexErrors(t *testing.T) {
 	if _, err := NewCentroidIndex(0, nil); err == nil {
 		t.Error("dim=0 accepted")
 	}
-	if _, err := NewCentroidIndex(2, []mat.Vector{{1}}); err == nil {
-		t.Error("mismatched initial centroid accepted")
+	if _, err := NewCentroidIndex(2, []float64{1, 2, 3}); err == nil {
+		t.Error("arena of partial rows accepted")
 	}
-	idx, err := NewCentroidIndex(2, []mat.Vector{{1, 2}})
+	idx, err := NewCentroidIndex(2, []float64{1, 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,17 +246,12 @@ func TestCentroidIndexErrors(t *testing.T) {
 	}
 }
 
-// The index does not alias caller storage: mutating the vectors passed to
-// the constructor, Add, or Update afterwards must not change answers.
+// Add and Update copy their points into the index: mutating the vectors
+// passed to them afterwards must not change answers or Point.
 func TestCentroidIndexCopiesInputs(t *testing.T) {
-	p := mat.Vector{1, 1}
-	idx, err := NewCentroidIndex(2, []mat.Vector{p})
+	idx, err := NewCentroidIndex(2, []float64{1, 1})
 	if err != nil {
 		t.Fatal(err)
-	}
-	p[0] = 100
-	if _, d := idx.Nearest(mat.Vector{1, 1}); d != 0 {
-		t.Error("constructor aliased caller storage")
 	}
 	q := mat.Vector{5, 5}
 	if _, err := idx.Add(q); err != nil {
@@ -250,6 +260,17 @@ func TestCentroidIndexCopiesInputs(t *testing.T) {
 	q[0] = -100
 	if id, d := idx.Nearest(mat.Vector{5, 5}); id != 1 || d != 0 {
 		t.Errorf("Add aliased caller storage: (%d, %g)", id, d)
+	}
+	u := mat.Vector{2, 3}
+	if err := idx.Update(0, u); err != nil {
+		t.Fatal(err)
+	}
+	u[0] = -100
+	if p := idx.Point(0); p[0] != 2 || p[1] != 3 {
+		t.Errorf("Update aliased caller storage: Point(0) = %v", p)
+	}
+	if p := idx.Point(1); p[0] != 5 || p[1] != 5 {
+		t.Errorf("Point(1) = %v, want [5 5]", p)
 	}
 }
 
@@ -265,7 +286,7 @@ func TestCentroidIndexRebuild(t *testing.T) {
 		}
 		mirror = append(mirror, x)
 	}
-	idx, err := NewCentroidIndex(dim, mirror)
+	idx, err := NewCentroidIndex(dim, flatten(mirror))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -332,7 +353,7 @@ func driftedIndex(tb testing.TB, g, routed, queries int) (*CentroidIndex, []mat.
 		a[i] = r.Norm()
 	}
 	cents := corrStream(r, a, g)
-	idx, err := NewCentroidIndex(8, cents)
+	idx, err := NewCentroidIndex(8, flatten(cents))
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -364,7 +385,7 @@ func driftedIndex(tb testing.TB, g, routed, queries int) (*CentroidIndex, []mat.
 // within 1.15×.
 func TestCentroidIndexPruningEffort(t *testing.T) {
 	drifted, cents, qs := driftedIndex(t, 4000, 6000, 2000)
-	fresh, err := NewCentroidIndex(8, cents)
+	fresh, err := NewCentroidIndex(8, flatten(cents))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -394,7 +415,7 @@ var nearestSink int
 // index and against one whose centroids drifted under routed records.
 func BenchmarkCentroidIndexNearest(b *testing.B) {
 	drifted, cents, qs := driftedIndex(b, 4000, 6000, 2000)
-	fresh, err := NewCentroidIndex(8, cents)
+	fresh, err := NewCentroidIndex(8, flatten(cents))
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"bytes"
 	"testing"
 
 	"condensation/internal/mat"
@@ -32,13 +33,18 @@ func FuzzGroupUnmarshal(f *testing.F) {
 			t.Fatalf("accepted group with dimension %d", g.Dim())
 		}
 		// FromMoments' invariants hold for every accepted group.
-		if g.N() < 1 || !g.fs.IsFinite() || !g.sc.IsFinite() {
+		if g.N() < 1 || !mat.Vector(g.block).IsFinite() {
 			t.Fatalf("accepted group with n=%d or non-finite moments: %v", g.N(), &g)
 		}
-		// Every accepted group must round-trip identically.
+		// Every accepted group must round-trip identically: the decoder
+		// keeps the encoded block as it is, so re-marshalling gives back
+		// the input bytes.
 		out, err := g.MarshalBinary()
 		if err != nil {
 			t.Fatalf("re-marshal failed: %v", err)
+		}
+		if !bytes.Equal(out, data) {
+			t.Fatalf("re-marshal changed the bytes:\n in %x\nout %x", data, out)
 		}
 		var h Group
 		if err := h.UnmarshalBinary(out); err != nil {

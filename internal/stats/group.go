@@ -16,6 +16,13 @@
 // building a group from raw records are all exact integer-count sum
 // updates, which is what makes the dynamic (streaming) maintenance of
 // Section 3 of the paper possible without retaining any raw records.
+//
+// Sc is symmetric, so a group keeps only its upper triangle: one
+// contiguous block of d + d(d+1)/2 values holding Fs and then Sc_ij for
+// j ≥ i in row-major order — the order MarshalBinary writes. Keeping only
+// one half is exact, not an approximation: x_i·x_j and x_j·x_i are the
+// same IEEE product, accumulated in the same record order, so a full d×d
+// Sc would hold the same bits in both halves.
 package stats
 
 import (
@@ -32,16 +39,20 @@ import (
 type Group struct {
 	dim int
 	n   int
-	fs  mat.Vector  // first-order sums, length dim
-	sc  *mat.Matrix // second-order sums, dim×dim symmetric
+	// block is Fs (dim values), then the upper triangle of Sc in
+	// row-major order: Sc_00 … Sc_0(d−1), Sc_11 … Sc_1(d−1), …, Sc_(d−1)(d−1).
+	block []float64
 }
+
+// blockLen is the length of a group's moment block at dimension d.
+func blockLen(d int) int { return d + d*(d+1)/2 }
 
 // NewGroup returns an empty group over d-dimensional records.
 func NewGroup(d int) *Group {
 	if d <= 0 {
 		panic(fmt.Sprintf("stats: non-positive dimension %d", d))
 	}
-	return &Group{dim: d, fs: mat.NewVector(d), sc: mat.New(d, d)}
+	return &Group{dim: d, block: make([]float64, blockLen(d))}
 }
 
 // FromRecords builds a group from raw records.
@@ -61,7 +72,9 @@ func FromRecords(records []mat.Vector) (*Group, error) {
 // FromMoments builds a group directly from a count, first-order sums, and
 // second-order sums. The split procedure of the dynamic algorithm uses this
 // to materialize the two child groups from derived moments (Equation 3 of
-// the paper). The inputs are copied.
+// the paper). The inputs are copied; sc is symmetrized as
+// mat.Matrix.Symmetrize does, (sc + scᵀ)/2, before its upper triangle is
+// kept.
 func FromMoments(n int, fs mat.Vector, sc *mat.Matrix) (*Group, error) {
 	d := len(fs)
 	if d == 0 {
@@ -76,7 +89,18 @@ func FromMoments(n int, fs mat.Vector, sc *mat.Matrix) (*Group, error) {
 	if !fs.IsFinite() || !sc.IsFinite() {
 		return nil, errors.New("stats: FromMoments with non-finite moments")
 	}
-	return &Group{dim: d, n: n, fs: fs.Clone(), sc: sc.Clone().Symmetrize()}, nil
+	g := &Group{dim: d, n: n, block: make([]float64, blockLen(d))}
+	copy(g.block, fs)
+	tri := g.block[d:]
+	for i := 0; i < d; i++ {
+		row := sc.Row(i)
+		tri[0] = row[i]
+		for j := i + 1; j < d; j++ {
+			tri[j-i] = (row[j] + sc.At(j, i)) / 2
+		}
+		tri = tri[d-i:]
+	}
+	return g, nil
 }
 
 // Dim returns the attribute dimensionality d.
@@ -84,6 +108,9 @@ func (g *Group) Dim() int { return g.dim }
 
 // N returns n(G), the number of condensed records.
 func (g *Group) N() int { return g.n }
+
+// fs returns Fs(G), aliasing the block.
+func (g *Group) fs() mat.Vector { return g.block[:g.dim] }
 
 // Add folds one record into the group: Fs += x, Sc += x·xᵀ, n += 1.
 func (g *Group) Add(x mat.Vector) error {
@@ -93,12 +120,15 @@ func (g *Group) Add(x mat.Vector) error {
 	if !x.IsFinite() {
 		return errors.New("stats: record has non-finite values")
 	}
+	fs, tri := g.block[:len(x)], g.block[len(x):]
 	for i, xi := range x {
-		g.fs[i] += xi
-		row := g.sc.Row(i)
-		for j, xj := range x {
+		fs[i] += xi
+		tail := x[i:]
+		row := tri[:len(tail)]
+		for j, xj := range tail {
 			row[j] += xi * xj
 		}
+		tri = tri[len(tail):]
 	}
 	g.n++
 	return nil
@@ -110,12 +140,9 @@ func (g *Group) Merge(other *Group) error {
 	if other.dim != g.dim {
 		return fmt.Errorf("stats: merge dimension mismatch %d != %d", other.dim, g.dim)
 	}
-	g.fs.AddScaled(1, other.fs)
-	for i := 0; i < g.dim; i++ {
-		row, orow := g.sc.Row(i), other.sc.Row(i)
-		for j := range row {
-			row[j] += orow[j]
-		}
+	ob := other.block[:len(g.block)]
+	for i := range g.block {
+		g.block[i] += ob[i]
 	}
 	g.n += other.n
 	return nil
@@ -123,14 +150,28 @@ func (g *Group) Merge(other *Group) error {
 
 // Clone returns an independent deep copy of g.
 func (g *Group) Clone() *Group {
-	return &Group{dim: g.dim, n: g.n, fs: g.fs.Clone(), sc: g.sc.Clone()}
+	block := make([]float64, len(g.block))
+	copy(block, g.block)
+	return &Group{dim: g.dim, n: g.n, block: block}
 }
 
 // FirstOrderSums returns a copy of Fs(G).
-func (g *Group) FirstOrderSums() mat.Vector { return g.fs.Clone() }
+func (g *Group) FirstOrderSums() mat.Vector { return g.fs().Clone() }
 
-// SecondOrderSums returns a copy of Sc(G).
-func (g *Group) SecondOrderSums() *mat.Matrix { return g.sc.Clone() }
+// SecondOrderSums returns a copy of Sc(G) as a full symmetric matrix.
+func (g *Group) SecondOrderSums() *mat.Matrix {
+	d := g.dim
+	sc := mat.New(d, d)
+	tri := g.block[d:]
+	for i := 0; i < d; i++ {
+		for j, v := range tri[:d-i] {
+			sc.Set(i, i+j, v)
+			sc.Set(i+j, i, v)
+		}
+		tri = tri[d-i:]
+	}
+	return sc
+}
 
 // Mean returns the group centroid Y(G) = Fs(G)/n(G) (Observation 1 /
 // Equation 2 of the paper). It returns an error on an empty group.
@@ -138,15 +179,16 @@ func (g *Group) Mean() (mat.Vector, error) {
 	if g.n == 0 {
 		return nil, errors.New("stats: mean of empty group")
 	}
-	return g.fs.Scale(1 / float64(g.n)), nil
+	return g.fs().Scale(1 / float64(g.n)), nil
 }
 
 // MeanInto writes the group centroid into dst without allocating. It is
 // the streaming hot path's update primitive: the dynamic engine folds a
-// record into a group and refreshes its cached centroid in place, so
-// steady-state ingestion performs no per-record allocation. The computed
-// values are bit-identical to Mean() — both scale Fs by the same
-// reciprocal — so cached and freshly-allocated centroids never diverge.
+// record into a group and writes its new centroid into a scratch vector
+// that the centroid index copies, so steady-state ingestion performs no
+// per-record allocation. The computed values are bit-identical to Mean()
+// — both scale Fs by the same reciprocal — so indexed and
+// freshly-allocated centroids never diverge.
 func (g *Group) MeanInto(dst mat.Vector) error {
 	if len(dst) != g.dim {
 		return fmt.Errorf("stats: destination dimension %d, group dimension %d", len(dst), g.dim)
@@ -155,7 +197,7 @@ func (g *Group) MeanInto(dst mat.Vector) error {
 		return errors.New("stats: mean of empty group")
 	}
 	inv := 1 / float64(g.n)
-	for i, f := range g.fs {
+	for i, f := range g.fs() {
 		dst[i] = inv * f
 	}
 	return nil
@@ -170,16 +212,19 @@ func (g *Group) Covariance() (*mat.Matrix, error) {
 		return nil, errors.New("stats: covariance of empty group")
 	}
 	n := float64(g.n)
-	c := mat.New(g.dim, g.dim)
-	for i := 0; i < g.dim; i++ {
-		for j := i; j < g.dim; j++ {
-			v := g.sc.At(i, j)/n - g.fs[i]*g.fs[j]/(n*n)
+	d := g.dim
+	fs, tri := g.fs(), g.block[d:]
+	c := mat.New(d, d)
+	for i := 0; i < d; i++ {
+		for j := i; j < d; j++ {
+			v := tri[j-i]/n - fs[i]*fs[j]/(n*n)
 			if i == j && v < 0 {
 				v = 0
 			}
 			c.Set(i, j, v)
 			c.Set(j, i, v)
 		}
+		tri = tri[d-i:]
 	}
 	return c, nil
 }
@@ -193,7 +238,12 @@ func (g *Group) Variance(j int) (float64, error) {
 		return 0, errors.New("stats: variance of empty group")
 	}
 	n := float64(g.n)
-	v := g.sc.At(j, j)/n - g.fs[j]*g.fs[j]/(n*n)
+	d := g.dim
+	// Row j of the triangle starts after rows 0..j−1, of d, d−1, …, d−j+1
+	// entries; Sc_jj is its first entry.
+	sjj := g.block[d+j*d-j*(j-1)/2]
+	fj := g.block[j]
+	v := sjj/n - fj*fj/(n*n)
 	if v < 0 {
 		v = 0
 	}
@@ -226,20 +276,15 @@ func (g *Group) EigenWith(s *mat.EigenScratch) (mat.Eigen, error) {
 const groupMagic = 0x434e4447 // "CNDG"
 
 // MarshalBinary encodes the group as a portable little-endian byte stream:
-// magic, dim, n, Fs, then the upper triangle of Sc.
+// magic, dim, n, Fs, then the upper triangle of Sc — the moment block as
+// it is held.
 func (g *Group) MarshalBinary() ([]byte, error) {
-	tri := g.dim * (g.dim + 1) / 2
-	buf := make([]byte, 0, 4+8+8+8*g.dim+8*tri)
+	buf := make([]byte, 0, 4+8+8+8*len(g.block))
 	buf = binary.LittleEndian.AppendUint32(buf, groupMagic)
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(g.dim))
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(g.n))
-	for _, x := range g.fs {
+	for _, x := range g.block {
 		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(x))
-	}
-	for i := 0; i < g.dim; i++ {
-		for j := i; j < g.dim; j++ {
-			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(g.sc.At(i, j)))
-		}
 	}
 	return buf, nil
 }
@@ -257,25 +302,9 @@ func (g *Group) UnmarshalBinary(data []byte) error {
 	if dim <= 0 || dim > 1<<20 {
 		return fmt.Errorf("stats: implausible dimension %d in encoding", dim)
 	}
-	tri := dim * (dim + 1) / 2
-	want := 20 + 8*dim + 8*tri
+	want := 20 + 8*blockLen(dim)
 	if len(data) != want {
 		return fmt.Errorf("stats: group encoding length %d, want %d", len(data), want)
-	}
-	fs := mat.NewVector(dim)
-	off := 20
-	for i := range fs {
-		fs[i] = math.Float64frombits(binary.LittleEndian.Uint64(data[off : off+8]))
-		off += 8
-	}
-	sc := mat.New(dim, dim)
-	for i := 0; i < dim; i++ {
-		for j := i; j < dim; j++ {
-			v := math.Float64frombits(binary.LittleEndian.Uint64(data[off : off+8]))
-			off += 8
-			sc.Set(i, j, v)
-			sc.Set(j, i, v)
-		}
 	}
 	// Enforce FromMoments' invariants: decoded bytes are untrusted, and a
 	// non-positive count or a non-finite moment would only fail (or panic)
@@ -283,10 +312,15 @@ func (g *Group) UnmarshalBinary(data []byte) error {
 	if n <= 0 {
 		return fmt.Errorf("stats: non-positive count %d in encoding", n)
 	}
-	if !fs.IsFinite() || !sc.IsFinite() {
-		return errors.New("stats: non-finite moments in encoding")
+	block := make([]float64, blockLen(dim))
+	for i := range block {
+		v := math.Float64frombits(binary.LittleEndian.Uint64(data[20+8*i:]))
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return errors.New("stats: non-finite moments in encoding")
+		}
+		block[i] = v
 	}
-	g.dim, g.n, g.fs, g.sc = dim, n, fs, sc
+	g.dim, g.n, g.block = dim, n, block
 	return nil
 }
 

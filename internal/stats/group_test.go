@@ -1,6 +1,9 @@
 package stats
 
 import (
+	"bytes"
+	"encoding/binary"
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -334,7 +337,7 @@ func TestGroupCovarianceSymmetricProperty(t *testing.T) {
 }
 
 // Property: MeanInto is bit-identical to Mean for arbitrary groups, so the
-// dynamic engine's in-place cached centroids can never diverge from
+// centroids the dynamic engine's router holds can never diverge from
 // freshly-computed ones.
 func TestGroupMeanIntoMatchesMean(t *testing.T) {
 	f := func(seed uint64) bool {
@@ -381,16 +384,218 @@ func TestGroupMeanIntoErrors(t *testing.T) {
 	}
 }
 
-func BenchmarkGroupAdd34(b *testing.B) {
-	g := NewGroup(34)
-	x := make(mat.Vector, 34)
-	for i := range x {
-		x[i] = float64(i)
+// fullMoments is the test's reference for a group: n, Fs and the full
+// d×d Sc, accumulated with plain loops over every (i, j) pair, the layout
+// the packed block replaces.
+type fullMoments struct {
+	n  int
+	fs []float64
+	sc [][]float64
+}
+
+func newFullMoments(d int) *fullMoments {
+	m := &fullMoments{fs: make([]float64, d), sc: make([][]float64, d)}
+	for i := range m.sc {
+		m.sc[i] = make([]float64, d)
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := g.Add(x); err != nil {
-			b.Fatal(err)
+	return m
+}
+
+func (m *fullMoments) add(x []float64) {
+	for i, xi := range x {
+		m.fs[i] += xi
+		for j, xj := range x {
+			m.sc[i][j] += xi * xj
 		}
+	}
+	m.n++
+}
+
+func (m *fullMoments) merge(o *fullMoments) {
+	for i := range m.fs {
+		m.fs[i] += o.fs[i]
+		for j := range m.sc[i] {
+			m.sc[i][j] += o.sc[i][j]
+		}
+	}
+	m.n += o.n
+}
+
+// marshal encodes the reference in MarshalBinary's format: magic, dim, n,
+// Fs, then Sc_ij for j ≥ i row by row.
+func (m *fullMoments) marshal() []byte {
+	d := len(m.fs)
+	buf := binary.LittleEndian.AppendUint32(nil, groupMagic)
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(d))
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(m.n))
+	for _, v := range m.fs {
+		buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
+	}
+	for i := 0; i < d; i++ {
+		for j := i; j < d; j++ {
+			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(m.sc[i][j]))
+		}
+	}
+	return buf
+}
+
+// checkAgainst requires every read of g to be bit-identical to the
+// reference: Sc expanded to the full matrix, the covariance of
+// Observation 2 with its diagonal floored at zero, each variance, and the
+// encoding.
+func checkAgainst(t *testing.T, label string, g *Group, m *fullMoments) {
+	t.Helper()
+	d := len(m.fs)
+	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	if g.N() != m.n || g.Dim() != d {
+		t.Fatalf("%s: n=%d dim=%d, want n=%d dim=%d", label, g.N(), g.Dim(), m.n, d)
+	}
+	fs := g.FirstOrderSums()
+	sc := g.SecondOrderSums()
+	cov, err := g.Covariance()
+	if err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+	n := float64(m.n)
+	for i := 0; i < d; i++ {
+		if !same(fs[i], m.fs[i]) {
+			t.Fatalf("%s: Fs[%d] = %v, want %v", label, i, fs[i], m.fs[i])
+		}
+		for j := 0; j < d; j++ {
+			if !same(sc.At(i, j), m.sc[i][j]) {
+				t.Fatalf("%s: Sc[%d][%d] = %v, want %v", label, i, j, sc.At(i, j), m.sc[i][j])
+			}
+			want := m.sc[i][j]/n - m.fs[i]*m.fs[j]/(n*n)
+			if i == j && want < 0 {
+				want = 0
+			}
+			if !same(cov.At(i, j), want) {
+				t.Fatalf("%s: C[%d][%d] = %v, want %v", label, i, j, cov.At(i, j), want)
+			}
+		}
+		v, err := g.Variance(i)
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		if !same(v, cov.At(i, i)) {
+			t.Fatalf("%s: Variance(%d) = %v, want %v", label, i, v, cov.At(i, i))
+		}
+	}
+	got, err := g.MarshalBinary()
+	if err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+	if !bytes.Equal(got, m.marshal()) {
+		t.Fatalf("%s: MarshalBinary differs from the reference encoding", label)
+	}
+}
+
+// TestPackedMomentsMatchFullReference checks the packed moment block
+// against a full d×d reference on every path that writes it: Add, Merge,
+// FromMoments over an asymmetric input, and decoding.
+func TestPackedMomentsMatchFullReference(t *testing.T) {
+	for _, d := range []int{1, 2, 8, 34} {
+		r := rng.New(uint64(100 + d))
+		record := func() mat.Vector {
+			x := make(mat.Vector, d)
+			for i := range x {
+				x[i] = r.NormMeanStd(3, 10)
+			}
+			return x
+		}
+
+		// Add, then Merge of two Add-built halves.
+		a, b := NewGroup(d), NewGroup(d)
+		refA, refB := newFullMoments(d), newFullMoments(d)
+		for i := 0; i < 40; i++ {
+			x := record()
+			g, ref := a, refA
+			if i%3 == 0 {
+				g, ref = b, refB
+			}
+			if err := g.Add(x); err != nil {
+				t.Fatal(err)
+			}
+			ref.add(x)
+		}
+		checkAgainst(t, fmt.Sprintf("d=%d add", d), a, refA)
+		if err := a.Merge(b); err != nil {
+			t.Fatal(err)
+		}
+		refA.merge(refB)
+		checkAgainst(t, fmt.Sprintf("d=%d merge", d), a, refA)
+
+		// FromMoments keeps (Sc + Scᵀ)/2 of an asymmetric input.
+		fs := record()
+		sc := mat.New(d, d)
+		for i := 0; i < d; i++ {
+			for j := 0; j < d; j++ {
+				sc.Set(i, j, r.NormMeanStd(0, 50))
+			}
+		}
+		refM := newFullMoments(d)
+		refM.n = 7
+		copy(refM.fs, fs)
+		for i := 0; i < d; i++ {
+			for j := 0; j < d; j++ {
+				refM.sc[i][j] = sc.At(i, j)
+				if i != j {
+					refM.sc[i][j] = (sc.At(i, j) + sc.At(j, i)) / 2
+				}
+			}
+		}
+		m, err := FromMoments(7, fs, sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkAgainst(t, fmt.Sprintf("d=%d from moments", d), m, refM)
+
+		// Decoding the reference encoding.
+		var u Group
+		if err := u.UnmarshalBinary(refA.marshal()); err != nil {
+			t.Fatal(err)
+		}
+		checkAgainst(t, fmt.Sprintf("d=%d unmarshal", d), &u, refA)
+	}
+}
+
+var groupSink *Group
+
+// TestGroupAllocations pins NewGroup and Clone at two allocations each:
+// the Group and its moment block.
+func TestGroupAllocations(t *testing.T) {
+	for _, d := range []int{1, 8, 34} {
+		if n := testing.AllocsPerRun(100, func() { groupSink = NewGroup(d) }); n != 2 {
+			t.Errorf("d=%d: NewGroup makes %v allocations, want 2", d, n)
+		}
+		g := NewGroup(d)
+		if n := testing.AllocsPerRun(100, func() { groupSink = g.Clone() }); n != 2 {
+			t.Errorf("d=%d: Clone makes %v allocations, want 2", d, n)
+		}
+	}
+}
+
+// BenchmarkGroupAdd folds one record per op into a group. The dim-8 cells
+// hold one group (in cache) or 50k groups visited in a shuffled order, so
+// most adds miss cache the way the dynamic engine's do at G≈50k.
+func BenchmarkGroupAdd(b *testing.B) {
+	for _, c := range []struct{ dim, groups int }{{8, 1}, {8, 50000}, {34, 1}} {
+		b.Run(fmt.Sprintf("d=%d/groups=%d", c.dim, c.groups), func(b *testing.B) {
+			gs := make([]*Group, c.groups)
+			for i := range gs {
+				gs[i] = NewGroup(c.dim)
+			}
+			order := rng.New(1).Perm(c.groups)
+			x := make(mat.Vector, c.dim)
+			for i := range x {
+				x[i] = float64(i)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := gs[order[i%c.groups]].Add(x); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
