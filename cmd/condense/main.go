@@ -226,10 +226,10 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 }
 
 // printAudit writes one privacy-audit report per condensed class to w as
-// indented JSON. The original records are at hand here (unlike the
-// server's reservoir), so the KS comparison uses every record of the
-// class. Static condensation folds sub-k remainders into their nearest
-// group, so the leftover count is always zero for this command.
+// indented JSON. The original records are at hand here, so the report
+// carries the offline-only KS comparison over every record of the class.
+// Static condensation folds sub-k remainders into their nearest group, so
+// the leftover count is always zero for this command.
 func printAudit(w io.Writer, ds *dataset.Dataset, report *core.Report, seed uint64) error {
 	byClass := ds.ByClass()
 	for _, cr := range report.Classes {

@@ -28,8 +28,8 @@ func fakeDaemon(t *testing.T, degraded bool) *httptest.Server {
 			state = "degraded"
 		}
 		w.Write([]byte(`{"status":"` + state + `","rules":[` +
-			`{"name":"ks_drift","description":"d","state":"` + state + `",` +
-			`"detail":"ks 0.02 -> 0.17","since":"2026-08-07T00:00:00Z",` +
+			`{"name":"sse_degradation","description":"d","state":"` + state + `",` +
+			`"detail":"sse 0.1 -> 0.325","since":"2026-08-07T00:00:00Z",` +
 			`"last_transition":"2026-08-07T00:00:00Z","transitions":1,"alerts":1}]}`))
 	})
 	mux.HandleFunc("/v1/history", func(w http.ResponseWriter, r *http.Request) {
@@ -62,7 +62,7 @@ func TestWatchReport(t *testing.T) {
 		"rev abcdef012345", // truncated revision
 		"shards=4",         // build identity line
 		"360 records",      // live counts
-		"ks_drift",         // rule table
+		"sse_degradation",  // rule table
 		"alerts=1",
 		"+100",   // window 4 ingest delta
 		"+60",    // window 5 ingest delta

@@ -31,7 +31,8 @@
 // condense_read_cache_{hits,misses}_total{cache=...} on /metrics.
 //
 // A background auditor recomputes the privacy-audit report (group-size
-// distribution, SSE ratio, KS distances — see internal/audit) every
+// distribution, SSE ratio, covariance conditioning — see internal/audit,
+// all functions of the released group moments) every
 // -audit-every and publishes it to /metrics; -audit-every 0 disables it.
 // With -trace-sample N > 0, 1 in N requests records a pipeline span tree,
 // exported live on /debug/trace and written as a Chrome trace-event file
@@ -42,8 +43,8 @@
 // (default 10s) on its own goroutine, keeping the last -history windows
 // of counter deltas, gauge values, and windowed latency quantiles in a
 // ring served from /v1/history. After each scrape a health watchdog
-// evaluates its rules (a released group below k, KS drift, SSE
-// degradation, ingest latency regression, shard imbalance) and drives
+// evaluates its rules (a released group below k, SSE degradation,
+// ingest latency regression, shard imbalance) and drives
 // /healthz and /v1/health/rules through ok → degraded → failing, logging
 // every transition and counting escalations in
 // condense_alerts_total{rule}. On shutdown, -history-out writes the
@@ -130,7 +131,6 @@ func run(args []string, stderr io.Writer, serve func(ctx context.Context, addr s
 		logFormat   = fs.String("log-format", "text", "log format: text or json")
 		debugAddr   = fs.String("debug-addr", "", "optional separate listen address for net/http/pprof (keep it loopback-only)")
 		auditEvery  = fs.Duration("audit-every", 30*time.Second, "privacy-audit recompute cadence (0 disables the background auditor)")
-		auditSample = fs.Int("audit-sample", 0, "reservoir capacity of original records kept for KS audits (0 = default, negative disables)")
 		traceSample = fs.Int("trace-sample", 0, "record a span tree for 1 in N requests (0 disables tracing)")
 		traceBuffer = fs.Int("trace-buffer", 0, "completed spans kept in the trace ring (0 = default)")
 		traceOut    = fs.String("trace-out", "", "write the recorded spans as a Chrome trace-event file on shutdown (implies -trace-sample 1 if unset)")
@@ -170,11 +170,10 @@ func run(args []string, stderr io.Writer, serve func(ctx context.Context, addr s
 	}
 	cfg := server.Config{
 		MaxBatch:  *batch,
-		Telemetry: reg, Logger: log,
-		Tracer:      tracer,
-		AuditSample: *auditSample,
-		AuditSeed:   *seed,
-		Journal:     jr,
+		Telemetry: reg,
+		Logger:    log,
+		Tracer:    tracer,
+		Journal:   jr,
 	}
 	var initial *core.Condensation
 	condenserK, condenserOpts := *k, core.Options{}

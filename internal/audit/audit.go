@@ -1,10 +1,12 @@
 // Package audit computes paper-grounded anonymization-quality metrics from
 // a condensation — the group-level measures the microaggregation
 // literature evaluates anonymizers by (group-size distribution,
-// within-group SSE information loss, covariance conditioning, marginal
-// distance) — as a live, observe-only monitor. It does not check k: the
-// server audits a core.Release, which holds no group below k by
-// construction.
+// within-group SSE information loss, covariance conditioning) — as a
+// live, observe-only monitor. Those measures are functions of the group
+// moments alone. The marginal KS distance needs original records, so only
+// an offline caller that already holds its input file computes it. It
+// does not check k: the server audits a core.Release, which holds no group
+// below k by construction.
 //
 // The auditor only ever reads deep-copied group statistics (for the
 // dynamic engine, a snapshot taken under the shards' read locks) and never
@@ -29,8 +31,8 @@ type Config struct {
 	// Original is a sample of original (pre-anonymization) records. When
 	// non-empty, the auditor synthesizes an anonymized sample from the
 	// condensation and reports the per-attribute Kolmogorov–Smirnov
-	// distance between the two marginals. The sample never leaves the
-	// auditor; only the distances are published.
+	// distance between the two marginals. The distances are a function of
+	// raw records, so a live server never sets it.
 	Original []mat.Vector
 	// SynthSeed seeds the private random source used for the KS synthesis
 	// draw. It is independent of the engine's source, so auditing never
@@ -289,8 +291,6 @@ const (
 	MetricSSERatio         = "condense_audit_sse_ratio"
 	MetricLeftoverRatio    = "condense_audit_leftover_ratio"
 	MetricDegenerateGroups = "condense_audit_degenerate_groups"
-	MetricKSMean           = "condense_audit_ks_mean"
-	MetricKSDistance       = "condense_audit_ks_distance"
 	MetricGroupSize        = "condense_audit_group_size"
 	MetricCondNumber       = "condense_audit_cond_number"
 )
@@ -346,22 +346,16 @@ func (r *Report) Publish(reg *telemetry.Registry) {
 			condHist.Observe(math.Pow(10, float64(b.Decade)))
 		}
 	}
-	if r.KS != nil {
-		reg.Gauge(MetricKSMean).Set(r.KS.Mean)
-		for j, d := range r.KS.PerAttribute {
-			reg.Gauge(MetricKSDistance, "attr", fmt.Sprint(j)).Set(d)
-		}
-	}
 }
 
 // PublishShard exports one shard's slice of the report under shard="i"
 // labels — the per-shard view the watchdog's imbalance rules and
 // dashboards drill into when the merged gauges start moving. Only the
 // privacy-critical subset is republished (k-minimum, leftover ratio,
-// group/record counts); distribution histograms and
-// KS stay merged-only, matching how PR 6 labels engine series. Callers
-// gate on NumShards ≥ 2 so single-shard deployments keep the exact
-// unlabeled series set. A nil registry is a no-op.
+// group/record counts); distribution histograms stay merged-only,
+// matching how the engine's series are labeled. Callers gate on
+// NumShards ≥ 2 so single-shard deployments keep the exact unlabeled
+// series set. A nil registry is a no-op.
 func (r *Report) PublishShard(reg *telemetry.Registry, shard int) {
 	if reg == nil || r == nil {
 		return

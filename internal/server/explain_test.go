@@ -149,54 +149,6 @@ func TestGroupsEndpoints(t *testing.T) {
 	}
 }
 
-// TestGroupsMomentTwins serves two moment twins: dim-1 streams {0, 3, 3}
-// and {1, 1, 4}, POSTed one record at a time to one-shard pure-stream
-// servers with k = 3. Both found one group with n = 3, Fs = 6 and Sc = 18,
-// so their releases are equal, and every group diagnostic derived from
-// the release must be byte-identical. A value kept from a founding raw
-// record, such as the distance from the group's birth centroid, differs.
-func TestGroupsMomentTwins(t *testing.T) {
-	serve := func(values ...float64) *Server {
-		s, err := New(Config{Engine: sharded(t, newCondenser(t, 3, 1), 1, 1)})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, v := range values {
-			body := fmt.Sprintf(`{"records":[[%g]]}`, v)
-			rec := httptest.NewRecorder()
-			s.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/records", strings.NewReader(body)))
-			if rec.Code != http.StatusOK {
-				t.Fatalf("POST %s: %d %s", body, rec.Code, rec.Body)
-			}
-		}
-		return s
-	}
-	get := func(s *Server, path string) []byte {
-		rec := httptest.NewRecorder()
-		s.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
-		if rec.Code != http.StatusOK {
-			t.Fatalf("GET %s: %d %s", path, rec.Code, rec.Body)
-		}
-		return rec.Body.Bytes()
-	}
-	a, b := serve(0, 3, 3), serve(1, 1, 4)
-	groups := get(a, "/v1/groups")
-	if other := get(b, "/v1/groups"); !bytes.Equal(groups, other) {
-		t.Fatalf("/v1/groups differs between moment twins:\n%s\n%s", groups, other)
-	}
-	var gr groupsResponse
-	if err := json.Unmarshal(groups, &gr); err != nil {
-		t.Fatal(err)
-	}
-	if len(gr.Groups) != 1 || gr.Groups[0].Size != 3 {
-		t.Fatalf("want one released group of 3 records: %s", groups)
-	}
-	path := fmt.Sprintf("/v1/groups/%d", gr.Groups[0].ID)
-	if detail, other := get(a, path), get(b, path); !bytes.Equal(detail, other) {
-		t.Fatalf("%s differs between moment twins:\n%s\n%s", path, detail, other)
-	}
-}
-
 func TestExplainEndpoint(t *testing.T) {
 	ts, _ := newExplainServer(t, 1, nil)
 	postRecords(t, ts, genRecords(79, 100))

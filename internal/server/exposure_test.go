@@ -6,13 +6,17 @@ import (
 	"compress/gzip"
 	"encoding/binary"
 	"encoding/json"
+	"fmt"
 	"io"
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"sort"
 	"strconv"
+	"strings"
 	"testing"
 
+	"condensation/internal/core"
 	"condensation/internal/rng"
 	"condensation/internal/telemetry"
 )
@@ -27,8 +31,15 @@ import (
 // each body for every ingested value's 8 raw bytes, in both byte orders,
 // and for its shortest 'g', 'f' and JSON text.
 //
+// Each case also runs checkPermutationTwins, the twin half: two servers
+// fed the same records in two orders must serve byte-identical
+// release-derived bodies.
+//
 // The seed corpus starts with the pure-stream bootstrap: k = 10 and one
-// record, which every snapshot released verbatim before the k-gate.
+// record, which every snapshot released verbatim before the k-gate. The
+// last entry releases one group of 5 records whose twins POST different
+// subsets of them: a KS distance measured against a sample of POSTed raw
+// records told the twins apart.
 func FuzzReleaseExposure(f *testing.F) {
 	// seed, shards (even: 1, odd: 4), k, records, largest POST batch
 	f.Add(uint64(1), uint8(0), uint8(10), uint16(1), uint8(1))
@@ -38,6 +49,7 @@ func FuzzReleaseExposure(f *testing.F) {
 	f.Add(uint64(4), uint8(1), uint8(3), uint16(12), uint8(1))
 	f.Add(uint64(5), uint8(0), uint8(7), uint16(28), uint8(8))
 	f.Add(uint64(6), uint8(1), uint8(10), uint16(40), uint8(8))
+	f.Add(uint64(7), uint8(0), uint8(3), uint16(5), uint8(1))
 	f.Fuzz(func(t *testing.T, seed uint64, shardSel, kSel uint8, nSel uint16, batchSel uint8) {
 		shards := 1 + 3*int(shardSel%2)
 		k := int(kSel)
@@ -50,7 +62,154 @@ func FuzzReleaseExposure(f *testing.F) {
 		}
 		maxBatch := 1 + int(batchSel)%8
 		checkExposure(t, seed, shards, k, n, maxBatch)
+		checkPermutationTwins(t, seed, shards, k, 1+(n-1)%(2*k-1))
 	})
+}
+
+// checkPermutationTwins runs one twin case: two servers get the same n <
+// 2k dim-2 records in two orders, each record POSTed alone or fed to the
+// engine's Add by a choice each server makes on its own. Values are
+// multiples of 1/8 in [−4, 4], so every moment sum is exact in any order
+// and the twins' releases are bit-equal; so must be every body derived
+// from them. The second order permutes each shard's records among
+// themselves and keeps which shard each arrival goes to, so the
+// generation every group is born at matches too.
+func checkPermutationTwins(t *testing.T, seed uint64, shards, k, n int) {
+	r := rng.New(seed)
+	records := make([][]float64, n)
+	byShard := make([][]int, shards)
+	arrivals := make([]int, n) // the shard of each arrival, in order
+	router := core.NewRelease(0, sharded(t, newCondenser(t, k, seed), 2, shards).Condensation(), shards)
+	for i := range records {
+		records[i] = []float64{float64(r.IntN(65)-32) / 8, float64(r.IntN(65)-32) / 8}
+		ex, err := router.Explain(records[i], 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		arrivals[i] = ex.Shard
+		byShard[ex.Shard] = append(byShard[ex.Shard], i)
+	}
+	permuted := make([][]float64, 0, n)
+	next := make([]int, shards)
+	for _, idx := range byShard {
+		r.Shuffle(len(idx), func(i, j int) { idx[i], idx[j] = idx[j], idx[i] })
+	}
+	for _, sh := range arrivals {
+		permuted = append(permuted, records[byShard[sh][next[sh]]])
+		next[sh]++
+	}
+
+	feed := func(order [][]float64) *Server {
+		s, err := New(Config{Engine: sharded(t, newCondenser(t, k, seed), 2, shards)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, x := range order {
+			if r.IntN(2) == 0 {
+				postBatch(t, s, [][]float64{x})
+			} else if err := s.Engine().Add(x); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return s
+	}
+	requireTwins(t, fmt.Sprintf("shards=%d k=%d n=%d", shards, k, n), feed(records), feed(permuted))
+}
+
+// TestReleaseMomentTwins serves two moment twins: dim-1 streams {0, 3, 3}
+// and {1, 1, 4}, POSTed one record at a time to one-shard pure-stream
+// servers with k = 3. Both found one group with n = 3, Fs = 6 and Sc = 18,
+// so their releases are equal, and every body derived from the release
+// must be byte-identical. A value kept from a raw record, such as the
+// distance from a group's birth centroid or a KS distance to a sample of
+// the POSTed records, differs.
+func TestReleaseMomentTwins(t *testing.T) {
+	serve := func(values ...float64) *Server {
+		s, err := New(Config{Engine: sharded(t, newCondenser(t, 3, 1), 1, 1)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, v := range values {
+			postBatch(t, s, [][]float64{{v}})
+		}
+		return s
+	}
+	bodies := requireTwins(t, "moment twins", serve(0, 3, 3), serve(1, 1, 4))
+	var gr groupsResponse
+	if err := json.Unmarshal(bytes.TrimPrefix(bodies["GET /v1/groups"], []byte("200 ")), &gr); err != nil {
+		t.Fatal(err)
+	}
+	if len(gr.Groups) != 1 || gr.Groups[0].Size != 3 {
+		t.Fatalf("want one released group of 3 records: %s", bodies["GET /v1/groups"])
+	}
+}
+
+// requireTwins fails unless a and b serve byte-identical release-derived
+// bodies (see releaseBodies), and returns a's.
+func requireTwins(t *testing.T, what string, a, b *Server) map[string][]byte {
+	t.Helper()
+	got, want := releaseBodies(t, a), releaseBodies(t, b)
+	if len(got) != len(want) {
+		t.Fatalf("%s: the twins serve %d and %d release-derived bodies", what, len(got), len(want))
+	}
+	reqs := make([]string, 0, len(got))
+	for req := range got {
+		reqs = append(reqs, req)
+	}
+	sort.Strings(reqs)
+	for _, req := range reqs {
+		if body := got[req]; !bytes.Equal(body, want[req]) {
+			t.Errorf("%s: %s differs between twins:\n%s\n%s", what, req, body, want[req])
+		}
+	}
+	if t.Failed() {
+		t.FailNow()
+	}
+	return got
+}
+
+// releaseBodies returns every response s derives from its release, keyed
+// by request and prefixed by status: the seed-1 snapshot, the checkpoint,
+// stats and audit merged and by shard, the group list and each listed
+// group, an explain, the bundle's audit.json, and the condense_audit_* and
+// condense_release_* lines of /metrics (its other lines carry timings). It
+// first runs one audit pass, as condenserd's background auditor does.
+// Requests carry a fixed request id, so error envelopes compare too.
+func releaseBodies(t *testing.T, s *Server) map[string][]byte {
+	t.Helper()
+	if _, err := s.Audit(); err != nil {
+		t.Fatal(err)
+	}
+	out := map[string][]byte{}
+	do := func(method, target, body string) []byte {
+		req := httptest.NewRequest(method, target, strings.NewReader(body))
+		req.Header.Set("X-Request-ID", "twin")
+		w := httptest.NewRecorder()
+		s.ServeHTTP(w, req)
+		out[method+" "+target] = append([]byte(strconv.Itoa(w.Code)+" "), w.Body.Bytes()...)
+		return w.Body.Bytes()
+	}
+	for _, target := range []string{"/v1/snapshot?seed=1", "/v1/checkpoint", "/v1/stats", "/v1/stats?by_shard", "/v1/audit", "/v1/audit?by_shard"} {
+		do(http.MethodGet, target, "")
+	}
+	do(http.MethodPost, "/v1/explain", `{"record":[`+strings.Repeat("0.5,", s.dim-1)+`0.5],"top":8}`)
+	var gr groupsResponse
+	if err := json.Unmarshal(do(http.MethodGet, "/v1/groups", ""), &gr); err != nil {
+		t.Fatal(err)
+	}
+	for _, g := range gr.Groups {
+		do(http.MethodGet, "/v1/groups/"+strconv.FormatUint(g.ID, 10), "")
+	}
+	out["bundle audit.json"] = unpackBundle(t, do(http.MethodGet, "/debug/bundle", ""))["audit.json"]
+	delete(out, "GET /debug/bundle")
+	var lines []string
+	for _, line := range strings.Split(string(do(http.MethodGet, "/metrics", "")), "\n") {
+		if strings.HasPrefix(line, "condense_audit_") || strings.HasPrefix(line, "condense_release_") {
+			lines = append(lines, line)
+		}
+	}
+	out["GET /metrics"] = []byte(strings.Join(lines, "\n"))
+	return out
 }
 
 // checkExposure runs one exposure-oracle case.

@@ -113,8 +113,6 @@ func HealthRules(k, shards int) []telemetry.Rule {
 	rules := []telemetry.Rule{
 		telemetry.GaugeFloorRule("release_below_k", MetricReleaseMinGroupSize, float64(k),
 			"a released group below k records breaks the paper's indistinguishability contract (0 means nothing is released yet)"),
-		telemetry.TrendRule("ks_drift", audit.MetricKSMean, 12, 0.10, 0.05,
-			"mean marginal KS distance between original and synthesized data trending up — stream drift the condensation is not absorbing"),
 		telemetry.TrendRule("sse_degradation", audit.MetricSSERatio, 12, 0.15, 0.02,
 			"within-group SSE over total SSE trending up — groups are getting looser, eroding utility"),
 		telemetry.LatencyRegressionRule("ingest_latency",

@@ -251,16 +251,16 @@ func TestObservabilityDisabled(t *testing.T) {
 }
 
 // TestWatchdogDriftScenario is the acceptance scenario: injected audit
-// moments drive the ks_drift rule ok → degraded and back, and the
+// moments drive the sse_degradation rule ok → degraded and back, and the
 // transition is visible in /healthz, /v1/health/rules,
 // condense_alerts_total, and the structured log.
 func TestWatchdogDriftScenario(t *testing.T) {
 	o := newObservedServer(t, 1)
-	ks := o.reg.Gauge(audit.MetricKSMean)
+	sse := o.reg.Gauge(audit.MetricSSERatio)
 
 	step := func(v float64, n int) {
 		for i := 0; i < n; i++ {
-			ks.Set(v)
+			sse.Set(v)
 			o.rec.Scrape()
 			o.wd.Evaluate(o.rec)
 		}
@@ -274,14 +274,15 @@ func TestWatchdogDriftScenario(t *testing.T) {
 		return resp.StatusCode, h.Status
 	}
 
-	// Stable baseline: a healthy KS mean, all rules ok.
-	step(0.02, 6)
+	// Stable baseline: tight groups, all rules ok.
+	step(0.10, 6)
 	if code, status := healthStatus(); code != http.StatusOK || status != "ok" {
 		t.Fatalf("baseline healthz = %d %q, want 200 ok", code, status)
 	}
 
-	// Synthetic drift: the KS mean rises past the trend threshold.
-	step(0.17, 6)
+	// Synthetic drift: the SSE ratio rises past the trend threshold (0.15)
+	// but short of the failing one (0.30), well above the 0.02 floor.
+	step(0.325, 6)
 	if code, status := healthStatus(); code != http.StatusOK || status != "degraded" {
 		t.Fatalf("drifted healthz = %d %q, want 200 degraded", code, status)
 	}
@@ -292,33 +293,33 @@ func TestWatchdogDriftScenario(t *testing.T) {
 	}
 	found := false
 	for _, r := range rules.Rules {
-		if r.Name == "ks_drift" {
+		if r.Name == "sse_degradation" {
 			found = true
 			if r.State.String() != "degraded" || r.Alerts != 1 || r.Transitions != 1 {
-				t.Errorf("ks_drift status = %+v, want degraded with 1 alert", r)
+				t.Errorf("sse_degradation status = %+v, want degraded with 1 alert", r)
 			}
 		}
 	}
 	if !found {
-		t.Fatalf("ks_drift rule missing from %v", rules.Rules)
+		t.Fatalf("sse_degradation rule missing from %v", rules.Rules)
 	}
 	metrics := getBody(t, o.ts.URL+"/metrics")
-	if !strings.Contains(metrics, `condense_alerts_total{rule="ks_drift"} 1`) {
-		t.Errorf("metrics missing the ks_drift alert count")
+	if !strings.Contains(metrics, `condense_alerts_total{rule="sse_degradation"} 1`) {
+		t.Errorf("metrics missing the sse_degradation alert count")
 	}
 	if !strings.Contains(metrics, "condense_health_state 1") {
 		t.Errorf("metrics missing the degraded health-state gauge")
 	}
 	logged := o.log.String()
 	if !strings.Contains(logged, "health rule transition") ||
-		!strings.Contains(logged, "rule=ks_drift") ||
+		!strings.Contains(logged, "rule=sse_degradation") ||
 		!strings.Contains(logged, "to=degraded") {
 		t.Errorf("transition not in the structured log: %q", logged)
 	}
 
 	// The stream settles at the new level: the trend flattens and the rule
 	// recovers, but the alert stays counted.
-	step(0.17, 12)
+	step(0.325, 12)
 	if code, status := healthStatus(); code != http.StatusOK || status != "ok" {
 		t.Fatalf("recovered healthz = %d %q, want 200 ok", code, status)
 	}
@@ -326,7 +327,7 @@ func TestWatchdogDriftScenario(t *testing.T) {
 		t.Errorf("recovery transition not logged")
 	}
 	metrics = getBody(t, o.ts.URL+"/metrics")
-	if !strings.Contains(metrics, `condense_alerts_total{rule="ks_drift"} 1`) {
+	if !strings.Contains(metrics, `condense_alerts_total{rule="sse_degradation"} 1`) {
 		t.Errorf("alert counter lost on recovery")
 	}
 }

@@ -306,7 +306,7 @@ func TestAuditMemoized(t *testing.T) {
 	if runs.Value() <= r0 {
 		t.Error("memoized audit skipped publishing")
 	}
-	// New records move the generation and the reservoir: recompute.
+	// New records move the generation: recompute.
 	postRecords(t, ts, genRecords(11, 6))
 	rep3, err := s.Audit()
 	if err != nil {

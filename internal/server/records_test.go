@@ -294,9 +294,8 @@ func TestRecordsBodyLimit(t *testing.T) {
 // with the core count: a split decode costs three allocations more than a
 // one-range decode on any machine with more than one core. What is
 // counted is the request path around the engine's zero-allocation apply,
-// so three engine costs that do not belong to it are kept out: the audit
-// reservoir is off (its sampled copies are its own cost), k exceeds every
-// batch so no split runs, and routing runs on one worker, since its
+// so two engine costs that do not belong to it are kept out: k exceeds
+// every batch so no split runs, and routing runs on one worker, since its
 // per-window fan-out would add allocations per window of records.
 func TestRecordsHandlerAllocs(t *testing.T) {
 	const dim, n = 8, 1024
@@ -304,7 +303,7 @@ func TestRecordsHandlerAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := New(Config{Engine: sharded(t, c, dim, 1), AuditSample: -1})
+	s, err := New(Config{Engine: sharded(t, c, dim, 1)})
 	if err != nil {
 		t.Fatal(err)
 	}

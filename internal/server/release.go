@@ -79,7 +79,7 @@ type release struct {
 	snapshots   map[uint64]*snapshotEntry
 	checkpoint  *respBody
 	stats       [2]*respBody // merged, by_shard
-	audit       *auditEntry
+	audit       *audit.Report
 	shardAudits *[]*audit.Report
 }
 
@@ -103,15 +103,6 @@ type snapshotEntry struct {
 	// groups are unchanged; body writes them between header and trailer.
 	blocks []*snapshotBlock
 	body   *respBody
-}
-
-// auditEntry is one memoized merged audit report. reservoirSeen extends
-// the key: the audit reads the KS reservoir, which is fed after the
-// engine call returns, so one release can legitimately produce two
-// different reports if the reservoir advanced in between.
-type auditEntry struct {
-	reservoirSeen int
-	report        *audit.Report
 }
 
 // newRelease wraps a cut, inheriting prev's snapshot entries as bases.

@@ -77,13 +77,11 @@ type Config struct {
 	// Chrome trace-event JSON from /debug/trace. Nil disables tracing (and
 	// the /debug/trace endpoint answers 404).
 	Tracer *telemetry.Tracer
-	// AuditSample bounds the reservoir of original records retained (inside
-	// the trusted collection boundary only) for the audit's marginal KS
-	// comparison. 0 means the default 2048; negative disables the reservoir,
-	// in which case audits omit the KS block.
-	AuditSample int
-	// AuditSeed seeds the audit's private synthesis draw and the reservoir
-	// sampler (default 1). Independent of the engine's seed.
+	// AuditSeed has no effect: the server audit is a function of the
+	// release alone and draws no synthesis.
+	//
+	// Deprecated: ignored; kept only because the benchmark rig still sets
+	// it, and removed with that.
 	AuditSeed uint64
 	// Recorder optionally attaches a flight recorder (built over the same
 	// registry as Telemetry). The server serves its windows from
@@ -103,9 +101,6 @@ type Config struct {
 	// endpoint (404) and all recording, like a nil Tracer does /debug/trace.
 	Journal *telemetry.Journal
 }
-
-// defaultAuditSample is the reservoir capacity when Config.AuditSample is 0.
-const defaultAuditSample = 2048
 
 // Server is a thread-safe condensation HTTP service over a core.Engine.
 // The engine locks itself per shard, so the server holds no lock around
@@ -144,11 +139,6 @@ type Server struct {
 	// releaseMinSize is the installed release's smallest group size, set
 	// by install.
 	releaseMinSize *telemetry.Gauge
-
-	// reservoir samples original records for the audit's KS comparison;
-	// auditSeed seeds the audit's private synthesis draw.
-	reservoir *audit.Reservoir
-	auditSeed uint64
 
 	// cur is the current release: the k-gated cut every read artifact is
 	// derived from (see release.go). shards is the engine's fixed shard
@@ -208,34 +198,21 @@ func New(cfg Config) (*Server, error) {
 	eng.SetTelemetry(reg)
 	eng.SetTracer(cfg.Tracer)
 	eng.SetJournal(cfg.Journal)
-	sampleCap := cfg.AuditSample
-	if sampleCap == 0 {
-		sampleCap = defaultAuditSample
-	}
-	if sampleCap < 0 {
-		sampleCap = 0
-	}
-	auditSeed := cfg.AuditSeed
-	if auditSeed == 0 {
-		auditSeed = 1
-	}
 	s := &Server{
-		eng:       eng,
-		k:         eng.K(),
-		dim:       eng.Dim(),
-		maxBatch:  cfg.MaxBatch,
-		mux:       http.NewServeMux(),
-		reg:       reg,
-		log:       cfg.Logger,
-		start:     time.Now(),
-		inFlight:  reg.Gauge("http_in_flight"),
-		tr:        cfg.Tracer,
-		rec:       cfg.Recorder,
-		wd:        cfg.Watchdog,
-		jr:        cfg.Journal,
-		reservoir: audit.NewReservoir(sampleCap, auditSeed),
-		auditSeed: auditSeed,
-		shards:    eng.NumShards(),
+		eng:      eng,
+		k:        eng.K(),
+		dim:      eng.Dim(),
+		maxBatch: cfg.MaxBatch,
+		mux:      http.NewServeMux(),
+		reg:      reg,
+		log:      cfg.Logger,
+		start:    time.Now(),
+		inFlight: reg.Gauge("http_in_flight"),
+		tr:       cfg.Tracer,
+		rec:      cfg.Recorder,
+		wd:       cfg.Watchdog,
+		jr:       cfg.Journal,
+		shards:   eng.NumShards(),
 	}
 	s.reqPrefix = "r" + strconv.FormatInt(time.Now().UnixNano(), 36) + "-"
 	// The watchdog stamps its rule-transition journal events with the
@@ -491,10 +468,6 @@ func (s *Server) handleRecords(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, err)
 		return
 	}
-	// Feed the audit reservoir after the engine call: a uniform sample of
-	// the accepted originals, retained only for the audit's marginal-KS
-	// comparison and never served.
-	s.reservoir.OfferAll(records)
 	writeJSON(w, http.StatusOK, recordsResponse{Accepted: len(records), Groups: groups, Splits: splits})
 }
 
@@ -799,9 +772,9 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 // publishes the result into the server's metrics registry, so /v1/audit
 // and /metrics always agree. It is what the /v1/audit handler and
 // condenserd's background auditor both call. The report is memoized on the
-// release, keyed by the reservoir's offer count too, so a periodic auditor
-// over an idle engine replays it; the publish still runs per call,
-// preserving the watchdog's view of audit cadence.
+// release, so a periodic auditor over an idle engine replays it; the
+// publish still runs per call, preserving the watchdog's view of audit
+// cadence.
 func (s *Server) Audit() (*audit.Report, error) {
 	return s.publishAudit(s.release())
 }
@@ -828,52 +801,28 @@ func (s *Server) publishAudit(r *release) (*audit.Report, error) {
 	return rep, nil
 }
 
-// audit returns the merged audit report of r. The reservoir's offer count
-// extends the memo key because the reservoir is fed after the engine call
-// returns — one release can front two different KS baselines while a
-// batch's offers are still draining. A report whose sample moved during
-// the pass is served but not kept.
+// audit returns the merged audit report of r. Like every other artifact
+// it reads only the release's group moments (plus the engine's bootstrap
+// leftover count), so no raw record can shape what it publishes.
 func (s *Server) audit(r *release) (*audit.Report, error) {
-	seen := s.reservoir.Seen()
-	r.mu.Lock()
-	e := r.audit
-	r.mu.Unlock()
-	if e != nil && e.reservoirSeen == seen {
-		s.cmAudit.hits.Inc()
-		return e.report, nil
-	}
-	s.cmAudit.misses.Inc()
-	sample := s.reservoir.Sample()
-	// Leftovers only arise when a static bootstrap folded sub-k
-	// remainders into nearest groups; the engine's counter carries that
-	// count forward.
-	leftovers := int(s.reg.Counter("condense_leftover_records_total").Value())
-	rep, err := audit.Compute(r.Condensation(), audit.Config{
-		Original:  sample,
-		SynthSeed: s.auditSeed,
-		Leftovers: leftovers,
+	return memo(r, &r.audit, s.cmAudit, func() (*audit.Report, error) {
+		// Leftovers only arise when a static bootstrap folded sub-k
+		// remainders into nearest groups; the engine's counter carries
+		// that count forward.
+		leftovers := int(s.reg.Counter("condense_leftover_records_total").Value())
+		return audit.Compute(r.Condensation(), audit.Config{Leftovers: leftovers})
 	})
-	if err != nil {
-		return nil, err
-	}
-	if s.reservoir.Seen() == seen {
-		r.mu.Lock()
-		r.audit = &auditEntry{reservoirSeen: seen, report: rep}
-		r.mu.Unlock()
-	}
-	return rep, nil
 }
 
 // shardAudits returns r's per-shard audit reports: the same pooled
-// group-moment metrics as the merged report, but without the KS block
-// (the reservoir samples the whole stream, not one shard's slice of it)
-// and without the bootstrap leftover count.
+// group-moment metrics as the merged report, but without the bootstrap
+// leftover count.
 func (s *Server) shardAudits(r *release) ([]*audit.Report, error) {
 	reps, err := memo(r, &r.shardAudits, cacheMetrics{}, func() (*[]*audit.Report, error) {
 		reps := make([]*audit.Report, s.shards)
 		for i := range reps {
 			var err error
-			if reps[i], err = audit.Compute(r.Shard(i), audit.Config{SynthSeed: s.auditSeed}); err != nil {
+			if reps[i], err = audit.Compute(r.Shard(i), audit.Config{}); err != nil {
 				return nil, err
 			}
 		}

@@ -119,9 +119,6 @@ func TestShardedServerEndpoints(t *testing.T) {
 		if sa.Shard != i || sa.MinGroupSize < k || sa.MaxGroupSize > 2*k-1 || sa.Records == 0 {
 			t.Fatalf("shard audit %d: %+v", i, sa.Report)
 		}
-		if sa.KS != nil {
-			t.Fatalf("shard audit %d carries a KS block; per-shard audits must omit it", i)
-		}
 	}
 	var sa shardAudit
 	getJSON(t, ts.URL+"/v1/audit?shard=1", &sa)
