@@ -172,50 +172,6 @@ func BenchmarkDynamicAddAll(b *testing.B) {
 	}
 }
 
-// BenchmarkDynamicIngestJournal measures the lifecycle journal's ingest
-// cost at pinned G on the per-record Add path: journal=off must stay at
-// 0 allocs/record (the journal is one nil check), and journal=on pays
-// only at group creations and splits — a few events per thousand records
-// at steady state — so its per-record cost stays within a few percent of
-// the off cell.
-func BenchmarkDynamicIngestJournal(b *testing.B) {
-	const dim, k, G = 8, 25, 800
-	full := benchStreamCorr(14, G*k+1<<16, dim)
-	pool := full[G*k:]
-	base := benchBase(b, full, G, k)
-	for _, journal := range []bool{false, true} {
-		name := "journal=off"
-		if journal {
-			name = "journal=on"
-		}
-		b.Run(fmt.Sprintf("corr/G=%d/%s/add", G, name), func(b *testing.B) {
-			fresh := func() *core.Dynamic {
-				dyn := benchFresh(b, base)
-				if journal {
-					dyn.SetJournal(telemetry.NewJournal(4096))
-				}
-				return dyn
-			}
-			dyn := fresh()
-			fed := 0
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if fed == benchResetEvery {
-					b.StopTimer()
-					dyn = fresh()
-					fed = 0
-					b.StartTimer()
-				}
-				if err := dyn.Add(pool[i%len(pool)]); err != nil {
-					b.Fatal(err)
-				}
-				fed++
-			}
-		})
-	}
-}
-
 // BenchmarkStreamFeed measures the stream driver end to end — telemetry
 // gauges, snapshot cadence, and the condenser underneath — per record,
 // over the correlated stream at G = 800 (the steady-state regime the

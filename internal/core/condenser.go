@@ -42,7 +42,6 @@ type Condenser struct {
 	initial float64
 	tel     *telemetry.Registry // nil means telemetry disabled
 	trace   *telemetry.Tracer   // nil means tracing disabled
-	journal *telemetry.Journal  // nil means lifecycle journal disabled
 
 	precision IndexPrecision // deprecated WithIndexPrecision; only Float64 is valid
 }
@@ -121,16 +120,6 @@ func WithInitialFraction(f float64) CondenserOption {
 // it never touches the rng stream, so output is bit-identical either way.
 func WithTracer(tr *telemetry.Tracer) CondenserOption {
 	return func(c *Condenser) { c.trace = tr }
-}
-
-// WithJournal attaches a group-lifecycle journal: dynamic engines built by
-// this Condenser then record structured foundings, splits (with
-// parent→child lineage) and speculation fallbacks into its ring. A nil
-// journal (the default) disables recording. Like the tracer, the journal
-// is observe-only — it never touches the rng stream, so condensed output
-// is bit-identical either way.
-func WithJournal(j *telemetry.Journal) CondenserOption {
-	return func(c *Condenser) { c.journal = j }
 }
 
 // NewCondenser builds a Condenser with indistinguishability level k. The
@@ -277,8 +266,8 @@ func shardSources(c *Condenser, shards int) ([]*rng.Source, error) {
 }
 
 // wire finishes an engine the Condenser built: it divides the speculation
-// parallelism across the shards and attaches the Condenser's telemetry,
-// tracer, and journal.
+// parallelism across the shards and attaches the Condenser's telemetry
+// and tracer.
 func (c *Condenser) wire(d *Dynamic, err error) (*Dynamic, error) {
 	if err != nil {
 		return nil, err
@@ -286,6 +275,5 @@ func (c *Condenser) wire(d *Dynamic, err error) (*Dynamic, error) {
 	d.SetParallelism(c.search.Parallelism)
 	d.SetTelemetry(c.tel)
 	d.SetTracer(c.trace)
-	d.SetJournal(c.journal)
 	return d, nil
 }

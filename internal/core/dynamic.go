@@ -105,7 +105,7 @@ func newDynamic(dim, k int, opts Options, groups []*stats.Group, srcs []*rng.Sou
 		}
 		sh.groups = append(sh.groups, g)
 		sh.total += g.N()
-		sh.annotate(0)
+		sh.meta = append(sh.meta, sh.newMeta(0))
 	}
 	for i, sh := range d.shards {
 		idx, err := knn.NewCentroidIndex(dim, arenas[i])
@@ -420,17 +420,6 @@ func (d *Dynamic) SetTelemetry(reg *telemetry.Registry) {
 func (d *Dynamic) SetTracer(tr *telemetry.Tracer) {
 	d.tr = tr
 	d.eachShard(func(sh *shard) { sh.tr = tr })
-}
-
-// SetJournal attaches a group-lifecycle journal: group foundings, splits
-// (with parent→child lineage) and speculation fallbacks are then recorded
-// as structured events stamped with the emitting shard's index and the
-// triggering mutation generation. A nil journal (the default) disables
-// recording at one nil check per event site. The journal is observe-only
-// — it never touches the rng stream or the group moments, so condensed
-// output is bit-identical with it on or off.
-func (d *Dynamic) SetJournal(j *telemetry.Journal) {
-	d.eachShard(func(sh *shard) { sh.jr = j })
 }
 
 // SetParallelism bounds the total speculation workers across the engine:

@@ -9,7 +9,6 @@ import (
 	"condensation/internal/kernel"
 	"condensation/internal/mat"
 	"condensation/internal/par"
-	"condensation/internal/telemetry"
 )
 
 // batchScratch holds AddBatch's reusable buffers so steady-state batch
@@ -145,18 +144,10 @@ func (sh *shard) addBatch(ctx context.Context, records []mat.Vector) error {
 			sh.met.search.Observe(searchDur.Seconds())
 		}
 		sh.met.streamRecords.Add(applied)
+		sh.met.specFallbacks.Add(fallbacks)
 		applySpan.SetAttrInt("applied", applied)
 		applySpan.End()
 		specSpan.End()
-		if sh.jr != nil && fallbacks > 0 {
-			// One event per batch, not per record: the count is the story.
-			sh.jr.Record(telemetry.JournalEvent{
-				Type:       telemetry.EventSpecFallback,
-				Shard:      sh.index,
-				Generation: sh.lastMut,
-				Detail:     fmt.Sprintf("%d of %d applied records re-routed live after their speculated group changed mid-window", fallbacks, applied),
-			})
-		}
 	}()
 	dim := sh.dim
 	for wlo := 0; wlo < len(batch); wlo += speculationWindow {

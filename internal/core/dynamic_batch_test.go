@@ -219,6 +219,48 @@ func TestAddBatchTelemetryObserveOnly(t *testing.T) {
 	}
 }
 
+// TestSpecFallbackCounter: a batch of n identical records over a base
+// speculates one candidate per window, which the window's first record
+// changes, so every later record of the window is re-routed live and the
+// fallback counter reads n − ⌈n / speculationWindow⌉. An Add loop never
+// speculates, so it reads 0.
+func TestSpecFallbackCounter(t *testing.T) {
+	const k, dim, n = 5, 3, 3*speculationWindow + 17
+	base := gaussianRecords(41, 200, dim)
+	same := make([]mat.Vector, n)
+	for i := range same {
+		same[i] = mat.Vector{0.25, -0.5, 1}
+	}
+	for _, batch := range []bool{true, false} {
+		reg := telemetry.NewRegistry()
+		c, err := NewCondenser(k, WithSeed(9), WithTelemetry(reg))
+		if err != nil {
+			t.Fatal(err)
+		}
+		d, err := c.Bootstrap(base)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := uint64(0)
+		if batch {
+			want = n - (n+speculationWindow-1)/speculationWindow
+			err = d.AddBatch(same)
+		} else {
+			for _, x := range same {
+				if err = d.Add(x); err != nil {
+					break
+				}
+			}
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := reg.Counter(metricSpecFallbacks).Value(); got != want {
+			t.Errorf("batch=%v: %s = %d, want %d", batch, metricSpecFallbacks, got, want)
+		}
+	}
+}
+
 func TestAddBatchValidatesUpFront(t *testing.T) {
 	d, err := emptyDynamic(2, 3, rng.New(41))
 	if err != nil {

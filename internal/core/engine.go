@@ -69,12 +69,6 @@ type Engine interface {
 	SetTelemetry(reg *telemetry.Registry)
 	// SetTracer attaches a span tracer (nil disables tracing).
 	SetTracer(tr *telemetry.Tracer)
-	// SetJournal attaches a group-lifecycle journal recording structured
-	// events (foundings, splits with lineage, speculation fallbacks)
-	// stamped with shard and generation. Nil (the default) disables
-	// recording at one nil check per event site; the journal is
-	// observe-only, so condensed output is bit-identical either way.
-	SetJournal(j *telemetry.Journal)
 }
 
 var _ Engine = (*Dynamic)(nil)

@@ -10,7 +10,6 @@ import (
 	"testing"
 
 	"condensation/internal/mat"
-	"condensation/internal/telemetry"
 )
 
 func buildDynamic(t *testing.T, k, dim int, opts ...CondenserOption) *Dynamic {
@@ -33,12 +32,12 @@ func releaseOf(d *Dynamic) *Release {
 }
 
 // TestGroupIDsStableAndUnique: every live group carries a distinct id,
-// ids survive absorbs unchanged, and a split retires the parent id in
-// favour of two fresh children that both name it as parent.
+// and the snapshot annotation mirrors the live ids in slot order. Split
+// lineage is checked against the release ledger in the server's
+// TestEventsLedgerReplaysRelease.
 func TestGroupIDsStableAndUnique(t *testing.T) {
 	const k, dim = 5, 3
-	jr := telemetry.NewJournal(1024)
-	d := buildDynamic(t, k, dim, WithJournal(jr))
+	d := buildDynamic(t, k, dim)
 	stream := gaussianRecords(17, 400, dim)
 	for _, x := range stream {
 		if err := d.Add(x); err != nil {
@@ -64,25 +63,6 @@ func TestGroupIDsStableAndUnique(t *testing.T) {
 		if gi.Size < k {
 			t.Fatalf("group %d reports size %d < k", gi.ID, gi.Size)
 		}
-	}
-
-	// Every split event retired a parent that no longer exists and created
-	// two children; surviving children must name a once-live parent.
-	splits := jr.Events(0, telemetry.EventSplit)
-	if len(splits) == 0 {
-		t.Fatal("400 records with k=5 produced no split events")
-	}
-	for _, e := range splits {
-		if e.Parent == 0 || len(e.Children) != 2 {
-			t.Fatalf("split event without lineage: %+v", e)
-		}
-		if seen[e.Parent] {
-			t.Fatalf("split parent %d is still live", e.Parent)
-		}
-	}
-	created := jr.Events(0, telemetry.EventGroupCreated)
-	if len(created) == 0 {
-		t.Fatal("no group_created events recorded")
 	}
 
 	// The snapshot annotation mirrors the live ids in slot order.
@@ -155,30 +135,6 @@ func TestShardedGroupIDNoCollision(t *testing.T) {
 	}
 }
 
-// TestJournalObserveOnly: enabling the journal and id annotations must not
-// change a single engine byte — same fingerprint, same checkpoint.
-func TestJournalObserveOnly(t *testing.T) {
-	const k, dim = 6, 4
-	stream := gaussianRecords(11, 800, dim)
-	ingest := func(t *testing.T, opts ...CondenserOption) *Dynamic {
-		d := buildDynamic(t, k, dim, opts...)
-		for _, x := range stream {
-			if err := d.Add(x); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return d
-	}
-	off := ingest(t)
-	on := ingest(t, WithJournal(telemetry.NewJournal(256)))
-	if !bytes.Equal(dynamicFingerprint(t, off), dynamicFingerprint(t, on)) {
-		t.Fatal("journal-on fingerprint differs from journal-off")
-	}
-	if !bytes.Equal(checkpointBytes(t, off), checkpointBytes(t, on)) {
-		t.Fatal("journal-on checkpoint bytes differ from journal-off")
-	}
-}
-
 // TestGroupIDsNotSerialized: ids are an observe-only annotation — they do
 // not survive a checkpoint round-trip, and a restored engine re-allocates
 // from scratch without colliding with itself.
@@ -216,9 +172,6 @@ func TestGroupIDsNotSerialized(t *testing.T) {
 			t.Fatalf("restored engine allocated bad id %d", gi.ID)
 		}
 		seen[gi.ID] = true
-		if gi.BirthGeneration != 0 {
-			t.Fatalf("restored group %d has birth generation %d, want 0", gi.ID, gi.BirthGeneration)
-		}
 	}
 }
 
@@ -492,24 +445,27 @@ func TestExplainSideEffectFree(t *testing.T) {
 	})
 }
 
-// TestGroupLineage: split children record their parent and the
-// generation they were born at.
+// TestGroupLineage: split children record a parent that is no longer
+// live.
 func TestGroupLineage(t *testing.T) {
 	const k, dim = 5, 2
-	jr := telemetry.NewJournal(256)
-	d := buildDynamic(t, k, dim, WithJournal(jr))
+	d := buildDynamic(t, k, dim)
 	for _, x := range gaussianRecords(61, 600, dim) {
 		if err := d.Add(x); err != nil {
 			t.Fatal(err)
 		}
 	}
 	infos := releaseOf(d).GroupInfos(nil)
+	live := make(map[uint64]bool, len(infos))
+	for _, gi := range infos {
+		live[gi.ID] = true
+	}
 	children := 0
 	for _, gi := range infos {
 		if gi.Parent != 0 {
 			children++
-			if gi.BirthGeneration == 0 {
-				t.Fatalf("split child %d has birth generation 0", gi.ID)
+			if live[gi.Parent] {
+				t.Fatalf("split child %d names live parent %d", gi.ID, gi.Parent)
 			}
 		}
 	}

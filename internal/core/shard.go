@@ -60,7 +60,7 @@ type shard struct {
 	eig         mat.EigenScratch   // reusable split eigensolve workspaces
 
 	// Stable group identity and lineage, maintained in parallel with
-	// groups: meta[i] is slot i's id and birth annotation. Ids
+	// groups: meta[i] is slot i's id and split parent. Ids
 	// are allocated monotonically under idBase — this shard's partition of
 	// the id space (see groupIDShardShift) — so ids are unique engine-wide
 	// and never reused after a split retires them. All of it is
@@ -71,11 +71,9 @@ type shard struct {
 	idBase uint64
 	idSeq  uint64
 
-	// index is this shard's position in the engine; it stamps journal
-	// events and group diagnostics. jr is the lifecycle journal; nil (the
-	// default) disables it at one nil check per site.
+	// index is this shard's position in the engine; it labels the
+	// shard's metrics and errors.
 	index int
-	jr    *telemetry.Journal
 
 	// gen is the engine's mutation generation, shared by every shard: a
 	// monotone counter advanced before every state-changing apply and
@@ -109,16 +107,13 @@ type shard struct {
 	dirty      []uint64
 }
 
-// groupMeta is one group's observe-only identity and birth annotation:
-// its stable id, the mutation generation it was created at, and the id of
-// the split parent it was born from (0 for founded or initial groups). It
-// keeps nothing computed from records: a founded group's birth centroid
-// would be its first raw record. A value is immutable once stored: a split
-// stores a new one for the slot, so snapshots share the pointers with the
-// live shard.
+// groupMeta is one group's observe-only identity and lineage: its stable
+// id and the id of the split parent it was born from (0 for founded or
+// initial groups). It keeps nothing computed from records: a founded
+// group's birth centroid would be its first raw record. A value is immutable once stored: a split stores a new one for
+// the slot, so snapshots share the pointers with the live shard.
 type groupMeta struct {
 	id     uint64
-	gen    uint64
 	parent uint64
 }
 
@@ -129,19 +124,11 @@ type groupMeta struct {
 const groupIDShardShift = 48
 
 // newMeta annotates a group born now: the next stable id under this
-// shard's base (1-based, so 0 stays the "no parent" sentinel), the current
-// mutation generation, and the given split parent (0 when founded).
+// shard's base (1-based, so 0 stays the "no parent" sentinel) and the
+// given split parent (0 when founded).
 func (sh *shard) newMeta(parent uint64) *groupMeta {
 	sh.idSeq++
-	return &groupMeta{id: sh.idBase | sh.idSeq, gen: sh.lastMut, parent: parent}
-}
-
-// annotate registers identity and birth for a group slot just appended to
-// groups and returns its id.
-func (sh *shard) annotate(parent uint64) uint64 {
-	m := sh.newMeta(parent)
-	sh.meta = append(sh.meta, m)
-	return m.id
+	return &groupMeta{id: sh.idBase | sh.idSeq, parent: parent}
 }
 
 // markDirty records that slot i's group changed since the last snapshot
@@ -215,7 +202,7 @@ func (sh *shard) found(x mat.Vector) error {
 	if err := g.MeanInto(sh.mean); err != nil {
 		return err
 	}
-	id := sh.annotate(0)
+	sh.meta = append(sh.meta, sh.newMeta(0))
 	if _, err := sh.router.Add(sh.mean); err != nil {
 		return err
 	}
@@ -223,15 +210,6 @@ func (sh *shard) found(x mat.Vector) error {
 	sh.met.streamRecords.Inc()
 	sh.met.groupsFormed.Inc()
 	sh.met.groups.Set(float64(len(sh.groups)))
-	if sh.jr != nil {
-		sh.jr.Record(telemetry.JournalEvent{
-			Type:       telemetry.EventGroupCreated,
-			Shard:      sh.index,
-			Generation: sh.lastMut,
-			Group:      id,
-			Detail:     "first stream record founded a group",
-		})
-	}
 	return nil
 }
 
@@ -296,21 +274,9 @@ func (sh *shard) ingest(best int, x mat.Vector, sp *telemetry.Span) error {
 		// The parent id retires with the split; both halves are new groups
 		// with fresh ids and lineage back to the parent.
 		sh.meta[best] = sh.newMeta(parentID)
-		id1 := sh.meta[best].id
-		id2 := sh.annotate(parentID)
+		sh.meta = append(sh.meta, sh.newMeta(parentID))
 		if _, err := sh.router.Add(sh.mean); err != nil {
 			return err
-		}
-		if sh.jr != nil {
-			sh.jr.Record(telemetry.JournalEvent{
-				Type:       telemetry.EventSplit,
-				Shard:      sh.index,
-				Generation: sh.lastMut,
-				Group:      parentID,
-				Parent:     parentID,
-				Children:   []uint64{id1, id2},
-				Detail:     fmt.Sprintf("group reached %d records (2k) and split into %d + %d", 2*sh.k, m1.N(), m2.N()),
-			})
 		}
 		splitSpan.End()
 		if sh.met.enabled {

@@ -16,7 +16,7 @@ import (
 
 // WriteBundle writes a one-shot diagnostics snapshot of the live server as
 // a tar.gz stream: health, metrics, the flight-recorder ring, health-rule
-// states, an audit pass, recent trace spans, the lifecycle journal tail,
+// states, an audit pass, recent trace spans, the release ledger tail,
 // goroutine and heap profiles, and build info — everything a bug report
 // against a live daemon needs, in one artifact. Entries for disabled
 // subsystems (no recorder, no tracer, no journal) are omitted; an entry

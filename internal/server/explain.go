@@ -14,11 +14,11 @@ import (
 	"condensation/internal/telemetry"
 )
 
-// This file serves the explainability layer: the group-lifecycle journal
+// This file serves the explainability layer: the release ledger
 // (/v1/events), per-group diagnostics (/v1/groups, /v1/groups/{id}), and
-// the routing dry-run (/v1/explain). Both are derived from the current
-// release, like every other read of condensed state, so they only ever
-// describe groups of at least k records, and neither touches the engine.
+// the routing dry-run (/v1/explain). All three are derived from releases,
+// like every other read of condensed state, so they only ever describe
+// groups of at least k records, and none touches the engine.
 
 // eventsResponse is the GET /v1/events body: the journal tail oldest
 // first, plus the ring geometry so clients know the retention horizon.
@@ -32,7 +32,7 @@ type eventsResponse struct {
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	if s.jr == nil {
 		writeError(w, http.StatusNotFound,
-			errors.New("lifecycle journal not enabled (start with -journal > 0)"))
+			errors.New("release ledger not enabled (start with -journal > 0)"))
 		return
 	}
 	q := queryParams(r)
@@ -55,8 +55,10 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 }
 
 // events builds the events body over up to last journal events (0 for
-// all) of the given types, for GET /v1/events and the diagnostics bundle.
+// all) of the given types, for GET /v1/events and the diagnostics bundle,
+// after installing the release of the engine's current state.
 func (s *Server) events(last int, types ...string) eventsResponse {
+	s.release()
 	events := s.jr.Events(last, types...)
 	if events == nil {
 		events = []telemetry.JournalEvent{}
@@ -74,7 +76,7 @@ func (s *Server) events(last int, types ...string) eventsResponse {
 // history selector validation closes.
 func validEventType(t string) bool {
 	switch t {
-	case telemetry.EventGroupCreated, telemetry.EventSplit, telemetry.EventSpecFallback,
+	case telemetry.EventGroupReleased, telemetry.EventGroupRetired,
 		telemetry.EventReleaseReplaced, telemetry.EventWatchdogTransition:
 		return true
 	}

@@ -15,8 +15,8 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
-	"condensation/internal/core"
 	"condensation/internal/rng"
 	"condensation/internal/telemetry"
 )
@@ -37,9 +37,12 @@ import (
 //
 // The seed corpus starts with the pure-stream bootstrap: k = 10 and one
 // record, which every snapshot released verbatim before the k-gate. The
-// last entry releases one group of 5 records whose twins POST different
-// subsets of them: a KS distance measured against a sample of POSTed raw
-// records told the twins apart.
+// entry with seed 7 releases one group of 5 records whose twins POST
+// different subsets of them: a KS distance measured against a sample of
+// POSTed raw records told the twins apart. The last entry (4 shards, k =
+// 2, 3 records) orders one shard's arrivals differently among the
+// others': a group's birth generation, the engine generation of its
+// founding arrival, told the twins apart.
 func FuzzReleaseExposure(f *testing.F) {
 	// seed, shards (even: 1, odd: 4), k, records, largest POST batch
 	f.Add(uint64(1), uint8(0), uint8(10), uint16(1), uint8(1))
@@ -50,6 +53,7 @@ func FuzzReleaseExposure(f *testing.F) {
 	f.Add(uint64(5), uint8(0), uint8(7), uint16(28), uint8(8))
 	f.Add(uint64(6), uint8(1), uint8(10), uint16(40), uint8(8))
 	f.Add(uint64(7), uint8(0), uint8(3), uint16(5), uint8(1))
+	f.Add(uint64(16), uint8(1), uint8(2), uint16(3), uint8(1))
 	f.Fuzz(func(t *testing.T, seed uint64, shardSel, kSel uint8, nSel uint16, batchSel uint8) {
 		shards := 1 + 3*int(shardSel%2)
 		k := int(kSel)
@@ -71,36 +75,20 @@ func FuzzReleaseExposure(f *testing.F) {
 // engine's Add by a choice each server makes on its own. Values are
 // multiples of 1/8 in [−4, 4], so every moment sum is exact in any order
 // and the twins' releases are bit-equal; so must be every body derived
-// from them. The second order permutes each shard's records among
-// themselves and keeps which shard each arrival goes to, so the
-// generation every group is born at matches too.
+// from them. The second order is a full shuffle, so at 4 shards it also
+// interleaves the shards differently: nothing served may depend on the
+// engine generation of an arrival.
 func checkPermutationTwins(t *testing.T, seed uint64, shards, k, n int) {
 	r := rng.New(seed)
 	records := make([][]float64, n)
-	byShard := make([][]int, shards)
-	arrivals := make([]int, n) // the shard of each arrival, in order
-	router := core.NewRelease(0, sharded(t, newCondenser(t, k, seed), 2, shards).Condensation(), shards)
 	for i := range records {
 		records[i] = []float64{float64(r.IntN(65)-32) / 8, float64(r.IntN(65)-32) / 8}
-		ex, err := router.Explain(records[i], 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		arrivals[i] = ex.Shard
-		byShard[ex.Shard] = append(byShard[ex.Shard], i)
 	}
-	permuted := make([][]float64, 0, n)
-	next := make([]int, shards)
-	for _, idx := range byShard {
-		r.Shuffle(len(idx), func(i, j int) { idx[i], idx[j] = idx[j], idx[i] })
-	}
-	for _, sh := range arrivals {
-		permuted = append(permuted, records[byShard[sh][next[sh]]])
-		next[sh]++
-	}
+	permuted := append([][]float64(nil), records...)
+	r.Shuffle(n, func(i, j int) { permuted[i], permuted[j] = permuted[j], permuted[i] })
 
 	feed := func(order [][]float64) *Server {
-		s, err := New(Config{Engine: sharded(t, newCondenser(t, k, seed), 2, shards)})
+		s, err := New(Config{Engine: sharded(t, newCondenser(t, k, seed), 2, shards), Journal: telemetry.NewJournal(64)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -125,7 +113,7 @@ func checkPermutationTwins(t *testing.T, seed uint64, shards, k, n int) {
 // the POSTed records, differs.
 func TestReleaseMomentTwins(t *testing.T) {
 	serve := func(values ...float64) *Server {
-		s, err := New(Config{Engine: sharded(t, newCondenser(t, 3, 1), 1, 1)})
+		s, err := New(Config{Engine: sharded(t, newCondenser(t, 3, 1), 1, 1), Journal: telemetry.NewJournal(64)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -171,9 +159,10 @@ func requireTwins(t *testing.T, what string, a, b *Server) map[string][]byte {
 // releaseBodies returns every response s derives from its release, keyed
 // by request and prefixed by status: the seed-1 snapshot, the checkpoint,
 // stats and audit merged and by shard, the group list and each listed
-// group, an explain, the bundle's audit.json, and the condense_audit_* and
-// condense_release_* lines of /metrics (its other lines carry timings). It
-// first runs one audit pass, as condenserd's background auditor does.
+// group, an explain, the release ledger with each event's time cleared,
+// the bundle's audit.json, and the condense_audit_* and condense_release_*
+// lines of /metrics (its other lines carry timings). It first runs one
+// audit pass, as condenserd's background auditor does.
 // Requests carry a fixed request id, so error envelopes compare too.
 func releaseBodies(t *testing.T, s *Server) map[string][]byte {
 	t.Helper()
@@ -200,6 +189,18 @@ func releaseBodies(t *testing.T, s *Server) map[string][]byte {
 	for _, g := range gr.Groups {
 		do(http.MethodGet, "/v1/groups/"+strconv.FormatUint(g.ID, 10), "")
 	}
+	var er eventsResponse
+	if err := json.Unmarshal(do(http.MethodGet, "/v1/events", ""), &er); err != nil {
+		t.Fatal(err)
+	}
+	for i := range er.Events {
+		er.Events[i].Time = time.Time{}
+	}
+	cleared, err := json.Marshal(er)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out["GET /v1/events"] = cleared
 	out["bundle audit.json"] = unpackBundle(t, do(http.MethodGet, "/debug/bundle", ""))["audit.json"]
 	delete(out, "GET /debug/bundle")
 	var lines []string

@@ -25,13 +25,14 @@ type observed struct {
 	reg *telemetry.Registry
 	rec *telemetry.Recorder
 	wd  *telemetry.Watchdog
+	jr  *telemetry.Journal
 	log *bytes.Buffer
 }
 
 // newObservedServer builds a server with the full observability stack
-// attached: registry, flight recorder, and a watchdog running the
-// standard rule set for the shard count. The scrape loop is NOT started —
-// tests call rec.Scrape/wd.Evaluate themselves to drive windows
+// attached: registry, flight recorder, journal, and a watchdog running
+// the standard rule set for the shard count. The scrape loop is NOT
+// started — tests call rec.Scrape/wd.Evaluate themselves to drive windows
 // deterministically.
 func newObservedServer(t *testing.T, shards int) observed {
 	t.Helper()
@@ -47,9 +48,10 @@ func newObservedServer(t *testing.T, shards int) observed {
 	if err != nil {
 		t.Fatal(err)
 	}
+	jr := telemetry.NewJournal(256)
 	s, err := New(Config{
 		Engine:    sharded(t, condenser, 2, shards),
-		Telemetry: reg, Recorder: rec, Watchdog: wd,
+		Telemetry: reg, Recorder: rec, Watchdog: wd, Journal: jr,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -60,7 +62,7 @@ func newObservedServer(t *testing.T, shards int) observed {
 		delete(testServers, ts.URL)
 		ts.Close()
 	})
-	return observed{ts: ts, s: s, reg: reg, rec: rec, wd: wd, log: &logbuf}
+	return observed{ts: ts, s: s, reg: reg, rec: rec, wd: wd, jr: jr, log: &logbuf}
 }
 
 // historyBody mirrors the /v1/history response.
@@ -253,10 +255,14 @@ func TestObservabilityDisabled(t *testing.T) {
 // TestWatchdogDriftScenario is the acceptance scenario: injected audit
 // moments drive the sse_degradation rule ok → degraded and back, and the
 // transition is visible in /healthz, /v1/health/rules,
-// condense_alerts_total, and the structured log.
+// condense_alerts_total, the structured log, and the journal, stamped with
+// the installed release's generation rather than the engine's.
 func TestWatchdogDriftScenario(t *testing.T) {
 	o := newObservedServer(t, 1)
 	sse := o.reg.Gauge(audit.MetricSSERatio)
+	postRecords(t, o.ts, genRecords(5, 12))
+	getJSON(t, o.ts.URL+"/v1/stats", nil) // installs the release of generation 12
+	postRecords(t, o.ts, genRecords(6, 3))
 
 	step := func(v float64, n int) {
 		for i := 0; i < n; i++ {
@@ -325,6 +331,15 @@ func TestWatchdogDriftScenario(t *testing.T) {
 	}
 	if !strings.Contains(o.log.String(), "to=ok") {
 		t.Errorf("recovery transition not logged")
+	}
+	transitions := o.jr.Events(0, telemetry.EventWatchdogTransition)
+	if len(transitions) != 2 {
+		t.Fatalf("journal holds %d watchdog transitions, want 2", len(transitions))
+	}
+	for _, e := range transitions {
+		if e.Generation != 12 {
+			t.Errorf("transition stamped generation %d, want the installed release's 12 (the engine is at %d)", e.Generation, o.s.eng.Generation())
+		}
 	}
 	metrics = getBody(t, o.ts.URL+"/metrics")
 	if !strings.Contains(metrics, `condense_alerts_total{rule="sse_degradation"} 1`) {

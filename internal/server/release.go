@@ -26,8 +26,9 @@ import (
 // with readers, so a moved generation means the cut may straddle a
 // mutation — it is retried once, and if the generation moves again the
 // cut is served to that one request but never installed, and its
-// checkpoint carries no ETag. Installing is a compare-and-swap that only a
-// newer generation wins, so a slow cut can never replace a newer release.
+// checkpoint carries no ETag. Installs take one mutex, which hits never
+// take, and only a newer generation wins, so a slow cut can never replace
+// a newer release.
 //
 // A new release inherits nothing but the previous release's snapshot
 // entries, as reuse bases: the next miss at the same seed shares the base's
@@ -138,36 +139,55 @@ func (s *Server) release() *release {
 }
 
 // install makes r the current release unless one of the same or a newer
-// generation is already installed, and returns the release to serve.
-// Installing sets the release's smallest group size on its gauge;
-// replacing a release that served artifacts records one
-// release_replaced journal event.
+// generation is already installed, and returns the release to serve. Under
+// installMu and before the swap, so ring order is release order, it sets
+// the smallest-group gauge and journals group_released for each id new to
+// r, group_retired for each id gone, and release_replaced when the
+// replaced release served artifacts.
 func (s *Server) install(r *release) *release {
-	for {
-		cur := s.cur.Load()
-		if cur != nil && cur.Generation() >= r.Generation() {
-			if cur.Generation() == r.Generation() {
-				return cur
-			}
-			return r
+	s.installMu.Lock()
+	defer s.installMu.Unlock()
+	cur := s.cur.Load()
+	if cur != nil && cur.Generation() >= r.Generation() {
+		if cur.Generation() == r.Generation() {
+			return cur
 		}
-		if s.cur.CompareAndSwap(cur, r) {
-			// Two racing installs may Set out of order, leaving the older
-			// release's value until the next install; like every release's,
-			// it is 0 or at least k.
-			s.releaseMinSize.Set(float64(r.Condensation().MinGroupSize()))
-			if s.jr != nil && cur != nil && cur.servedArtifacts() {
-				s.jr.Record(telemetry.JournalEvent{
-					Type:       telemetry.EventReleaseReplaced,
-					Shard:      telemetry.JournalShardNone,
-					Generation: r.Generation(),
-					Detail: fmt.Sprintf("release of generation %d replaced the one of generation %d and its served artifacts",
-						r.Generation(), cur.Generation()),
-				})
+		return r
+	}
+	s.releaseMinSize.Set(float64(r.Condensation().MinGroupSize()))
+	if s.jr != nil {
+		var prev *core.Release
+		if cur != nil {
+			prev = cur.Release
+		}
+		r.Changes(prev, func(gi core.GroupInfo, released bool) {
+			ev := telemetry.JournalEvent{Type: telemetry.EventGroupRetired, Shard: gi.Shard, Generation: r.Generation(), Group: gi.ID}
+			if released {
+				ev.Type, ev.Parent = telemetry.EventGroupReleased, gi.Parent
 			}
-			return r
+			s.jr.Record(ev)
+		})
+		if cur != nil && cur.servedArtifacts() {
+			s.jr.Record(telemetry.JournalEvent{
+				Type:       telemetry.EventReleaseReplaced,
+				Shard:      telemetry.JournalShardNone,
+				Generation: r.Generation(),
+				Detail: fmt.Sprintf("release of generation %d replaced the one of generation %d and its served artifacts",
+					r.Generation(), cur.Generation()),
+			})
 		}
 	}
+	s.cur.Store(r)
+	return r
+}
+
+// installedGeneration returns the installed release's generation, or 0
+// before the first install.
+func (s *Server) installedGeneration() uint64 {
+	if cur := s.cur.Load(); cur != nil {
+		return cur.Generation()
+	}
+	return 0
 }
 
 // servedArtifacts reports whether the release built any artifact — a

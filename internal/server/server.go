@@ -14,7 +14,7 @@
 //	GET  /v1/checkpoint                               binary condensation state (octet-stream)
 //	GET  /v1/history    ?last=N&series=a,b            flight-recorder windows (when recording on)
 //	GET  /v1/health/rules                             watchdog rule states (when watchdog on)
-//	GET  /v1/events     ?last=N&type=a,b              group-lifecycle journal (when journal on)
+//	GET  /v1/events     ?last=N&type=a,b              release ledger (when journal on)
 //	GET  /v1/groups                                   per-group lifecycle summaries
 //	GET  /v1/groups/{id}                              one group's diagnostics detail
 //	POST /v1/explain    {"record": [...], "top": M}   routing dry-run, side-effect-free
@@ -48,6 +48,7 @@ import (
 	"runtime/debug"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -60,8 +61,8 @@ import (
 type Config struct {
 	// Engine is the condenser engine to serve; required. Build it with
 	// the core.Condenser (Sharded for an empty start, ShardedFrom to
-	// resume from a checkpoint). The server attaches Telemetry, Tracer and
-	// Journal to it, replacing whatever the engine was built with.
+	// resume from a checkpoint). The server attaches Telemetry and Tracer
+	// to it, replacing whatever the engine was built with.
 	Engine core.Engine
 	// MaxBatch bounds the records accepted per POST (default 10000).
 	MaxBatch int
@@ -94,11 +95,12 @@ type Config struct {
 	// /v1/health/rules and folds its overall severity into /healthz. Nil
 	// disables the endpoint and leaves /healthz always "ok".
 	Watchdog *telemetry.Watchdog
-	// Journal optionally attaches a group-lifecycle journal: the engine
-	// records foundings, splits and speculation fallbacks into it, the server
-	// records read-cache invalidations, the watchdog records rule transitions,
-	// and the server serves the ring from /v1/events. Nil disables the
-	// endpoint (404) and all recording, like a nil Tracer does /debug/trace.
+	// Journal optionally attaches the release ledger: each release install
+	// records the group ids it adds and drops and whether it replaced
+	// served artifacts, the watchdog records rule transitions, and the
+	// server serves the ring from /v1/events. Every entry carries the
+	// generation of an installed release. Nil disables the endpoint (404)
+	// and all recording, like a nil Tracer does /debug/trace.
 	Journal *telemetry.Journal
 }
 
@@ -141,9 +143,11 @@ type Server struct {
 	releaseMinSize *telemetry.Gauge
 
 	// cur is the current release: the k-gated cut every read artifact is
-	// derived from (see release.go). shards is the engine's fixed shard
-	// count. The cm* pairs count hit/miss outcomes per artifact kind.
+	// derived from (see release.go), swapped only under installMu. shards
+	// is the engine's fixed shard count. The cm* pairs count hit/miss
+	// outcomes per artifact kind.
 	cur          atomic.Pointer[release]
+	installMu    sync.Mutex
 	shards       int
 	cmSnapshot   cacheMetrics
 	cmStats      cacheMetrics
@@ -197,7 +201,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	eng.SetTelemetry(reg)
 	eng.SetTracer(cfg.Tracer)
-	eng.SetJournal(cfg.Journal)
 	s := &Server{
 		eng:      eng,
 		k:        eng.K(),
@@ -216,8 +219,8 @@ func New(cfg Config) (*Server, error) {
 	}
 	s.reqPrefix = "r" + strconv.FormatInt(time.Now().UnixNano(), 36) + "-"
 	// The watchdog stamps its rule-transition journal events with the
-	// engine generation they were observed at.
-	s.wd.SetJournal(cfg.Journal, eng.Generation)
+	// installed release's generation, like every other journal entry.
+	s.wd.SetJournal(cfg.Journal, s.installedGeneration)
 	s.buildRevision, s.buildTime = buildVCS()
 	s.cmSnapshot = newCacheMetrics(reg, "synthesis")
 	s.cmStats = newCacheMetrics(reg, "stats")

@@ -5,20 +5,17 @@ import (
 	"time"
 )
 
-// Journal event types: the group-lifecycle and serving-layer moments worth
+// Journal event types: the release and serving-layer moments worth
 // explaining after the fact. Each names the state change that produced it,
 // not the code path — the journal is the narrative the audit and watchdog
 // numbers lack.
 const (
-	// EventGroupCreated marks a group founded from the stream (the very
-	// first record of an empty condenser, or of an empty shard).
-	EventGroupCreated = "group_created"
-	// EventSplit marks a group reaching 2k records and splitting: the
-	// parent id retires and two children are born (paper §3.2).
-	EventSplit = "split"
-	// EventSpecFallback marks a batch whose speculation windows re-routed
-	// records live because their candidate group changed mid-window.
-	EventSpecFallback = "spec_fallback"
+	// EventGroupReleased marks a group id new to an installed release: a
+	// group that reached k records, or a split child (paper §3.2).
+	EventGroupReleased = "group_released"
+	// EventGroupRetired marks a group id an installed release no longer
+	// holds: the parent of a split.
+	EventGroupRetired = "group_retired"
 	// EventReleaseReplaced marks the server installing a new release in
 	// place of one that had served read artifacts, which are dropped with
 	// it.
@@ -28,7 +25,7 @@ const (
 )
 
 // JournalShardNone is the Shard stamp of events that are not tied to one
-// engine shard (server release, watchdog).
+// engine shard (release replacement, watchdog).
 const JournalShardNone = -1
 
 // JournalEvent is one recorded lifecycle event. Seq and Time are stamped
@@ -41,18 +38,16 @@ type JournalEvent struct {
 	Time time.Time `json:"time"`
 	// Type is one of the Event* constants.
 	Type string `json:"type"`
-	// Shard is the engine shard the event happened on (0 for a standalone
-	// Dynamic), or JournalShardNone for server-level events.
+	// Shard is the engine shard holding the event's group, or
+	// JournalShardNone for events not tied to one shard.
 	Shard int `json:"shard"`
-	// Generation is the engine mutation generation the event is tied to,
-	// so journal entries line up with checkpoint ETags and /healthz.
+	// Generation is the generation of the release the event is tied to,
+	// so journal entries line up with checkpoint ETags.
 	Generation uint64 `json:"generation"`
 	// Group is the stable id of the group the event concerns, when any.
 	Group uint64 `json:"group,omitempty"`
-	// Parent and Children carry split lineage: the retiring parent id and
-	// the two ids born from it.
-	Parent   uint64   `json:"parent,omitempty"`
-	Children []uint64 `json:"children,omitempty"`
+	// Parent is the split parent a released group was born from, when any.
+	Parent uint64 `json:"parent,omitempty"`
 	// Detail is a human-readable one-liner explaining the event.
 	Detail string `json:"detail,omitempty"`
 }
@@ -63,8 +58,9 @@ type JournalEvent struct {
 // records feeds back into condensation), and bounded (the ring keeps the
 // most recent Capacity events; older ones are overwritten, never grown).
 // Unlike the sampled tracer it records every event offered — lifecycle
-// events are rare (foundings, splits, transitions), so completeness is
-// affordable and is what makes lineage reconstruction trustworthy.
+// events are rare (one per group id a release adds or drops, plus
+// transitions), so completeness is affordable and is what makes the
+// ledger replayable.
 type Journal struct {
 	events *ring[JournalEvent]
 }
@@ -99,8 +95,8 @@ func (j *Journal) Record(ev JournalEvent) {
 // Events returns up to last of the most recent buffered events in record
 // order (oldest first). last ≤ 0 returns everything buffered. With types
 // given, only events of those types count toward last — "the N most recent
-// splits", not "the splits among the N most recent events". The returned
-// slice is a copy and safe to retain.
+// retirements", not "the retirements among the N most recent events". The
+// returned slice is a copy and safe to retain.
 func (j *Journal) Events(last int, types ...string) []JournalEvent {
 	if j == nil {
 		return nil

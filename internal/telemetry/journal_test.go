@@ -8,7 +8,7 @@ import (
 func TestJournalRecordAndOrder(t *testing.T) {
 	j := NewJournal(8)
 	for i := 0; i < 5; i++ {
-		j.Record(JournalEvent{Type: EventGroupCreated, Shard: i, Generation: uint64(i + 1)})
+		j.Record(JournalEvent{Type: EventGroupReleased, Shard: i, Generation: uint64(i + 1)})
 	}
 	if j.Len() != 5 || j.Seq() != 5 || j.Dropped() != 0 {
 		t.Fatalf("len=%d seq=%d dropped=%d, want 5/5/0", j.Len(), j.Seq(), j.Dropped())
@@ -33,7 +33,7 @@ func TestJournalRecordAndOrder(t *testing.T) {
 func TestJournalRingOverwrite(t *testing.T) {
 	j := NewJournal(4)
 	for i := 1; i <= 10; i++ {
-		j.Record(JournalEvent{Type: EventSplit, Generation: uint64(i)})
+		j.Record(JournalEvent{Type: EventGroupRetired, Generation: uint64(i)})
 	}
 	if j.Len() != 4 {
 		t.Fatalf("len=%d, want capacity 4", j.Len())
@@ -55,7 +55,7 @@ func TestJournalRingOverwrite(t *testing.T) {
 func TestJournalLastBound(t *testing.T) {
 	j := NewJournal(16)
 	for i := 1; i <= 9; i++ {
-		j.Record(JournalEvent{Type: EventSpecFallback})
+		j.Record(JournalEvent{Type: EventReleaseReplaced})
 	}
 	got := j.Events(3)
 	if len(got) != 3 {
@@ -71,26 +71,26 @@ func TestJournalLastBound(t *testing.T) {
 
 func TestJournalTypeFilter(t *testing.T) {
 	j := NewJournal(32)
-	kinds := []string{EventGroupCreated, EventSplit, EventGroupCreated, EventSpecFallback, EventSplit}
+	kinds := []string{EventGroupReleased, EventGroupRetired, EventGroupReleased, EventReleaseReplaced, EventGroupRetired}
 	for _, k := range kinds {
 		j.Record(JournalEvent{Type: k})
 	}
-	splits := j.Events(0, EventSplit)
-	if len(splits) != 2 {
-		t.Fatalf("got %d split events, want 2", len(splits))
+	retired := j.Events(0, EventGroupRetired)
+	if len(retired) != 2 {
+		t.Fatalf("got %d group_retired events, want 2", len(retired))
 	}
-	for _, e := range splits {
-		if e.Type != EventSplit {
+	for _, e := range retired {
+		if e.Type != EventGroupRetired {
 			t.Fatalf("filtered result has type %q", e.Type)
 		}
 	}
 	// last=N with a filter means "the N most recent OF those types",
 	// still reported oldest first.
-	one := j.Events(1, EventGroupCreated)
+	one := j.Events(1, EventGroupReleased)
 	if len(one) != 1 || one[0].Seq != 3 {
-		t.Fatalf("Events(1, group_created) = %+v, want the seq-3 event", one)
+		t.Fatalf("Events(1, group_released) = %+v, want the seq-3 event", one)
 	}
-	both := j.Events(0, EventSplit, EventSpecFallback)
+	both := j.Events(0, EventGroupRetired, EventReleaseReplaced)
 	if len(both) != 3 {
 		t.Fatalf("two-type filter returned %d events, want 3", len(both))
 	}
@@ -103,7 +103,7 @@ func TestJournalTypeFilter(t *testing.T) {
 
 func TestJournalNilSafe(t *testing.T) {
 	var j *Journal
-	j.Record(JournalEvent{Type: EventSplit}) // must not panic
+	j.Record(JournalEvent{Type: EventGroupRetired}) // must not panic
 	if j.Events(0) != nil {
 		t.Fatal("nil journal returned events")
 	}
@@ -126,7 +126,7 @@ func TestJournalConcurrentRecord(t *testing.T) {
 		go func(g int) {
 			defer func() { done <- struct{}{} }()
 			for i := 0; i < 100; i++ {
-				j.Record(JournalEvent{Type: EventSplit, Shard: g})
+				j.Record(JournalEvent{Type: EventGroupReleased, Shard: g})
 				j.Events(5)
 			}
 		}(g)
@@ -187,12 +187,12 @@ func TestJournalEventDetailFormatting(t *testing.T) {
 	// their structured identity in fields, not only in Detail.
 	j := NewJournal(4)
 	j.Record(JournalEvent{
-		Type: EventSplit, Shard: 2, Generation: 41,
-		Group: 9, Parent: 9, Children: []uint64{12, 13},
-		Detail: fmt.Sprintf("group reached %d records", 12),
+		Type: EventGroupReleased, Shard: 2, Generation: 41,
+		Group: 12, Parent: 9,
+		Detail: fmt.Sprintf("split child of group %d", 9),
 	})
 	e := j.Events(0)[0]
-	if e.Parent != 9 || len(e.Children) != 2 || e.Children[1] != 13 {
+	if e.Group != 12 || e.Parent != 9 || e.Shard != 2 || e.Generation != 41 {
 		t.Fatalf("lineage fields not preserved: %+v", e)
 	}
 }

@@ -116,7 +116,7 @@ type Watchdog struct {
 	evals      *Counter
 
 	// jr, when set, receives one watchdog_transition event per rule state
-	// change; genFn supplies the engine generation to stamp it with.
+	// change; genFn supplies the generation to stamp it with.
 	jr    *Journal
 	genFn func() uint64
 }
@@ -156,7 +156,7 @@ func NewWatchdog(reg *Registry, log *slog.Logger, rules ...Rule) *Watchdog {
 // SetJournal attaches a lifecycle journal: every rule state transition is
 // then also recorded as a watchdog_transition event, stamped with the
 // generation gen reports at transition time (nil gen stamps 0), so health
-// flaps line up with the group-lifecycle timeline. A nil journal disables.
+// flaps line up with the release ledger. A nil journal disables.
 // Observe-only, like the transition log lines.
 func (w *Watchdog) SetJournal(j *Journal, gen func() uint64) {
 	if w == nil {
