@@ -104,7 +104,7 @@ const benchResetEvery = 4096
 
 // BenchmarkDynamicAddAll measures steady-state per-record ingest cost at
 // fixed group counts through both the per-record Add loop and the
-// speculative AddBatch engine (1024-record batches), over two stream
+// in-order AddBatch path (1024-record batches), over two stream
 // shapes: isotropic i.i.d. noise (worst case for the centroid index's
 // spatial pruning) and a correlated rank-3 factor stream (the
 // attribute-correlated regime the paper targets). Both cells of one
@@ -310,7 +310,13 @@ func BenchmarkServerIngestRecorded(b *testing.B) {
 			name = "recorded"
 		}
 		b.Run(name, func(b *testing.B) {
+			// stop ends the current server's scraper and waits for it, so
+			// one scraper runs at a time, not one per re-seed.
+			stop := func() {}
+			b.Cleanup(func() { stop() })
 			fresh := func() *server.Server {
+				stop()
+				stop = func() {}
 				eng, err := c.ShardedFrom(base, 1)
 				if err != nil {
 					b.Fatal(err)
@@ -322,10 +328,17 @@ func BenchmarkServerIngestRecorded(b *testing.B) {
 					wd := telemetry.NewWatchdog(reg, nil, server.HealthRules(k, 1)...)
 					cfg.Telemetry, cfg.Recorder, cfg.Watchdog = reg, rec, wd
 					ctx, cancel := context.WithCancel(context.Background())
-					b.Cleanup(cancel)
-					go rec.Run(ctx, time.Millisecond, func(telemetry.Window) {
-						wd.Evaluate(rec)
-					})
+					done := make(chan struct{})
+					go func() {
+						defer close(done)
+						rec.Run(ctx, time.Millisecond, func(telemetry.Window) {
+							wd.Evaluate(rec)
+						})
+					}()
+					stop = func() {
+						cancel()
+						<-done
+					}
 				}
 				s, err := server.New(cfg)
 				if err != nil {

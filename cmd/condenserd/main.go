@@ -6,7 +6,6 @@
 // Usage:
 //
 //	condenserd -addr :8080 -dim 7 -k 25
-//	condenserd -addr :8080 -dim 7 -k 25 -par 8
 //	condenserd -addr :8080 -dim 7 -k 25 -shards 4
 //	condenserd -addr :8080 -resume checkpoint.bin   (an explicit -k or -dim must match the checkpoint's)
 //	condenserd -addr :8080 -dim 7 -debug-addr localhost:6060
@@ -125,7 +124,6 @@ func run(args []string, stderr io.Writer, serve func(ctx context.Context, addr s
 		shards      = fs.Int("shards", 1, "independent condenser shards (1 = single unsharded engine)")
 		seed        = fs.Uint64("seed", 1, "random seed for split-axis decisions")
 		batch       = fs.Int("batch", 10000, "maximum records per POST")
-		parallel    = fs.Int("par", 0, "worker goroutines for engine batch routing and static sweeps (≤ 0 means NumCPU); the server's body decode and snapshot encode use NumCPU workers")
 		resume      = fs.String("resume", "", "checkpoint file to restore state from")
 		logLevel    = fs.String("log-level", "info", "log level: debug, info, warn, error, or off")
 		logFormat   = fs.String("log-format", "text", "log format: text or json")
@@ -209,8 +207,7 @@ func run(args []string, stderr io.Writer, serve func(ctx context.Context, addr s
 	// The server attaches the registry and tracer to the engine it serves,
 	// so the Condenser carries only the condensation settings.
 	condenser, err := core.NewCondenser(condenserK,
-		core.WithSeed(*seed), core.WithOptions(condenserOpts),
-		core.WithParallelism(*parallel))
+		core.WithSeed(*seed), core.WithOptions(condenserOpts))
 	if err != nil {
 		return err
 	}

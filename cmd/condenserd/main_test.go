@@ -301,12 +301,14 @@ func TestRunTraceOut(t *testing.T) {
 }
 
 // TestRunSearchFlag covers the backend flags: -search and -precision are
-// gone (the daemon always routes with the default exact search), so both
-// are refused before listening, while -par still serves.
+// gone (the daemon always routes with the default exact search), and so is
+// -par (each shard applies its records in order, and the daemon runs no
+// static sweep), so all three are refused before listening, while the
+// default daemon serves.
 func TestRunSearchFlag(t *testing.T) {
-	h, err := capture(t, []string{"-dim", "2", "-k", "3", "-par", "2"})
+	h, err := capture(t, []string{"-dim", "2", "-k", "3"})
 	if err != nil {
-		t.Fatalf("-par 2: %v", err)
+		t.Fatalf("default flags: %v", err)
 	}
 	ts := httptest.NewServer(h)
 	resp, err := http.Post(ts.URL+"/v1/records", "application/json",
@@ -317,11 +319,11 @@ func TestRunSearchFlag(t *testing.T) {
 	resp.Body.Close()
 	ts.Close()
 	if resp.StatusCode != http.StatusOK {
-		t.Errorf("-par 2: ingest status %d", resp.StatusCode)
+		t.Errorf("default flags: ingest status %d", resp.StatusCode)
 	}
-	for _, flag := range []string{"-search", "-precision"} {
-		if _, err := capture(t, []string{"-dim", "2", flag, "auto"}); err == nil {
-			t.Errorf("removed flag %s accepted", flag)
+	for _, flag := range [][2]string{{"-search", "auto"}, {"-precision", "auto"}, {"-par", "2"}} {
+		if _, err := capture(t, []string{"-dim", "2", flag[0], flag[1]}); err == nil {
+			t.Errorf("removed flag %s accepted", flag[0])
 		}
 	}
 }

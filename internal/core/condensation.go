@@ -37,6 +37,10 @@ type Condensation struct {
 	// Snapshots taken from a static condensation (or restored from a
 	// checkpoint before any engine wraps them) carry none.
 	meta []*groupMeta
+	// splits is the number of group splits the engine had performed when
+	// it cut this snapshot, read under the same shard locks as the group
+	// clones; 0 for a condensation no engine cut.
+	splits int
 }
 
 // newCondensation wraps a set of groups. The groups are owned by the

@@ -95,8 +95,9 @@ func WithNeighborSearch(s NeighborSearch) CondenserOption {
 }
 
 // WithParallelism bounds the worker goroutines of the static distance
-// sweep and, divided among the shards, of AddBatch speculation; values
-// < 1 (the default) mean runtime.NumCPU().
+// sweep and of synthesis from the condensations Static and Anonymize
+// return; values < 1 (the default) mean runtime.NumCPU(). Dynamic ingest
+// does not use it: each shard applies its records in order.
 func WithParallelism(p int) CondenserOption {
 	return func(c *Condenser) { c.search.Parallelism = p }
 }
@@ -265,14 +266,12 @@ func shardSources(c *Condenser, shards int) ([]*rng.Source, error) {
 	return srcs, nil
 }
 
-// wire finishes an engine the Condenser built: it divides the speculation
-// parallelism across the shards and attaches the Condenser's telemetry
-// and tracer.
+// wire finishes an engine the Condenser built: it attaches the
+// Condenser's telemetry and tracer.
 func (c *Condenser) wire(d *Dynamic, err error) (*Dynamic, error) {
 	if err != nil {
 		return nil, err
 	}
-	d.SetParallelism(c.search.Parallelism)
 	d.SetTelemetry(c.tel)
 	d.SetTracer(c.trace)
 	return d, nil

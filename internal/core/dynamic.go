@@ -11,7 +11,6 @@ import (
 
 	"condensation/internal/knn"
 	"condensation/internal/mat"
-	"condensation/internal/par"
 	"condensation/internal/rng"
 	"condensation/internal/stats"
 	"condensation/internal/telemetry"
@@ -39,9 +38,10 @@ import (
 //
 // Dynamic is safe for concurrent use: reads take per-shard read locks and
 // writes take only the locks of the shards their records hash to, so
-// concurrent batches contend per shard instead of per engine. Batches
-// ingest fastest through AddBatch, which speculatively routes records in
-// parallel and applies them sequentially — bit-identical to an Add loop.
+// concurrent batches contend per shard instead of per engine. AddBatch
+// applies each shard's records in stream order under one lock
+// acquisition per shard, with the shards running concurrently — an Add
+// loop's result, bit for bit.
 type Dynamic struct {
 	k    int
 	dim  int
@@ -258,8 +258,8 @@ func (d *Dynamic) AddBatch(records []mat.Vector) error {
 // is validated up front — a malformed record rejects the batch before any
 // record is admitted — then partitioned by the routing hash into
 // per-shard sub-batches that preserve stream order, and the sub-batches
-// are applied concurrently, each through its shard's speculative batch
-// path under that shard's lock alone. Because routing depends only on
+// are applied concurrently, each in order under that shard's lock alone,
+// through the same body as Add. Because routing depends only on
 // record values and each shard sees its records in stream order, the
 // result is bit-identical to a sequential Add loop over the same batch,
 // at any concurrency.
@@ -347,13 +347,16 @@ func (d *Dynamic) Condensation() *Condensation {
 	}
 	var groups []*stats.Group
 	var meta []*groupMeta
+	splits := 0
 	for i := range d.shards {
 		cond := d.Shard(i)
 		groups = append(groups, cond.groups...)
 		meta = append(meta, cond.meta...)
+		splits += cond.splits
 	}
 	merged := newCondensation(d.dim, d.k, d.opts, groups)
 	merged.meta = meta
+	merged.splits = splits
 	merged.met = d.met
 	merged.tr = d.tr
 	return merged
@@ -391,8 +394,8 @@ func (d *Dynamic) Generation() uint64 { return d.gen.Load() }
 
 // SetTelemetry attaches a metrics registry: Add and AddBatch then count
 // stream records and split events, time the nearest-centroid routing
-// (sampled one record in searchSampleEvery for Add, once per batch for
-// AddBatch, so steady-state ingest pays no per-record clock reads) and
+// (sampled one record in searchSampleEvery, on both paths, so
+// steady-state ingest pays no per-record clock reads) and
 // the statistics splits, and keep a live group-count gauge. With more
 // than one shard, every engine series carries a shard="i" label so
 // per-shard ingest rates, group counts, and split events are separable; a
@@ -412,7 +415,7 @@ func (d *Dynamic) SetTelemetry(reg *telemetry.Registry) {
 
 // SetTracer attaches a span tracer: Add records a sampled per-record
 // ingest span (with a split child when the record triggers one), and
-// AddBatch records a batch span with speculation/apply phase children —
+// AddBatch records a batch span per shard with a child per split —
 // nested under the span in the caller's context, if any. A nil tracer
 // (the default) disables tracing; a disabled or unsampled record costs one
 // nil check and one atomic load, preserving the 0 allocs/record hot path.
@@ -420,14 +423,4 @@ func (d *Dynamic) SetTelemetry(reg *telemetry.Registry) {
 func (d *Dynamic) SetTracer(tr *telemetry.Tracer) {
 	d.tr = tr
 	d.eachShard(func(sh *shard) { sh.tr = tr })
-}
-
-// SetParallelism bounds the total speculation workers across the engine:
-// the budget (values < 1 mean runtime.NumCPU()) is divided evenly among
-// the shards, each shard receiving at least one worker, since the shards
-// themselves already run concurrently during AddBatch. Parallelism never
-// changes output.
-func (d *Dynamic) SetParallelism(p int) {
-	per := max(par.Workers(p)/len(d.shards), 1)
-	d.eachShard(func(sh *shard) { sh.parallelism = per })
 }

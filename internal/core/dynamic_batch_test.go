@@ -3,7 +3,10 @@ package core
 import (
 	"bytes"
 	"context"
+	"errors"
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"condensation/internal/kernel"
@@ -85,11 +88,11 @@ func addCheckingScan(t *testing.T, d *Dynamic, stream []mat.Vector) {
 }
 
 // TestAddBatchEquivalence is the determinism contract of the batch ingest
-// engine: AddBatch at any speculation parallelism and any batch slicing
-// produces bit-identical groups, centroids, and synthesized output to the
-// sequential Add loop on the same seed, whose every routing decision is
-// checked against the linear scan — at 1 and 4 shards, both from an empty
-// condenser and from a static bootstrap.
+// engine: AddBatch at any batch slicing produces bit-identical groups,
+// centroids, and synthesized output to the sequential Add loop on the
+// same seed, whose every routing decision is checked against the linear
+// scan — at 1 and 4 shards, both from an empty condenser and from a
+// static bootstrap.
 func TestAddBatchEquivalence(t *testing.T) {
 	const k, dim = 6, 4
 	stream := gaussianRecords(21, 1200, dim)
@@ -122,23 +125,20 @@ func TestAddBatchEquivalence(t *testing.T) {
 			addCheckingScan(t, ref, stream)
 			want := dynamicFingerprint(t, ref)
 
-			for _, par := range []int{1, 2, 8} {
-				for _, batch := range []int{1, 7, 256, len(stream)} {
-					d := build()
-					d.SetParallelism(par)
-					for lo := 0; lo < len(stream); lo += batch {
-						hi := lo + batch
-						if hi > len(stream) {
-							hi = len(stream)
-						}
-						if err := d.AddBatch(stream[lo:hi]); err != nil {
-							t.Fatal(err)
-						}
+			for _, batch := range []int{1, 7, 256, len(stream)} {
+				d := build()
+				for lo := 0; lo < len(stream); lo += batch {
+					hi := lo + batch
+					if hi > len(stream) {
+						hi = len(stream)
 					}
-					if got := dynamicFingerprint(t, d); !bytes.Equal(got, want) {
-						t.Fatalf("shards=%d boot=%v par=%d batch=%d: AddBatch diverged from sequential Add loop",
-							shards, boot, par, batch)
+					if err := d.AddBatch(stream[lo:hi]); err != nil {
+						t.Fatal(err)
 					}
+				}
+				if got := dynamicFingerprint(t, d); !bytes.Equal(got, want) {
+					t.Fatalf("shards=%d boot=%v batch=%d: AddBatch diverged from sequential Add loop",
+						shards, boot, batch)
 				}
 			}
 		}
@@ -219,48 +219,6 @@ func TestAddBatchTelemetryObserveOnly(t *testing.T) {
 	}
 }
 
-// TestSpecFallbackCounter: a batch of n identical records over a base
-// speculates one candidate per window, which the window's first record
-// changes, so every later record of the window is re-routed live and the
-// fallback counter reads n − ⌈n / speculationWindow⌉. An Add loop never
-// speculates, so it reads 0.
-func TestSpecFallbackCounter(t *testing.T) {
-	const k, dim, n = 5, 3, 3*speculationWindow + 17
-	base := gaussianRecords(41, 200, dim)
-	same := make([]mat.Vector, n)
-	for i := range same {
-		same[i] = mat.Vector{0.25, -0.5, 1}
-	}
-	for _, batch := range []bool{true, false} {
-		reg := telemetry.NewRegistry()
-		c, err := NewCondenser(k, WithSeed(9), WithTelemetry(reg))
-		if err != nil {
-			t.Fatal(err)
-		}
-		d, err := c.Bootstrap(base)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := uint64(0)
-		if batch {
-			want = n - (n+speculationWindow-1)/speculationWindow
-			err = d.AddBatch(same)
-		} else {
-			for _, x := range same {
-				if err = d.Add(x); err != nil {
-					break
-				}
-			}
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := reg.Counter(metricSpecFallbacks).Value(); got != want {
-			t.Errorf("batch=%v: %s = %d, want %d", batch, metricSpecFallbacks, got, want)
-		}
-	}
-}
-
 func TestAddBatchValidatesUpFront(t *testing.T) {
 	d, err := emptyDynamic(2, 3, rng.New(41))
 	if err != nil {
@@ -304,9 +262,9 @@ func TestAddBatchCancelled(t *testing.T) {
 }
 
 // cancelAfter is a context whose Done returns a closed channel from its
-// n-th call on, and whose Err reports cancellation from then: addBatch
-// polls Done once per applied record, so the batch stops mid-window
-// after a known number of applies.
+// (n+1)-th call on, and whose Err reports cancellation from then: addBatch
+// polls Done once before each record, so the batch stops after exactly n
+// applied records.
 type cancelAfter struct {
 	context.Context
 	n int
@@ -333,49 +291,13 @@ func (c *cancelAfter) Err() error {
 	return nil
 }
 
-// Between batches every entry of the changed-row map is -1, whether the
-// batch completed or was cancelled mid-window, so the next batch only
-// fills the entries of new groups — and ingest stays bit-identical to a
-// sequential Add loop over the records actually applied.
-func TestAddBatchLeavesPosMapCleared(t *testing.T) {
+// TestAddBatchCancelledAtPoll: a context that turns done after n polls
+// stops the batch after exactly n applied records, founding included,
+// with an error naming record n that wraps context.Canceled. Batching the
+// rest afterwards is still bit-identical to an Add loop over the stream.
+func TestAddBatchCancelledAtPoll(t *testing.T) {
 	const k, dim = 3, 2
-	stream := gaussianRecords(47, 3*speculationWindow+40, dim)
-	d, err := emptyDynamic(dim, k, rng.New(48))
-	if err != nil {
-		t.Fatal(err)
-	}
-	cleared := func(when string) {
-		t.Helper()
-		sh := d.shards[0]
-		if len(sh.scratch.pos) < len(sh.groups) {
-			t.Fatalf("%s: pos covers %d of %d groups", when, len(sh.scratch.pos), len(sh.groups))
-		}
-		for g, p := range sh.scratch.pos {
-			if p != -1 {
-				t.Fatalf("%s: pos[%d] = %d, want -1", when, g, p)
-			}
-		}
-	}
-	first, rest := stream[:speculationWindow], stream[speculationWindow:]
-	if err := d.AddBatch(first); err != nil {
-		t.Fatal(err)
-	}
-	cleared("after a full batch")
-	// Cancel partway through the batch's second window.
-	ctx := &cancelAfter{Context: context.Background(), n: speculationWindow + 37}
-	if err := d.AddBatchContext(ctx, rest); err == nil {
-		t.Fatal("cancelled batch reported success")
-	}
-	applied := d.TotalCount() - len(first)
-	if applied != speculationWindow+37 {
-		t.Fatalf("cancelled batch applied %d records, want %d", applied, speculationWindow+37)
-	}
-	cleared("after a cancelled batch")
-	if err := d.AddBatch(rest[applied:]); err != nil {
-		t.Fatal(err)
-	}
-	cleared("after the batch that followed")
-
+	stream := gaussianRecords(47, 800, dim)
 	ref, err := emptyDynamic(dim, k, rng.New(48))
 	if err != nil {
 		t.Fatal(err)
@@ -385,7 +307,24 @@ func TestAddBatchLeavesPosMapCleared(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if !bytes.Equal(dynamicFingerprint(t, ref), dynamicFingerprint(t, d)) {
-		t.Error("batches around a cancellation diverged from the sequential Add loop")
+	want := dynamicFingerprint(t, ref)
+	for _, n := range []int{0, 1, 293, len(stream) - 1} {
+		d, err := emptyDynamic(dim, k, rng.New(48))
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = d.AddBatchContext(&cancelAfter{Context: context.Background(), n: n}, stream)
+		if !errors.Is(err, context.Canceled) || !strings.Contains(err.Error(), fmt.Sprintf("at record %d:", n)) {
+			t.Fatalf("n=%d: err = %v, want cancellation at record %d", n, err, n)
+		}
+		if got := d.TotalCount(); got != n {
+			t.Fatalf("n=%d: cancelled batch applied %d records", n, got)
+		}
+		if err := d.AddBatch(stream[n:]); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(dynamicFingerprint(t, d), want) {
+			t.Errorf("n=%d: batches around a cancellation diverged from the Add loop", n)
+		}
 	}
 }

@@ -93,8 +93,7 @@ func TestDynamicInvariantsProperty(t *testing.T) {
 }
 
 // Property: under arbitrary interleavings of Add and AddBatch — random
-// batch sizes, random speculation parallelism —
-// a dynamic condenser bootstrapped from a static condensation keeps every
+// batch sizes — a dynamic condenser bootstrapped from a static condensation keeps every
 // group inside the paper's steady-state band k ≤ n(G) ≤ 2k−1 and never
 // loses a record. (Splits interleave implicitly: any group reaching 2k is
 // split on the spot, which is what makes the upper bound tight.)
@@ -112,7 +111,6 @@ func TestDynamicInterleavingInvariantProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		dyn.SetParallelism(1 + r.IntN(8))
 		total := len(base)
 		for op := 0; op < 12; op++ {
 			if r.Bool(0.5) {

@@ -27,6 +27,7 @@ type Release struct {
 	ends  []int
 
 	withheldGroups, withheldRecords int
+	splits                          int
 }
 
 // NewRelease gates cut, an engine snapshot (Engine.Condensation) of an
@@ -37,7 +38,7 @@ type Release struct {
 // exactly those of the cut.
 func NewRelease(gen uint64, cut *Condensation, shards int) *Release {
 	shards = max(shards, 1)
-	r := &Release{gen: gen, cond: cut, ends: make([]int, shards+1)}
+	r := &Release{gen: gen, cond: cut, ends: make([]int, shards+1), splits: cut.splits}
 	for _, g := range cut.groups {
 		if n := g.N(); n < cut.k {
 			r.withheldGroups++
@@ -110,6 +111,10 @@ func (r *Release) ShardSizes(i int) []int { return r.sizes[r.ends[i]:r.ends[i+1]
 // Withheld returns the number of groups, and the records they condense,
 // that the cut held below k and the Release therefore leaves out.
 func (r *Release) Withheld() (groups, records int) { return r.withheldGroups, r.withheldRecords }
+
+// Splits returns the number of group splits the engine had performed
+// when it cut the Release.
+func (r *Release) Splits() int { return r.splits }
 
 // Changes calls emit for every group id that r and prev, an earlier
 // release of the same engine (nil for none), do not both hold: shard by

@@ -53,7 +53,7 @@ type searchConfig struct {
 	// Search selects the static neighbour search (default SearchAuto).
 	Search NeighborSearch
 	// Parallelism bounds the worker goroutines of the static distance
-	// sweep and of AddBatch speculation; values < 1 mean runtime.NumCPU().
+	// sweep and of synthesis; values < 1 mean runtime.NumCPU().
 	Parallelism int
 }
 

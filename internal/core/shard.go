@@ -14,7 +14,8 @@ import (
 )
 
 // searchSampleEvery is the sampling stride of the dynamic routing stage
-// timer: one in every searchSampleEvery routed records is timed. Two
+// timer: one in every searchSampleEvery routed records is timed, on the
+// Add and AddBatch paths alike. Two
 // time.Now() calls per record are measurable at high ingest rates, so the
 // histogram trades completeness for throughput — the sampled latencies
 // are representative (routing cost varies only with the group count,
@@ -52,12 +53,10 @@ type shard struct {
 	met    engineMetrics
 	tr     *telemetry.Tracer
 
-	parallelism int                // AddBatch speculation workers; < 1 means runtime.NumCPU()
-	router      *knn.CentroidIndex // exact nearest-centroid index; point i is group i's centroid
-	mean        mat.Vector         // scratch for a changed group's new centroid, copied into router
-	routed      int                // records routed, for sampled stage timing
-	scratch     batchScratch       // reusable AddBatch buffers
-	eig         mat.EigenScratch   // reusable split eigensolve workspaces
+	router *knn.CentroidIndex // exact nearest-centroid index; point i is group i's centroid
+	mean   mat.Vector         // scratch for a changed group's new centroid, copied into router
+	routed int                // records routed, for sampled stage timing
+	eig    mat.EigenScratch   // reusable split eigensolve workspaces
 
 	// Stable group identity and lineage, maintained in parallel with
 	// groups: meta[i] is slot i's id and split parent. Ids
@@ -166,9 +165,11 @@ func (sh *shard) setTelemetry(reg *telemetry.Registry, labels ...string) {
 func (sh *shard) add(x mat.Vector) error {
 	sp := sh.tr.StartChild(nil, "dynamic.add")
 	if sp == nil {
-		return sh.place(x, nil)
+		_, err := sh.place(x, nil)
+		return err
 	}
-	err := sh.place(x, sp)
+	best, err := sh.place(x, sp)
+	sp.SetAttrInt("group", best)
 	if err != nil {
 		sp.SetAttr("error", err.Error())
 	}
@@ -176,18 +177,20 @@ func (sh *shard) add(x mat.Vector) error {
 	return err
 }
 
-// place is add's body, with sp the sampled per-record span (usually nil).
-func (sh *shard) place(x mat.Vector, sp *telemetry.Span) error {
+// place is add's body: it founds group 0 on an empty shard, and otherwise
+// routes x and ingests it, returning the group x went to. sp, when
+// non-nil, is the span a split records its child under (add's sampled
+// per-record span, or addBatch's batch span).
+func (sh *shard) place(x mat.Vector, sp *telemetry.Span) (int, error) {
 	if len(sh.groups) == 0 {
-		return sh.found(x)
+		return 0, sh.found(x)
 	}
 	best := sh.route(x)
-	sp.SetAttrInt("group", best)
 	if err := sh.ingest(best, x, sp); err != nil {
-		return err
+		return best, err
 	}
 	sh.met.streamRecords.Inc()
-	return nil
+	return best, nil
 }
 
 // found admits the very first stream record of an empty shard: it
@@ -231,8 +234,8 @@ func (sh *shard) route(x mat.Vector) int {
 // the router (no allocation), and performs the paper's split once the
 // group reaches 2k records: delete M from H, add M1 and M2 to H. sp,
 // when non-nil, is the enclosing trace span (the sampled per-record span
-// for Add, the apply-phase span for AddBatch); a split then records a
-// child span under it.
+// for Add, the batch span for AddBatch); a split then records a child
+// span under it.
 func (sh *shard) ingest(best int, x mat.Vector, sp *telemetry.Span) error {
 	sh.bump()
 	sh.markDirty(best)
@@ -327,6 +330,7 @@ func (sh *shard) condensation() *Condensation {
 	sh.snapMu.Unlock()
 	cond := newCondensation(sh.dim, sh.k, sh.opts, groups)
 	cond.meta = meta
+	cond.splits = sh.splits
 	cond.met = sh.met
 	cond.tr = sh.tr
 	return cond

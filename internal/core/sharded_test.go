@@ -130,7 +130,7 @@ func TestEngineInterfaceEquivalence(t *testing.T) {
 // TestShardedMergedSnapshotDeterministic is the reproducibility contract
 // at every shard count: the same seed, shard count, and stream produce a
 // bit-identical merged snapshot — across independent engines, across
-// speculation parallelism settings, and across the Add/AddBatch paths —
+// batch slicings, and across the Add/AddBatch paths —
 // and every shard independently upholds the paper's k ≤ n ≤ 2k−1 group
 // size invariant.
 func TestShardedMergedSnapshotDeterministic(t *testing.T) {
@@ -152,7 +152,6 @@ func TestShardedMergedSnapshotDeterministic(t *testing.T) {
 			}
 
 			a := build(t)
-			a.SetParallelism(1)
 			for lo := 0; lo < len(stream); lo += 128 {
 				hi := lo + 128
 				if hi > len(stream) {
@@ -164,7 +163,6 @@ func TestShardedMergedSnapshotDeterministic(t *testing.T) {
 			}
 
 			b := build(t)
-			b.SetParallelism(8)
 			if err := b.AddBatch(stream); err != nil {
 				t.Fatal(err)
 			}
@@ -176,7 +174,7 @@ func TestShardedMergedSnapshotDeterministic(t *testing.T) {
 
 			ref := checkpointBytes(t, a)
 			if !bytes.Equal(ref, checkpointBytes(t, b)) {
-				t.Fatal("merged snapshot differs across batch slicing/parallelism")
+				t.Fatal("merged snapshot differs across batch slicing")
 			}
 			if !bytes.Equal(ref, checkpointBytes(t, c)) {
 				t.Fatal("merged snapshot differs between AddBatch and Add loop")

@@ -14,7 +14,6 @@ const (
 	metricLeftovers     = "condense_leftover_records_total"
 	metricSplitEvents   = "condense_split_events_total"
 	metricStreamRecords = "condense_stream_records_total"
-	metricSpecFallbacks = "condense_spec_fallback_records_total"
 	metricGroups        = "condense_groups"
 
 	// Read-path cache effectiveness, shared by the engine snapshot cache
@@ -43,7 +42,6 @@ type engineMetrics struct {
 	leftovers     *telemetry.Counter
 	splitEvents   *telemetry.Counter
 	streamRecords *telemetry.Counter
-	specFallbacks *telemetry.Counter // batch records re-routed live after their candidate changed
 	groups        *telemetry.Gauge
 
 	snapHits   *telemetry.Counter // cache=snapshot: Condensation reused cached clones
@@ -73,7 +71,6 @@ func newEngineMetrics(reg *telemetry.Registry, labels ...string) engineMetrics {
 		leftovers:     reg.Counter(metricLeftovers, labels...),
 		splitEvents:   reg.Counter(metricSplitEvents, labels...),
 		streamRecords: reg.Counter(metricStreamRecords, labels...),
-		specFallbacks: reg.Counter(metricSpecFallbacks, labels...),
 		groups:        reg.Gauge(metricGroups, labels...),
 		snapHits:      reg.Counter(metricReadCacheHits, append([]string{"cache", "snapshot"}, labels...)...),
 		snapMisses:    reg.Counter(metricReadCacheMisses, append([]string{"cache", "snapshot"}, labels...)...),

@@ -11,27 +11,26 @@ import (
 
 // TestTracingObserveOnly proves the observe-only contract of the tracing
 // layer: with a tracer attached and sampling every operation, static
-// condensation, dynamic per-record ingest, batch ingest at several
-// parallelism levels, and synthesis all produce bit-identical output to
+// condensation, dynamic per-record ingest, batch ingest, and synthesis
+// all produce bit-identical output to
 // the untraced run — the tracer never touches the engine's rng stream or
 // routing decisions.
 func TestTracingObserveOnly(t *testing.T) {
 	const k, dim = 5, 3
 	stream := gaussianRecords(31, 900, dim)
 
-	build := func(tr *telemetry.Tracer, parallelism int) *Dynamic {
+	build := func(tr *telemetry.Tracer) *Dynamic {
 		t.Helper()
 		d, err := emptyDynamic(dim, k, rng.New(7))
 		if err != nil {
 			t.Fatal(err)
 		}
-		d.SetParallelism(parallelism)
 		d.SetTracer(tr)
 		return d
 	}
 
 	// Reference: no tracer, sequential Add.
-	ref := build(nil, 1)
+	ref := build(nil)
 	for _, x := range stream {
 		if err := ref.Add(x); err != nil {
 			t.Fatal(err)
@@ -39,41 +38,39 @@ func TestTracingObserveOnly(t *testing.T) {
 	}
 	want := dynamicFingerprint(t, ref)
 
-	for _, par := range []int{1, 4} {
-		// Traced per-record ingest, sampling every record.
-		tr := telemetry.NewTracer(256, 1)
-		d := build(tr, par)
-		for _, x := range stream {
-			if err := d.Add(x); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if !bytes.Equal(want, dynamicFingerprint(t, d)) {
-			t.Fatalf("traced Add(par=%d) diverged from untraced run", par)
-		}
-		if tr.Len() == 0 {
-			t.Fatal("tracing at 1-in-1 recorded no spans")
-		}
-
-		// Traced batch ingest under a request-style parent span.
-		tr = telemetry.NewTracer(256, 1)
-		d = build(tr, par)
-		ctx, root := tr.Start(context.Background(), "request")
-		if err := d.AddBatchContext(ctx, stream); err != nil {
+	// Traced per-record ingest, sampling every record.
+	tr := telemetry.NewTracer(256, 1)
+	d := build(tr)
+	for _, x := range stream {
+		if err := d.Add(x); err != nil {
 			t.Fatal(err)
 		}
-		root.End()
-		if !bytes.Equal(want, dynamicFingerprint(t, d)) {
-			t.Fatalf("traced AddBatch(par=%d) diverged from untraced run", par)
-		}
-		names := map[string]bool{}
-		for _, ev := range tr.Events(0) {
-			names[ev.Name] = true
-		}
-		for _, n := range []string{"dynamic.add_batch", "dynamic.speculate", "dynamic.apply", "dynamic.split"} {
-			if !names[n] {
-				t.Errorf("batch trace missing %q span (got %v)", n, names)
-			}
+	}
+	if !bytes.Equal(want, dynamicFingerprint(t, d)) {
+		t.Fatal("traced Add diverged from untraced run")
+	}
+	if tr.Len() == 0 {
+		t.Fatal("tracing at 1-in-1 recorded no spans")
+	}
+
+	// Traced batch ingest under a request-style parent span.
+	tr = telemetry.NewTracer(256, 1)
+	d = build(tr)
+	ctx, root := tr.Start(context.Background(), "request")
+	if err := d.AddBatchContext(ctx, stream); err != nil {
+		t.Fatal(err)
+	}
+	root.End()
+	if !bytes.Equal(want, dynamicFingerprint(t, d)) {
+		t.Fatal("traced AddBatch diverged from untraced run")
+	}
+	names := map[string]bool{}
+	for _, ev := range tr.Events(0) {
+		names[ev.Name] = true
+	}
+	for _, n := range []string{"dynamic.add_batch", "dynamic.split"} {
+		if !names[n] {
+			t.Errorf("batch trace missing %q span (got %v)", n, names)
 		}
 	}
 
@@ -87,7 +84,7 @@ func TestTracingObserveOnly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := telemetry.NewTracer(64, 1)
+	tr = telemetry.NewTracer(64, 1)
 	traced, err := NewCondenser(k, WithSeed(3), WithTracer(tr))
 	if err != nil {
 		t.Fatal(err)
@@ -115,7 +112,7 @@ func TestTracingObserveOnly(t *testing.T) {
 			}
 		}
 	}
-	names := map[string]bool{}
+	names = map[string]bool{}
 	for _, ev := range tr.Events(0) {
 		names[ev.Name] = true
 	}

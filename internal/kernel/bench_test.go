@@ -34,3 +34,18 @@ func BenchmarkKernelArgminFlat(b *testing.B) {
 		ArgminFlat(q, flat)
 	}
 }
+
+// BenchmarkKernelArgminFlatIDs folds one 64-row dim-8 leaf, the
+// CentroidIndex leaf size, into an empty incumbent: the leaf sweep of a
+// routing search.
+func BenchmarkKernelArgminFlatIDs(b *testing.B) {
+	flat, q := benchArena(64, 8)
+	ids := make([]int, 64)
+	for i := range ids {
+		ids[i] = i
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		ArgminFlatIDs(q, flat, ids, -1, inf())
+	}
+}

@@ -8,7 +8,8 @@
 // distance with a SINGLE accumulator in ascending index order — the exact
 // operation order of mat.Vector.DistSq — so results are byte-identical to
 // the scalar loops they replace. Unrolling only reorders the independent
-// subtract/multiply steps, never the additions into the accumulator.
+// subtract/multiply steps, never the additions into the accumulator, and
+// a sweep over several rows at once gives each row its own accumulator.
 // Early-exit pruning abandons a row only when its partial sum already
 // EXCEEDS the incumbent best (strictly); a monotone non-decreasing partial
 // sum then proves the full distance exceeds it too, so no row that could
@@ -173,8 +174,8 @@ func ArgminFlat[Q ~[]float64](q Q, block []float64) (int, float64) {
 //	    if d < bestD || (d == bestD && id < bestID) { bestID, bestD = id, d }
 //	}
 //
-// and is the kernel behind the CentroidIndex leaf scan and the AddBatch
-// changed-group fold.
+// and is the kernel behind the CentroidIndex leaf scan and its sweep of
+// the centroids born since the last rebuild.
 func ArgminFlatIDs[Q ~[]float64](q Q, block []float64, ids []int, bestID int, bestD float64) (int, float64) {
 	d := len(q)
 	if len(block) != len(ids)*d {
@@ -183,9 +184,52 @@ func ArgminFlatIDs[Q ~[]float64](q Q, block []float64, ids []int, bestID int, be
 	if d == 8 {
 		// Hand-inlined distSqBound with the query hoisted into locals:
 		// at dim 8 the call boundary and the per-row query reloads are
-		// the scan's dominant cost. One prune check at the halfway point.
+		// the scan's dominant cost. Rows go four at a time, one
+		// accumulator each, so the four dependency chains overlap; each
+		// still adds its squares in ascending order. A block is skipped
+		// when all four halfway sums exceed the incumbent. Otherwise the
+		// four updates run in row order, and a row whose halfway sum
+		// already exceeded the block's starting incumbent cannot pass
+		// them: its full sum is larger still.
 		q0, q1, q2, q3, q4, q5, q6, q7 := q[0], q[1], q[2], q[3], q[4], q[5], q[6], q[7]
-		for i, id := range ids {
+		i := 0
+		for ; i+4 <= len(ids); i += 4 {
+			r := block[i*8 : i*8+32]
+			id := ids[i : i+4]
+			_, _ = r[31], id[3]
+			a0, b0, c0, e0 := r[0]-q0, r[8]-q0, r[16]-q0, r[24]-q0
+			sa, sb, sc, se := a0*a0, b0*b0, c0*c0, e0*e0
+			a1, b1, c1, e1 := r[1]-q1, r[9]-q1, r[17]-q1, r[25]-q1
+			sa, sb, sc, se = sa+a1*a1, sb+b1*b1, sc+c1*c1, se+e1*e1
+			a2, b2, c2, e2 := r[2]-q2, r[10]-q2, r[18]-q2, r[26]-q2
+			sa, sb, sc, se = sa+a2*a2, sb+b2*b2, sc+c2*c2, se+e2*e2
+			a3, b3, c3, e3 := r[3]-q3, r[11]-q3, r[19]-q3, r[27]-q3
+			sa, sb, sc, se = sa+a3*a3, sb+b3*b3, sc+c3*c3, se+e3*e3
+			if sa > bestD && sb > bestD && sc > bestD && se > bestD {
+				continue
+			}
+			a4, b4, c4, e4 := r[4]-q4, r[12]-q4, r[20]-q4, r[28]-q4
+			sa, sb, sc, se = sa+a4*a4, sb+b4*b4, sc+c4*c4, se+e4*e4
+			a5, b5, c5, e5 := r[5]-q5, r[13]-q5, r[21]-q5, r[29]-q5
+			sa, sb, sc, se = sa+a5*a5, sb+b5*b5, sc+c5*c5, se+e5*e5
+			a6, b6, c6, e6 := r[6]-q6, r[14]-q6, r[22]-q6, r[30]-q6
+			sa, sb, sc, se = sa+a6*a6, sb+b6*b6, sc+c6*c6, se+e6*e6
+			a7, b7, c7, e7 := r[7]-q7, r[15]-q7, r[23]-q7, r[31]-q7
+			sa, sb, sc, se = sa+a7*a7, sb+b7*b7, sc+c7*c7, se+e7*e7
+			if sa < bestD || (sa == bestD && id[0] < bestID) {
+				bestID, bestD = id[0], sa
+			}
+			if sb < bestD || (sb == bestD && id[1] < bestID) {
+				bestID, bestD = id[1], sb
+			}
+			if sc < bestD || (sc == bestD && id[2] < bestID) {
+				bestID, bestD = id[2], sc
+			}
+			if se < bestD || (se == bestD && id[3] < bestID) {
+				bestID, bestD = id[3], se
+			}
+		}
+		for ; i < len(ids); i++ {
 			r := block[i*8 : i*8+8]
 			_ = r[7]
 			d0 := r[0] - q0
@@ -207,8 +251,8 @@ func ArgminFlatIDs[Q ~[]float64](q Q, block []float64, ids []int, bestID int, be
 			s += d6 * d6
 			d7 := r[7] - q7
 			s += d7 * d7
-			if s < bestD || (s == bestD && id < bestID) {
-				bestID, bestD = id, s
+			if s < bestD || (s == bestD && ids[i] < bestID) {
+				bestID, bestD = ids[i], s
 			}
 		}
 		return bestID, bestD

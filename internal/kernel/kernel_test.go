@@ -99,32 +99,80 @@ func TestArgminFlatMatchesScan(t *testing.T) {
 	}
 }
 
+// dyadicBlock returns n rows of dimension d whose coordinates are
+// multiples of 0.5 in [0, 1]: every squared distance between two such
+// vectors is exact, so distinct rows tie exactly and often.
+func dyadicBlock(r *rand.Rand, n, d int) ([]float64, [][]float64) {
+	flat := make([]float64, n*d)
+	for i := range flat {
+		flat[i] = float64(r.IntN(3)) / 2
+	}
+	pts := make([][]float64, n)
+	for i := range pts {
+		pts[i] = flat[i*d : (i+1)*d]
+	}
+	return flat, pts
+}
+
+// TestArgminFlatIDsMatchesFold checks the kernel against the scalar
+// lexicographic fold at every leftover count of the four-row dim-8 sweep
+// (lengths 0–9 and 63–65), with duplicate ids in arbitrary order, an
+// empty, a far or a tying incumbent, and dyadic blocks whose exact ties
+// fall within a four-row block, across block boundaries and against the
+// incumbent.
 func TestArgminFlatIDsMatchesFold(t *testing.T) {
 	r := rand.New(rand.NewPCG(7, 8))
+	lengths := []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 63, 64, 65}
+	ties := 0
 	for _, d := range []int{2, 8} {
-		for trial := 0; trial < 40; trial++ {
-			flat, pts := randBlock(r, 1+r.IntN(60), d)
-			ids := make([]int, len(pts))
-			for i := range ids {
-				ids[i] = r.IntN(40) // duplicates and arbitrary order on purpose
-			}
-			q := randVec(r, d)
-			if trial%4 == 0 {
-				q = append([]float64(nil), pts[r.IntN(len(pts))]...)
-			}
-			seedID, seedD := 17, refDistSq(q, pts[0]) // a live incumbent
-			wantID, wantD := seedID, seedD
-			for i, p := range pts {
-				dd := refDistSq(q, p)
-				if dd < wantD || (dd == wantD && ids[i] < wantID) {
-					wantID, wantD = ids[i], dd
+		for _, n := range lengths {
+			for trial := 0; trial < 40; trial++ {
+				dyadic := trial%2 == 1
+				var flat []float64
+				var pts [][]float64
+				var q []float64
+				if dyadic {
+					flat, pts = dyadicBlock(r, n, d)
+					_, qs := dyadicBlock(r, 1, d)
+					q = qs[0]
+				} else {
+					flat, pts = randBlock(r, n, d)
+					q = randVec(r, d)
+					if n > 0 && trial%4 == 0 {
+						q = append([]float64(nil), pts[r.IntN(n)]...)
+					}
+				}
+				ids := make([]int, n)
+				for i := range ids {
+					ids[i] = r.IntN(n + 1) // duplicates and arbitrary order on purpose
+				}
+				seedID, seedD := -1, math.Inf(1)
+				switch {
+				case trial%3 == 1:
+					seedID, seedD = r.IntN(n+2), 1e9
+				case trial%3 == 2 && n > 0:
+					// An incumbent at some row's exact distance.
+					seedID, seedD = r.IntN(n+2), refDistSq(q, pts[r.IntN(n)])
+				}
+				wantID, wantD := seedID, seedD
+				for i, p := range pts {
+					dd := refDistSq(q, p)
+					if dd == wantD && ids[i] != wantID {
+						ties++
+					}
+					if dd < wantD || (dd == wantD && ids[i] < wantID) {
+						wantID, wantD = ids[i], dd
+					}
+				}
+				gotID, gotD := ArgminFlatIDs(q, flat, ids, seedID, seedD)
+				if gotID != wantID || math.Float64bits(gotD) != math.Float64bits(wantD) {
+					t.Fatalf("d=%d n=%d trial=%d: got (%d,%v) want (%d,%v)", d, n, trial, gotID, gotD, wantID, wantD)
 				}
 			}
-			gotID, gotD := ArgminFlatIDs(q, flat, ids, seedID, seedD)
-			if gotID != wantID || math.Float64bits(gotD) != math.Float64bits(wantD) {
-				t.Fatalf("d=%d: got (%d,%v) want (%d,%v)", d, gotID, gotD, wantID, wantD)
-			}
 		}
+	}
+	if ties == 0 {
+		t.Fatal("no exact tie between distinct ids was exercised")
 	}
 }
 

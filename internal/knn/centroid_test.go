@@ -205,6 +205,46 @@ func (c *CentroidIndex) checkBoxes() error {
 	return nil
 }
 
+// TestBoxDistMatchesBranches: the branch-free box distance is
+// bit-identical to adding only the positive side of each face, for
+// queries inside, outside and on the faces of dyadic and random boxes,
+// with ties to the box faces and zero-width boxes included.
+func TestBoxDistMatchesBranches(t *testing.T) {
+	r := rng.New(9)
+	const dim = 8
+	c := &CentroidIndex{dim: dim, boxes: make([]float64, 2*dim)}
+	lo, hi := c.boxes[:dim], c.boxes[dim:]
+	q := make(mat.Vector, dim)
+	for trial := 0; trial < 2000; trial++ {
+		pick := func() float64 {
+			if trial%2 == 0 {
+				return float64(r.IntN(5)) / 2
+			}
+			return r.Norm() * 3
+		}
+		for j := range q {
+			a, b := pick(), pick()
+			lo[j], hi[j] = min(a, b), max(a, b)
+			if q[j] = pick(); r.IntN(4) == 0 {
+				q[j] = lo[j]
+			}
+		}
+		var want float64
+		for j, v := range q {
+			if v < lo[j] {
+				d := lo[j] - v
+				want += d * d
+			} else if v > hi[j] {
+				d := v - hi[j]
+				want += d * d
+			}
+		}
+		if got := c.boxDist(0, q); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("trial %d: boxDist = %v, want %v (lo %v hi %v q %v)", trial, got, want, lo, hi, q)
+		}
+	}
+}
+
 func TestCentroidIndexEmpty(t *testing.T) {
 	idx, err := NewCentroidIndex(2, nil)
 	if err != nil {

@@ -190,7 +190,7 @@ func TestTraceEndpoint(t *testing.T) {
 		}
 		names[ev.Name] = true
 	}
-	for _, want := range []string{"http /v1/records", "dynamic.add_batch", "dynamic.speculate", "dynamic.apply"} {
+	for _, want := range []string{"http /v1/records", "dynamic.add_batch"} {
 		if !names[want] {
 			t.Errorf("trace missing %q span (got %v)", want, names)
 		}

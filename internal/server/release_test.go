@@ -103,6 +103,37 @@ func TestReleaseInstallNeverRegresses(t *testing.T) {
 	}
 }
 
+// TestStatsSplitsFromRelease: a release's /v1/stats body reports the
+// split count of the engine cut it was taken from, even when the body is
+// first built after the engine has split more groups.
+func TestStatsSplitsFromRelease(t *testing.T) {
+	for _, shards := range []int{1, 3} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			s := newIncrementalServer(t, shards)
+			postBatch(t, s, genRecords(6, 40))
+			rel := s.release()
+			want := s.eng.Splits()
+			r := rng.New(7)
+			for s.eng.Splits() == want {
+				if err := s.eng.Add(mat.Vector{r.Norm(), r.Norm()}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			body, err := s.stats(rel, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var st statsResponse
+			if err := json.Unmarshal(bytes.Join(body.parts, nil), &st); err != nil {
+				t.Fatal(err)
+			}
+			if st.Splits != want || rel.Splits() != want {
+				t.Fatalf("stats body of the release reports %d splits (release %d), the cut had %d", st.Splits, rel.Splits(), want)
+			}
+		})
+	}
+}
+
 // TestReleaseCoherentUnderWriters runs writers against readers that each
 // take one release and derive every artifact from it: the checkpoint,
 // the stats, the audit, the group summaries and the snapshot of one

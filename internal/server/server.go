@@ -444,10 +444,9 @@ func (s *Server) handleRecords(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// Ingest through the batch engine: records are speculatively routed in
-	// parallel and applied sequentially, bit-identical to a record-by-record
-	// Add loop but holding the shard write locks for far less wall-clock
-	// time. The request context still bounds the apply phase: if the client
+	// Ingest through the batch engine: each shard applies its records in
+	// order under one lock acquisition, bit-identical to a record-by-record
+	// Add loop. The request context bounds the batch: if the client
 	// disconnects or the deadline passes mid-batch, ingestion stops at a
 	// record boundary instead of holding the locks for the full batch.
 	t0 := time.Now()
@@ -502,8 +501,8 @@ var errNoRecords = errors.New("no group of k records to release yet")
 
 // statsResponse summarizes the current release: the groups and records it
 // holds, and the records it withholds in groups below k. Splits is the
-// engine's live split count. ByShard is present only when the request
-// asked for the per-shard breakdown.
+// split count of the engine cut the release was taken from. ByShard is
+// present only when the request asked for the per-shard breakdown.
 type statsResponse struct {
 	Dim             int          `json:"dim"`
 	K               int          `json:"k"`
@@ -595,7 +594,7 @@ func (s *Server) stats(r *release, byShard bool) (*respBody, error) {
 			Groups:          all.Groups,
 			Records:         all.Records,
 			WithheldRecords: withheld,
-			Splits:          s.eng.Splits(),
+			Splits:          r.Splits(),
 			MinGroupSize:    all.MinGroupSize,
 			MaxGroupSize:    all.MaxGroupSize,
 			AvgGroupSize:    all.AvgGroupSize,
